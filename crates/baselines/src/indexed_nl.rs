@@ -7,7 +7,9 @@
 //! synchronous R-tree traversal even though both perform almost the same number of
 //! object comparisons.
 
-use touch_core::{deliver, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::Dataset;
 use touch_index::PackedRTree;
 use touch_metrics::{MemoryUsage, Phase, RunReport};
@@ -36,34 +38,44 @@ impl SpatialJoinAlgorithm for IndexedNestedLoopJoin {
         "Indexed NL".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        // Build the index on dataset A only.
-        let tree = report.timer.time(Phase::Build, || {
-            PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout)
-        });
+            // Build the index on dataset A only.
+            let tree = report.timer.time(Phase::Build, || {
+                PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout)
+            });
 
-        // Loop over dataset B, querying the index once per object; an
-        // early-terminating sink stops the probe loop between queries. The R-tree
-        // query itself cannot be aborted mid-probe, so `deliver` guards every
-        // push: once the sink reports done the remaining hits of the current
-        // probe are discarded, keeping `results` equal to the delivered pairs.
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            for ob in b.iter() {
-                if sink.is_done() {
-                    break;
+            // Loop over dataset B, querying the index once per object; an
+            // early-terminating sink stops the probe loop between queries. The R-tree
+            // query itself cannot be aborted mid-probe, so `deliver` guards every
+            // push: once the sink reports done the remaining hits of the current
+            // probe are discarded, keeping `results` equal to the delivered pairs.
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                for ob in b.iter() {
+                    if sink.is_done() {
+                        break;
+                    }
+                    tree.query(&ob.mbr, &mut counters, |oa| {
+                        let _ = deliver(sink, oa.id, ob.id, &mut results);
+                    });
                 }
-                tree.query(&ob.mbr, &mut counters, |oa| {
-                    let _ = deliver(sink, oa.id, ob.id, &mut results);
-                });
-            }
-        });
+            });
 
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = tree.memory_bytes();
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = tree.memory_bytes();
+        })
     }
 }
 

@@ -1,6 +1,8 @@
 //! The nested loop join — the textbook worst case (Section 2.1).
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::Dataset;
 use touch_metrics::{Phase, RunReport};
 
@@ -24,17 +26,27 @@ impl SpatialJoinAlgorithm for NestedLoopJoin {
         "NL".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            kernels::all_pairs(a.objects(), b.objects(), &mut counters, &mut |x, y| {
-                deliver(sink, x, y, &mut results)
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                kernels::all_pairs(a.objects(), b.objects(), &mut counters, &mut |x, y| {
+                    deliver(sink, x, y, &mut results)
+                });
             });
-        });
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = 0;
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = 0;
+        })
     }
 }
 

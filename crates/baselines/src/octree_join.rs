@@ -14,7 +14,9 @@
 //! related work); it is included to complete the design-space coverage and as an
 //! additional correctness cross-check.
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::{Aabb, Dataset, SpatialObject};
 use touch_index::Octree;
 use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
@@ -49,67 +51,77 @@ impl SpatialJoinAlgorithm for OctreeJoin {
         "Octree".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        let Some(extent) = join_extent(a, b) else {
-            report.counters = counters;
-            return;
-        };
+            let Some(extent) = join_extent(a, b) else {
+                report.counters = counters;
+                return;
+            };
 
-        // Index both datasets over the joint extent.
-        let (tree_a, tree_b) = report.timer.time(Phase::Build, || {
-            (
-                Octree::build(extent, a.objects(), self.leaf_capacity, self.max_depth),
-                Octree::build(extent, b.objects(), self.leaf_capacity, self.max_depth),
-            )
-        });
-        counters.replicas += (tree_a.total_assignments() - a.len()) as u64
-            + (tree_b.total_assignments() - b.len()) as u64;
-
-        // Join: for every non-empty A leaf, fetch the B candidates overlapping the
-        // leaf region and compare, reporting a pair only from the leaf containing its
-        // reference point.
-        let mut peak_scratch = 0usize;
-        let mut suppressed = 0u64;
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            let mut scratch_a: Vec<SpatialObject> = Vec::new();
-            let mut scratch_b: Vec<SpatialObject> = Vec::new();
-            tree_a.for_each_leaf(|region, ids_a| {
-                if sink.is_done() {
-                    return;
-                }
-                let candidates_b = tree_b.query_candidates(region);
-                if candidates_b.is_empty() {
-                    return;
-                }
-                scratch_a.clear();
-                scratch_b.clear();
-                scratch_a.extend(ids_a.iter().map(|&id| *a.get(id)));
-                scratch_b.extend(candidates_b.iter().map(|&id| *b.get(id)));
-                peak_scratch = peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
-                kernels::plane_sweep(
-                    &mut scratch_a,
-                    &mut scratch_b,
-                    &mut counters,
-                    &mut |ia, ib| {
-                        let rp = a.get(ia).mbr.intersection_reference_point(&b.get(ib).mbr);
-                        if tree_a.owns_point(region, &rp) {
-                            deliver(sink, ia, ib, &mut results)
-                        } else {
-                            suppressed += 1;
-                            !sink.is_done()
-                        }
-                    },
-                );
+            // Index both datasets over the joint extent.
+            let (tree_a, tree_b) = report.timer.time(Phase::Build, || {
+                (
+                    Octree::build(extent, a.objects(), self.leaf_capacity, self.max_depth),
+                    Octree::build(extent, b.objects(), self.leaf_capacity, self.max_depth),
+                )
             });
-        });
-        counters.duplicates_suppressed += suppressed;
+            counters.replicas += (tree_a.total_assignments() - a.len()) as u64
+                + (tree_b.total_assignments() - b.len()) as u64;
 
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = tree_a.memory_bytes() + tree_b.memory_bytes() + peak_scratch;
+            // Join: for every non-empty A leaf, fetch the B candidates overlapping the
+            // leaf region and compare, reporting a pair only from the leaf containing its
+            // reference point.
+            let mut peak_scratch = 0usize;
+            let mut suppressed = 0u64;
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                let mut scratch_a: Vec<SpatialObject> = Vec::new();
+                let mut scratch_b: Vec<SpatialObject> = Vec::new();
+                tree_a.for_each_leaf(|region, ids_a| {
+                    if sink.is_done() {
+                        return;
+                    }
+                    let candidates_b = tree_b.query_candidates(region);
+                    if candidates_b.is_empty() {
+                        return;
+                    }
+                    scratch_a.clear();
+                    scratch_b.clear();
+                    scratch_a.extend(ids_a.iter().map(|&id| *a.get(id)));
+                    scratch_b.extend(candidates_b.iter().map(|&id| *b.get(id)));
+                    peak_scratch = peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
+                    kernels::plane_sweep(
+                        &mut scratch_a,
+                        &mut scratch_b,
+                        &mut counters,
+                        &mut |ia, ib| {
+                            let rp = a.get(ia).mbr.intersection_reference_point(&b.get(ib).mbr);
+                            if tree_a.owns_point(region, &rp) {
+                                deliver(sink, ia, ib, &mut results)
+                            } else {
+                                suppressed += 1;
+                                !sink.is_done()
+                            }
+                        },
+                    );
+                });
+            });
+            counters.duplicates_suppressed += suppressed;
+
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = tree_a.memory_bytes() + tree_b.memory_bytes() + peak_scratch;
+        })
     }
 }
 

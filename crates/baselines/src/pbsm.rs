@@ -12,7 +12,9 @@
 //! magnitude more memory than everything else) and PBSM-100 (100 cells per
 //! dimension — less memory, more comparisons).
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::{Aabb, Dataset};
 use touch_index::{MultiAssignGrid, UniformGrid};
 use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
@@ -77,70 +79,81 @@ impl SpatialJoinAlgorithm for PbsmJoin {
         self.label.to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        let Some(extent) = join_extent(a, b) else {
+            let Some(extent) = join_extent(a, b) else {
+                report.counters = counters;
+                return;
+            };
+            let grid = UniformGrid::new(extent, self.cells_per_dim);
+
+            // Partition dataset A (build) and dataset B (assignment), replicating each
+            // object into every cell it overlaps.
+            let grid_a = report.timer.time(Phase::Build, || {
+                MultiAssignGrid::build_parallel(grid, a.objects(), self.threads)
+            });
+            let grid_b = report.timer.time(Phase::Assignment, || {
+                MultiAssignGrid::build_parallel(grid, b.objects(), self.threads)
+            });
+            counters.replicas += (grid_a.replicas() + grid_b.replicas()) as u64;
+
+            // Join matching cells with a plane-sweep; suppress duplicates with the
+            // reference-point rule.
+            let mut peak_scratch = 0usize;
+            let mut suppressed = 0u64;
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                let mut scratch_a = Vec::new();
+                let mut scratch_b = Vec::new();
+                for cell in grid_a.non_empty_cells() {
+                    if sink.is_done() {
+                        break;
+                    }
+                    let ids_a = grid_a.cell_entries(cell);
+                    let ids_b = grid_b.cell_entries(cell);
+                    if ids_a.is_empty() || ids_b.is_empty() {
+                        continue;
+                    }
+                    scratch_a.clear();
+                    scratch_b.clear();
+                    scratch_a.extend(ids_a.iter().map(|&id| *a.get(id)));
+                    scratch_b.extend(ids_b.iter().map(|&id| *b.get(id)));
+                    peak_scratch = peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
+                    kernels::plane_sweep(
+                        &mut scratch_a,
+                        &mut scratch_b,
+                        &mut counters,
+                        &mut |ia, ib| {
+                            // A pair replicated into several cells is reported only from the
+                            // cell containing the lower corner of its MBR intersection.
+                            let ref_point =
+                                a.get(ia).mbr.intersection_reference_point(&b.get(ib).mbr);
+                            if grid.linear_index(grid.cell_of_point(&ref_point)) == cell {
+                                deliver(sink, ia, ib, &mut results)
+                            } else {
+                                suppressed += 1;
+                                !sink.is_done()
+                            }
+                        },
+                    );
+                }
+            });
+            counters.duplicates_suppressed += suppressed;
+
+            counters.results += results;
             report.counters = counters;
-            return;
-        };
-        let grid = UniformGrid::new(extent, self.cells_per_dim);
-
-        // Partition dataset A (build) and dataset B (assignment), replicating each
-        // object into every cell it overlaps.
-        let grid_a = report.timer.time(Phase::Build, || {
-            MultiAssignGrid::build_parallel(grid, a.objects(), self.threads)
-        });
-        let grid_b = report.timer.time(Phase::Assignment, || {
-            MultiAssignGrid::build_parallel(grid, b.objects(), self.threads)
-        });
-        counters.replicas += (grid_a.replicas() + grid_b.replicas()) as u64;
-
-        // Join matching cells with a plane-sweep; suppress duplicates with the
-        // reference-point rule.
-        let mut peak_scratch = 0usize;
-        let mut suppressed = 0u64;
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            let mut scratch_a = Vec::new();
-            let mut scratch_b = Vec::new();
-            for cell in grid_a.non_empty_cells() {
-                if sink.is_done() {
-                    break;
-                }
-                let ids_a = grid_a.cell_entries(cell);
-                let ids_b = grid_b.cell_entries(cell);
-                if ids_a.is_empty() || ids_b.is_empty() {
-                    continue;
-                }
-                scratch_a.clear();
-                scratch_b.clear();
-                scratch_a.extend(ids_a.iter().map(|&id| *a.get(id)));
-                scratch_b.extend(ids_b.iter().map(|&id| *b.get(id)));
-                peak_scratch = peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
-                kernels::plane_sweep(
-                    &mut scratch_a,
-                    &mut scratch_b,
-                    &mut counters,
-                    &mut |ia, ib| {
-                        // A pair replicated into several cells is reported only from the
-                        // cell containing the lower corner of its MBR intersection.
-                        let ref_point = a.get(ia).mbr.intersection_reference_point(&b.get(ib).mbr);
-                        if grid.linear_index(grid.cell_of_point(&ref_point)) == cell {
-                            deliver(sink, ia, ib, &mut results)
-                        } else {
-                            suppressed += 1;
-                            !sink.is_done()
-                        }
-                    },
-                );
-            }
-        });
-        counters.duplicates_suppressed += suppressed;
-
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = grid_a.memory_bytes() + grid_b.memory_bytes() + peak_scratch;
+            report.memory_bytes = grid_a.memory_bytes() + grid_b.memory_bytes() + peak_scratch;
+        })
     }
 }
 

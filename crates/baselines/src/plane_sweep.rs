@@ -1,6 +1,8 @@
 //! The plane-sweep join (Section 2.1).
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::Dataset;
 use touch_metrics::{vec_bytes, Phase, RunReport};
 
@@ -26,22 +28,32 @@ impl SpatialJoinAlgorithm for PlaneSweepJoin {
         "PS".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        // Build phase: the sort working copies.
-        let (mut sa, mut sb) =
-            report.timer.time(Phase::Build, || (a.objects().to_vec(), b.objects().to_vec()));
-        report.memory_bytes = vec_bytes(&sa) + vec_bytes(&sb);
+            // Build phase: the sort working copies.
+            let (mut sa, mut sb) =
+                report.timer.time(Phase::Build, || (a.objects().to_vec(), b.objects().to_vec()));
+            report.memory_bytes = vec_bytes(&sa) + vec_bytes(&sb);
 
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            kernels::plane_sweep(&mut sa, &mut sb, &mut counters, &mut |x, y| {
-                deliver(sink, x, y, &mut results)
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                kernels::plane_sweep(&mut sa, &mut sb, &mut counters, &mut |x, y| {
+                    deliver(sink, x, y, &mut results)
+                });
             });
-        });
-        counters.results += results;
-        report.counters = counters;
+            counters.results += results;
+            report.counters = counters;
+        })
     }
 }
 

@@ -7,7 +7,9 @@
 //! but is faster because the trees are traversed once, synchronously, instead of once
 //! per probe object — at the cost of keeping two trees in memory.
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::{Dataset, ObjectId};
 use touch_index::{PackedRTree, RTreeNode};
 use touch_metrics::{Counters, MemoryUsage, Phase, RunReport};
@@ -37,29 +39,40 @@ impl SpatialJoinAlgorithm for RTreeSyncJoin {
         "RTree".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        // Build one tree per dataset.
-        let (tree_a, tree_b) = report.timer.time(Phase::Build, || {
-            (
-                PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout),
-                PackedRTree::build(b.objects(), self.leaf_capacity, self.fanout),
-            )
-        });
+            // Build one tree per dataset.
+            let (tree_a, tree_b) = report.timer.time(Phase::Build, || {
+                (
+                    PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout),
+                    PackedRTree::build(b.objects(), self.leaf_capacity, self.fanout),
+                )
+            });
 
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            if let (Some(ra), Some(rb)) = (tree_a.root_index(), tree_b.root_index()) {
-                let _ = sync_traverse(&tree_a, &tree_b, ra, rb, &mut counters, &mut |ia, ib| {
-                    deliver(sink, ia, ib, &mut results)
-                });
-            }
-        });
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                if let (Some(ra), Some(rb)) = (tree_a.root_index(), tree_b.root_index()) {
+                    let _ =
+                        sync_traverse(&tree_a, &tree_b, ra, rb, &mut counters, &mut |ia, ib| {
+                            deliver(sink, ia, ib, &mut results)
+                        });
+                }
+            });
 
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = tree_a.memory_bytes() + tree_b.memory_bytes();
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = tree_a.memory_bytes() + tree_b.memory_bytes();
+        })
     }
 }
 

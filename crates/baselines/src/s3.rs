@@ -14,7 +14,9 @@
 //! they are compared against nearly everything — the behaviour the paper's Figures
 //! 9–11 highlight and that TOUCH's data-oriented partitioning avoids.
 
-use touch_core::{deliver, kernels, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::{Aabb, Dataset, SpatialObject};
 use touch_index::{HierGridIndex, HierarchicalGrid, LevelCell};
 use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
@@ -84,75 +86,86 @@ impl SpatialJoinAlgorithm for S3Join {
         "S3".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        let Some(extent) = join_extent(a, b) else {
+            let Some(extent) = join_extent(a, b) else {
+                report.counters = counters;
+                return;
+            };
+            let hier = HierarchicalGrid::new(extent, self.levels, self.refinement);
+
+            // Build one hierarchy per dataset (single assignment, no replication).
+            let index_a =
+                report.timer.time(Phase::Build, || HierGridIndex::build(hier, a.objects()));
+            let index_b =
+                report.timer.time(Phase::Assignment, || HierGridIndex::build(hier, b.objects()));
+
+            let mut peak_scratch = 0usize;
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                let mut scratch_a: Vec<SpatialObject> = Vec::new();
+                let mut scratch_b: Vec<SpatialObject> = Vec::new();
+
+                // For every non-empty B cell: join with the A cell at the same position
+                // and with every enclosing (coarser) A cell.
+                for (cell_b, ids_b) in index_b.non_empty_cells() {
+                    for level_a in 0..=cell_b.level {
+                        let ancestor = hier.ancestor(cell_b, level_a);
+                        if let Some(ids_a) = index_a.cell(ancestor) {
+                            Self::join_cells(
+                                a,
+                                b,
+                                ids_a,
+                                ids_b,
+                                &mut counters,
+                                &mut scratch_a,
+                                &mut scratch_b,
+                                sink,
+                                &mut results,
+                            );
+                            peak_scratch =
+                                peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
+                        }
+                    }
+                }
+                // Remaining enclosing relations: A cells that are *strictly finer* than
+                // the B cell enclosing them (same-level pairs were handled above).
+                for (cell_a, ids_a) in index_a.non_empty_cells() {
+                    for level_b in 0..cell_a.level {
+                        let ancestor: LevelCell = hier.ancestor(cell_a, level_b);
+                        if let Some(ids_b) = index_b.cell(ancestor) {
+                            Self::join_cells(
+                                a,
+                                b,
+                                ids_a,
+                                ids_b,
+                                &mut counters,
+                                &mut scratch_a,
+                                &mut scratch_b,
+                                sink,
+                                &mut results,
+                            );
+                            peak_scratch =
+                                peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
+                        }
+                    }
+                }
+            });
+
+            counters.results += results;
             report.counters = counters;
-            return;
-        };
-        let hier = HierarchicalGrid::new(extent, self.levels, self.refinement);
-
-        // Build one hierarchy per dataset (single assignment, no replication).
-        let index_a = report.timer.time(Phase::Build, || HierGridIndex::build(hier, a.objects()));
-        let index_b =
-            report.timer.time(Phase::Assignment, || HierGridIndex::build(hier, b.objects()));
-
-        let mut peak_scratch = 0usize;
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            let mut scratch_a: Vec<SpatialObject> = Vec::new();
-            let mut scratch_b: Vec<SpatialObject> = Vec::new();
-
-            // For every non-empty B cell: join with the A cell at the same position
-            // and with every enclosing (coarser) A cell.
-            for (cell_b, ids_b) in index_b.non_empty_cells() {
-                for level_a in 0..=cell_b.level {
-                    let ancestor = hier.ancestor(cell_b, level_a);
-                    if let Some(ids_a) = index_a.cell(ancestor) {
-                        Self::join_cells(
-                            a,
-                            b,
-                            ids_a,
-                            ids_b,
-                            &mut counters,
-                            &mut scratch_a,
-                            &mut scratch_b,
-                            sink,
-                            &mut results,
-                        );
-                        peak_scratch =
-                            peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
-                    }
-                }
-            }
-            // Remaining enclosing relations: A cells that are *strictly finer* than
-            // the B cell enclosing them (same-level pairs were handled above).
-            for (cell_a, ids_a) in index_a.non_empty_cells() {
-                for level_b in 0..cell_a.level {
-                    let ancestor: LevelCell = hier.ancestor(cell_a, level_b);
-                    if let Some(ids_b) = index_b.cell(ancestor) {
-                        Self::join_cells(
-                            a,
-                            b,
-                            ids_a,
-                            ids_b,
-                            &mut counters,
-                            &mut scratch_a,
-                            &mut scratch_b,
-                            sink,
-                            &mut results,
-                        );
-                        peak_scratch =
-                            peak_scratch.max(vec_bytes(&scratch_a) + vec_bytes(&scratch_b));
-                    }
-                }
-            }
-        });
-
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = index_a.memory_bytes() + index_b.memory_bytes() + peak_scratch;
+            report.memory_bytes = index_a.memory_bytes() + index_b.memory_bytes() + peak_scratch;
+        })
     }
 }
 

@@ -12,7 +12,9 @@
 //! space next to the indexed nested loop.
 
 use crate::rtree_join::sync_traverse;
-use touch_core::{deliver, PairSink, SpatialJoinAlgorithm};
+use touch_core::{
+    deliver, join_contained, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
+};
 use touch_geom::{Aabb, Dataset, SpatialObject};
 use touch_index::PackedRTree;
 use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
@@ -79,59 +81,69 @@ impl SpatialJoinAlgorithm for SeededTreeJoin {
         "Seeded tree".to_string()
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let mut counters = std::mem::take(&mut report.counters);
+    fn try_join(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        sink: &mut dyn PairSink,
+        report: &mut RunReport,
+        ctl: ExecControl<'_>,
+    ) -> Result<(), JoinError> {
+        join_contained(shape, sink, report, ctl, |sink, report| {
+            let mut counters = std::mem::take(&mut report.counters);
 
-        // The existing index on dataset A.
-        let tree_a = report.timer.time(Phase::Build, || {
-            PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout)
-        });
-        let seeds = self.seed_mbrs(&tree_a);
+            // The existing index on dataset A.
+            let tree_a = report.timer.time(Phase::Build, || {
+                PackedRTree::build(a.objects(), self.leaf_capacity, self.fanout)
+            });
+            let seeds = self.seed_mbrs(&tree_a);
 
-        // Seed the B-tree: route every B object to the slot needing least enlargement,
-        // then bulk-grow one subtree per slot.
-        let slots: Vec<Vec<SpatialObject>> = report.timer.time(Phase::Assignment, || {
-            let mut slots: Vec<Vec<SpatialObject>> = vec![Vec::new(); seeds.len().max(1)];
-            for ob in b.iter() {
-                let slot = best_slot(&seeds, &ob.mbr);
-                slots[slot].push(*ob);
-            }
-            slots
-        });
-        let slot_trees: Vec<PackedRTree> = report.timer.time(Phase::Assignment, || {
-            slots
-                .iter()
-                .map(|objs| PackedRTree::build(objs, self.leaf_capacity, self.fanout))
-                .collect()
-        });
+            // Seed the B-tree: route every B object to the slot needing least enlargement,
+            // then bulk-grow one subtree per slot.
+            let slots: Vec<Vec<SpatialObject>> = report.timer.time(Phase::Assignment, || {
+                let mut slots: Vec<Vec<SpatialObject>> = vec![Vec::new(); seeds.len().max(1)];
+                for ob in b.iter() {
+                    let slot = best_slot(&seeds, &ob.mbr);
+                    slots[slot].push(*ob);
+                }
+                slots
+            });
+            let slot_trees: Vec<PackedRTree> = report.timer.time(Phase::Assignment, || {
+                slots
+                    .iter()
+                    .map(|objs| PackedRTree::build(objs, self.leaf_capacity, self.fanout))
+                    .collect()
+            });
 
-        // Join: synchronous traversal of the A-tree against every grown subtree.
-        let mut results = 0u64;
-        report.timer.time(Phase::Join, || {
-            let mut emit = |ia, ib| deliver(sink, ia, ib, &mut results);
-            if let Some(root_a) = tree_a.root_index() {
-                for slot_tree in &slot_trees {
-                    if let Some(root_b) = slot_tree.root_index() {
-                        if !sync_traverse(
-                            &tree_a,
-                            slot_tree,
-                            root_a,
-                            root_b,
-                            &mut counters,
-                            &mut emit,
-                        ) {
-                            break;
+            // Join: synchronous traversal of the A-tree against every grown subtree.
+            let mut results = 0u64;
+            report.timer.time(Phase::Join, || {
+                let mut emit = |ia, ib| deliver(sink, ia, ib, &mut results);
+                if let Some(root_a) = tree_a.root_index() {
+                    for slot_tree in &slot_trees {
+                        if let Some(root_b) = slot_tree.root_index() {
+                            if !sync_traverse(
+                                &tree_a,
+                                slot_tree,
+                                root_a,
+                                root_b,
+                                &mut counters,
+                                &mut emit,
+                            ) {
+                                break;
+                            }
                         }
                     }
                 }
-            }
-        });
+            });
 
-        counters.results += results;
-        report.counters = counters;
-        report.memory_bytes = tree_a.memory_bytes()
-            + slot_trees.iter().map(MemoryUsage::memory_bytes).sum::<usize>()
-            + slots.iter().map(vec_bytes).sum::<usize>();
+            counters.results += results;
+            report.counters = counters;
+            report.memory_bytes = tree_a.memory_bytes()
+                + slot_trees.iter().map(MemoryUsage::memory_bytes).sum::<usize>()
+                + slots.iter().map(vec_bytes).sum::<usize>();
+        })
     }
 }
 

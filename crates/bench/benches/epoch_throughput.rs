@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use touch_bench::synthetic;
-use touch_core::{CountingSink, JoinOrder, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use touch_core::{CountingSink, JoinOrder, JoinQuery, TouchConfig, TouchJoin};
 use touch_datagen::SyntheticDistribution;
 use touch_geom::Dataset;
 use touch_streaming::{StreamingConfig, StreamingTouchJoin};
@@ -57,7 +57,7 @@ fn bench(c: &mut Criterion) {
                     for chunk in b.objects().chunks(batch) {
                         let chunk_ds = Dataset::from_mbrs(chunk.iter().map(|o| o.mbr));
                         let mut sink = CountingSink::new();
-                        let _ = rebuild.join(&a_ext, &chunk_ds, &mut sink);
+                        let _ = JoinQuery::new(&a_ext, &chunk_ds).engine(&rebuild).run(&mut sink);
                         total += sink.count();
                     }
                     black_box(total)

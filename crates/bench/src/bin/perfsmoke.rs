@@ -41,7 +41,9 @@
 
 use std::time::Instant;
 use touch::{AutoEngine, TickConfig, TickEngine, World};
-use touch_core::{CountingSink, JoinOrder, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use touch_core::{
+    CountingSink, ExecControl, JoinOrder, SpatialJoinAlgorithm, TouchConfig, TouchJoin,
+};
 use touch_datagen::SyntheticDistribution;
 use touch_experiments::{workload, Context};
 use touch_geom::Dataset;
@@ -418,11 +420,12 @@ fn trace_serve(w: &Workload) -> (Option<TraceSummary>, ExecTrace) {
     let server = JoinServer::new(&a, ServeConfig { touch: w.cfg, ..ServeConfig::default() });
     let mut reader = server.reader();
     let id = server.insert(serve_dummy(&a));
-    server.publish_traced(&trace);
+    let ctl = ExecControl::with_trace(&trace);
+    server.try_publish(ctl).expect("traced publish");
     let mut sink = CountingSink::new();
-    let _ = reader.query_traced(w.b.objects(), &mut sink, &trace);
+    let _ = reader.try_query(w.b.objects(), &mut sink, ctl).expect("traced query");
     assert!(server.remove(id));
-    server.publish_traced(&trace);
+    server.try_publish(ctl).expect("traced publish");
     (trace.summary(), trace)
 }
 
@@ -453,7 +456,9 @@ fn trace_streaming(w: &Workload, epochs: usize) -> (Option<TraceSummary>, ExecTr
     let mut sink = CountingSink::new();
     let chunk = w.b.len().div_ceil(epochs).max(1);
     for batch in w.b.objects().chunks(chunk) {
-        let _ = engine.push_batch_traced(batch, &mut sink, &trace);
+        engine
+            .try_push_batch(batch, &mut sink, ExecControl::with_trace(&trace))
+            .expect("traced epoch");
     }
     (trace.summary(), trace)
 }

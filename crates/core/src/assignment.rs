@@ -8,7 +8,7 @@
 //! per-node B-lists *out of the tree and into the reader*: the descent uses the
 //! read-only [`TouchTree::assignment_target`], the lists live in the buffer,
 //! and the join phase feeds them back through
-//! [`TouchTree::local_join_node_ext`].
+//! [`TouchTree::local_join_node`].
 //!
 //! The buffer reproduces the tree-resident path exactly — same descent, same
 //! per-node arrival order, same work-list ordering, same local-join kernels —
@@ -20,7 +20,7 @@ use crate::control::{CancelCause, CancelToken, ExecControl};
 use crate::scratch::LocalJoinScratch;
 use crate::tree::{LocalJoinParams, TouchTree, ASSIGN_CANCEL_CHUNK};
 use touch_geom::{ObjectId, SpatialObject};
-use touch_metrics::{vec_bytes, Counters, MemoryUsage, NoTrace, TraceSink};
+use touch_metrics::{vec_bytes, Counters, MemoryUsage};
 
 /// Per-reader B-side assignment over a frozen [`TouchTree`] (see the module
 /// docs). Reusable across queries: [`AssignmentBuffer::clear`] keeps the
@@ -121,40 +121,16 @@ impl AssignmentBuffer {
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> usize {
-        self.join_traced(tree, params, scratch, counters, emit, &NoTrace, 0)
+        self.join_ctl(tree, params, scratch, counters, emit, ExecControl::infallible(), 0).0
     }
 
-    /// Traced form of [`AssignmentBuffer::join`]: per-node spans attributed to
-    /// `worker`, exactly like [`TouchTree::join_assigned_traced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_traced(
-        &self,
-        tree: &TouchTree,
-        params: &LocalJoinParams,
-        scratch: &mut LocalJoinScratch,
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-        trace: &dyn TraceSink,
-        worker: usize,
-    ) -> usize {
-        let (bytes, cause) = self.join_ctl(
-            tree,
-            params,
-            scratch,
-            counters,
-            emit,
-            ExecControl::with_trace(trace),
-            worker,
-        );
-        debug_assert!(cause.is_none(), "never-triggering token cannot cancel");
-        bytes
-    }
-
-    /// Cancellable [`AssignmentBuffer::join_traced`]: polls `ctl.cancel` before
-    /// every per-node local join and abandons the remaining work list when it
-    /// trips, returning the cause alongside the scratch bytes. Pairs already
-    /// emitted and their counters stand; an untriggered token is bit-identical
-    /// to the traced path (which is this, with a never-triggering token).
+    /// Controlled form of [`AssignmentBuffer::join`] (which is this with
+    /// [`ExecControl::infallible`]), exactly like
+    /// [`TouchTree::join_assigned_ctl`]: per-node spans to `ctl.trace`
+    /// attributed to `worker`, and `ctl.cancel` polled before every per-node
+    /// local join — the remaining work list is abandoned when it trips, and
+    /// the cause is returned alongside the scratch bytes. Pairs already
+    /// emitted and their counters stand.
     #[allow(clippy::too_many_arguments)]
     pub fn join_ctl(
         &self,
@@ -180,7 +156,7 @@ impl AssignmentBuffer {
                 stopped = !go_on;
                 go_on
             };
-            tree.local_join_node_ext_traced(
+            tree.local_join_node(
                 idx,
                 &self.lists[idx],
                 params,

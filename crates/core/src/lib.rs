@@ -94,7 +94,9 @@ pub use sink::{
 };
 pub use stats::{DatasetStats, EXTENT_BUCKETS};
 pub use touch::{time_phase_traced, JoinOrder, LocalJoinStrategy, TouchConfig, TouchJoin};
-pub use traits::{collect_join, count_join, distance_join, SpatialJoinAlgorithm};
+pub use traits::{
+    collect_join, count_join, distance_join, join_contained, Shape, SpatialJoinAlgorithm,
+};
 pub use tree::{
     AdaptiveParams, LocalJoinKind, LocalJoinParams, TouchNode, TouchTree, ASSIGN_CANCEL_CHUNK,
 };

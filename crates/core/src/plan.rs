@@ -52,8 +52,9 @@
 
 use crate::control::{ExecControl, JoinError};
 use crate::stats::DatasetStats;
-use crate::{LocalJoinParams, PairSink, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use crate::{LocalJoinParams, PairSink, Shape, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 use touch_geom::Dataset;
 use touch_metrics::{PlanSummary, RunReport};
 
@@ -360,6 +361,29 @@ impl JoinPlanner {
         self.plan_with_tree_side(a, a, env, true, a.count(), a.count() as u64)
     }
 
+    /// Collects the statistics a join of `shape` is costed on — both datasets
+    /// for [`Shape::Pair`] ([`JoinPlanner::plan`]), `a` alone for
+    /// [`Shape::SelfJoin`] ([`JoinPlanner::plan_self`]) — and plans with them.
+    /// Also returns how long the statistics pass took (recorded by the auto
+    /// engines as `PlanSummary::stats_time`).
+    pub fn plan_datasets(
+        &self,
+        a: &Dataset,
+        b: &Dataset,
+        shape: Shape,
+        env: &PlanEnv,
+    ) -> (JoinPlan, Duration) {
+        let start = Instant::now();
+        let stats_a = DatasetStats::from_dataset(a);
+        let stats_b = (shape == Shape::Pair).then(|| DatasetStats::from_dataset(b));
+        let stats_time = start.elapsed();
+        let plan = match &stats_b {
+            Some(stats_b) => self.plan(&stats_a, stats_b, env),
+            None => self.plan_self(&stats_a, env),
+        };
+        (plan, stats_time)
+    }
+
     /// Plans a streaming join whose hierarchy is pinned to the tree dataset
     /// (`tree`), probing a stream summarised by `probe` — which may be
     /// [`DatasetStats::new`] (empty) before the first stream, in which case the
@@ -494,49 +518,15 @@ impl SpatialJoinAlgorithm for AutoJoin {
         "TOUCH-AUTO".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        let (stats_a, stats_b) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        Some(self.planner.plan(&stats_a, &stats_b, &PlanEnv::sequential()))
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
+        Some(self.planner.plan_datasets(a, b, shape, &PlanEnv::sequential()).0)
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        let stats_start = std::time::Instant::now();
-        let (stats_a, stats_b) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan(&stats_a, &stats_b, &env);
-        TouchJoin::from_plan(plan).join_into(a, b, sink, report);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        Some(self.planner.plan_self(&DatasetStats::from_dataset(a), &PlanEnv::sequential()))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        let stats_start = std::time::Instant::now();
-        let stats = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan_self(&stats, &env);
-        TouchJoin::from_plan(plan).join_self_into(a, base, sink, report);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
-    fn try_join_into(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
@@ -546,36 +536,9 @@ impl SpatialJoinAlgorithm for AutoJoin {
             report.completion = cause.completion();
             return Ok(());
         }
-        let stats_start = std::time::Instant::now();
-        let (stats_a, stats_b) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
         let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan(&stats_a, &stats_b, &env);
-        TouchJoin::from_plan(plan).try_join_into(a, b, sink, report, ctl)?;
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-        Ok(())
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        let stats_start = std::time::Instant::now();
-        let stats = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let plan = self.planner.plan_self(&stats, &env);
-        TouchJoin::from_plan(plan).try_join_self_into(a, base, sink, report, ctl)?;
+        let (plan, stats_time) = self.planner.plan_datasets(a, b, shape, &env);
+        TouchJoin::from_plan(plan).try_join(a, b, shape, sink, report, ctl)?;
         if let Some(summary) = &mut report.plan {
             summary.stats_time = stats_time;
         }

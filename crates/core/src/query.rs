@@ -33,7 +33,7 @@
 
 use crate::control::{CancelToken, ExecControl, JoinError};
 use crate::plan::{AutoJoin, JoinPlan};
-use crate::{PairSink, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use crate::{PairSink, Shape, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
 use touch_geom::{Dataset, ValidationPolicy};
 use touch_metrics::{NoTrace, RunReport, TraceSink};
 
@@ -114,9 +114,9 @@ pub struct JoinQuery<'a> {
     /// Reused buffers for [`ValidationPolicy::SkipInvalid`]: the compacted
     /// (A, B) datasets, allocated on first use like the ε `scratch`.
     valid_scratch: Option<(Dataset, Dataset)>,
-    /// `true` for a [`JoinQuery::self_join`]: dispatch through the engine's
-    /// self-join entry points (identity pairs skipped, each unordered pair once).
-    self_mode: bool,
+    /// [`Shape::SelfJoin`] for a [`JoinQuery::self_join`] (identity pairs
+    /// skipped, each unordered pair once), [`Shape::Pair`] otherwise.
+    shape: Shape,
 }
 
 impl std::fmt::Debug for JoinQuery<'_> {
@@ -153,7 +153,7 @@ impl<'a> JoinQuery<'a> {
             cancel: None,
             validation: ValidationPolicy::default(),
             valid_scratch: None,
-            self_mode: false,
+            shape: Shape::Pair,
         }
     }
 
@@ -167,7 +167,7 @@ impl<'a> JoinQuery<'a> {
     /// into the query's scratch buffer exactly like a two-dataset query (per-axis
     /// AABB extension is symmetric, so one extended side finds every pair).
     pub fn self_join(a: &'a Dataset) -> Self {
-        JoinQuery { self_mode: true, ..JoinQuery::new(a, a) }
+        JoinQuery { shape: Shape::SelfJoin, ..JoinQuery::new(a, a) }
     }
 
     /// Sets the join predicate.
@@ -259,11 +259,7 @@ impl<'a> JoinQuery<'a> {
         } else {
             self.a
         };
-        if self.self_mode {
-            self.engine.plan_self_for(a_run)
-        } else {
-            self.engine.plan_for(a_run, self.b)
-        }
+        self.engine.plan_for(a_run, self.b, self.shape)
     }
 
     /// The name of the configured engine (the label runs will carry).
@@ -369,11 +365,7 @@ impl<'a> JoinQuery<'a> {
             cancel: self.cancel.unwrap_or_else(|| CancelToken::never()),
             trace: self.trace.unwrap_or(&NO_TRACE),
         };
-        if self.self_mode {
-            self.engine.try_join_self_into(a_run, b_run, sink, &mut report, ctl)?;
-        } else {
-            self.engine.try_join_into(a_run, b_run, sink, &mut report, ctl)?;
-        }
+        self.engine.try_join(a_run, b_run, self.shape, sink, &mut report, ctl)?;
         if let Some(trace) = self.trace {
             report.trace = trace.summary();
         }

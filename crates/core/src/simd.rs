@@ -9,8 +9,6 @@
 //! detection, with a scalar fallback everywhere else. Both are *zero-copy*:
 //! candidate corners are vector-loaded straight out of the `repr(C)` [`Aabb`]s
 //! against precomputed probe vectors, with no transpose into SoA form.
-//! [`overlap_batch`] over an explicit [`BoxBatch`] is the equivalent SoA-form
-//! API for callers that stage candidates themselves.
 //!
 //! ## The bit-identity contract
 //!
@@ -19,8 +17,8 @@
 //! before a pair is emitted, and the mask itself is exact by construction: all
 //! six comparisons are IEEE-754 `<=` on `f64`, which every backend (vector or
 //! scalar) evaluates identically, including the all-false behaviour on NaN.
-//! Padded lanes of a partial batch hold NaN boxes, so they can never set a
-//! mask bit. Consequently pairs, emission order and every [`Counters`] field
+//! A partial batch tests only its valid lanes, so the bits above them stay
+//! clear. Consequently pairs, emission order and every [`Counters`] field
 //! are bit-identical across AVX2, SSE2, NEON and the scalar fallback — the
 //! invariant `tests/simd_equivalence.rs` locks down.
 //!
@@ -40,13 +38,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use touch_geom::{Aabb, SpatialObject};
 
-/// Candidate boxes tested per [`overlap_batch`] call. This is the *logical*
+/// Candidate boxes tested per [`overlap_window`] / [`overlap_run`] call. This is the *logical*
 /// batch width on every backend — the scalar fallback processes the same
 /// 4-lane batches, so batch-level counters are machine-independent.
 pub const LANES: usize = 4;
 
 /// The instruction set a batch runs on. Obtain the detected one with
-/// [`backend`]; pass a specific one to [`overlap_batch`] to pin it (kernels
+/// [`backend`]; pass a specific one to [`overlap_window`] to pin it (kernels
 /// read [`backend`] once per call and pass it down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -155,138 +153,17 @@ pub fn force_backend(backend: Option<Backend>) -> bool {
     }
 }
 
-/// [`LANES`] candidate boxes in structure-of-arrays layout, ready for one
-/// [`overlap_batch`] call. Unused lanes of a partial batch are padded with NaN,
-/// which fails every `<=` on every backend — a padded lane cannot set a mask
-/// bit, scalar fallback included.
-#[derive(Debug, Clone)]
-pub struct BoxBatch {
-    min_x: [f64; LANES],
-    min_y: [f64; LANES],
-    min_z: [f64; LANES],
-    max_x: [f64; LANES],
-    max_y: [f64; LANES],
-    max_z: [f64; LANES],
-    len: usize,
-}
-
-impl Default for BoxBatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BoxBatch {
-    /// An empty batch (all lanes padded).
-    pub fn new() -> Self {
-        BoxBatch {
-            min_x: [f64::NAN; LANES],
-            min_y: [f64::NAN; LANES],
-            min_z: [f64::NAN; LANES],
-            max_x: [f64::NAN; LANES],
-            max_y: [f64::NAN; LANES],
-            max_z: [f64::NAN; LANES],
-            len: 0,
-        }
-    }
-
-    /// Number of valid lanes (the rest are NaN padding).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no lane is valid.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn set_lane(&mut self, lane: usize, mbr: &Aabb) {
-        self.min_x[lane] = mbr.min.x;
-        self.min_y[lane] = mbr.min.y;
-        self.min_z[lane] = mbr.min.z;
-        self.max_x[lane] = mbr.max.x;
-        self.max_y[lane] = mbr.max.y;
-        self.max_z[lane] = mbr.max.z;
-    }
-
-    #[inline]
-    fn pad_from(&mut self, lane: usize) {
-        for l in lane..LANES {
-            self.min_x[l] = f64::NAN;
-            self.min_y[l] = f64::NAN;
-            self.min_z[l] = f64::NAN;
-            self.max_x[l] = f64::NAN;
-            self.max_y[l] = f64::NAN;
-            self.max_z[l] = f64::NAN;
-        }
-    }
-
-    /// Loads the batch from a run of contiguous objects (at most [`LANES`];
-    /// the all-pairs and plane-sweep kernels feed AoS windows this way).
-    #[inline]
-    pub fn fill_from_objects(&mut self, objs: &[SpatialObject]) {
-        debug_assert!(objs.len() <= LANES);
-        for (lane, o) in objs.iter().enumerate() {
-            self.set_lane(lane, &o.mbr);
-        }
-        self.pad_from(objs.len());
-        self.len = objs.len();
-    }
-
-    /// Gathers the batch from an MBR array by candidate index (at most
-    /// [`LANES`] indices; the grid probe feeds CSR candidate runs this way).
-    #[inline]
-    pub fn fill_gather(&mut self, mbrs: &[Aabb], indices: &[u32]) {
-        debug_assert!(indices.len() <= LANES);
-        for (lane, &at) in indices.iter().enumerate() {
-            self.set_lane(lane, &mbrs[at as usize]);
-        }
-        self.pad_from(indices.len());
-        self.len = indices.len();
-    }
-}
-
-/// Tests one probe box against every lane of `batch` and returns the overlap
-/// bitmask (bit `i` set ⇔ lane `i` overlaps). The mask is **exact** — the same
-/// six `<=` comparisons as [`Aabb::intersects`](touch_geom::Aabb::intersects)
-/// — but callers must still confirm survivors with the scalar test: the SIMD
-/// pass filters candidates, it never decides a pair.
+/// Zero-copy batch test over a contiguous window of objects (at most
+/// [`LANES`]): bit `i` set ⇔ `window[i].mbr` overlaps `probe`. The mask is
+/// **exact** — the same six `<=` comparisons as
+/// [`Aabb::intersects`](touch_geom::Aabb::intersects) — but callers must still
+/// confirm survivors with the scalar test: the SIMD pass filters candidates, it
+/// never decides a pair. The candidate corners are vector-loaded straight out
+/// of the objects (`Aabb` is `repr(C)`: six consecutive `f64`s).
 ///
 /// An unsupported `backend` (possible only by constructing one directly
 /// instead of via [`backend`]/[`force_backend`]) falls back to the scalar
 /// path rather than executing illegal instructions.
-#[inline]
-pub fn overlap_batch(backend: Backend, probe: &Aabb, batch: &BoxBatch) -> u8 {
-    let mask = match backend {
-        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-        Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-            // SAFETY: AVX2 availability was just confirmed (cached detection).
-            unsafe { overlap_mask_avx2(probe, batch) }
-        }
-        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-        Backend::Sse2 => overlap_mask_sse2(probe, batch),
-        #[cfg(all(target_arch = "aarch64", not(feature = "scalar-only")))]
-        Backend::Neon => overlap_mask_neon(probe, batch),
-        _ => overlap_mask_scalar(probe, batch),
-    };
-    mask & lane_mask(batch.len)
-}
-
-/// Bitmask with the low `len` bits set (valid lanes of a batch).
-#[inline]
-fn lane_mask(len: usize) -> u8 {
-    debug_assert!(len <= LANES);
-    ((1u16 << len) - 1) as u8
-}
-
-/// Zero-copy batch test over a contiguous window of objects (at most
-/// [`LANES`]): bit `i` set ⇔ `window[i].mbr` overlaps `probe`. Same exact mask
-/// as [`overlap_batch`], but the candidate corners are vector-loaded straight
-/// out of the objects (`Aabb` is `repr(C)`: six consecutive `f64`s) instead of
-/// being transposed through a [`BoxBatch`] — this is what the hot kernels call.
 #[inline]
 pub fn overlap_window(backend: Backend, probe: &Aabb, window: &[SpatialObject]) -> u8 {
     debug_assert!(window.len() <= LANES);
@@ -306,9 +183,8 @@ pub fn overlap_window(backend: Backend, probe: &Aabb, window: &[SpatialObject]) 
 
 /// Zero-copy batch test over a gathered candidate run (at most [`LANES`]
 /// indices into `mbrs`): bit `i` set ⇔ `mbrs[indices[i]]` overlaps `probe`.
-/// Same exact mask as [`overlap_batch`] after a
-/// [`fill_gather`](BoxBatch::fill_gather), without the transpose — this is
-/// what the grid probe calls on its CSR runs.
+/// Same exact mask and fallback as [`overlap_window`] — this is what the grid
+/// probe calls on its CSR runs.
 #[inline]
 pub fn overlap_run(backend: Backend, probe: &Aabb, mbrs: &[Aabb], indices: &[u32]) -> u8 {
     debug_assert!(indices.len() <= LANES);
@@ -469,139 +345,6 @@ fn mask_neon<'a>(probe: &Aabb, boxes: impl Iterator<Item = &'a Aabb>) -> u8 {
     }
 }
 
-/// Scalar-unrolled reference: the exact predicate of `Aabb::intersects`,
-/// one lane at a time. NaN padding fails the first comparison.
-#[inline]
-fn overlap_mask_scalar(probe: &Aabb, batch: &BoxBatch) -> u8 {
-    let mut mask = 0u8;
-    for lane in 0..LANES {
-        let hit = probe.min.x <= batch.max_x[lane]
-            && batch.min_x[lane] <= probe.max.x
-            && probe.min.y <= batch.max_y[lane]
-            && batch.min_y[lane] <= probe.max.y
-            && probe.min.z <= batch.max_z[lane]
-            && batch.min_z[lane] <= probe.max.z;
-        mask |= (hit as u8) << lane;
-    }
-    mask
-}
-
-/// AVX2: all four lanes per coordinate in one 256-bit register; six ordered
-/// (`_CMP_LE_OQ`, false on NaN — the scalar `<=` semantics) comparisons ANDed
-/// into one sign mask.
-///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-#[target_feature(enable = "avx2")]
-unsafe fn overlap_mask_avx2(probe: &Aabb, batch: &BoxBatch) -> u8 {
-    use core::arch::x86_64::*;
-    unsafe {
-        let b_min_x = _mm256_loadu_pd(batch.min_x.as_ptr());
-        let b_min_y = _mm256_loadu_pd(batch.min_y.as_ptr());
-        let b_min_z = _mm256_loadu_pd(batch.min_z.as_ptr());
-        let b_max_x = _mm256_loadu_pd(batch.max_x.as_ptr());
-        let b_max_y = _mm256_loadu_pd(batch.max_y.as_ptr());
-        let b_max_z = _mm256_loadu_pd(batch.max_z.as_ptr());
-        let m = _mm256_and_pd(
-            _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_set1_pd(probe.min.x), b_max_x),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(b_min_x, _mm256_set1_pd(probe.max.x)),
-            ),
-            _mm256_and_pd(
-                _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_set1_pd(probe.min.y), b_max_y),
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(b_min_y, _mm256_set1_pd(probe.max.y)),
-                ),
-                _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_set1_pd(probe.min.z), b_max_z),
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(b_min_z, _mm256_set1_pd(probe.max.z)),
-                ),
-            ),
-        );
-        _mm256_movemask_pd(m) as u8
-    }
-}
-
-/// SSE2 (baseline on `x86_64`): the four lanes as two 128-bit halves.
-/// `_mm_cmple_pd` is false on NaN, matching the scalar `<=`.
-#[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-#[inline]
-fn overlap_mask_sse2(probe: &Aabb, batch: &BoxBatch) -> u8 {
-    use core::arch::x86_64::*;
-    // SAFETY: SSE2 is part of the x86_64 baseline ISA.
-    unsafe {
-        let mut mask = 0u8;
-        for half in 0..2 {
-            let at = half * 2;
-            let b_min_x = _mm_loadu_pd(batch.min_x.as_ptr().add(at));
-            let b_min_y = _mm_loadu_pd(batch.min_y.as_ptr().add(at));
-            let b_min_z = _mm_loadu_pd(batch.min_z.as_ptr().add(at));
-            let b_max_x = _mm_loadu_pd(batch.max_x.as_ptr().add(at));
-            let b_max_y = _mm_loadu_pd(batch.max_y.as_ptr().add(at));
-            let b_max_z = _mm_loadu_pd(batch.max_z.as_ptr().add(at));
-            let m = _mm_and_pd(
-                _mm_and_pd(
-                    _mm_and_pd(
-                        _mm_cmple_pd(_mm_set1_pd(probe.min.x), b_max_x),
-                        _mm_cmple_pd(b_min_x, _mm_set1_pd(probe.max.x)),
-                    ),
-                    _mm_and_pd(
-                        _mm_cmple_pd(_mm_set1_pd(probe.min.y), b_max_y),
-                        _mm_cmple_pd(b_min_y, _mm_set1_pd(probe.max.y)),
-                    ),
-                ),
-                _mm_and_pd(
-                    _mm_cmple_pd(_mm_set1_pd(probe.min.z), b_max_z),
-                    _mm_cmple_pd(b_min_z, _mm_set1_pd(probe.max.z)),
-                ),
-            );
-            mask |= (_mm_movemask_pd(m) as u8) << at;
-        }
-        mask
-    }
-}
-
-/// NEON (baseline on `aarch64`): the four lanes as two 128-bit halves.
-/// `vcleq_f64` is false on NaN, matching the scalar `<=`.
-#[cfg(all(target_arch = "aarch64", not(feature = "scalar-only")))]
-#[inline]
-fn overlap_mask_neon(probe: &Aabb, batch: &BoxBatch) -> u8 {
-    use core::arch::aarch64::*;
-    // SAFETY: NEON is part of the aarch64 baseline ISA.
-    unsafe {
-        let mut mask = 0u8;
-        for half in 0..2 {
-            let at = half * 2;
-            let b_min_x = vld1q_f64(batch.min_x.as_ptr().add(at));
-            let b_min_y = vld1q_f64(batch.min_y.as_ptr().add(at));
-            let b_min_z = vld1q_f64(batch.min_z.as_ptr().add(at));
-            let b_max_x = vld1q_f64(batch.max_x.as_ptr().add(at));
-            let b_max_y = vld1q_f64(batch.max_y.as_ptr().add(at));
-            let b_max_z = vld1q_f64(batch.max_z.as_ptr().add(at));
-            let m = vandq_u64(
-                vandq_u64(
-                    vandq_u64(
-                        vcleq_f64(vdupq_n_f64(probe.min.x), b_max_x),
-                        vcleq_f64(b_min_x, vdupq_n_f64(probe.max.x)),
-                    ),
-                    vandq_u64(
-                        vcleq_f64(vdupq_n_f64(probe.min.y), b_max_y),
-                        vcleq_f64(b_min_y, vdupq_n_f64(probe.max.y)),
-                    ),
-                ),
-                vandq_u64(
-                    vcleq_f64(vdupq_n_f64(probe.min.z), b_max_z),
-                    vcleq_f64(b_min_z, vdupq_n_f64(probe.max.z)),
-                ),
-            );
-            mask |= ((vgetq_lane_u64::<0>(m) & 1) as u8) << at;
-            mask |= ((vgetq_lane_u64::<1>(m) & 1) as u8) << (at + 1);
-        }
-        mask
-    }
-}
-
 /// Hints the hardware to pull the element at `data[index]` towards L1 ahead of
 /// use (`_mm_prefetch(T0)` on `x86_64`; a no-op on targets without a portable
 /// hint). Out-of-range indices are ignored — a prefetch must never fault, and
@@ -640,6 +383,11 @@ mod tests {
         Backend::ALL.into_iter().filter(|b| b.is_supported()).collect()
     }
 
+    /// The ground truth a mask must reproduce: `Aabb::intersects` per lane.
+    fn reference_mask<'a>(probe: &Aabb, boxes: impl Iterator<Item = &'a Aabb>) -> u8 {
+        boxes.enumerate().fold(0, |mask, (lane, b)| mask | (probe.intersects(b) as u8) << lane)
+    }
+
     #[test]
     fn every_supported_backend_matches_the_scalar_reference() {
         // A probe against lanes that hit/miss on each axis, touch on boundaries
@@ -654,23 +402,11 @@ mod tests {
             obj(5, (-5.0, -5.0, -5.0), (-4.0, -4.0, -4.0)), // fully outside
             obj(6, (0.0, 0.0, 2.0), (1.0, 1.0, 5.0)),       // z boundary touch
         ];
-        let mut batch = BoxBatch::new();
         for window in candidates.chunks(LANES) {
-            batch.fill_from_objects(window);
-            let reference = overlap_mask_scalar(&probe, &batch) & lane_mask(window.len());
-            // The scalar mask must itself agree with Aabb::intersects…
-            for (lane, o) in window.iter().enumerate() {
-                assert_eq!(
-                    reference >> lane & 1 == 1,
-                    probe.intersects(&o.mbr),
-                    "scalar mask disagrees with intersects for candidate {}",
-                    o.id
-                );
-            }
-            // …and every supported backend must reproduce it bit-for-bit.
+            let reference = reference_mask(&probe, window.iter().map(|o| &o.mbr));
             for b in supported() {
                 assert_eq!(
-                    overlap_batch(b, &probe, &batch),
+                    overlap_window(b, &probe, window),
                     reference,
                     "backend {} diverged from scalar",
                     b.name()
@@ -682,38 +418,23 @@ mod tests {
     #[test]
     fn nan_lanes_never_set_a_mask_bit() {
         let probe = aabb((0.0, 0.0, 0.0), (10.0, 10.0, 10.0));
-        let mut batch = BoxBatch::new();
-        // One valid overlapping lane; the other three are NaN padding.
-        batch.fill_from_objects(&[obj(0, (1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]);
+        // One overlapping lane and three NaN-poisoned ones.
+        let mut window = [obj(0, (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)); LANES];
+        for o in &mut window[1..] {
+            o.mbr.min.y = f64::NAN;
+        }
+        let mbrs: Vec<Aabb> = window.iter().map(|o| o.mbr).collect();
+        let indices: Vec<u32> = (0..LANES as u32).collect();
         for b in supported() {
-            assert_eq!(overlap_batch(b, &probe, &batch), 0b0001, "{}", b.name());
+            assert_eq!(overlap_window(b, &probe, &window), 0b0001, "{}", b.name());
+            assert_eq!(overlap_run(b, &probe, &mbrs, &indices), 0b0001, "{}", b.name());
         }
         // A NaN-coordinate probe misses everything on every backend.
         let mut nan_probe = probe;
         nan_probe.min.x = f64::NAN;
         for b in supported() {
-            assert_eq!(overlap_batch(b, &nan_probe, &batch), 0, "{}", b.name());
-        }
-    }
-
-    #[test]
-    fn gather_fill_equals_contiguous_fill() {
-        let mbrs: Vec<Aabb> =
-            (0..6).map(|i| aabb((i as f64, 0.0, 0.0), (i as f64 + 1.5, 1.0, 1.0))).collect();
-        let objs: Vec<SpatialObject> =
-            mbrs.iter().enumerate().map(|(i, &mbr)| SpatialObject { id: i as u32, mbr }).collect();
-        let probe = aabb((2.0, 0.0, 0.0), (4.0, 1.0, 1.0));
-        let mut gathered = BoxBatch::new();
-        gathered.fill_gather(&mbrs, &[1, 3, 5]);
-        let mut contiguous = BoxBatch::new();
-        contiguous.fill_from_objects(&[objs[1], objs[3], objs[5]]);
-        for b in supported() {
-            assert_eq!(
-                overlap_batch(b, &probe, &gathered),
-                overlap_batch(b, &probe, &contiguous),
-                "{}",
-                b.name()
-            );
+            assert_eq!(overlap_window(b, &nan_probe, &window), 0, "{}", b.name());
+            assert_eq!(overlap_run(b, &nan_probe, &mbrs, &indices), 0, "{}", b.name());
         }
     }
 
@@ -734,26 +455,14 @@ mod tests {
         objs.push(obj(7, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)));
         objs[7].mbr.max.y = f64::NAN;
         let mbrs: Vec<Aabb> = objs.iter().map(|o| o.mbr).collect();
-        let mut batch = BoxBatch::new();
         for window in objs.chunks(LANES) {
-            batch.fill_from_objects(window);
-            let indices: Vec<u32> = window.iter().map(|o| o.id).collect();
+            let expect = reference_mask(&probe, window.iter().map(|o| &o.mbr));
+            // The gathered run is reversed: lane i of the mask follows indices[i].
+            let indices: Vec<u32> = window.iter().rev().map(|o| o.id).collect();
+            let expect_run = reference_mask(&probe, indices.iter().map(|&i| &mbrs[i as usize]));
             for b in supported() {
-                let expect = overlap_batch(b, &probe, &batch);
                 assert_eq!(overlap_window(b, &probe, window), expect, "window {}", b.name());
-                assert_eq!(overlap_run(b, &probe, &mbrs, &indices), expect, "run {}", b.name());
-            }
-            // And against the ground truth predicate, lane by lane.
-            for (lane, o) in window.iter().enumerate() {
-                for b in supported() {
-                    assert_eq!(
-                        overlap_window(b, &probe, window) >> lane & 1 == 1,
-                        probe.intersects(&o.mbr),
-                        "candidate {} on {}",
-                        o.id,
-                        b.name()
-                    );
-                }
+                assert_eq!(overlap_run(b, &probe, &mbrs, &indices), expect_run, "run {}", b.name());
             }
         }
         // A NaN probe misses every candidate on every backend and both forms.

@@ -297,9 +297,8 @@ impl PairSink for FirstKSink {
 /// wrapped sink, dropping identity pairs and one orientation of every mirrored
 /// duplicate.
 ///
-/// This is the correctness backstop behind the default
-/// [`SpatialJoinAlgorithm::join_self_into`](crate::SpatialJoinAlgorithm::join_self_into):
-/// any engine that joins a dataset against itself emits each unordered pair
+/// This is the correctness backstop behind [`crate::join_contained`]'s
+/// [`Shape::SelfJoin`](crate::Shape::SelfJoin) form: any engine that joins a dataset against itself emits each unordered pair
 /// twice (once per orientation) plus every identity pair, and wrapping its sink
 /// in a `SelfPairSink` reduces that stream to each unordered pair exactly once.
 /// The TOUCH engines do **not** rely on it — they apply the same index-order

@@ -4,10 +4,10 @@
 use crate::control::{catch_phase, ExecControl, JoinError};
 use crate::plan::JoinPlan;
 use crate::tree::LocalJoinKind;
-use crate::{deliver, LocalJoinScratch, PairSink, SpatialJoinAlgorithm, TouchTree};
+use crate::{deliver, LocalJoinScratch, PairSink, Shape, SpatialJoinAlgorithm, TouchTree};
 use serde::{Deserialize, Serialize};
 use touch_geom::Dataset;
-use touch_metrics::{MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
+use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
 
 /// Local-join strategy of the join phase (Section 5.2.2 and the ablation study).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -221,19 +221,6 @@ impl TouchJoin {
     }
 }
 
-/// Executes a resolved [`JoinPlan`] sequentially: the single code path behind
-/// [`TouchJoin::join_into`], shared by explicit configurations and the planning
-/// layer so the two can never diverge.
-pub(crate) fn execute_sequential(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-) {
-    execute_sequential_traced(plan, a, b, sink, report, &NoTrace);
-}
-
 /// Times `f` into `report`'s `phase` and, when `trace` is enabled, also records
 /// the phase as a [`TraceEvent::Phase`] span. Shared by the sequential and (via
 /// re-export) the parallel/streaming coordinators so phase spans line up with
@@ -257,29 +244,17 @@ pub fn time_phase_traced<T>(
     out
 }
 
-/// Traced form of [`execute_sequential`]: the identical join (the untraced
-/// entry point is this with a [`NoTrace`] sink) plus phase spans and per-node
-/// [`TraceEvent::NodeJoin`] spans attributed to worker 0.
+/// Executes a resolved [`JoinPlan`] sequentially: the one sequential execution
+/// path behind [`TouchJoin`]'s [`SpatialJoinAlgorithm::try_join`], shared by
+/// explicit configurations and the planning layer so the two can never diverge.
+/// Phase spans and per-node [`TraceEvent::NodeJoin`] spans (worker 0) go to
+/// `ctl.trace`.
 ///
-/// # Panics
-/// Re-raises a contained phase panic with the attributed
-/// [`JoinError::WorkerPanicked`] rendering (the original panic message is
-/// embedded). Use [`execute_sequential_ctl`] to handle it as an error.
-pub(crate) fn execute_sequential_traced(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    trace: &dyn TraceSink,
-) {
-    execute_sequential_ctl(plan, a, b, sink, report, ExecControl::with_trace(trace))
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// The one sequential execution path: [`execute_sequential_traced`] is this
-/// with a never-triggering token, [`execute_sequential`] additionally with a
-/// disabled trace sink.
+/// For [`Shape::SelfJoin`] the index-order filter sits inside the emit closure
+/// — identity pairs and mirrored duplicates are dropped *before* the sink sees
+/// them, so early termination budgets are spent on post-filter pairs only
+/// while the comparison/node-test counters stay identical to the raw `a ⋈ b`
+/// run.
 ///
 /// Cooperation contract:
 ///
@@ -293,10 +268,15 @@ pub(crate) fn execute_sequential_traced(
 /// * with an untriggered token the run is bit-identical — pairs *and* counters
 ///   — to the pre-fault-tolerance code path (locked by the equivalence suites
 ///   and the perfsmoke counter gate).
-pub(crate) fn execute_sequential_ctl(
+///
+/// Counters are accumulated locally and folded back into the report on
+/// **every** exit path, so a cancelled or panicked run still reports the work
+/// it did.
+pub(crate) fn execute_sequential(
     plan: &JoinPlan,
     a: &Dataset,
     b: &Dataset,
+    shape: Shape,
     sink: &mut dyn PairSink,
     report: &mut RunReport,
     ctl: ExecControl<'_>,
@@ -304,65 +284,6 @@ pub(crate) fn execute_sequential_ctl(
     report.plan = Some(plan.summary());
     let build_on_a = plan.build_on_a;
     let (tree_ds, probe_ds) = if build_on_a { (a, b) } else { (b, a) };
-    let mut results = 0u64;
-    let mut emit = |tree_id, probe_id| {
-        if build_on_a {
-            deliver(sink, tree_id, probe_id, &mut results)
-        } else {
-            deliver(sink, probe_id, tree_id, &mut results)
-        }
-    };
-    execute_phases_ctl(plan, tree_ds, probe_ds, &mut emit, report, ctl)?;
-    report.counters.results += results;
-    Ok(())
-}
-
-/// Self-join form of [`execute_sequential_ctl`]: the same three phases over
-/// `a ⋈ base` (the possibly ε-extended view and the original dataset, with
-/// aligned ids), with the index-order filter applied inside the emit closure —
-/// identity pairs and mirrored duplicates are dropped *before* the sink sees
-/// them, so early termination budgets are spent on post-filter pairs only
-/// while the comparison/node-test counters stay identical to the raw
-/// `a ⋈ base` run.
-pub(crate) fn execute_sequential_self_ctl(
-    plan: &JoinPlan,
-    a: &Dataset,
-    base: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    ctl: ExecControl<'_>,
-) -> Result<(), JoinError> {
-    report.plan = Some(plan.summary());
-    let build_on_a = plan.build_on_a;
-    let (tree_ds, probe_ds) = if build_on_a { (a, base) } else { (base, a) };
-    let mut results = 0u64;
-    let mut emit = |tree_id, probe_id| {
-        let (x, y) = if build_on_a { (tree_id, probe_id) } else { (probe_id, tree_id) };
-        if x < y {
-            deliver(sink, x, y, &mut results)
-        } else {
-            !sink.is_done()
-        }
-    };
-    execute_phases_ctl(plan, tree_ds, probe_ds, &mut emit, report, ctl)?;
-    report.counters.results += results;
-    Ok(())
-}
-
-/// The shared three-phase body of [`execute_sequential_ctl`] and
-/// [`execute_sequential_self_ctl`] — build, assign, join over an emit closure
-/// that already encodes orientation (and, for self-joins, the index-order
-/// filter). Counters are accumulated locally and folded back into the report
-/// on **every** exit path, so a cancelled or panicked run still reports the
-/// work it did.
-fn execute_phases_ctl(
-    plan: &JoinPlan,
-    tree_ds: &Dataset,
-    probe_ds: &Dataset,
-    emit: &mut impl FnMut(touch_geom::ObjectId, touch_geom::ObjectId) -> bool,
-    report: &mut RunReport,
-    ctl: ExecControl<'_>,
-) -> Result<(), JoinError> {
     if let Some(cause) = ctl.cancel.triggered() {
         report.completion = cause.completion();
         return Ok(());
@@ -402,16 +323,28 @@ fn execute_phases_ctl(
     }
 
     // Phase 3: local joins (Algorithm 4), honouring the sink's early
-    // termination after every delivered pair. The scratch lives for the whole
+    // termination after every delivered pair. The emit closure encodes the
+    // orientation and the self-join filter. The scratch lives for the whole
     // join, so the per-node grid directories and sweep buffers allocate once.
+    let self_join = shape == Shape::SelfJoin;
+    let mut results = 0u64;
+    let mut emit = |tree_id, probe_id| {
+        let (x, y) = if build_on_a { (tree_id, probe_id) } else { (probe_id, tree_id) };
+        if !self_join || x < y {
+            deliver(sink, x, y, &mut results)
+        } else {
+            !sink.is_done()
+        }
+    };
     let mut scratch = LocalJoinScratch::new();
     let joined = catch_phase(Phase::Join, 0, || {
         time_phase_traced(report, Phase::Join, ctl.trace, || {
-            tree.join_assigned_ctl(&plan.params, &mut scratch, &mut counters, emit, ctl, 0)
+            tree.join_assigned_ctl(&plan.params, &mut scratch, &mut counters, &mut emit, ctl, 0)
         })
     });
     match joined {
         Ok((peak_local_aux, cause)) => {
+            counters.results += results;
             report.counters = counters;
             report.memory_bytes = tree.memory_bytes() + peak_local_aux;
             if let Some(cause) = cause {
@@ -427,105 +360,25 @@ fn execute_phases_ctl(
     }
 }
 
-/// Untraced form of [`execute_sequential_self_traced`].
-pub(crate) fn execute_sequential_self(
-    plan: &JoinPlan,
-    a: &Dataset,
-    base: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-) {
-    execute_sequential_self_traced(plan, a, base, sink, report, &NoTrace);
-}
-
-/// Executes a resolved [`JoinPlan`] sequentially as a **self-join**: the same
-/// three phases as [`execute_sequential_traced`] over `a ⋈ base` (the possibly
-/// ε-extended view and the original dataset, with aligned ids), with the
-/// index-order filter applied inside the emit closure — identity pairs and
-/// mirrored duplicates are dropped *before* the sink sees them, so early
-/// termination budgets are spent on post-filter pairs only while the
-/// comparison/node-test counters stay identical to the raw `a ⋈ base` run.
-pub(crate) fn execute_sequential_self_traced(
-    plan: &JoinPlan,
-    a: &Dataset,
-    base: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    trace: &dyn TraceSink,
-) {
-    execute_sequential_self_ctl(plan, a, base, sink, report, ExecControl::with_trace(trace))
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
 impl SpatialJoinAlgorithm for TouchJoin {
     fn name(&self) -> String {
         "TOUCH".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
+    fn plan_for(&self, a: &Dataset, b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
         Some(self.resolve_plan(a, b))
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        execute_sequential(&self.resolve_plan(a, b), a, b, sink, report);
-    }
-
-    fn join_traced(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        execute_sequential_traced(&self.resolve_plan(a, b), a, b, sink, report, trace);
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        Some(self.resolve_plan(a, a))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        execute_sequential_self(&self.resolve_plan(a, base), a, base, sink, report);
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        execute_sequential_self_traced(&self.resolve_plan(a, base), a, base, sink, report, trace);
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        execute_sequential_ctl(&self.resolve_plan(a, b), a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        execute_sequential_self_ctl(&self.resolve_plan(a, base), a, base, sink, report, ctl)
+        execute_sequential(&self.resolve_plan(a, b), a, b, shape, sink, report, ctl)
     }
 }
 
@@ -642,7 +495,7 @@ mod tests {
             brute_pairs(&a, &a).into_iter().filter(|&(x, y)| x < y).collect();
         assert!(!expected.is_empty());
         let mut sink = crate::CollectingSink::new();
-        let report = TouchJoin::default().join_self(&a, &mut sink);
+        let report = crate::JoinQuery::self_join(&a).engine(TouchJoin::default()).run(&mut sink);
         assert_eq!(sink.sorted_pairs(), expected);
         assert_eq!(report.result_pairs(), expected.len() as u64);
     }
@@ -663,7 +516,7 @@ mod tests {
         let a = lattice(6, 1.5, 1.0, 0.0);
         let b = lattice(6, 1.5, 1.0, 0.2);
         let mut sink = crate::CountingSink::new();
-        let report = TouchJoin::default().join(&a, &b, &mut sink);
+        let report = crate::JoinQuery::new(&a, &b).engine(TouchJoin::default()).run(&mut sink);
         assert!(report.total_time() > std::time::Duration::ZERO);
         assert_eq!(report.dataset_a, a.len());
         assert_eq!(report.dataset_b, b.len());

@@ -11,7 +11,26 @@ use crate::control::{catch_phase, ExecControl, JoinError};
 use crate::plan::JoinPlan;
 use crate::{CollectingSink, CountingSink, JoinQuery, PairSink, Predicate, SelfPairSink};
 use touch_geom::{Dataset, ObjectId};
-use touch_metrics::{Phase, RunReport, TraceSink};
+use touch_metrics::{Phase, RunReport};
+
+/// The shape of a join: two datasets, or one dataset joined with itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Shape {
+    /// `a ⋈ b`: every intersecting pair `(id_a, id_b)`, identities included
+    /// when the two datasets share objects.
+    #[default]
+    Pair,
+    /// `a ⋈ a`: every **unordered** pair `(x, y)` with `x < y` whose members
+    /// intersect, exactly once — identity pairs are skipped, and of each
+    /// mirrored duplicate only the index-ordered orientation survives.
+    ///
+    /// The engine still receives two datasets so the query layer can apply the
+    /// ε extension to one side: `a` is the (possibly extended) probe-side view
+    /// and `b` the original dataset, with identical, aligned object ids.
+    /// Extension of one side is sufficient for a distance self-join because
+    /// per-axis AABB extension is symmetric: `ext(x) ∩ y ⟺ ext(y) ∩ x`.
+    SelfJoin,
+}
 
 /// A two-way spatial intersection join over MBR datasets.
 ///
@@ -27,179 +46,92 @@ use touch_metrics::{Phase, RunReport, TraceSink};
 ///
 /// The trait is object-safe: engines are driven as `&dyn SpatialJoinAlgorithm`
 /// with a `&mut dyn PairSink`, which is how [`crate::JoinQuery`] dispatches over
-/// heterogeneous engines.
+/// heterogeneous engines. It has one entry point, [`SpatialJoinAlgorithm::try_join`];
+/// the infallible, untraced conveniences live on [`crate::JoinQuery`].
 pub trait SpatialJoinAlgorithm {
     /// Human-readable name used in reports and figures (e.g. `"TOUCH"`, `"PBSM-500"`).
     fn name(&self) -> String;
 
-    /// The [`JoinPlan`] this engine would execute for `a` and `b`, if it is a
-    /// planned engine: the TOUCH engines return the faithful translation of
-    /// their configuration (or the pinned plan they were built from), the auto
-    /// engines return the planner's output. Baselines — which have no TOUCH
-    /// plan — return `None` (the default).
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        let _ = (a, b);
+    /// The [`JoinPlan`] this engine would execute for `a` and `b` joined in
+    /// `shape`, if it is a planned engine: the TOUCH engines return the
+    /// faithful translation of their configuration (or the pinned plan they
+    /// were built from), the auto engines return the planner's output (a
+    /// self-join is costed on one dataset's statistics, its pair estimate
+    /// halved). Baselines — which have no TOUCH plan — return `None` (the
+    /// default).
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
+        let _ = (a, b, shape);
         None
     }
 
-    /// Joins datasets `a` and `b`, pushing every intersecting pair `(id_a, id_b)`
-    /// into `sink` exactly once, and records phase times, counters and memory into
+    /// Joins datasets `a` and `b` in `shape`, pushing every result pair into
+    /// `sink` exactly once, and records phase times, counters and memory into
     /// `report`.
     ///
     /// The caller creates `report` (via [`RunReport::new`]) and owns its identity
     /// fields — label, dataset sizes and `epsilon`, which the query layer sets
     /// **before** the join runs so partial records emitted mid-run already carry
     /// it. The engine must only *add* its measurements, never reset the report.
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport);
-
-    /// Traced form of [`SpatialJoinAlgorithm::join_into`]: identical join, but
-    /// the engine additionally reports execution spans (per-node local joins,
-    /// assignment chunks, steals, epochs) to `trace`.
-    ///
-    /// The contract is strict: **tracing must not influence the join** — pairs
-    /// and counters are bit-identical whether `trace` is a recording sink, a
-    /// disabled sink or this default. The default ignores `trace` entirely
-    /// (correct for baselines, which have no instrumented spans); the TOUCH
-    /// engines override it.
-    fn join_traced(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let _ = trace;
-        self.join_into(a, b, sink, report);
-    }
-
-    /// Fallible, cancellable form of [`SpatialJoinAlgorithm::join_into`] — the
-    /// engine-side half of [`JoinQuery::try_run`](crate::JoinQuery::try_run).
     ///
     /// Contract:
     ///
     /// * `ctl.cancel` is polled cooperatively (between phases and at chunk /
-    ///   node granularity in the engines that override this); a tripped token
-    ///   stops the run in an orderly way and returns `Ok(())` with the
-    ///   **partial** report's [`completion`](RunReport::completion) stamped
+    ///   node granularity in the TOUCH engines); a tripped token stops the run
+    ///   in an orderly way and returns `Ok(())` with the **partial** report's
+    ///   [`completion`](RunReport::completion) stamped
     ///   [`Cancelled`](touch_metrics::Completion::Cancelled) or
     ///   [`DeadlineExceeded`](touch_metrics::Completion::DeadlineExceeded) —
     ///   cancellation of a report-producing run is not an error,
     /// * a panic inside the engine is contained and surfaces as
     ///   `Err(`[`JoinError::WorkerPanicked`]`)` with the phase and worker
     ///   attributed,
-    /// * with a never-triggering token and no panic the run is **bit-identical**
-    ///   (pairs and counters) to [`SpatialJoinAlgorithm::join_traced`].
+    /// * `ctl.trace` receives execution spans (per-node local joins, assignment
+    ///   chunks, steals, epochs) from the engines that have them; **tracing
+    ///   must not influence the join** — pairs and counters are bit-identical
+    ///   whatever the sink,
+    /// * with a never-triggering token and no panic the run is complete.
     ///
-    /// The default covers engines without internal cancel points: it checks the
-    /// token once up front, then runs the whole traced join inside one
-    /// [`catch_phase`] attributed to [`Phase::Join`] / worker 0. Engines with
-    /// chunked inner loops (the TOUCH engines) override it to honour the token
-    /// mid-run.
-    fn try_join_into(
+    /// Engines without internal cancel points implement this with
+    /// [`join_contained`].
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        catch_phase(Phase::Join, 0, || self.join_traced(a, b, sink, report, ctl.trace))
-    }
+    ) -> Result<(), JoinError>;
+}
 
-    /// Convenience form of [`SpatialJoinAlgorithm::join_into`]: creates the report,
-    /// runs the join and returns the completed record.
-    fn join(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink) -> RunReport {
-        let mut report = RunReport::new(self.name(), a.len(), b.len());
-        self.join_into(a, b, sink, &mut report);
-        report
+/// [`SpatialJoinAlgorithm::try_join`] for an engine without internal cancel
+/// points: checks the token once up front, then runs `join` — the engine's
+/// plain two-dataset join of the datasets it captured — inside one
+/// [`catch_phase`] attributed to [`Phase::Join`] / worker 0.
+///
+/// For [`Shape::SelfJoin`] the sink is wrapped in a [`SelfPairSink`], so
+/// `join` enumerates both orientations and the filter keeps each unordered
+/// pair once; the post-filter results counter is re-derived on every orderly
+/// exit, keeping partial reports consistent with what the sink observed.
+pub fn join_contained(
+    shape: Shape,
+    sink: &mut dyn PairSink,
+    report: &mut RunReport,
+    ctl: ExecControl<'_>,
+    join: impl FnOnce(&mut dyn PairSink, &mut RunReport),
+) -> Result<(), JoinError> {
+    if let Some(cause) = ctl.cancel.triggered() {
+        report.completion = cause.completion();
+        return Ok(());
     }
-
-    /// The [`JoinPlan`] this engine would execute for a **self-join** of `a`, if
-    /// it is a planned engine. The default plans the self-join as `a ⋈ a`;
-    /// planner-backed engines override it to cost one dataset's statistics once
-    /// and halve the pair estimate.
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        self.plan_for(a, a)
-    }
-
-    /// Self-join of one dataset: pushes every **unordered** pair `(x, y)` with
-    /// `x < y` whose members intersect into `sink` exactly once — identity pairs
-    /// are skipped, and of each mirrored duplicate only the index-ordered
-    /// orientation survives.
-    ///
-    /// The two dataset arguments exist so the query layer can apply the ε
-    /// extension to one side: `a` is the (possibly extended) probe-side view and
-    /// `base` the original dataset, with identical, aligned object ids. For a
-    /// plain intersection self-join pass the same dataset twice. Extension of
-    /// one side is sufficient for a distance self-join because per-axis AABB
-    /// extension is symmetric: `ext(x) ∩ y ⟺ ext(y) ∩ x`.
-    ///
-    /// The default wraps `sink` in a [`SelfPairSink`] and runs the ordinary
-    /// [`SpatialJoinAlgorithm::join_into`] of `a ⋈ base` — correct for every
-    /// engine, at the cost of enumerating both orientations. The TOUCH engines
-    /// override it with an in-kernel index-order filter so the comparison work
-    /// and shared pair budgets are spent on post-filter pairs only.
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        let mut filter = SelfPairSink::new(sink);
-        self.join_into(a, base, &mut filter, report);
-        report.counters.results = filter.delivered();
-    }
-
-    /// Traced form of [`SpatialJoinAlgorithm::join_self_into`]; the same
-    /// tracing contract as [`SpatialJoinAlgorithm::join_traced`] applies.
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let mut filter = SelfPairSink::new(sink);
-        self.join_traced(a, base, &mut filter, report, trace);
-        report.counters.results = filter.delivered();
-    }
-
-    /// Fallible, cancellable form of [`SpatialJoinAlgorithm::join_self_into`];
-    /// the same contract as [`SpatialJoinAlgorithm::try_join_into`] applies.
-    ///
-    /// The default wraps `sink` in a [`SelfPairSink`] around the fallible
-    /// two-way join, and re-derives the post-filter results counter on **every**
-    /// orderly exit (complete, cancelled or deadline-exceeded) so partial
-    /// reports stay consistent with what the sink observed.
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        let mut filter = SelfPairSink::new(sink);
-        let res = self.try_join_into(a, base, &mut filter, report, ctl);
-        if res.is_ok() {
+    match shape {
+        Shape::Pair => catch_phase(Phase::Join, 0, || join(sink, report)),
+        Shape::SelfJoin => {
+            let mut filter = SelfPairSink::new(sink);
+            catch_phase(Phase::Join, 0, || join(&mut filter, report))?;
             report.counters.results = filter.delivered();
+            Ok(())
         }
-        res
-    }
-
-    /// Convenience form of [`SpatialJoinAlgorithm::join_self_into`]: creates the
-    /// report, runs the self-join of `a` and returns the completed record.
-    fn join_self(&self, a: &Dataset, sink: &mut dyn PairSink) -> RunReport {
-        let mut report = RunReport::new(self.name(), a.len(), a.len());
-        self.join_self_into(a, a, sink, &mut report);
-        report
     }
 }
 
@@ -208,70 +140,20 @@ impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for &T {
         (**self).name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_for(a, b)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
+        (**self).plan_for(a, b, shape)
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        (**self).join_into(a, b, sink, report)
-    }
-
-    fn join_traced(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_traced(a, b, sink, report, trace)
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_self_for(a)
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        (**self).join_self_into(a, base, sink, report)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_self_traced(a, base, sink, report, trace)
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        (**self).try_join_into(a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        (**self).try_join_self_into(a, base, sink, report, ctl)
+        (**self).try_join(a, b, shape, sink, report, ctl)
     }
 }
 
@@ -280,70 +162,20 @@ impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for Box<T> {
         (**self).name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_for(a, b)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
+        (**self).plan_for(a, b, shape)
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        (**self).join_into(a, b, sink, report)
-    }
-
-    fn join_traced(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_traced(a, b, sink, report, trace)
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        (**self).plan_self_for(a)
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        (**self).join_self_into(a, base, sink, report)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        (**self).join_self_traced(a, base, sink, report, trace)
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        (**self).try_join_into(a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        (**self).try_join_self_into(a, base, sink, report, ctl)
+        (**self).try_join(a, b, shape, sink, report, ctl)
     }
 }
 
@@ -395,25 +227,29 @@ mod tests {
             "BruteForce".into()
         }
 
-        fn join_into(
+        fn try_join(
             &self,
             a: &Dataset,
             b: &Dataset,
+            shape: Shape,
             sink: &mut dyn PairSink,
             report: &mut RunReport,
-        ) {
-            'scan: for oa in a.iter() {
-                for ob in b.iter() {
-                    report.counters.record_comparison();
-                    if oa.mbr.intersects(&ob.mbr) {
-                        if sink.is_done() {
-                            break 'scan;
+            ctl: ExecControl<'_>,
+        ) -> Result<(), JoinError> {
+            join_contained(shape, sink, report, ctl, |sink, report| {
+                'scan: for oa in a.iter() {
+                    for ob in b.iter() {
+                        report.counters.record_comparison();
+                        if oa.mbr.intersects(&ob.mbr) {
+                            if sink.is_done() {
+                                break 'scan;
+                            }
+                            report.counters.record_result();
+                            sink.push(oa.id, ob.id);
                         }
-                        report.counters.record_result();
-                        sink.push(oa.id, ob.id);
                     }
                 }
-            }
+            })
         }
     }
 
@@ -458,7 +294,7 @@ mod tests {
         let a = boxes(&[0.0]);
         let b = boxes(&[0.5]);
         let mut sink = CollectingSink::new();
-        let report = BruteForce.join(&a, &b, &mut sink);
+        let report = JoinQuery::new(&a, &b).engine(BruteForce).run(&mut sink);
         assert_eq!(report.algorithm, "BruteForce");
         assert_eq!((report.dataset_a, report.dataset_b), (1, 1));
         assert_eq!(sink.pairs(), &[(0, 0)]);
@@ -470,7 +306,7 @@ mod tests {
         // ((0,0),(0,1),(1,0),(1,1),(2,2)); the self-join keeps exactly (0,1).
         let a = boxes(&[0.0, 0.5, 10.0]);
         let mut sink = CollectingSink::new();
-        let report = BruteForce.join_self(&a, &mut sink);
+        let report = JoinQuery::self_join(&a).engine(BruteForce).run(&mut sink);
         assert_eq!(sink.pairs(), &[(0, 1)]);
         assert_eq!(report.result_pairs(), 1, "results counter is post-filter");
         assert_eq!((report.dataset_a, report.dataset_b), (3, 3));

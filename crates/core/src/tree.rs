@@ -16,7 +16,7 @@ use crate::scratch::LocalJoinScratch;
 use std::ops::Range;
 use touch_geom::{Aabb, ObjectId, SpatialObject};
 use touch_index::{str_sort, UniformGrid};
-use touch_metrics::{vec_bytes, Counters, MemoryUsage, NoTrace, TraceEvent, TraceSink};
+use touch_metrics::{vec_bytes, Counters, MemoryUsage, TraceEvent, TraceSink};
 
 /// Objects between two cancellation polls in [`TouchTree::assign_ctl`]: large
 /// enough that the poll (one relaxed atomic load) vanishes next to the
@@ -726,40 +726,17 @@ impl TouchTree {
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> usize {
-        self.join_assigned_traced(params, scratch, counters, emit, &NoTrace, 0)
+        self.join_assigned_ctl(params, scratch, counters, emit, ExecControl::infallible(), 0).0
     }
 
-    /// Traced form of [`TouchTree::join_assigned`]: identical join, but each
-    /// node's local join runs through [`TouchTree::local_join_node_traced`]
-    /// attributed to `worker`. [`TouchTree::join_assigned`] is this with a
-    /// [`NoTrace`] sink.
-    pub fn join_assigned_traced(
-        &self,
-        params: &LocalJoinParams,
-        scratch: &mut LocalJoinScratch,
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-        trace: &dyn TraceSink,
-        worker: usize,
-    ) -> usize {
-        let (aux, complete) = self.join_assigned_ctl(
-            params,
-            scratch,
-            counters,
-            emit,
-            ExecControl::with_trace(trace),
-            worker,
-        );
-        debug_assert!(complete.is_none(), "the never token cannot trip");
-        aux
-    }
-
-    /// Cancellable form of [`TouchTree::join_assigned_traced`]: polls the
-    /// control block's token once per node and abandons the remaining nodes
-    /// when it trips, additionally returning the cause (`None` = ran to
-    /// completion). Node order and per-node work are identical — with an
-    /// untriggered token pairs and counters are bit-identical, the poll being
-    /// one relaxed atomic load per node.
+    /// Controlled form of [`TouchTree::join_assigned`] (which is this with
+    /// [`ExecControl::infallible`]): each node's local join reports its span to
+    /// `ctl.trace` attributed to `worker`, and the token is polled once per
+    /// node — the remaining nodes are abandoned when it trips, and the cause is
+    /// returned alongside the scratch bytes (`None` = ran to completion). Node
+    /// order and per-node work are identical — with an untriggered token pairs
+    /// and counters are bit-identical, the poll being one relaxed atomic load
+    /// per node.
     pub fn join_assigned_ctl(
         &self,
         params: &LocalJoinParams,
@@ -783,8 +760,10 @@ impl TouchTree {
                 stopped = !go_on;
                 go_on
             };
-            self.local_join_node_traced(
+            let b_objs = self.nodes[idx].assigned_b();
+            self.local_join_node(
                 idx,
+                b_objs,
                 params,
                 scratch,
                 counters,
@@ -800,39 +779,66 @@ impl TouchTree {
         (scratch.memory_bytes(), cause)
     }
 
-    /// Joins the B-objects assigned to the node at `index` against the A-objects of
-    /// its descendant leaves, using the requested local-join strategy over the
-    /// reusable buffers of `scratch`. `emit` returning `false` abandons the rest of
-    /// this node's local join. Returns the bytes the scratch has reserved after
-    /// this join (its high-water mark so far — the figure a caller folds into the
-    /// join phase's auxiliary memory).
+    /// Joins the B-objects `b_objs` of the node at `index` against the
+    /// A-objects of its descendant leaves, using the requested local-join
+    /// strategy over the reusable buffers of `scratch`. `emit` returning
+    /// `false` abandons the rest of this node's local join. Returns the bytes
+    /// the scratch has reserved after this join (its high-water mark so far —
+    /// the figure a caller folds into the join phase's auxiliary memory).
+    ///
+    /// The B-list is passed in rather than read from the node so the same
+    /// kernel serves the tree-resident assignment (`node.assigned_b()`) and
+    /// the serving layer's reader-owned [`crate::AssignmentBuffer`], where a
+    /// frozen `Arc`-held tree is joined concurrently by many readers. The
+    /// strategy cutoff consults only the A side, so where the B-list lives
+    /// cannot change the computation.
+    ///
+    /// When `trace` is enabled the local join is wrapped in a
+    /// [`TraceEvent::NodeJoin`] span attributed to `worker`, carrying the
+    /// node's A/B counts, the effective strategy, the candidate comparisons
+    /// performed (counter delta) and the pairs emitted. With a disabled sink
+    /// this is one branch — recording can never change pairs or counters.
+    #[allow(clippy::too_many_arguments)]
     pub fn local_join_node(
         &self,
         index: usize,
+        b_objs: &[SpatialObject],
         params: &LocalJoinParams,
         scratch: &mut LocalJoinScratch,
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
+        trace: &dyn TraceSink,
+        worker: usize,
     ) -> usize {
-        self.local_join_node_ext(
-            index,
-            self.nodes[index].assigned_b(),
-            params,
-            scratch,
-            counters,
-            emit,
-        )
+        if !trace.is_enabled() {
+            return self.local_join_kernel(index, b_objs, params, scratch, counters, emit);
+        }
+        let a_count = self.nodes[index].a_count();
+        let b_count = b_objs.len();
+        let strategy = params.effective_kind(a_count, &self.nodes[index].mbr).name();
+        let comparisons_before = counters.comparisons;
+        let mut pairs = 0u64;
+        let start_us = trace.now_us();
+        let aux = self.local_join_kernel(index, b_objs, params, scratch, counters, &mut |a, b| {
+            pairs += 1;
+            emit(a, b)
+        });
+        trace.record(TraceEvent::NodeJoin {
+            node: index,
+            worker,
+            a_count,
+            b_count,
+            strategy,
+            candidates: counters.comparisons - comparisons_before,
+            pairs,
+            start_us,
+            duration_us: trace.now_us().saturating_sub(start_us),
+        });
+        aux
     }
 
-    /// The form of [`TouchTree::local_join_node`] that takes the node's
-    /// B-objects **externally** instead of reading the tree's own assignment
-    /// lists. This is the read-only join path of the serving layer: a frozen
-    /// `Arc`-held tree can be joined concurrently by many readers, each holding
-    /// its per-node B-lists in its own [`crate::AssignmentBuffer`]. With
-    /// `b_objs == node.assigned_b()` it is exactly `local_join_node` — the
-    /// strategy cutoff consults only the A side, so where the B-list lives
-    /// cannot change the computation.
-    pub fn local_join_node_ext(
+    /// The untraced body of [`TouchTree::local_join_node`].
+    fn local_join_kernel(
         &self,
         index: usize,
         b_objs: &[SpatialObject],
@@ -863,77 +869,6 @@ impl TouchTree {
             }
         }
         scratch.memory_bytes()
-    }
-
-    /// Traced form of [`TouchTree::local_join_node`]: when `trace` is enabled,
-    /// wraps the local join in a [`TraceEvent::NodeJoin`] span carrying the
-    /// node's A/B counts, the effective strategy, the candidate comparisons
-    /// performed (counter delta) and the pairs emitted. With a disabled sink
-    /// this is one branch and then exactly `local_join_node` — recording can
-    /// never change pairs or counters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn local_join_node_traced(
-        &self,
-        index: usize,
-        params: &LocalJoinParams,
-        scratch: &mut LocalJoinScratch,
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-        trace: &dyn TraceSink,
-        worker: usize,
-    ) -> usize {
-        self.local_join_node_ext_traced(
-            index,
-            self.nodes[index].assigned_b(),
-            params,
-            scratch,
-            counters,
-            emit,
-            trace,
-            worker,
-        )
-    }
-
-    /// Traced form of [`TouchTree::local_join_node_ext`] (see
-    /// [`TouchTree::local_join_node_traced`] for the span contents).
-    #[allow(clippy::too_many_arguments)]
-    pub fn local_join_node_ext_traced(
-        &self,
-        index: usize,
-        b_objs: &[SpatialObject],
-        params: &LocalJoinParams,
-        scratch: &mut LocalJoinScratch,
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-        trace: &dyn TraceSink,
-        worker: usize,
-    ) -> usize {
-        if !trace.is_enabled() {
-            return self.local_join_node_ext(index, b_objs, params, scratch, counters, emit);
-        }
-        let a_count = self.nodes[index].a_count();
-        let b_count = b_objs.len();
-        let strategy = params.effective_kind(a_count, &self.nodes[index].mbr).name();
-        let comparisons_before = counters.comparisons;
-        let mut pairs = 0u64;
-        let start_us = trace.now_us();
-        let aux =
-            self.local_join_node_ext(index, b_objs, params, scratch, counters, &mut |a, b| {
-                pairs += 1;
-                emit(a, b)
-            });
-        trace.record(TraceEvent::NodeJoin {
-            node: index,
-            worker,
-            a_count,
-            b_count,
-            strategy,
-            candidates: counters.comparisons - comparisons_before,
-            pairs,
-            start_us,
-            duration_us: trace.now_us().saturating_sub(start_us),
-        });
-        aux
     }
 
     /// The local-join grid geometry of the node at `index` (Algorithm 4): the
@@ -1022,6 +957,7 @@ impl MemoryUsage for TouchTree {
 mod tests {
     use super::*;
     use touch_geom::{Dataset, Point3};
+    use touch_metrics::NoTrace;
 
     fn lattice(side: usize, spacing: f64, box_side: f64) -> Dataset {
         let mut ds = Dataset::new();
@@ -1574,11 +1510,22 @@ mod tests {
         let params = test_params(LocalJoinKind::Grid);
         let mut scratch = LocalJoinScratch::new();
         let mut via_list = Vec::new();
-        for idx in &work {
-            tree.local_join_node(*idx, &params, &mut scratch, &mut counters, &mut |x, y| {
+        for &idx in &work {
+            let b_objs = tree.node(idx).assigned_b();
+            let mut emit = |x, y| {
                 via_list.push((x, y));
                 true
-            });
+            };
+            tree.local_join_node(
+                idx,
+                b_objs,
+                &params,
+                &mut scratch,
+                &mut counters,
+                &mut emit,
+                &NoTrace,
+                0,
+            );
         }
         let mut via_all = Vec::new();
         tree.join_assigned(&params, &mut scratch, &mut counters, &mut |x, y| {

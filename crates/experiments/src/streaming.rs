@@ -16,7 +16,7 @@
 //! also re-sorts A every batch, so the speedup column grows with `k`.
 
 use crate::{workload, Context, ExperimentTable, Row};
-use touch_core::{CountingSink, JoinOrder, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
+use touch_core::{CountingSink, JoinOrder, JoinQuery, TouchConfig, TouchJoin};
 use touch_datagen::SyntheticDistribution;
 use touch_geom::Dataset;
 use touch_metrics::format_duration;
@@ -106,7 +106,7 @@ fn rebuild_per_batch(cfg: &TouchConfig, a_ext: &Dataset, b: &Dataset, batch: usi
         // Re-densify the ids: this baseline is timed, not compared pair-by-pair.
         let chunk_ds = Dataset::from_mbrs(chunk.iter().map(|o| o.mbr));
         let mut sink = CountingSink::new();
-        let report = algo.join(a_ext, &chunk_ds, &mut sink);
+        let report = JoinQuery::new(a_ext, &chunk_ds).engine(&algo).run(&mut sink);
         total += report.total_time().as_secs_f64();
     }
     total

@@ -26,7 +26,8 @@ pub struct Counters {
     /// TOUCH local-join grid cells). Drives the memory overhead the paper attributes
     /// to PBSM.
     pub replicas: u64,
-    /// Candidate lanes fed through the batched MBR filter (`kernels::overlap_batch`).
+    /// Candidate lanes fed through the batched MBR filter (`simd::overlap_window` /
+    /// `simd::overlap_run`).
     /// Counts *logical* lanes, so the value is machine-independent: the same join
     /// reports the same number whether the batch ran on AVX2, SSE2, NEON or the
     /// scalar fallback.

@@ -5,10 +5,10 @@ use crate::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl};
 use crate::ParallelConfig;
 use touch_core::{
     catch_phase, time_phase_traced, ExecControl, ExecutionStrategy, JoinError, JoinPlan, PairSink,
-    ScratchPool, SpatialJoinAlgorithm,
+    ScratchPool, Shape, SpatialJoinAlgorithm,
 };
 use touch_geom::Dataset;
-use touch_metrics::{MemoryUsage, NoTrace, Phase, RunReport, TraceSink};
+use touch_metrics::{MemoryUsage, Phase, RunReport};
 
 /// Multi-threaded TOUCH (implements [`SpatialJoinAlgorithm`]).
 ///
@@ -89,55 +89,32 @@ impl ParallelTouchJoin {
     }
 }
 
-/// Executes a resolved [`JoinPlan`] on the work-stealing machinery: the single
-/// code path behind [`ParallelTouchJoin::join_into`], shared by explicit
-/// configurations and the planning layer so the two can never diverge.
+/// Executes a resolved [`JoinPlan`] on the work-stealing machinery: the one
+/// parallel execution path behind [`ParallelTouchJoin`]'s
+/// [`SpatialJoinAlgorithm::try_join`], shared by explicit configurations and the
+/// planning layer so the two can never diverge. `ctl.trace` receives phase
+/// spans, per-chunk assignment spans, per-node join spans and steal events.
+/// [`Shape::SelfJoin`] pushes the index-order filter into the worker emit
+/// closures (via [`par_join_into_ctl`]'s `self_join` flag), so shared pair
+/// budgets are spent on post-filter pairs only, and pairs, counters and the
+/// tree are bit-identical at every worker count.
+///
+/// The cooperation contract matches the sequential engine's: the token is
+/// polled between phases and — inside [`par_assign_ctl`] /
+/// [`par_join_into_ctl`] — per chunk and per node by every worker; a tripped
+/// token ends the run in an orderly way with the partial report's completion
+/// stamped, a panicked worker is contained and surfaced as
+/// `Err(`[`JoinError::WorkerPanicked`]`)` (its siblings stop via a shared abort
+/// flag), and with an untriggered token the run is bit-identical at every
+/// thread count.
 fn execute_parallel(
     plan: &JoinPlan,
     a: &Dataset,
     b: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-) {
-    execute_parallel_traced(plan, a, b, sink, report, &NoTrace);
-}
-
-/// Traced form of [`execute_parallel`]: the identical join (the untraced entry
-/// point is this with a [`touch_metrics::NoTrace`] sink) plus phase spans,
-/// per-chunk assignment spans, per-node join spans and steal events.
-fn execute_parallel_traced(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    trace: &dyn TraceSink,
-) {
-    execute_parallel_ctl(plan, a, b, sink, report, ExecControl::with_trace(trace), false)
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// The one parallel execution path: [`execute_parallel_traced`] is this with a
-/// never-triggering token; `self_join` selects the self-join form (the
-/// index-order filter pushed into the worker emit closures, so shared pair
-/// budgets are spent on post-filter pairs only).
-///
-/// The cooperation contract matches the sequential
-/// `execute_sequential_ctl`: the token is polled between phases and — inside
-/// [`par_assign_ctl`] / [`par_join_into_ctl`] — per chunk and per node by
-/// every worker; a tripped token ends the run in an orderly way with the
-/// partial report's completion stamped, a panicked worker is contained and
-/// surfaced as `Err(`[`JoinError::WorkerPanicked`]`)` (its siblings stop via a
-/// shared abort flag), and with an untriggered token the run is bit-identical
-/// at every thread count.
-fn execute_parallel_ctl(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
+    shape: Shape,
     sink: &mut dyn PairSink,
     report: &mut RunReport,
     ctl: ExecControl<'_>,
-    self_join: bool,
 ) -> Result<(), JoinError> {
     report.plan = Some(plan.summary());
     let threads = plan.threads();
@@ -199,7 +176,7 @@ fn execute_parallel_ctl(
             &plan.params,
             threads,
             !build_on_a,
-            self_join,
+            shape == Shape::SelfJoin,
             sink,
             &mut pool,
             &mut counters,
@@ -227,24 +204,6 @@ fn execute_parallel_ctl(
     }
 }
 
-/// Self-join form of [`execute_parallel_traced`]: the identical three phases
-/// over `a ⋈ base` (the possibly ε-extended view and the original dataset,
-/// aligned ids) with the index-order filter pushed into the worker emit
-/// closures via [`par_join_into_ctl`]'s `self_join` flag — shared pair
-/// budgets are spent on post-filter pairs only, and pairs, counters and the
-/// tree are bit-identical at every worker count.
-fn execute_parallel_self_traced(
-    plan: &JoinPlan,
-    a: &Dataset,
-    base: &Dataset,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    trace: &dyn TraceSink,
-) {
-    execute_parallel_ctl(plan, a, base, sink, report, ExecControl::with_trace(trace), true)
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
 impl SpatialJoinAlgorithm for ParallelTouchJoin {
     fn name(&self) -> String {
         if self.config.threads > 0 {
@@ -254,70 +213,20 @@ impl SpatialJoinAlgorithm for ParallelTouchJoin {
         }
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
+    fn plan_for(&self, a: &Dataset, b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
         Some(self.resolve_plan(a, b))
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        execute_parallel(&self.resolve_plan(a, b), a, b, sink, report);
-    }
-
-    fn join_traced(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        execute_parallel_traced(&self.resolve_plan(a, b), a, b, sink, report, trace);
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        Some(self.resolve_plan(a, a))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        execute_parallel_self_traced(&self.resolve_plan(a, base), a, base, sink, report, &NoTrace);
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        execute_parallel_self_traced(&self.resolve_plan(a, base), a, base, sink, report, trace);
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        execute_parallel_ctl(&self.resolve_plan(a, b), a, b, sink, report, ctl, false)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        execute_parallel_ctl(&self.resolve_plan(a, base), a, base, sink, report, ctl, true)
+        execute_parallel(&self.resolve_plan(a, b), a, b, shape, sink, report, ctl)
     }
 }
 
@@ -325,8 +234,8 @@ impl SpatialJoinAlgorithm for ParallelTouchJoin {
 mod tests {
     use super::*;
     use touch_core::{
-        collect_join, distance_join, CountingSink, JoinOrder, LocalJoinStrategy, TouchConfig,
-        TouchJoin,
+        collect_join, distance_join, CountingSink, JoinOrder, JoinQuery, LocalJoinStrategy,
+        TouchConfig, TouchJoin,
     };
     use touch_geom::{Aabb, Point3};
 
@@ -455,8 +364,8 @@ mod tests {
         let a = lattice(5, 1.2, 1.5, 0.0); // side > spacing: every neighbour pair overlaps
         let touch_cfg = TouchConfig { partitions: 16, ..TouchConfig::default() };
         let mut seq_sink = touch_core::CollectingSink::new();
-        let mut seq_report = RunReport::new("TOUCH", a.len(), a.len());
-        TouchJoin::new(touch_cfg).join_self_into(&a, &a, &mut seq_sink, &mut seq_report);
+        let seq_report =
+            JoinQuery::self_join(&a).engine(TouchJoin::new(touch_cfg)).run(&mut seq_sink);
         assert!(seq_report.result_pairs() > 0);
         assert!(seq_sink.sorted_pairs().iter().all(|&(x, y)| x < y));
 
@@ -468,8 +377,7 @@ mod tests {
                 touch: touch_cfg,
             });
             let mut sink = touch_core::CollectingSink::new();
-            let mut report = RunReport::new(algo.name(), a.len(), a.len());
-            algo.join_self_into(&a, &a, &mut sink, &mut report);
+            let report = JoinQuery::self_join(&a).engine(algo).run(&mut sink);
             assert_eq!(sink.sorted_pairs(), seq_sink.sorted_pairs(), "threads = {threads}");
             assert_eq!(report.counters, seq_report.counters, "threads = {threads}");
         }
@@ -496,7 +404,7 @@ mod tests {
         assert_eq!(algo.name(), "TOUCH-P2");
         assert_eq!(ParallelTouchJoin::default().name(), "TOUCH-P");
         let mut sink = CountingSink::new();
-        let report = algo.join(&a, &b, &mut sink);
+        let report = JoinQuery::new(&a, &b).engine(algo).run(&mut sink);
         assert!(report.total_time() > std::time::Duration::ZERO);
         assert_eq!(report.threads, 2);
         assert!(report.memory_bytes > 0);

@@ -16,11 +16,11 @@ use crate::sort::par_str_sort;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use touch_core::{
-    panic_message, CancelCause, ExecControl, JoinError, LocalJoinParams, LocalJoinScratch,
-    PairSink, ScratchPool, ShardedSink, TouchTree,
+    catch_phase, deliver, panic_message, CancelCause, ExecControl, JoinError, LocalJoinParams,
+    LocalJoinScratch, PairSink, ScratchPool, ShardedSink, TouchTree,
 };
 use touch_geom::SpatialObject;
-use touch_metrics::{Counters, NoTrace, Phase, TraceEvent, TraceSink};
+use touch_metrics::{Counters, Phase, TraceEvent};
 
 /// What one fault-contained worker thread hands back: its partial work on
 /// success (with the cancel cause it observed, if any), or the message of the
@@ -99,6 +99,11 @@ type ChunkBatch = (usize, Vec<(usize, SpatialObject)>);
 /// traversals over work-stealing chunk queues), then applies the batches in chunk
 /// order so the per-node B-lists match the sequential [`TouchTree::assign`] exactly.
 /// Returns the bytes of the transient batch buffers (0 on the sequential fallback).
+/// This is [`par_assign_ctl`] with [`ExecControl::infallible`].
+///
+/// # Panics
+/// Re-raises a contained worker panic with the attributed
+/// [`JoinError::WorkerPanicked`] rendering.
 pub fn par_assign(
     tree: &mut TouchTree,
     probe: &[SpatialObject],
@@ -106,36 +111,20 @@ pub fn par_assign(
     workers: usize,
     counters: &mut Counters,
 ) -> usize {
-    par_assign_traced(tree, probe, chunk_size, workers, counters, &NoTrace)
+    par_assign_ctl(tree, probe, chunk_size, workers, counters, ExecControl::infallible())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
-/// Traced form of [`par_assign`]: identical assignment (the untraced entry
-/// point is this with a [`NoTrace`] sink), plus one
+/// The one parallel-assignment code path ([`par_assign`] is this with
+/// [`ExecControl::infallible`]). With `ctl.trace` enabled it records one
 /// [`TraceEvent::AssignChunk`] span per claimed chunk — attributed to the
 /// worker that computed it — and a [`TraceEvent::Steal`] per cross-queue
-/// claim. The sequential fallback records the whole probe batch as a single
+/// claim; the sequential fallback records the whole probe batch as a single
 /// chunk on worker 0.
-pub fn par_assign_traced(
-    tree: &mut TouchTree,
-    probe: &[SpatialObject],
-    chunk_size: usize,
-    workers: usize,
-    counters: &mut Counters,
-    trace: &dyn TraceSink,
-) -> usize {
-    let (aux, cause) =
-        par_assign_ctl(tree, probe, chunk_size, workers, counters, ExecControl::with_trace(trace))
-            .unwrap_or_else(|e| panic!("{e}"));
-    debug_assert!(cause.is_none(), "never-triggering token cannot cancel");
-    aux
-}
-
-/// The one parallel-assignment code path: [`par_assign_traced`] is this with a
-/// never-triggering token, [`par_assign`] additionally with a disabled trace
-/// sink.
 ///
 /// Fault-tolerance contract (the parallel half of
-/// [`SpatialJoinAlgorithm::try_join_into`](touch_core::SpatialJoinAlgorithm::try_join_into)):
+/// [`SpatialJoinAlgorithm::try_join`](touch_core::SpatialJoinAlgorithm::try_join)):
 ///
 /// * workers poll the cancel token per claimed chunk; on a trip every worker
 ///   stops claiming, the chunks already computed are still applied (in chunk
@@ -169,7 +158,7 @@ pub fn par_assign_ctl(
         // The chunk hook runs *inside* the catch region, mirroring the worker
         // loop below: a panicking trace sink surfaces as `WorkerPanicked`
         // instead of unwinding through the coordinator.
-        let cause = touch_core::catch_phase(Phase::Assignment, 0, || {
+        let cause = catch_phase(Phase::Assignment, 0, || {
             let cause = tree.assign_ctl(probe, counters, ctl.cancel);
             if trace.is_enabled() {
                 trace.record(TraceEvent::AssignChunk {
@@ -276,87 +265,32 @@ pub fn par_assign_ctl(
     Ok((aux_bytes, cause))
 }
 
-/// Phase 3: drains `work` through per-worker local joins, one worker per shard of
-/// `sharded` with its own reusable [`LocalJoinScratch`]. The nodes are ordered by
-/// descending estimated cost before distribution (round-robin seeding then spreads
-/// the heavy nodes across workers, and owner pops and steals both take the largest
-/// remaining task first — LPT); the sort happens in place, so a caller-retained
-/// `work` buffer is reused without reallocating. Pairs are pushed as
-/// `(tree_id, probe_id)`, or flipped when `swap_pairs` is set (the caller built the
-/// tree on dataset B). When `self_join` is set the two sides are the same dataset
-/// (aligned ids) and only pairs whose A-oriented ids satisfy `x < y` reach the
-/// shards — identity pairs and mirrored duplicates are dropped **before** the
-/// shared pair budget is spent, while the comparison/node-test counters stay
-/// identical to the raw two-dataset run. Workers honour the sharded sink's
-/// early-termination protocol: once a shard reports done (its share of a
-/// [`PairSink::pair_limit`] budget is spent) the worker stops claiming nodes.
-/// Returns the auxiliary bytes charged to the join phase: the sum over workers of
-/// each worker's reserved scratch bytes (concurrent footprints coexist, unlike
-/// the sequential join which charges a single scratch).
-///
-/// # Panics
-/// Panics if `scratches` provides fewer scratches than `sharded` has shards.
-#[allow(clippy::too_many_arguments)]
-pub fn par_local_join(
-    tree: &TouchTree,
-    work: &mut [usize],
-    params: &LocalJoinParams,
-    swap_pairs: bool,
-    self_join: bool,
-    sharded: &mut ShardedSink,
-    scratches: &mut [LocalJoinScratch],
-    counters: &mut Counters,
-) -> usize {
-    par_local_join_traced(
-        tree, work, params, swap_pairs, self_join, sharded, scratches, counters, &NoTrace,
-    )
-}
-
-/// Traced form of [`par_local_join`]: identical join (the untraced entry point
-/// is this with a [`NoTrace`] sink), plus a [`TraceEvent::NodeJoin`] span per
-/// node — attributed to the worker that joined it — and a
-/// [`TraceEvent::Steal`] per cross-queue claim.
-#[allow(clippy::too_many_arguments)]
-pub fn par_local_join_traced(
-    tree: &TouchTree,
-    work: &mut [usize],
-    params: &LocalJoinParams,
-    swap_pairs: bool,
-    self_join: bool,
-    sharded: &mut ShardedSink,
-    scratches: &mut [LocalJoinScratch],
-    counters: &mut Counters,
-    trace: &dyn TraceSink,
-) -> usize {
-    let (aux, cause) = par_local_join_ctl(
-        tree,
-        work,
-        params,
-        swap_pairs,
-        self_join,
-        sharded,
-        scratches,
-        counters,
-        ExecControl::with_trace(trace),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    debug_assert!(cause.is_none(), "never-triggering token cannot cancel");
-    aux
-}
-
-/// The one parallel local-join code path: [`par_local_join_traced`] is this
-/// with a never-triggering token, [`par_local_join`] additionally with a
-/// disabled trace sink.
+/// Phase 3, sharded: drains `work` through per-worker local joins, one worker
+/// per shard of `sharded` with its own reusable [`LocalJoinScratch`]. The nodes
+/// are ordered by descending estimated cost before distribution (round-robin
+/// seeding then spreads the heavy nodes across workers, and owner pops and
+/// steals both take the largest remaining task first — LPT); the sort happens
+/// in place, so a caller-retained `work` buffer is reused without reallocating.
+/// Pairs are pushed as `(tree_id, probe_id)`, flipped when `swap_pairs` is set,
+/// and filtered to `x < y` when `self_join` is set (see [`par_join_into_ctl`]).
+/// Workers honour the sharded sink's early-termination protocol: once a shard
+/// reports done (its share of a [`PairSink::pair_limit`] budget is spent) the
+/// worker stops claiming nodes. With `ctl.trace` enabled every node records a
+/// [`TraceEvent::NodeJoin`] span attributed to the worker that joined it, and
+/// every cross-queue claim a [`TraceEvent::Steal`]. Returns the sum over
+/// workers of each worker's reserved scratch bytes (concurrent footprints
+/// coexist, unlike the sequential join which charges a single scratch).
 ///
 /// Fault-tolerance contract: workers poll the cancel token per claimed node
 /// (pairs already pushed into the shards stay — a cancelled run's shards hold
 /// a subset of the full result); each worker's drain loop is contained by
 /// `catch_unwind`, a panicked worker trips a shared abort flag and surfaces as
 /// `Err(`[`JoinError::WorkerPanicked`]`)` with its partial counters discarded.
-/// With no trip and no panic the join is bit-identical to
-/// [`par_local_join_traced`].
+///
+/// # Panics
+/// Panics if `scratches` provides fewer scratches than `sharded` has shards.
 #[allow(clippy::too_many_arguments)]
-pub fn par_local_join_ctl(
+fn par_local_join_ctl(
     tree: &TouchTree,
     work: &mut [usize],
     params: &LocalJoinParams,
@@ -411,8 +345,9 @@ pub fn par_local_join_ctl(
                                     });
                                 }
                             }
-                            let aux = tree.local_join_node_traced(
+                            let aux = tree.local_join_node(
                                 idx,
+                                tree.node(idx).assigned_b(),
                                 params,
                                 scratch,
                                 &mut local,
@@ -461,20 +396,15 @@ pub fn par_local_join_ctl(
     Ok((peaks.into_iter().sum(), cause))
 }
 
-/// The complete parallel join phase against any [`PairSink`]: fetches the work
-/// list into the pool's reused buffer, caps the worker count at the available work
-/// (never more shards than nodes to join), runs [`par_local_join`] over a
-/// [`ShardedSink`] adapting the sink's mode and pair budget with one pooled
-/// scratch per worker, merges the shards back and adds the pairs the sink
-/// actually received to `counters.results` (not the shard totals — an
-/// early-terminating sink may refuse part of the merge). The one place the
-/// worker-capping/sharding decision lives,
-/// so the one-shot join and the streaming engine cannot diverge on it. Returns the
+/// Phase 3: the complete join phase against any [`PairSink`] — the one place
+/// the worker-capping/sharding decision lives, so the one-shot joins, the
+/// streaming engine and the tick loop cannot diverge on it. This is
+/// [`par_join_into_ctl`] with [`ExecControl::infallible`]; returns the
 /// auxiliary bytes charged to the join phase.
 ///
-/// `pool` owns the per-worker scratches and the work-list buffer; a persistent
-/// engine passes the same pool every epoch, so the join phase stops allocating
-/// once the pool has warmed up. A one-shot join passes a fresh pool.
+/// # Panics
+/// Re-raises a contained worker panic with the attributed
+/// [`JoinError::WorkerPanicked`] rendering.
 #[allow(clippy::too_many_arguments)]
 pub fn par_join_into(
     tree: &TouchTree,
@@ -486,48 +416,41 @@ pub fn par_join_into(
     pool: &mut ScratchPool,
     counters: &mut Counters,
 ) -> usize {
-    par_join_into_traced(
-        tree, params, threads, swap_pairs, self_join, sink, pool, counters, &NoTrace,
-    )
+    let ctl = ExecControl::infallible();
+    par_join_into_ctl(tree, params, threads, swap_pairs, self_join, sink, pool, counters, ctl)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
-/// Traced form of [`par_join_into`]: identical join (the untraced entry point
-/// is this with a [`NoTrace`] sink) running the sharded local joins through
-/// [`par_local_join_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn par_join_into_traced(
-    tree: &TouchTree,
-    params: &LocalJoinParams,
-    threads: usize,
-    swap_pairs: bool,
-    self_join: bool,
-    sink: &mut dyn PairSink,
-    pool: &mut ScratchPool,
-    counters: &mut Counters,
-    trace: &dyn TraceSink,
-) -> usize {
-    let (aux, cause) = par_join_into_ctl(
-        tree,
-        params,
-        threads,
-        swap_pairs,
-        self_join,
-        sink,
-        pool,
-        counters,
-        ExecControl::with_trace(trace),
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    debug_assert!(cause.is_none(), "never-triggering token cannot cancel");
-    aux
-}
-
-/// The one sharded join-phase code path: [`par_join_into_traced`] is this with
-/// a never-triggering token. On an orderly exit — complete *or* cancelled —
-/// the shards are merged into `sink` and the delivered pairs credited to
-/// `counters.results`, so a cancelled run's sink holds a consistent subset of
-/// the full result; on `Err` (a contained worker panic) the shards are
-/// discarded and the sink receives nothing from this phase.
+/// The one join-phase code path. Pairs reach `sink` as `(tree_id, probe_id)`,
+/// or flipped when `swap_pairs` is set (the caller built the tree on dataset
+/// B). When `self_join` is set the two sides are the same dataset (aligned
+/// ids) and only pairs whose A-oriented ids satisfy `x < y` reach the sink —
+/// identity pairs and mirrored duplicates are dropped **before** the pair
+/// budget is spent, while the comparison/node-test counters stay identical to
+/// the raw two-dataset run. The pairs the sink actually received are added to
+/// `counters.results`.
+///
+/// `pool` owns the per-worker scratches and the work-list buffer; a persistent
+/// engine passes the same pool every epoch, so the join phase stops allocating
+/// once the pool has warmed up. A one-shot join passes a fresh pool.
+///
+/// * **One worker** — `threads` ≤ 1, or at most one node to join: the nodes
+///   are joined in-thread, in ascending node order, through
+///   [`TouchTree::join_assigned_ctl`] on the pool's primary scratch, inside
+///   one [`catch_phase`]; no thread is spawned and no shard buffers pairs.
+///   Pairs stream straight into `sink`, so after a contained panic the sink
+///   holds what the join delivered before it.
+/// * **Several workers** — the work list is capped at the available work
+///   (never more shards than nodes) and drained by the per-worker local joins
+///   into a [`ShardedSink`] adapting the sink's mode and pair budget. On an
+///   orderly exit — complete *or* cancelled — the shards are merged into
+///   `sink`, so a cancelled run's sink holds a consistent subset of the full
+///   result; on `Err` (a contained worker panic) the shards are discarded and
+///   the sink receives nothing from this phase.
+///
+/// Returns the auxiliary bytes charged to the join phase and the cancel cause
+/// the workers observed, if any.
 #[allow(clippy::too_many_arguments)]
 pub fn par_join_into_ctl(
     tree: &TouchTree,
@@ -541,8 +464,31 @@ pub fn par_join_into_ctl(
     ctl: ExecControl<'_>,
 ) -> Result<(usize, Option<CancelCause>), JoinError> {
     let mut work = pool.take_work();
-    tree.nodes_with_assignments_into(&mut work);
-    let workers = threads.min(work.len()).max(1);
+    // At one thread the work list is not needed to decide: the in-thread path
+    // builds its own.
+    let workers = if threads > 1 {
+        tree.nodes_with_assignments_into(&mut work);
+        threads.min(work.len())
+    } else {
+        1
+    };
+    if workers <= 1 {
+        pool.restore_work(work);
+        let mut results = 0u64;
+        let joined = catch_phase(Phase::Join, 0, || {
+            let mut emit = |tree_id, probe_id| {
+                let (x, y) = if swap_pairs { (probe_id, tree_id) } else { (tree_id, probe_id) };
+                if !self_join || x < y {
+                    deliver(sink, x, y, &mut results)
+                } else {
+                    !sink.is_done()
+                }
+            };
+            tree.join_assigned_ctl(params, pool.primary(), counters, &mut emit, ctl, 0)
+        });
+        counters.results += results;
+        return joined;
+    }
     let mut sharded = ShardedSink::for_sink(sink, workers);
     let joined = par_local_join_ctl(
         tree,
@@ -622,6 +568,41 @@ mod tests {
         }
     }
 
+    /// A recording trace sink that notes the thread every event arrives from.
+    #[derive(Default)]
+    struct ThreadLog(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+    impl touch_metrics::TraceSink for ThreadLog {
+        fn is_enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, _event: TraceEvent) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+    }
+
+    /// `(tree_id, probe_id)` pairs in emission order, and the counters, of the
+    /// sequential `join_assigned_ctl` — the one-worker reference.
+    fn sequential_join(tree: &TouchTree, params: &LocalJoinParams) -> (Vec<(u32, u32)>, Counters) {
+        let (mut pairs, mut counters) = (Vec::new(), Counters::new());
+        let mut emit = |x, y| {
+            pairs.push((x, y));
+            true
+        };
+        let ctl = ExecControl::infallible();
+        tree.join_assigned_ctl(
+            params,
+            &mut LocalJoinScratch::new(),
+            &mut counters,
+            &mut emit,
+            ctl,
+            0,
+        );
+        counters.results = pairs.len() as u64;
+        (pairs, counters)
+    }
+
     #[test]
     fn par_local_join_matches_join_assigned() {
         let a = lattice(4, 1.5, 1.0, 0.0);
@@ -631,40 +612,67 @@ mod tests {
         tree.assign(b.objects(), &mut counters);
         let params = TouchConfig::default().local_join_params(0.5);
         assert_eq!(params.kind, LocalJoinKind::Grid);
-
-        let mut seq_counters = Counters::new();
-        let mut expected = Vec::new();
-        tree.join_assigned(
-            &params,
-            &mut LocalJoinScratch::new(),
-            &mut seq_counters,
-            &mut |x, y| {
-                expected.push((x, y));
-                true
-            },
-        );
+        let (in_order, seq_counters) = sequential_join(&tree, &params);
+        let mut expected = in_order.clone();
         expected.sort_unstable();
 
         for workers in [1, 3] {
-            let mut sharded = ShardedSink::collecting(workers);
-            let mut counters = Counters::new();
-            let mut pool = ScratchPool::new();
-            let mut work = tree.nodes_with_assignments();
-            par_local_join(
-                &tree,
-                &mut work,
-                &params,
-                false,
-                false,
-                &mut sharded,
-                pool.worker_scratches(workers),
-                &mut counters,
-            );
-            let mut sink = touch_core::CollectingSink::new();
-            sharded.merge_into(&mut sink);
-            assert_eq!(sink.sorted_pairs(), expected, "workers = {workers}");
-            assert_eq!(counters, seq_counters, "workers = {workers}");
+            for swap_pairs in [false, true] {
+                let case = format!("workers = {workers}, swap = {swap_pairs}");
+                let log = ThreadLog::default();
+                let mut sink = touch_core::CollectingSink::new();
+                let mut pool = ScratchPool::new();
+                let mut counters = Counters::new();
+                let ctl = ExecControl::with_trace(&log);
+                let (_, cause) = par_join_into_ctl(
+                    &tree,
+                    &params,
+                    workers,
+                    swap_pairs,
+                    false,
+                    &mut sink,
+                    &mut pool,
+                    &mut counters,
+                    ctl,
+                )
+                .unwrap();
+                assert!(cause.is_none());
+                let flip = |&(x, y): &(u32, u32)| if swap_pairs { (y, x) } else { (x, y) };
+                let mut sorted: Vec<(u32, u32)> = sink.pairs().iter().map(flip).collect();
+                sorted.sort_unstable();
+                assert_eq!(sorted, expected, "{case}");
+                assert_eq!(counters, seq_counters, "{case}");
+                if workers == 1 {
+                    // One worker joins in-thread, in ascending node order.
+                    let emitted: Vec<(u32, u32)> = sink.pairs().iter().map(flip).collect();
+                    assert_eq!(emitted, in_order, "{case}: emission order");
+                    let here = std::thread::current().id();
+                    let threads = log.0.lock().unwrap();
+                    assert!(!threads.is_empty() && threads.iter().all(|&t| t == here), "{case}");
+                    assert_eq!(pool.workers(), 1, "{case}: no per-worker scratches");
+                }
+            }
         }
+
+        // A first-k sink stops the in-thread join at exactly K.
+        let mut sink = touch_core::FirstKSink::new(3);
+        let mut pool = ScratchPool::new();
+        let mut counters = Counters::new();
+        par_join_into(&tree, &params, 1, false, false, &mut sink, &mut pool, &mut counters);
+        assert_eq!(sink.count(), 3);
+        assert_eq!(counters.results, 3);
+        assert!(counters.comparisons < seq_counters.comparisons, "the join stopped early");
+
+        // An empty work list at any width takes the in-thread path: nothing
+        // joins and no per-worker scratch is allocated.
+        let empty = TouchTree::build(a.objects(), 8, 2);
+        let mut sink = touch_core::CollectingSink::new();
+        let mut pool = ScratchPool::new();
+        let mut counters = Counters::new();
+        par_join_into(&empty, &params, 4, false, false, &mut sink, &mut pool, &mut counters);
+        assert!(sink.pairs().is_empty());
+        assert_eq!(counters, Counters::new());
+        assert!(pool.workers() <= 1, "an empty work list spawns no workers");
     }
 
     #[test]
@@ -686,6 +694,9 @@ mod tests {
         }
         expected.sort_unstable();
         assert!(!expected.is_empty());
+        // The one-worker path filters the sequential emission stream in place.
+        let (in_order, seq_counters) = sequential_join(&tree, &params);
+        let filtered: Vec<(u32, u32)> = in_order.into_iter().filter(|&(x, y)| x < y).collect();
 
         for workers in [1, 4] {
             let mut sink = touch_core::CollectingSink::new();
@@ -703,6 +714,11 @@ mod tests {
             );
             assert_eq!(sink.sorted_pairs(), expected, "workers = {workers}");
             assert_eq!(counters.results, expected.len() as u64, "workers = {workers}");
+            let raw = Counters { results: seq_counters.results, ..counters };
+            assert_eq!(raw, seq_counters, "workers = {workers}: pre-filter work is unchanged");
+            if workers == 1 {
+                assert_eq!(sink.pairs(), filtered.as_slice(), "emission order");
+            }
         }
     }
 }

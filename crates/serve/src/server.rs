@@ -32,7 +32,7 @@ use touch_core::{
     LocalJoinScratch, PairSink, TouchConfig, TouchTree,
 };
 use touch_geom::{Aabb, ObjectId, SpatialObject};
-use touch_metrics::{MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
+use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent};
 
 /// Configuration of a [`JoinServer`].
 #[derive(Debug, Clone, Copy)]
@@ -205,31 +205,28 @@ impl JoinServer {
     }
 
     /// Folds the buffered delta into a new generation and publishes it; see
-    /// [`publish_traced`](JoinServer::publish_traced). Returns the now-current
-    /// generation number (unchanged if nothing was pending).
+    /// [`try_publish`](JoinServer::try_publish), which this is with
+    /// [`ExecControl::infallible`]. Returns the now-current generation number
+    /// (unchanged if nothing was pending).
+    ///
+    /// # Panics
+    /// Panics if the fold panics — use [`JoinServer::try_publish`] to contain
+    /// that instead.
     pub fn publish(&self) -> u64 {
-        self.publish_traced(&NoTrace)
+        self.try_publish(ExecControl::infallible()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`JoinServer::publish`] with an execution-trace sink: the fold/rebuild
-    /// records a [`TraceEvent::Generation`] span.
+    /// Fallible [`JoinServer::publish`]: the fold runs under panic containment
+    /// **before** any writer state or the published generation moves, so the
+    /// server survives a panicking build with full consistency. With
+    /// `ctl.trace` enabled the fold/rebuild records a
+    /// [`TraceEvent::Generation`] span.
     ///
     /// With a delta at or below the [rebuild limit](ServeConfig::delta_limit)
     /// the new tree reuses the previous generation's STR tiling — removals
     /// filtered out, inserts appended ([`TouchTree::from_tiled`]); past it the
     /// tiling is rebuilt from scratch over the canonical live order. Readers
     /// keep querying the old generation throughout and switch atomically.
-    ///
-    /// # Panics
-    /// Panics if the fold panics — use [`JoinServer::try_publish`] to contain
-    /// that instead.
-    pub fn publish_traced(&self, trace: &dyn TraceSink) -> u64 {
-        self.try_publish(ExecControl::with_trace(trace)).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`JoinServer::publish`]: the fold runs under panic containment
-    /// **before** any writer state or the published generation moves, so the
-    /// server survives a panicking build with full consistency.
     ///
     /// * A pre-tripped `ctl.cancel` returns [`JoinError::Cancelled`] /
     ///   [`JoinError::DeadlineExceeded`] with the delta still buffered — a
@@ -364,30 +361,22 @@ pub struct SnapshotReader {
 impl SnapshotReader {
     /// Joins `batch` (the B side) against the current generation; pairs stream
     /// into `sink` as `(a_id, b_id)`, and the returned report carries the
-    /// generation number it ran against ([`RunReport::generation`]).
-    pub fn query(&mut self, batch: &[SpatialObject], sink: &mut dyn PairSink) -> RunReport {
-        self.query_traced(batch, sink, &NoTrace)
-    }
-
-    /// [`SnapshotReader::query`] with an execution-trace sink attached
-    /// (assignment/join phase spans and per-node join spans, as worker 0).
+    /// generation number it ran against ([`RunReport::generation`]). This is
+    /// [`try_query`](SnapshotReader::try_query) with
+    /// [`ExecControl::infallible`].
     ///
     /// # Panics
     /// Panics if a phase panics — use [`SnapshotReader::try_query`] to contain
     /// that instead.
-    pub fn query_traced(
-        &mut self,
-        batch: &[SpatialObject],
-        sink: &mut dyn PairSink,
-        trace: &dyn TraceSink,
-    ) -> RunReport {
-        self.try_query(batch, sink, ExecControl::with_trace(trace))
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn query(&mut self, batch: &[SpatialObject], sink: &mut dyn PairSink) -> RunReport {
+        self.try_query(batch, sink, ExecControl::infallible()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`SnapshotReader::query`]: polls `ctl.cancel` at chunk
     /// granularity through assignment and before every per-node local join,
-    /// and contains phase panics instead of aborting.
+    /// and contains phase panics instead of aborting. With `ctl.trace` enabled
+    /// the assignment/join phases and every per-node join record spans (as
+    /// worker 0).
     ///
     /// A trip mid-query returns `Ok` with a *partial* report — pairs already
     /// delivered to `sink` stand, the counters cover exactly the work done,

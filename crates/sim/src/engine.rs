@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use touch_core::{
-    catch_phase, deliver, CancelCause, CountingSink, DatasetStats, ExecControl, JoinError,
-    JoinPlan, JoinPlanner, PairSink, PlanEnv, ScratchPool, TouchTree,
+    catch_phase, CountingSink, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner,
+    PairSink, PlanEnv, ScratchPool, TouchTree,
 };
 use touch_geom::{Dataset, ObjectId, SpatialObject};
 use touch_metrics::{Counters, Phase, PlanSummary, TickSummary};
@@ -276,13 +276,17 @@ impl TickEngine {
         }
 
         self.pairs.clear();
-        let joined = if self.config.collect_pairs {
-            let mut sink = VecPairSink { pairs: &mut self.pairs };
-            run_self_join(&tree, &self.plan, threads, &mut sink, &mut self.pool, &mut counters, ctl)
-        } else {
-            let mut sink = CountingSink::default();
-            run_self_join(&tree, &self.plan, threads, &mut sink, &mut self.pool, &mut counters, ctl)
-        };
+        // The self-join phase; `par_join_into_ctl` credits `counters.results`
+        // with exactly the pairs the sink received.
+        let mut collect = VecPairSink { pairs: &mut self.pairs };
+        let mut count = CountingSink::default();
+        let sink: &mut dyn PairSink =
+            if self.config.collect_pairs { &mut collect } else { &mut count };
+        let params = &self.plan.params;
+        let pool = &mut self.pool;
+        let joined =
+            par_join_into_ctl(&tree, params, threads, false, true, sink, pool, &mut counters, ctl)
+                .map(|(_, cause)| cause);
         self.tree_buf = tree.into_items();
         match joined {
             Ok(None) => {}
@@ -388,46 +392,6 @@ fn relative_drift(old: f64, new: f64) -> f64 {
         }
     } else {
         ((new - old) / old).abs()
-    }
-}
-
-/// Runs the self-join phase of one tick: sequential through
-/// [`TouchTree::join_assigned_ctl`] with the in-closure `a < b` filter,
-/// parallel through [`par_join_into_ctl`] with its in-kernel self-join flag.
-/// Both credit `counters.results` with exactly the pairs the sink received,
-/// poll `ctl.cancel` per node, and contain worker panics.
-fn run_self_join(
-    tree: &TouchTree,
-    plan: &JoinPlan,
-    threads: usize,
-    sink: &mut dyn PairSink,
-    pool: &mut ScratchPool,
-    counters: &mut Counters,
-    ctl: ExecControl<'_>,
-) -> Result<Option<CancelCause>, JoinError> {
-    if threads <= 1 {
-        let mut results = 0u64;
-        let joined = catch_phase(Phase::Join, 0, || {
-            tree.join_assigned_ctl(
-                &plan.params,
-                pool.primary(),
-                counters,
-                &mut |a, b| {
-                    if a < b {
-                        deliver(sink, a, b, &mut results)
-                    } else {
-                        !sink.is_done()
-                    }
-                },
-                ctl,
-                0,
-            )
-        });
-        counters.results += results;
-        joined.map(|(_, cause)| cause)
-    } else {
-        par_join_into_ctl(tree, &plan.params, threads, false, true, sink, pool, counters, ctl)
-            .map(|(_, cause)| cause)
     }
 }
 

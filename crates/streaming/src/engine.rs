@@ -4,15 +4,12 @@ use crate::EpochReport;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use touch_core::{
-    catch_phase, deliver, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink,
-    PlanEnv, ScratchPool, SpatialJoinAlgorithm, TouchConfig, TouchTree,
+    catch_phase, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv,
+    ScratchPool, Shape, SpatialJoinAlgorithm, TouchConfig, TouchTree,
 };
 use touch_geom::{Dataset, SpatialObject};
-use touch_metrics::{Counters, MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
-use touch_parallel::phases::{
-    par_assign_ctl, par_assign_traced, par_build_tree, par_join_into_ctl, par_join_into_traced,
-    resolve_threads,
-};
+use touch_metrics::{Counters, MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
+use touch_parallel::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl, resolve_threads};
 
 /// Configuration of [`StreamingTouchJoin`].
 ///
@@ -237,30 +234,17 @@ impl StreamingTouchJoin {
     /// previous epoch's assignments, assigns `batch` (Algorithm 3), runs the local
     /// joins (Algorithm 4) into `sink`, and returns this epoch's [`EpochReport`].
     ///
-    /// With `threads == 1` both phases run strictly sequentially
-    /// ([`TouchTree::assign`] / [`TouchTree::join_assigned`]); otherwise they run on
-    /// the work-stealing machinery of [`touch_parallel::phases`]. The two paths are
-    /// deterministically equivalent — same pairs, same counters, at every width.
-    /// `sink` is any [`PairSink`]; an early-terminating sink
+    /// Both phases run through [`touch_parallel::phases`], which joins in-thread
+    /// at `threads == 1` and on the work-stealing machinery otherwise. The two
+    /// paths are deterministically equivalent — same pairs, same counters, at
+    /// every width. `sink` is any [`PairSink`]; an early-terminating sink
     /// ([`PairSink::is_done`]) stops the epoch's local joins.
-    pub fn push_batch(&mut self, batch: &[SpatialObject], sink: &mut dyn PairSink) -> EpochReport {
-        self.push_batch_traced(batch, sink, &NoTrace)
-    }
-
-    /// [`StreamingTouchJoin::push_batch`] with an execution-trace sink attached.
     ///
-    /// When the sink is enabled the whole epoch is wrapped in a
-    /// [`TraceEvent::Epoch`] span and the assignment and join phases record their
-    /// per-chunk / per-node spans (and steals) through the parallel machinery;
-    /// with [`NoTrace`] this *is* `push_batch` — one code path, so traced and
-    /// untraced epochs are bit-identical in pairs and counters.
-    pub fn push_batch_traced(
-        &mut self,
-        batch: &[SpatialObject],
-        sink: &mut dyn PairSink,
-        trace: &dyn TraceSink,
-    ) -> EpochReport {
-        self.push_epoch(batch, sink, trace, false)
+    /// This is [`try_push_batch`](StreamingTouchJoin::try_push_batch) with
+    /// [`ExecControl::infallible`]; it panics if a phase panics.
+    pub fn push_batch(&mut self, batch: &[SpatialObject], sink: &mut dyn PairSink) -> EpochReport {
+        self.try_push_batch(batch, sink, ExecControl::infallible())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`StreamingTouchJoin::push_batch`] for **self-joins**: the pushed batch is
@@ -275,23 +259,16 @@ impl StreamingTouchJoin {
         batch: &[SpatialObject],
         sink: &mut dyn PairSink,
     ) -> EpochReport {
-        self.push_batch_self_traced(batch, sink, &NoTrace)
-    }
-
-    /// [`StreamingTouchJoin::push_batch_self`] with an execution-trace sink
-    /// attached.
-    pub fn push_batch_self_traced(
-        &mut self,
-        batch: &[SpatialObject],
-        sink: &mut dyn PairSink,
-        trace: &dyn TraceSink,
-    ) -> EpochReport {
-        self.push_epoch(batch, sink, trace, true)
+        self.try_push_batch_self(batch, sink, ExecControl::infallible())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`StreamingTouchJoin::push_batch`]: the epoch polls
     /// `ctl.cancel` at chunk (assignment) and node (join) granularity and
-    /// contains worker panics instead of aborting the process.
+    /// contains worker panics instead of aborting the process. With `ctl.trace`
+    /// enabled the whole epoch is wrapped in a [`TraceEvent::Epoch`] span and
+    /// the assignment and join phases record their per-chunk / per-node spans
+    /// (and steals) — tracing never changes pairs or counters.
     ///
     /// * A token that trips **before** the epoch starts leaves the engine
     ///   completely untouched — no assignments cleared, no statistics merged,
@@ -302,15 +279,15 @@ impl StreamingTouchJoin {
     ///   are folded into the cumulative record and the epoch is counted, so
     ///   the stream can keep going.
     /// * A panicked phase worker returns [`JoinError::WorkerPanicked`]; the
-    ///   failed epoch is **not** counted (the next push clears its partial
-    ///   assignments), and the engine remains usable.
+    ///   failed epoch is **not** counted, its partial assignments are cleared,
+    ///   and the engine remains usable.
     pub fn try_push_batch(
         &mut self,
         batch: &[SpatialObject],
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
-        self.push_epoch_ctl(batch, sink, ctl, false)
+        self.push_epoch_ctl(batch, sink, ctl, false, None)
     }
 
     /// Fallible [`StreamingTouchJoin::push_batch_self`] — the self-join form
@@ -322,26 +299,78 @@ impl StreamingTouchJoin {
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
-        self.push_epoch_ctl(batch, sink, ctl, true)
+        self.push_epoch_ctl(batch, sink, ctl, true, None)
     }
 
-    fn push_epoch(
+    /// Joins `batch` as the newest epoch of a **sliding window** holding the
+    /// last `window` epochs: epochs that fall out of the window are *evicted* —
+    /// their per-node assignments retracted through
+    /// [`TouchTree::retract_assigned`] — instead of the all-or-nothing
+    /// [`TouchTree::clear_assignment`] of [`push_batch`], and the local joins
+    /// then run over **everything still in the window**, not just `batch`.
+    ///
+    /// The epoch's join output (pairs into `sink`, join-phase counters,
+    /// [`EpochReport::assigned`]) is bit-identical to a fresh engine that
+    /// assigned exactly the surviving epochs in arrival order: eviction drains
+    /// each node's list from the front, and arrival order within an epoch is
+    /// preserved at every thread count, so the window's per-node B-lists are
+    /// literally the concatenation of the surviving epochs' contributions.
+    /// Assignment counters remain per-batch (only `batch` descends the tree).
+    ///
+    /// Mixing modes is safe: a `push_windowed` after [`push_batch`] discards the
+    /// stale non-window epoch, and a `push_batch` (or
+    /// [`reset`](StreamingTouchJoin::reset)) drops the window.
+    ///
+    /// This is [`try_push_windowed`](StreamingTouchJoin::try_push_windowed)
+    /// with [`ExecControl::infallible`]; it panics if a phase panics.
+    ///
+    /// # Panics
+    /// Panics if `window` is 0.
+    ///
+    /// [`push_batch`]: StreamingTouchJoin::push_batch
+    pub fn push_windowed(
         &mut self,
         batch: &[SpatialObject],
+        window: usize,
         sink: &mut dyn PairSink,
-        trace: &dyn TraceSink,
-        self_join: bool,
     ) -> EpochReport {
-        self.push_epoch_ctl(batch, sink, ExecControl::with_trace(trace), self_join)
+        self.try_push_windowed(batch, window, sink, ExecControl::infallible())
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Fallible [`StreamingTouchJoin::push_windowed`], with the cancellation
+    /// and containment contract of
+    /// [`try_push_batch`](StreamingTouchJoin::try_push_batch): a pre-tripped
+    /// token leaves the engine (window included) untouched, a mid-epoch trip
+    /// returns a partial report whose epoch stays in the window, and a
+    /// contained panic returns [`JoinError::WorkerPanicked`] after dropping
+    /// the **whole** window, so no unrecorded assignment can survive to escape
+    /// a later eviction. With `ctl.trace` enabled every evicted epoch also
+    /// records a [`TraceEvent::Eviction`] instant.
+    ///
+    /// # Panics
+    /// Panics if `window` is 0.
+    pub fn try_push_windowed(
+        &mut self,
+        batch: &[SpatialObject],
+        window: usize,
+        sink: &mut dyn PairSink,
+        ctl: ExecControl<'_>,
+    ) -> Result<EpochReport, JoinError> {
+        assert!(window >= 1, "a sliding window holds at least one epoch");
+        self.push_epoch_ctl(batch, sink, ctl, false, Some(window))
+    }
+
+    /// The one epoch code path: `window` selects sliding-window mode (evict
+    /// the epochs that fall out, then record this epoch's per-node
+    /// contribution) over the clear-and-assign of a plain epoch.
     fn push_epoch_ctl(
         &mut self,
         batch: &[SpatialObject],
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
         self_join: bool,
+        window: Option<usize>,
     ) -> Result<EpochReport, JoinError> {
         let mut report = EpochReport {
             epoch: self.epochs,
@@ -354,24 +383,26 @@ impl StreamingTouchJoin {
             completion: touch_metrics::Completion::Complete,
         };
         // A pre-tripped token leaves the engine untouched — nothing cleared,
-        // nothing merged, the epoch not counted — so retrying the batch later
-        // is indistinguishable from pushing it the first time.
+        // nothing evicted, nothing merged, the epoch not counted — so retrying
+        // the batch later is indistinguishable from pushing it the first time.
         if let Some(cause) = ctl.cancel.triggered() {
             report.completion = cause.completion();
             return Ok(report);
         }
         let trace = ctl.trace;
         let epoch_start_us = if trace.is_enabled() { trace.now_us() } else { 0 };
-        // Leaving window mode: the window's assignments go with the clear, so
-        // its records must not survive to mis-describe a later eviction.
-        self.clear_window();
-        self.tree.clear_assignment();
+        match window {
+            // Leaving window mode: the window's assignments go with the clear,
+            // so its records must not survive to mis-describe a later eviction.
+            None => {
+                self.clear_window();
+                self.tree.clear_assignment();
+            }
+            Some(window) => self.evict_to(window, trace),
+        }
         self.stream_stats.merge(&DatasetStats::from_objects(batch));
 
         let mut counters = Counters::new();
-        // par_assign_ctl itself falls back to the sequential `TouchTree::assign`
-        // when one worker (or one chunk) is all there is, so no dispatch is needed
-        // here.
         let assigned = report.timer.time(Phase::Assignment, || {
             par_assign_ctl(
                 &mut self.tree,
@@ -382,56 +413,38 @@ impl StreamingTouchJoin {
                 ctl,
             )
         });
-        // A panicked assignment worker fails the whole epoch: partial
-        // assignments stay in the tree until the next push clears them, and
-        // the cumulative record never sees the failed epoch.
-        let (assign_aux, mut cause) = assigned?;
+        // A panicked assignment worker fails the whole epoch (and drops any
+        // window); the cumulative record never sees the failed epoch.
+        let (assign_aux, mut cause) = assigned.map_err(|e| self.abandon_epoch(e))?;
+        // In window mode `assigned` covers the whole surviving window — that
+        // is what the join below runs over.
         report.assigned = self.tree.assigned_b_count();
+        if window.is_some() {
+            self.record_window_epoch();
+        }
 
         let mut join_aux = 0;
         if cause.is_none() {
             let params = self.plan.params;
             let tree = &self.tree;
             let pool = &mut self.scratch;
+            // The streaming tree is always on A with no swap, so the self-join
+            // index-order filter applies directly. par_join_into_ctl adds the
+            // delivered pairs to `counters.results`.
             let joined = report.timer.time(Phase::Join, || {
-                if self.threads <= 1 {
-                    let mut results = 0u64;
-                    let res = catch_phase(Phase::Join, 0, || {
-                        tree.join_assigned_ctl(
-                            &params,
-                            pool.primary(),
-                            &mut counters,
-                            &mut |a_id, b_id| {
-                                // The streaming tree is always on A with no swap, so
-                                // the self-join index-order filter applies directly.
-                                if !self_join || a_id < b_id {
-                                    deliver(sink, a_id, b_id, &mut results)
-                                } else {
-                                    !sink.is_done()
-                                }
-                            },
-                            ctl,
-                            0,
-                        )
-                    });
-                    counters.results += results;
-                    res
-                } else {
-                    // par_join_into_ctl adds the delivered pairs to `counters.results`.
-                    par_join_into_ctl(
-                        tree,
-                        &params,
-                        self.threads,
-                        false,
-                        self_join,
-                        sink,
-                        pool,
-                        &mut counters,
-                        ctl,
-                    )
-                }
+                par_join_into_ctl(
+                    tree,
+                    &params,
+                    self.threads,
+                    false,
+                    self_join,
+                    sink,
+                    pool,
+                    &mut counters,
+                    ctl,
+                )
             });
-            let (aux, join_cause) = joined?;
+            let (aux, join_cause) = joined.map_err(|e| self.abandon_epoch(e))?;
             join_aux = aux;
             cause = join_cause;
         }
@@ -464,69 +477,17 @@ impl StreamingTouchJoin {
         Ok(report)
     }
 
-    /// Joins `batch` as the newest epoch of a **sliding window** holding the
-    /// last `window` epochs: epochs that fall out of the window are *evicted* —
-    /// their per-node assignments retracted through
-    /// [`TouchTree::retract_assigned`] — instead of the all-or-nothing
-    /// [`TouchTree::clear_assignment`] of [`push_batch`], and the local joins
-    /// then run over **everything still in the window**, not just `batch`.
-    ///
-    /// The epoch's join output (pairs into `sink`, join-phase counters,
-    /// [`EpochReport::assigned`]) is bit-identical to a fresh engine that
-    /// assigned exactly the surviving epochs in arrival order: eviction drains
-    /// each node's list from the front, and arrival order within an epoch is
-    /// preserved at every thread count, so the window's per-node B-lists are
-    /// literally the concatenation of the surviving epochs' contributions.
-    /// Assignment counters remain per-batch (only `batch` descends the tree).
-    ///
-    /// Mixing modes is safe: a `push_windowed` after [`push_batch`] discards the
-    /// stale non-window epoch, and a `push_batch` (or
-    /// [`reset`](StreamingTouchJoin::reset)) drops the window.
-    ///
-    /// [`push_batch`]: StreamingTouchJoin::push_batch
-    pub fn push_windowed(
-        &mut self,
-        batch: &[SpatialObject],
-        window: usize,
-        sink: &mut dyn PairSink,
-    ) -> EpochReport {
-        self.push_windowed_traced(batch, window, sink, &NoTrace)
-    }
-
-    /// [`StreamingTouchJoin::push_windowed`] with an execution-trace sink
-    /// attached: the epoch records its [`TraceEvent::Epoch`] span as usual, and
-    /// every evicted epoch records a [`TraceEvent::Eviction`] instant.
-    pub fn push_windowed_traced(
-        &mut self,
-        batch: &[SpatialObject],
-        window: usize,
-        sink: &mut dyn PairSink,
-        trace: &dyn TraceSink,
-    ) -> EpochReport {
-        assert!(window >= 1, "a sliding window holds at least one epoch");
+    /// Makes room for one more epoch in a sliding window of `window` epochs:
+    /// evicts the oldest epochs, oldest first, before the new batch arrives
+    /// (their objects sit at the front of every per-node list, exactly what
+    /// [`TouchTree::retract_assigned`] drains).
+    fn evict_to(&mut self, window: usize, trace: &dyn TraceSink) {
         // Entering window mode after a push_batch: that epoch's assignments are
         // still in the tree (push_batch clears at the *start* of the next
         // call) but have no window record, so they could never be evicted.
         if self.window_records.is_empty() {
             self.tree.clear_assignment();
         }
-
-        let mut report = EpochReport {
-            epoch: self.epochs,
-            batch_size: batch.len(),
-            assigned: 0,
-            counters: Counters::new(),
-            timer: touch_metrics::PhaseTimer::new(),
-            memory_bytes: 0,
-            threads: self.threads,
-            completion: touch_metrics::Completion::Complete,
-        };
-        let epoch_start_us = if trace.is_enabled() { trace.now_us() } else { 0 };
-        self.stream_stats.merge(&DatasetStats::from_objects(batch));
-
-        // Evict the epochs this push slides out of the window, oldest first,
-        // before the new batch arrives (their objects sit at the front of
-        // every per-node list, exactly what retract_assigned drains).
         while self.window_records.len() >= window {
             let evicted_epoch = self.epochs - self.window_records.len();
             #[allow(clippy::expect_used)] // the loop guard checked len() >= window >= 1
@@ -545,24 +506,12 @@ impl StreamingTouchJoin {
                 });
             }
         }
+    }
 
-        let mut counters = Counters::new();
-        let assign_aux = report.timer.time(Phase::Assignment, || {
-            par_assign_traced(
-                &mut self.tree,
-                batch,
-                self.plan.chunk_size,
-                self.threads,
-                &mut counters,
-                trace,
-            )
-        });
-        // Unlike push_batch, `assigned` covers the whole surviving window —
-        // that is what the join below runs over.
-        report.assigned = self.tree.assigned_b_count();
-
-        // Diff the per-node list lengths against the pre-push window to record
-        // what this epoch contributed — the ledger its own eviction replays.
+    /// Diffs the per-node list lengths against the pre-push window to record
+    /// what the epoch just assigned contributed — the ledger its own eviction
+    /// replays.
+    fn record_window_epoch(&mut self) {
         if self.window_len.len() < self.tree.node_count() {
             self.window_len.resize(self.tree.node_count(), 0);
         }
@@ -576,58 +525,15 @@ impl StreamingTouchJoin {
             }
         }
         self.window_records.push_back(record);
+    }
 
-        let params = self.plan.params;
-        let tree = &self.tree;
-        let pool = &mut self.scratch;
-        let join_aux = report.timer.time(Phase::Join, || {
-            if self.threads <= 1 {
-                let mut results = 0u64;
-                let aux = tree.join_assigned_traced(
-                    &params,
-                    pool.primary(),
-                    &mut counters,
-                    &mut |a_id, b_id| deliver(sink, a_id, b_id, &mut results),
-                    trace,
-                    0,
-                );
-                counters.results += results;
-                aux
-            } else {
-                par_join_into_traced(
-                    tree,
-                    &params,
-                    self.threads,
-                    false,
-                    false,
-                    sink,
-                    pool,
-                    &mut counters,
-                    trace,
-                )
-            }
-        });
-
-        report.counters = counters;
-        report.memory_bytes = self.tree.memory_bytes() + assign_aux + join_aux;
-
-        if trace.is_enabled() {
-            trace.record(TraceEvent::Epoch {
-                epoch: report.epoch,
-                batch_size: report.batch_size,
-                start_us: epoch_start_us,
-                duration_us: trace.now_us().saturating_sub(epoch_start_us),
-            });
-        }
-
-        self.cumulative.merge_epoch(
-            report.batch_size,
-            &report.counters,
-            &report.timer,
-            report.memory_bytes,
-        );
-        self.epochs += 1;
-        report
+    /// Drops every assignment and the window a failed epoch leaves behind —
+    /// its partial assignments have no window record and could never be
+    /// evicted — and hands the error back.
+    fn abandon_epoch(&mut self, e: JoinError) -> JoinError {
+        self.clear_window();
+        self.tree.clear_assignment();
+        e
     }
 
     /// Number of epochs currently held by the sliding window (0 outside
@@ -641,7 +547,7 @@ impl StreamingTouchJoin {
     /// [`TouchTree::clear_assignment`]).
     fn clear_window(&mut self) {
         self.window_records.clear();
-        // Cleared, not zeroed: the lazy resize in push_windowed_traced refills
+        // Cleared, not zeroed: the lazy resize in record_window_epoch refills
         // with zeros.
         self.window_len.clear();
     }
@@ -786,7 +692,7 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
         format!("TOUCH-S{}", self.config.effective_threads())
     }
 
-    fn plan_for(&self, a: &Dataset, _b: &Dataset) -> Option<JoinPlan> {
+    fn plan_for(&self, a: &Dataset, _b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
         Some(self.plan.unwrap_or_else(|| {
             JoinPlan::from_streaming_tree(
                 &self.config.touch,
@@ -798,87 +704,17 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
         }))
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        self.join_traced(a, b, sink, report, &NoTrace);
-    }
-
-    fn join_traced(
+    /// The one-shot run: build under panic containment, push the whole probe
+    /// side as a single cancellable epoch, and fold the engine's cumulative
+    /// record (and the epoch's completion) into the run report.
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let mut engine = match self.plan {
-            Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
-            None => StreamingTouchJoin::build(a, self.config),
-        };
-        let _ = engine.push_batch_traced(b.objects(), sink, trace);
-        Self::merge_cumulative(&engine, report);
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        self.join_self_traced(a, base, sink, report, &NoTrace);
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let mut engine = match self.plan {
-            Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
-            None => StreamingTouchJoin::build(a, self.config),
-        };
-        let _ = engine.push_batch_self_traced(base.objects(), sink, trace);
-        Self::merge_cumulative(&engine, report);
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        self.try_one_shot(a, b, sink, report, ctl, false)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        self.try_one_shot(a, base, sink, report, ctl, true)
-    }
-}
-
-impl OneShotStreaming {
-    /// The fallible one-shot run: build under panic containment, push the
-    /// whole probe side as a single cancellable epoch, and lift the epoch's
-    /// completion onto the run report.
-    fn try_one_shot(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-        self_join: bool,
     ) -> Result<(), JoinError> {
         if let Some(cause) = ctl.cancel.triggered() {
             report.completion = cause.completion();
@@ -888,14 +724,9 @@ impl OneShotStreaming {
             Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
             None => StreamingTouchJoin::build(a, self.config),
         })?;
-        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, self_join)?;
+        let self_join = shape == Shape::SelfJoin;
+        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, self_join, None)?;
         report.completion = epoch.completion;
-        Self::merge_cumulative(&engine, report);
-        Ok(())
-    }
-
-    /// Folds a finished engine's cumulative record into a one-shot report.
-    fn merge_cumulative(engine: &StreamingTouchJoin, report: &mut RunReport) {
         let cumulative = engine.cumulative_report();
         report.threads = cumulative.threads;
         report.epochs = cumulative.epochs;
@@ -903,13 +734,14 @@ impl OneShotStreaming {
         report.counters.merge(&cumulative.counters);
         report.timer.merge(&cumulative.timer);
         report.memory_bytes = report.memory_bytes.max(cumulative.memory_bytes);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use touch_core::{collect_join, CollectingSink, CountingSink, JoinOrder, TouchJoin};
+    use touch_core::{collect_join, CollectingSink, CountingSink, JoinOrder, JoinQuery, TouchJoin};
     use touch_geom::{Aabb, Point3};
 
     fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {
@@ -1044,7 +876,8 @@ mod tests {
         let chunk = b.len().div_ceil(3).max(1);
         let mut reports = Vec::new();
         for batch in b.objects().chunks(chunk) {
-            reports.push(engine.push_batch_traced(batch, &mut sink, &trace));
+            let ctl = ExecControl::with_trace(&trace);
+            reports.push(engine.try_push_batch(batch, &mut sink, ctl).unwrap());
         }
 
         // Tracing is observational: pairs and counters are bit-identical.
@@ -1184,7 +1017,7 @@ mod tests {
             // ...and the one-shot adapter through the trait's self-join entry.
             let adapter = OneShotStreaming::new(streaming_cfg(threads));
             let mut adapter_sink = CollectingSink::new();
-            let adapter_report = adapter.join_self(&a, &mut adapter_sink);
+            let adapter_report = JoinQuery::self_join(&a).engine(adapter).run(&mut adapter_sink);
             assert_eq!(adapter_sink.sorted_pairs(), brute, "threads = {threads}");
             assert_eq!(adapter_report.result_pairs(), brute.len() as u64);
         }
@@ -1374,7 +1207,8 @@ mod tests {
         let mut sink = CountingSink::new();
         let mut window_assigned = Vec::new();
         for batch in &parts {
-            let report = engine.push_windowed_traced(batch, 3, &mut sink, &trace);
+            let ctl = ExecControl::with_trace(&trace);
+            let report = engine.try_push_windowed(batch, 3, &mut sink, ctl).unwrap();
             window_assigned.push(report.assigned);
         }
         // Four pushes into a window of three: exactly one eviction, of epoch 0,

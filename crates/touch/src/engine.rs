@@ -14,11 +14,11 @@ use touch_baselines::{
     S3Join, SeededTreeJoin,
 };
 use touch_core::{
-    DatasetStats, ExecControl, ExecutionStrategy, JoinError, JoinPlan, JoinPlanner, PairSink,
-    PlanEnv, SpatialJoinAlgorithm, TouchConfig, TouchJoin,
+    ExecControl, ExecutionStrategy, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv, Shape,
+    SpatialJoinAlgorithm, TouchConfig, TouchJoin,
 };
 use touch_geom::Dataset;
-use touch_metrics::{RunReport, TraceSink};
+use touch_metrics::RunReport;
 use touch_parallel::{ParallelConfig, ParallelTouchJoin};
 use touch_streaming::{OneShotStreaming, StreamingConfig};
 
@@ -105,10 +105,11 @@ impl Baseline {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Engine {
-    /// **Automatic planning** (the default): collect [`DatasetStats`] for both
-    /// inputs, derive every TOUCH knob with the [`JoinPlanner`] cost model, and
-    /// dispatch to the sequential, parallel or streaming engine — whichever the
-    /// plan selects for this query on this machine ([`AutoEngine`]).
+    /// **Automatic planning** (the default): collect
+    /// [`DatasetStats`](touch_core::DatasetStats) for both inputs, derive every
+    /// TOUCH knob with the [`JoinPlanner`] cost model, and dispatch to the
+    /// sequential, parallel or streaming engine — whichever the plan selects
+    /// for this query on this machine ([`AutoEngine`]).
     #[default]
     Auto,
     /// A pre-computed, fully resolved [`JoinPlan`] — executed verbatim by the
@@ -156,70 +157,20 @@ impl SpatialJoinAlgorithm for Engine {
         self.build().name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        self.build().plan_for(a, b)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
+        self.build().plan_for(a, b, shape)
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        self.build().join_into(a, b, sink, report)
-    }
-
-    fn join_traced(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        self.build().join_traced(a, b, sink, report, trace)
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        self.build().plan_self_for(a)
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        self.build().join_self_into(a, base, sink, report)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        self.build().join_self_traced(a, base, sink, report, trace)
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        self.build().try_join_into(a, b, sink, report, ctl)
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        self.build().try_join_self_into(a, base, sink, report, ctl)
+        self.build().try_join(a, b, shape, sink, report, ctl)
     }
 }
 
@@ -227,7 +178,8 @@ impl SpatialJoinAlgorithm for Engine {
 ///
 /// Where `touch-core`'s [`touch_core::AutoJoin`] can only execute its plans
 /// sequentially (the parallel and streaming engines live downstream of it),
-/// this engine spans the whole workspace: it collects [`DatasetStats`] for both
+/// this engine spans the whole workspace: it collects
+/// [`DatasetStats`](touch_core::DatasetStats) for both
 /// inputs (one cheap linear pass each, measured and recorded as
 /// `PlanSummary::stats_time` on the report), plans with the machine's available
 /// parallelism and the sink's pair budget, and dispatches to
@@ -290,82 +242,15 @@ impl SpatialJoinAlgorithm for AutoEngine {
         "TOUCH-AUTO".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset) -> Option<JoinPlan> {
-        let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        Some(self.planner.plan(&sa, &sb, &self.env))
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
+        Some(self.planner.plan_datasets(a, b, shape, &self.env).0)
     }
 
-    fn join_into(&self, a: &Dataset, b: &Dataset, sink: &mut dyn PairSink, report: &mut RunReport) {
-        self.join_traced(a, b, sink, report, &touch_metrics::NoTrace)
-    }
-
-    fn join_traced(
+    fn try_join(
         &self,
         a: &Dataset,
         b: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        let stats_start = std::time::Instant::now();
-        let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan(&sa, &sb, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.join_traced(a, b, sink, report, trace);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
-    fn plan_self_for(&self, a: &Dataset) -> Option<JoinPlan> {
-        let sa = DatasetStats::from_dataset(a);
-        Some(self.planner.plan_self(&sa, &self.env))
-    }
-
-    fn join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-    ) {
-        self.join_self_traced(a, base, sink, report, &touch_metrics::NoTrace)
-    }
-
-    fn join_self_traced(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        trace: &dyn TraceSink,
-    ) {
-        // Self-joins are costed on the single input's statistics (work estimate
-        // halved — see `JoinPlanner::plan_self`); the dispatched engine then runs
-        // its in-kernel index-order filter, so pairs and counters stay identical
-        // to the explicitly selected engine at every width.
-        let stats_start = std::time::Instant::now();
-        let sa = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan_self(&sa, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.join_self_traced(a, base, sink, report, trace);
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-    }
-
-    fn try_join_into(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
+        shape: Shape,
         sink: &mut dyn PairSink,
         report: &mut RunReport,
         ctl: ExecControl<'_>,
@@ -376,42 +261,16 @@ impl SpatialJoinAlgorithm for AutoEngine {
             report.completion = cause.completion();
             return Ok(());
         }
-        let stats_start = std::time::Instant::now();
-        let (sa, sb) = (DatasetStats::from_dataset(a), DatasetStats::from_dataset(b));
-        let stats_time = stats_start.elapsed();
+        // Self-joins are costed on the single input's statistics (work estimate
+        // halved — see `JoinPlanner::plan_self`); the dispatched engine then runs
+        // its in-kernel index-order filter, so pairs and counters stay identical
+        // to the explicitly selected engine at every width.
         let mut env = self.env.with_pair_limit(sink.pair_limit());
         env.epsilon = report.epsilon;
-        let plan = self.planner.plan(&sa, &sb, &env);
+        let (plan, stats_time) = self.planner.plan_datasets(a, b, shape, &env);
         let engine = Self::resolve(plan);
         report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.try_join_into(a, b, sink, report, ctl)?;
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-        Ok(())
-    }
-
-    fn try_join_self_into(
-        &self,
-        a: &Dataset,
-        base: &Dataset,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        let stats_start = std::time::Instant::now();
-        let sa = DatasetStats::from_dataset(a);
-        let stats_time = stats_start.elapsed();
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let plan = self.planner.plan_self(&sa, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.try_join_self_into(a, base, sink, report, ctl)?;
+        engine.try_join(a, b, shape, sink, report, ctl)?;
         if let Some(summary) = &mut report.plan {
             summary.stats_time = stats_time;
         }

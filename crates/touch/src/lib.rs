@@ -139,8 +139,8 @@ pub use touch_core::{
     CallbackSink, CancelCause, CancelToken, CollectingSink, CountingSink, DatasetStats,
     ExecControl, ExecutionStrategy, FirstKSink, IntoEngine, JoinError, JoinOrder, JoinPlan,
     JoinPlanner, JoinQuery, LocalJoinParams, LocalJoinScratch, LocalJoinStrategy, PairSink,
-    PlanEnv, Predicate, ScratchPool, ShardedSink, SinkShard, SpatialJoinAlgorithm, TouchConfig,
-    TouchJoin, TouchTree,
+    PlanEnv, Predicate, ScratchPool, Shape, ShardedSink, SinkShard, SpatialJoinAlgorithm,
+    TouchConfig, TouchJoin, TouchTree,
 };
 pub use touch_datagen::{
     MovingObjectsSpec, NeuroscienceSpec, SyntheticDistribution, SyntheticSpec, VelocityDistribution,

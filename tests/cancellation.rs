@@ -11,51 +11,15 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use touch::{
     Aabb, CancelToken, CollectingSink, Completion, Dataset, ExecControl, FaultPlan, FirstKSink,
-    JoinError, JoinQuery, JoinServer, ObjectId, OneShotStreaming, PairSink, ParallelTouchJoin,
-    Point3, Seam, ServeConfig, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin,
-    SyntheticDistribution, SyntheticSpec, TickConfig, TickEngine, TouchConfig, TouchJoin, World,
+    JoinError, JoinQuery, JoinServer, ObjectId, OneShotStreaming, PairSink, Point3, Seam,
+    SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TickConfig, TickEngine, TouchJoin,
+    World,
 };
 
+mod common;
+use common::{dense, engines, serve_cfg, synthetic};
+
 const EPS: f64 = 1.5;
-
-fn synthetic(count: usize, seed: u64) -> Dataset {
-    SyntheticSpec {
-        count,
-        distribution: SyntheticDistribution::Uniform,
-        space: touch::datagen::SpaceConfig { size: 60.0, max_object_side: 2.0 },
-    }
-    .generate(seed)
-}
-
-/// The three TOUCH engines at a given worker budget.
-fn engines(threads: usize) -> Vec<(&'static str, Box<dyn SpatialJoinAlgorithm>)> {
-    vec![
-        ("touch", Box::new(TouchJoin::default()) as Box<dyn SpatialJoinAlgorithm>),
-        ("parallel", Box::new(ParallelTouchJoin::with_threads(threads))),
-        (
-            "streaming",
-            Box::new(OneShotStreaming::new(StreamingConfig {
-                threads,
-                ..StreamingConfig::default()
-            })),
-        ),
-    ]
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { touch: TouchConfig::default(), delta_limit: None, hazard_slots: 8 }
-}
-
-/// A denser workload for the serve tests: their queries are plain intersection
-/// joins (no ε extension), so the 60-unit space would yield almost no pairs.
-fn dense(count: usize, seed: u64) -> Dataset {
-    SyntheticSpec {
-        count,
-        distribution: SyntheticDistribution::Uniform,
-        space: touch::datagen::SpaceConfig { size: 20.0, max_object_side: 2.0 },
-    }
-    .generate(seed)
-}
 
 /// Collects pairs and trips `token` after `cancel_after` pushes, modelling a
 /// consumer that decides mid-stream it has seen enough.
@@ -275,34 +239,44 @@ fn first_k_composes_with_cancellation() {
 
 /// Streaming pre-trip semantics: a token tripped before the epoch starts
 /// leaves the engine completely untouched — the epoch is not counted, nothing
-/// merges — so retrying the same batch is indistinguishable from a first push.
+/// merges, no assignment or window epoch moves — so retrying the same batch is
+/// indistinguishable from a first push, for plain and sliding-window epochs.
 #[test]
 fn streaming_pre_trip_leaves_the_engine_untouched_and_retryable() {
-    let a = synthetic(400, 23);
-    let b = synthetic(500, 24);
-    let mut reference = StreamingTouchJoin::build_extended(&a, EPS, StreamingConfig::default());
-    let mut ref_sink = CollectingSink::new();
-    let _ = reference.push_batch(b.objects(), &mut ref_sink);
+    let (a, b, warmup) = (synthetic(400, 23), synthetic(500, 24), synthetic(200, 29));
+    let tripped = CancelToken::new();
+    tripped.cancel();
+    for window in [None, Some(2)] {
+        let push = |engine: &mut StreamingTouchJoin, batch: &Dataset, ctl| {
+            let mut sink = CollectingSink::new();
+            match window {
+                None => engine.try_push_batch(batch.objects(), &mut sink, ctl),
+                Some(w) => engine.try_push_windowed(batch.objects(), w, &mut sink, ctl),
+            }
+            .map(|report| (report, sink.sorted_pairs()))
+        };
+        let mut reference = StreamingTouchJoin::build_extended(&a, EPS, StreamingConfig::default());
+        let mut engine = StreamingTouchJoin::build_extended(&a, EPS, StreamingConfig::default());
+        for stream in [&mut reference, &mut engine] {
+            push(stream, &warmup, ExecControl::infallible()).expect("warm-up push");
+        }
+        let (_, ref_pairs) = push(&mut reference, &b, ExecControl::infallible()).unwrap();
 
-    let mut engine = StreamingTouchJoin::build_extended(&a, EPS, StreamingConfig::default());
-    let token = CancelToken::new();
-    token.cancel();
-    let mut sink = CollectingSink::new();
-    let report = engine
-        .try_push_batch(b.objects(), &mut sink, ExecControl::with_cancel(&token))
-        .expect("a pre-tripped epoch is not an error");
-    assert_eq!(report.completion, Completion::Cancelled);
-    assert_eq!(engine.epochs(), 0, "a pre-trip epoch is not counted");
-    assert!(sink.pairs().is_empty());
+        let before = (engine.tree().assigned_b_count(), engine.window_epochs());
+        let (report, pairs) = push(&mut engine, &b, ExecControl::with_cancel(&tripped))
+            .expect("a pre-tripped epoch is not an error");
+        assert_eq!(report.completion, Completion::Cancelled);
+        assert!(pairs.is_empty());
+        assert_eq!(engine.epochs(), 1, "window = {window:?}: a pre-trip epoch is not counted");
+        let after = (engine.tree().assigned_b_count(), engine.window_epochs());
+        assert_eq!(after, before, "window = {window:?}: nothing moved");
 
-    let mut retry = CollectingSink::new();
-    let report = engine
-        .try_push_batch(b.objects(), &mut retry, ExecControl::infallible())
-        .expect("clean retry");
-    assert_eq!(report.completion, Completion::Complete);
-    assert_eq!(retry.sorted_pairs(), ref_sink.sorted_pairs(), "retry must equal a first push");
-    assert_eq!(engine.cumulative_report().counters, reference.cumulative_report().counters);
-    assert_eq!(engine.epochs(), 1);
+        let (report, pairs) = push(&mut engine, &b, ExecControl::infallible()).expect("retry");
+        assert_eq!(report.completion, Completion::Complete);
+        assert_eq!(pairs, ref_pairs, "retry must equal a first push");
+        assert_eq!(engine.cumulative_report().counters, reference.cumulative_report().counters);
+        assert_eq!(engine.epochs(), 2);
+    }
 }
 
 /// Streaming mid-trip semantics: the cancelled epoch *is* counted — its pairs

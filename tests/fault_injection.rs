@@ -14,37 +14,15 @@ use std::collections::HashSet;
 use std::sync::Once;
 use std::time::Duration;
 use touch::{
-    BoundedSink, CollectingSink, Completion, Dataset, Engine, ExecControl, FaultPlan, JoinError,
-    JoinQuery, JoinServer, ObjectId, OneShotStreaming, ParallelTouchJoin, Phase, Seam, ServeConfig,
-    SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, SyntheticDistribution,
-    SyntheticSpec, TickConfig, TickEngine, TouchConfig, TouchJoin, World,
+    BoundedSink, CollectingSink, Completion, Engine, ExecControl, FaultPlan, JoinError, JoinQuery,
+    JoinServer, ObjectId, OneShotStreaming, ParallelTouchJoin, Phase, Seam, SpatialJoinAlgorithm,
+    StreamingConfig, StreamingTouchJoin, TickConfig, TickEngine, TouchJoin, World,
 };
 
+mod common;
+use common::{dense, serve_cfg, synthetic};
+
 const EPS: f64 = 1.5;
-
-fn synthetic(count: usize, seed: u64) -> Dataset {
-    SyntheticSpec {
-        count,
-        distribution: SyntheticDistribution::Uniform,
-        space: touch::datagen::SpaceConfig { size: 60.0, max_object_side: 2.0 },
-    }
-    .generate(seed)
-}
-
-fn serve_cfg() -> ServeConfig {
-    ServeConfig { touch: TouchConfig::default(), delta_limit: None, hazard_slots: 8 }
-}
-
-/// A denser workload for the serve tests: their queries are plain intersection
-/// joins (no ε extension), so the 60-unit space would yield almost no pairs.
-fn dense(count: usize, seed: u64) -> Dataset {
-    SyntheticSpec {
-        count,
-        distribution: SyntheticDistribution::Uniform,
-        space: touch::datagen::SpaceConfig { size: 20.0, max_object_side: 2.0 },
-    }
-    .generate(seed)
-}
 
 static HOOK: Once = Once::new();
 
@@ -233,45 +211,45 @@ fn worker_restricted_triggers_attribute_the_panic() {
 }
 
 /// A panicked epoch worker fails that epoch only: it is not counted, nothing
-/// merges into the cumulative record, and the same batch pushed cleanly
-/// afterwards reproduces a never-faulted stream — at 1 and 4 threads.
+/// merges into the cumulative record, its assignments (and in window mode the
+/// window) are dropped, and the same batch pushed cleanly afterwards
+/// reproduces a never-faulted stream — at 1 and 4 threads, plain and windowed.
 #[test]
 fn streaming_fault_drops_the_epoch_and_keeps_the_stream_usable() {
     silence_fault_panics();
     let a = synthetic(400, 57);
     let b = synthetic(500, 58);
-    for threads in [1usize, 4] {
+    for (threads, window) in [(1usize, None), (4, None), (1, Some(2)), (4, Some(2))] {
+        let case = format!("threads = {threads}, window = {window:?}");
         let config = StreamingConfig { threads, ..StreamingConfig::default() };
+        let push = |engine: &mut StreamingTouchJoin, ctl| {
+            let mut sink = CollectingSink::new();
+            match window {
+                None => engine.try_push_batch(b.objects(), &mut sink, ctl),
+                Some(w) => engine.try_push_windowed(b.objects(), w, &mut sink, ctl),
+            }
+            .map(|report| (report, sink.sorted_pairs()))
+        };
         let mut reference = StreamingTouchJoin::build_extended(&a, EPS, config);
-        let mut ref_sink = CollectingSink::new();
-        let _ = reference.push_batch(b.objects(), &mut ref_sink);
+        let (_, ref_pairs) = push(&mut reference, ExecControl::infallible()).unwrap();
 
         let mut engine = StreamingTouchJoin::build_extended(&a, EPS, config);
         let plan =
             FaultPlan::seeded(threads as u64).panic_on(Seam::NodeJoin, None, 1, "epoch-fault");
-        let mut sink = CollectingSink::new();
-        let err = engine
-            .try_push_batch(b.objects(), &mut sink, ExecControl::with_trace(&plan))
+        let err = push(&mut engine, ExecControl::with_trace(&plan))
             .expect_err("the injected panic must surface");
-        assert!(
-            matches!(err, JoinError::WorkerPanicked { phase: Phase::Join, .. }),
-            "threads = {threads}: {err}"
-        );
-        assert_eq!(engine.epochs(), 0, "threads = {threads}: a failed epoch is not counted");
-        assert_eq!(engine.cumulative_report().counters.results, 0, "threads = {threads}");
+        assert!(matches!(err, JoinError::WorkerPanicked { phase: Phase::Join, .. }), "{err}");
+        assert_eq!(engine.epochs(), 0, "{case}: a failed epoch is not counted");
+        assert_eq!(engine.cumulative_report().counters.results, 0, "{case}");
+        let residue = (engine.window_epochs(), engine.tree().assigned_b_count());
+        assert_eq!(residue, (0, 0), "{case}: no window epoch or assignment survives");
 
-        let mut retry = CollectingSink::new();
-        let report = engine
-            .try_push_batch(b.objects(), &mut retry, ExecControl::infallible())
-            .expect("clean retry after the fault");
+        let (report, pairs) = push(&mut engine, ExecControl::infallible()).expect("clean retry");
         assert_eq!(report.completion, Completion::Complete);
-        assert_eq!(retry.sorted_pairs(), ref_sink.sorted_pairs(), "threads = {threads}");
-        assert_eq!(
-            engine.cumulative_report().counters,
-            reference.cumulative_report().counters,
-            "threads = {threads}: the recovered stream matches a never-faulted one"
-        );
-        assert_eq!(engine.epochs(), 1, "threads = {threads}");
+        assert_eq!(pairs, ref_pairs, "{case}");
+        let (got, want) = (engine.cumulative_report(), reference.cumulative_report());
+        assert_eq!(got.counters, want.counters, "{case}: the recovered stream is never-faulted");
+        assert_eq!(engine.epochs(), 1, "{case}");
     }
 }
 

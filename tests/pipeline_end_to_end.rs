@@ -55,7 +55,7 @@ fn touch_phases_can_be_driven_manually_through_the_public_api() {
     // The one-shot API must produce the identical result.
     let algo = TouchJoin::new(TouchConfig { partitions: 256, ..TouchConfig::default() });
     let mut sink = CollectingSink::new();
-    let _ = algo.join(&a, &b, &mut sink);
+    let _ = JoinQuery::new(&a, &b).engine(algo).run(&mut sink);
     assert_eq!(pairs, sink.sorted_pairs());
 
     // The tree is reusable after clearing the assignment.

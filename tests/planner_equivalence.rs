@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use touch::{
     AutoEngine, CollectingSink, Counters, Dataset, DatasetStats, Engine, ExecutionStrategy,
-    FirstKSink, JoinPlanner, JoinQuery, PlanEnv, RunReport, SpatialJoinAlgorithm,
+    FirstKSink, JoinPlanner, JoinQuery, PlanEnv, RunReport, Shape, SpatialJoinAlgorithm,
     StreamingTouchJoin, SyntheticDistribution, SyntheticSpec,
 };
 
@@ -53,7 +53,7 @@ fn auto_matches_the_engine_it_resolves_to_at_every_thread_count() {
     for (wl, (a, b)) in workloads.iter().enumerate() {
         for threads in [1, 2, 4, 8] {
             let auto = AutoEngine::with_threads(threads);
-            let plan = auto.plan_for(a, b).expect("auto engines always plan");
+            let plan = auto.plan_for(a, b, Shape::Pair).expect("auto engines always plan");
             if wl == 0 && threads > 1 {
                 assert_eq!(
                     plan.strategy,
@@ -88,7 +88,7 @@ fn auto_matches_the_engine_it_resolves_to_at_every_thread_count() {
 fn one_plan_is_bit_identical_on_every_engine() {
     let a = synthetic(800, 5);
     let b = synthetic(1000, 6);
-    let plan = AutoEngine::with_threads(1).plan_for(&a, &b).unwrap();
+    let plan = AutoEngine::with_threads(1).plan_for(&a, &b, Shape::Pair).unwrap();
     let (seq_pairs, seq_report) =
         run(Engine::Planned(plan.with_strategy(ExecutionStrategy::Sequential)), &a, &b);
     for strategy in [
@@ -271,7 +271,7 @@ proptest! {
 fn different_plans_are_observably_different() {
     let a = synthetic(900, 1);
     let b = synthetic(1200, 2);
-    let plan = AutoEngine::with_threads(1).plan_for(&a, &b).unwrap();
+    let plan = AutoEngine::with_threads(1).plan_for(&a, &b, Shape::Pair).unwrap();
     let (_, planned) = run(Engine::Planned(plan), &a, &b);
     let (_, paper) = run(Engine::touch(), &a, &b);
     assert_eq!(planned.result_pairs(), paper.result_pairs(), "answers agree…");

@@ -14,9 +14,9 @@
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use touch::{
-    collect_join, Aabb, BoundedSink, CollectingSink, Counters, Dataset, ExecTrace, JoinOrder,
-    JoinServer, Point3, ReaderPool, RunReport, ServeConfig, SpatialObject, TouchConfig, TouchJoin,
-    TraceEvent, TraceSink,
+    collect_join, Aabb, BoundedSink, CollectingSink, Counters, Dataset, ExecControl, ExecTrace,
+    JoinOrder, JoinServer, Point3, ReaderPool, RunReport, ServeConfig, SpatialObject, TouchConfig,
+    TouchJoin, TraceEvent, TraceSink,
 };
 
 fn touch_cfg() -> TouchConfig {
@@ -275,10 +275,11 @@ fn traced_serving_changes_nothing_and_records_generations() {
 
     let _ = server.insert(cube(Point3::new(1.0, 1.0, 1.0), 1.0));
     assert!(server.remove(0));
-    server.publish_traced(&trace);
+    let ctl = ExecControl::with_trace(&trace);
+    server.try_publish(ctl).unwrap();
 
     let mut traced_sink = CollectingSink::new();
-    let traced = reader.query_traced(b.objects(), &mut traced_sink, &trace);
+    let traced = reader.try_query(b.objects(), &mut traced_sink, ctl).unwrap();
     let mut plain_sink = CollectingSink::new();
     let plain = reader.query(b.objects(), &mut plain_sink);
     assert_eq!(traced_sink.sorted_pairs(), plain_sink.sorted_pairs());

@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use touch::{
-    Baseline, CallbackSink, CollectingSink, CountingSink, Dataset, Engine, FirstKSink, JoinQuery,
-    NestedLoopJoin, ParallelConfig, PbsmJoin, SpatialJoinAlgorithm, StreamingConfig,
-    SyntheticDistribution, SyntheticSpec, TouchConfig,
+    Baseline, CallbackSink, CollectingSink, CountingSink, Dataset, Engine, ExecControl, FirstKSink,
+    JoinQuery, NestedLoopJoin, ParallelConfig, PbsmJoin, RunReport, Shape, SpatialJoinAlgorithm,
+    StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig,
 };
 
 /// Every engine variant of the workspace: the three engines (sequential, parallel
@@ -246,14 +246,16 @@ fn parallel_merge_credits_only_delivered_pairs_for_unbudgeted_done_sinks() {
     }
 }
 
-/// Direct-trait sanity check: the raw `SpatialJoinAlgorithm::join` entry (without
-/// the query layer) also honours early termination.
+/// Direct-trait sanity check: the raw `SpatialJoinAlgorithm::try_join` entry
+/// (without the query layer) also honours early termination.
 #[test]
 fn raw_trait_join_honours_first_k() {
     let a = all_intersecting(50);
     let b = all_intersecting(50);
     let mut sink = FirstKSink::new(3);
-    let report = NestedLoopJoin::new().join(&a, &b, &mut sink);
+    let mut report = RunReport::new("NL", a.len(), b.len());
+    let ctl = ExecControl::infallible();
+    NestedLoopJoin::new().try_join(&a, &b, Shape::Pair, &mut sink, &mut report, ctl).unwrap();
     assert_eq!(sink.count(), 3);
     assert_eq!(report.counters.comparisons, 3);
 }

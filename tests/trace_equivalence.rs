@@ -7,36 +7,14 @@
 
 use proptest::prelude::*;
 use touch::{
-    CollectingSink, Dataset, ExecTrace, Histogram, JoinQuery, OneShotStreaming, ParallelTouchJoin,
-    RunReport, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, SyntheticDistribution,
-    SyntheticSpec, TouchJoin, TraceSink,
+    CollectingSink, Dataset, ExecControl, ExecTrace, Histogram, JoinQuery, ParallelTouchJoin,
+    RunReport, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TouchJoin, TraceSink,
 };
 
+mod common;
+use common::{engines, synthetic};
+
 const EPS: f64 = 1.5;
-
-fn synthetic(count: usize, seed: u64) -> Dataset {
-    SyntheticSpec {
-        count,
-        distribution: SyntheticDistribution::Uniform,
-        space: touch::datagen::SpaceConfig { size: 60.0, max_object_side: 2.0 },
-    }
-    .generate(seed)
-}
-
-/// The three TOUCH engines at a given worker budget.
-fn engines(threads: usize) -> Vec<(&'static str, Box<dyn SpatialJoinAlgorithm>)> {
-    vec![
-        ("touch", Box::new(TouchJoin::default()) as Box<dyn SpatialJoinAlgorithm>),
-        ("parallel", Box::new(ParallelTouchJoin::with_threads(threads))),
-        (
-            "streaming",
-            Box::new(OneShotStreaming::new(StreamingConfig {
-                threads,
-                ..StreamingConfig::default()
-            })),
-        ),
-    ]
-}
 
 fn run(
     algo: &dyn SpatialJoinAlgorithm,
@@ -126,7 +104,7 @@ fn traced_streams_are_epoch_split_invariant() {
         let chunk = b.len().div_ceil(epochs).max(1);
         let mut pushes = 0;
         for batch in b.objects().chunks(chunk) {
-            let _ = engine.push_batch_traced(batch, &mut sink, &trace);
+            engine.try_push_batch(batch, &mut sink, ExecControl::with_trace(&trace)).unwrap();
             pushes += 1;
         }
         assert_eq!(sink.sorted_pairs(), reference.0, "epochs = {epochs}: pairs diverged");
