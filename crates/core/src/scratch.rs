@@ -16,11 +16,30 @@
 //! * the join phase's `nodes_with_assignments` work list is served from a reused
 //!   buffer ([`ScratchPool`]).
 //!
+//! The grid probe's cost follows what the node's B-list can reach, not the size
+//! of the node's subtree:
+//!
+//! * **floor-free cells** — [`UniformGrid`] maps coordinates to cells by
+//!   truncation, which equals the floor on every value it keeps, so no libm
+//!   call sits in the per-object path;
+//! * **x-first rejection** — each A-object's cell span is clamped to the box of
+//!   occupied cells one axis at a time, so most misses cost two divisions;
+//! * **leaf-run pruning** — after the count pass, the subtree is walked in
+//!   child order and only the leaves whose MBR reaches the occupied box are
+//!   probed, as merged A-ranges ([`TouchTree::probe_runs`]). Every A-MBR lies
+//!   inside its leaf's MBR and the cell map is monotone, so each skipped object
+//!   is one the probe would have passed without touching a counter. NaN breaks
+//!   that containment — node MBRs drop NaN coordinates, the grid maps them to
+//!   cell 0 — so a tree holding any NaN coordinate probes every object.
+//!
 //! Every path through the scratch produces **exactly** the pairs, pair order and
 //! counters of the seed implementation — the CSR directory lists each cell's
-//! candidates in B-insertion order, precisely as the per-cell `Vec`s did.
+//! candidates in B-insertion order, precisely as the per-cell `Vec`s did, and
+//! the pruned probe visits the surviving A-objects in their original order.
 
 use crate::simd;
+use crate::TouchTree;
+use std::ops::Range;
 use touch_geom::{Aabb, ObjectId, SpatialObject};
 use touch_index::UniformGrid;
 use touch_metrics::{vec_bytes, Counters, MemoryUsage};
@@ -69,6 +88,11 @@ pub struct LocalJoinScratch {
     sweep_a: Vec<SpatialObject>,
     /// Plane-sweep clone of the node's B-objects.
     sweep_b: Vec<SpatialObject>,
+    /// The A-ranges the grid probe scans after leaf-run pruning
+    /// ([`TouchTree::probe_runs`]).
+    a_runs: Vec<Range<u32>>,
+    /// The pruning walk's DFS stack of node ids.
+    walk: Vec<u32>,
     /// The join phase's work list (`nodes_with_assignments`), refilled per epoch by
     /// [`TouchTree::join_assigned`] without reallocating.
     ///
@@ -105,18 +129,21 @@ impl LocalJoinScratch {
         (&mut self.sweep_a, &mut self.sweep_b)
     }
 
-    /// Algorithm 4's grid local join over reused flat memory: multiple assignment
-    /// of `b_objs` into a CSR cell directory, then the probe pass over `a_objs`
-    /// with reference-point de-duplication. Pairs, pair order and counters are
-    /// identical to the seed's per-cell-`Vec` implementation.
+    /// Algorithm 4's grid local join of node `index` of `tree` over reused flat
+    /// memory: multiple assignment of `b_objs` into a CSR cell directory, then
+    /// the probe pass over the subtree's A-objects with reference-point
+    /// de-duplication. Pairs, pair order and counters are identical to the
+    /// seed's per-cell-`Vec` implementation. Returns the A-objects the probe
+    /// scanned after leaf-run pruning.
     pub(crate) fn grid_join(
         &mut self,
         grid: &UniformGrid,
-        a_objs: &[SpatialObject],
+        tree: &TouchTree,
+        index: usize,
         b_objs: &[SpatialObject],
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-    ) {
+    ) -> usize {
         // Defensive reset: a panic that unwound through a previous join may have
         // left directory entries behind; clearing here (O(touched)) restores the
         // all-zero invariant no matter how the last join ended.
@@ -130,10 +157,25 @@ impl LocalJoinScratch {
         self.b_mbrs.extend(b_objs.iter().map(|o| o.mbr));
 
         if grid.total_cells() <= DENSE_DIRECTORY_MAX_CELLS {
-            self.dense_join(grid, a_objs, b_objs, counters, emit);
+            self.dense_join(grid, tree, index, b_objs, counters, emit)
         } else {
-            self.sparse_join(grid, a_objs, b_objs, counters, emit);
+            self.sparse_join(grid, tree, index, b_objs, counters, emit)
         }
+    }
+
+    /// Leaf-run pruning ([`TouchTree::probe_runs`]): fills `a_runs` with the
+    /// A-ranges of the leaves below node `index` whose cell range reaches the
+    /// occupied box, and returns how many A-objects they hold.
+    fn select_runs(
+        &mut self,
+        grid: &UniformGrid,
+        tree: &TouchTree,
+        index: usize,
+        occupied: &CellBox,
+    ) -> usize {
+        let reaches = |mbr: &Aabb| (0..3).all(|axis| occupied.clamp(grid, mbr, axis).is_some());
+        tree.probe_runs(index, reaches, &mut self.walk, &mut self.a_runs);
+        self.a_runs.iter().map(|run| run.len()).sum()
     }
 
     /// Dense CSR path: count pass → prefix sum over the touched cells → fill, then
@@ -141,11 +183,12 @@ impl LocalJoinScratch {
     fn dense_join(
         &mut self,
         grid: &UniformGrid,
-        a_objs: &[SpatialObject],
+        tree: &TouchTree,
+        index: usize,
         b_objs: &[SpatialObject],
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-    ) {
+    ) -> usize {
         let cells = grid.total_cells();
         if self.cell_len.len() < cells {
             self.cell_len.resize(cells, 0);
@@ -199,9 +242,11 @@ impl LocalJoinScratch {
         }
 
         // Probe pass over flat slices.
+        let a_probed = self.select_runs(grid, tree, index, &occupied);
         let (cell_len, cell_end) = (&self.cell_len, &self.cell_end);
         let entries = &self.entries;
-        probe(grid, a_objs, b_objs, &self.b_mbrs, &occupied, counters, emit, |cell| {
+        let (a_items, a_runs) = (tree.a_objects(), &self.a_runs);
+        probe(grid, a_items, a_runs, b_objs, &self.b_mbrs, &occupied, counters, emit, |cell| {
             let len = cell_len[cell] as usize;
             if len == 0 {
                 return None;
@@ -215,6 +260,7 @@ impl LocalJoinScratch {
             self.cell_len[c as usize] = 0;
         }
         self.touched_cells.clear();
+        a_probed
     }
 
     /// Sparse fallback for geometrically huge grids: `(cell, b_position)` pairs are
@@ -223,11 +269,12 @@ impl LocalJoinScratch {
     fn sparse_join(
         &mut self,
         grid: &UniformGrid,
-        a_objs: &[SpatialObject],
+        tree: &TouchTree,
+        index: usize,
         b_objs: &[SpatialObject],
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-    ) {
+    ) -> usize {
         self.sparse_pairs.clear();
         let mut occupied = CellBox::empty();
         for (pos, _) in b_objs.iter().enumerate() {
@@ -262,12 +309,15 @@ impl LocalJoinScratch {
             }
         }
 
+        let a_probed = self.select_runs(grid, tree, index, &occupied);
         let (runs, entries) = (&self.sparse_runs, &self.entries);
-        probe(grid, a_objs, b_objs, &self.b_mbrs, &occupied, counters, emit, |cell| {
+        let (a_items, a_runs) = (tree.a_objects(), &self.a_runs);
+        probe(grid, a_items, a_runs, b_objs, &self.b_mbrs, &occupied, counters, emit, |cell| {
             let i = runs.binary_search_by_key(&(cell as u64), |&(c, _, _)| c).ok()?;
             let (_, start, end) = runs[i];
             Some(&entries[start as usize..end as usize])
         });
+        a_probed
     }
 }
 
@@ -285,15 +335,18 @@ impl MemoryUsage for LocalJoinScratch {
             + vec_bytes(&self.b_mbrs)
             + vec_bytes(&self.sweep_a)
             + vec_bytes(&self.sweep_b)
+            + vec_bytes(&self.a_runs)
+            + vec_bytes(&self.walk)
             + vec_bytes(&self.work)
     }
 }
 
 /// The inclusive bounding box of the occupied grid cells, accumulated during the
-/// count pass. The probe intersects every A-object's cell range with it: cells
-/// outside the box hold no candidates, so clamping skips them — and usually whole
-/// A-objects — **without changing a single comparison** (an empty cell contributes
-/// nothing to the counters either way).
+/// count pass. The probe intersects every A-object's cell range with it, one axis
+/// at a time: cells outside the box hold no candidates, so clamping skips them —
+/// and usually whole A-objects, most after their x axis alone — **without
+/// changing a single comparison** (an empty cell contributes nothing to the
+/// counters either way). Leaf-run pruning applies the same test to node MBRs.
 #[derive(Debug, Clone, Copy)]
 struct CellBox {
     lo: [usize; 3],
@@ -315,20 +368,13 @@ impl CellBox {
         }
     }
 
-    /// Intersects the inclusive range `lo..=hi` with the box; `None` if no
-    /// occupied cell falls inside the range.
+    /// Intersects `mbr`'s inclusive cell range along `axis` with the box;
+    /// `None` if no occupied cell falls inside it.
     #[inline]
-    fn clamp(&self, lo: [usize; 3], hi: [usize; 3]) -> Option<([usize; 3], [usize; 3])> {
-        let mut clo = [0; 3];
-        let mut chi = [0; 3];
-        for axis in 0..3 {
-            clo[axis] = lo[axis].max(self.lo[axis]);
-            chi[axis] = hi[axis].min(self.hi[axis]);
-            if clo[axis] > chi[axis] {
-                return None;
-            }
-        }
-        Some((clo, chi))
+    fn clamp(&self, grid: &UniformGrid, mbr: &Aabb, axis: usize) -> Option<(usize, usize)> {
+        let (lo, hi) = grid.axis_range(axis, mbr);
+        let (lo, hi) = (lo.max(self.lo[axis]), hi.min(self.hi[axis]));
+        (lo <= hi).then_some((lo, hi))
     }
 }
 
@@ -346,12 +392,14 @@ fn for_cells(lo: [usize; 3], hi: [usize; 3], mut f: impl FnMut([usize; 3])) {
     }
 }
 
-/// The shared probe pass: every A-object visits the cells it overlaps (in the same
-/// z-major order the assignment passes used, clamped to the occupied cell box),
-/// tests itself against the cell's candidates through the SoA MBR cache, and
-/// reports a hit only from the cell containing the reference point (Dittrich &
-/// Seeger), which guarantees exactly-once results without a de-duplication pass.
-/// `lookup` maps a linear cell id to its candidate run (`None` for empty cells).
+/// The shared probe pass: every A-object of the `a_runs` ranges of `a_items`
+/// visits the cells it overlaps (in the same z-major order the assignment passes
+/// used, clamped to the occupied cell box — x first, so most misses cost one
+/// axis), tests itself against the cell's candidates through the SoA MBR cache,
+/// and reports a hit only from the cell containing the reference point
+/// (Dittrich & Seeger), which guarantees exactly-once results without a
+/// de-duplication pass. `lookup` maps a linear cell id to its candidate run
+/// (`None` for empty cells).
 ///
 /// Each candidate run goes through the batched SIMD MBR filter
 /// ([`simd::overlap_run`]): [`simd::LANES`] candidates are gathered from the
@@ -363,7 +411,8 @@ fn for_cells(lo: [usize; 3], hi: [usize; 3], mut f: impl FnMut([usize; 3])) {
 #[allow(clippy::too_many_arguments)] // private kernel: the args *are* the hot state
 fn probe<'d>(
     grid: &UniformGrid,
-    a_objs: &[SpatialObject],
+    a_items: &[SpatialObject],
+    a_runs: &[Range<u32>],
     b_objs: &[SpatialObject],
     b_mbrs: &[Aabb],
     occupied: &CellBox,
@@ -372,12 +421,14 @@ fn probe<'d>(
     lookup: impl Fn(usize) -> Option<&'d [u32]>,
 ) {
     let backend = simd::backend();
+    let a_objs = a_runs.iter().flat_map(|run| &a_items[run.start as usize..run.end as usize]);
     'all: for a in a_objs {
-        let (range_lo, range_hi) = grid.cell_range(&a.mbr);
-        let Some((lo, hi)) = occupied.clamp(range_lo, range_hi) else { continue };
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                for x in lo[0]..=hi[0] {
+        let Some((x_lo, x_hi)) = occupied.clamp(grid, &a.mbr, 0) else { continue };
+        let Some((y_lo, y_hi)) = occupied.clamp(grid, &a.mbr, 1) else { continue };
+        let Some((z_lo, z_hi)) = occupied.clamp(grid, &a.mbr, 2) else { continue };
+        for z in z_lo..=z_hi {
+            for y in y_lo..=y_hi {
+                for x in x_lo..=x_hi {
                     let cell = grid.linear_index([x, y, z]);
                     let Some(candidates) = lookup(cell) else { continue };
                     let mut at = 0;
@@ -516,6 +567,12 @@ mod tests {
         out
     }
 
+    /// A one-leaf tree over `a` in its given order: the grid join of node 0
+    /// probes every A-object, as a flat list.
+    fn leaf(a: &Dataset) -> TouchTree {
+        TouchTree::from_tiled(a.objects().to_vec(), 1, 2)
+    }
+
     fn grid_join_pairs(
         scratch: &mut LocalJoinScratch,
         grid: &UniformGrid,
@@ -524,10 +581,12 @@ mod tests {
     ) -> (Vec<(u32, u32)>, Counters) {
         let mut counters = Counters::new();
         let mut pairs = Vec::new();
-        scratch.grid_join(grid, a.objects(), b.objects(), &mut counters, &mut |x, y| {
-            pairs.push((x, y));
-            true
-        });
+        let probed =
+            scratch.grid_join(grid, &leaf(a), 0, b.objects(), &mut counters, &mut |x, y| {
+                pairs.push((x, y));
+                true
+            });
+        assert_eq!(probed, a.len(), "a leaf is never pruned");
         pairs.sort_unstable();
         (pairs, counters)
     }
@@ -558,7 +617,7 @@ mod tests {
         let mut counters = Counters::new();
         let mut pairs = Vec::new();
         forced.b_mbrs.extend(b.objects().iter().map(|o| o.mbr));
-        forced.sparse_join(&dense_grid, a.objects(), b.objects(), &mut counters, &mut |x, y| {
+        forced.sparse_join(&dense_grid, &leaf(&a), 0, b.objects(), &mut counters, &mut |x, y| {
             pairs.push((x, y));
             true
         });
@@ -605,7 +664,7 @@ mod tests {
         let mut scratch = LocalJoinScratch::new();
         let mut counters = Counters::new();
         let mut emitted = 0;
-        scratch.grid_join(&grid, a.objects(), b.objects(), &mut counters, &mut |_, _| {
+        scratch.grid_join(&grid, &leaf(&a), 0, b.objects(), &mut counters, &mut |_, _| {
             emitted += 1;
             emitted < 3
         });

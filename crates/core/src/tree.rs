@@ -268,6 +268,11 @@ pub struct TouchTree {
     /// [`UniformGrid::with_min_cell_size`] from scratch. `None` until
     /// [`TouchTree::memoise_grids`] is called; read-only during joins.
     grid_cache: Option<GridCache>,
+    /// `false` if any A-coordinate is NaN. Node MBRs drop NaN coordinates
+    /// (`f64::min`/`max` ignore them) while the grid maps NaN to cell 0, so
+    /// such a tree cannot bound its objects' cells by its nodes' cells and
+    /// [`TouchTree::probe_runs`] does not prune it.
+    nan_free: bool,
 }
 
 impl Clone for TouchTree {
@@ -287,6 +292,7 @@ impl Clone for TouchTree {
             assigned_b: self.assigned_b,
             b_items_bytes,
             grid_cache: self.grid_cache.clone(),
+            nan_free: self.nan_free,
         }
     }
 }
@@ -359,16 +365,21 @@ impl TouchTree {
                 assigned_b: 0,
                 b_items_bytes: 0,
                 grid_cache: None,
+                nan_free: true,
             };
         }
 
         // Leaf level: one node per STR bucket.
         let leaf_capacity = Self::leaf_capacity(a_items.len(), partitions);
+        let mut nan_free = true;
         let mut start = 0;
         while start < a_items.len() {
             let end = (start + leaf_capacity).min(a_items.len());
-            let mbr = Aabb::union_all(a_items[start..end].iter().map(|o| o.mbr))
-                .expect("non-empty leaf bucket");
+            let mbr = Aabb::union_all(a_items[start..end].iter().map(|o| {
+                nan_free &= !o.mbr.has_nan();
+                o.mbr
+            }))
+            .expect("non-empty leaf bucket");
             nodes.push(TouchNode {
                 mbr,
                 level: 0,
@@ -418,6 +429,7 @@ impl TouchTree {
             assigned_b: 0,
             b_items_bytes: 0,
             grid_cache: None,
+            nan_free,
         }
     }
 
@@ -795,8 +807,9 @@ impl TouchTree {
     ///
     /// When `trace` is enabled the local join is wrapped in a
     /// [`TraceEvent::NodeJoin`] span attributed to `worker`, carrying the
-    /// node's A/B counts, the effective strategy, the candidate comparisons
-    /// performed (counter delta) and the pairs emitted. With a disabled sink
+    /// node's A/B counts, the A-objects the grid probe kept after leaf-run
+    /// pruning, the effective strategy, the candidate comparisons performed
+    /// (counter delta) and the pairs emitted. With a disabled sink
     /// this is one branch — recording can never change pairs or counters.
     #[allow(clippy::too_many_arguments)]
     pub fn local_join_node(
@@ -811,7 +824,7 @@ impl TouchTree {
         worker: usize,
     ) -> usize {
         if !trace.is_enabled() {
-            return self.local_join_kernel(index, b_objs, params, scratch, counters, emit);
+            return self.local_join_kernel(index, b_objs, params, scratch, counters, emit).0;
         }
         let a_count = self.nodes[index].a_count();
         let b_count = b_objs.len();
@@ -819,14 +832,16 @@ impl TouchTree {
         let comparisons_before = counters.comparisons;
         let mut pairs = 0u64;
         let start_us = trace.now_us();
-        let aux = self.local_join_kernel(index, b_objs, params, scratch, counters, &mut |a, b| {
-            pairs += 1;
-            emit(a, b)
-        });
+        let (aux, a_probed) =
+            self.local_join_kernel(index, b_objs, params, scratch, counters, &mut |a, b| {
+                pairs += 1;
+                emit(a, b)
+            });
         trace.record(TraceEvent::NodeJoin {
             node: index,
             worker,
             a_count,
+            a_probed,
             b_count,
             strategy,
             candidates: counters.comparisons - comparisons_before,
@@ -837,7 +852,9 @@ impl TouchTree {
         aux
     }
 
-    /// The untraced body of [`TouchTree::local_join_node`].
+    /// The untraced body of [`TouchTree::local_join_node`]: returns the
+    /// scratch bytes and the A-objects the join scanned (fewer than the
+    /// subtree's only where the grid probe pruned leaves).
     fn local_join_kernel(
         &self,
         index: usize,
@@ -846,7 +863,7 @@ impl TouchTree {
         scratch: &mut LocalJoinScratch,
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-    ) -> usize {
+    ) -> (usize, usize) {
         let node = &self.nodes[index];
         let a_objs = self.subtree_a_objects(node);
         // The grid→all-pairs degradation for small nodes lives in
@@ -855,20 +872,64 @@ impl TouchTree {
         // arrive split across epochs, and the per-node strategy has to be the
         // same for every split so that counters stay exactly additive (see
         // [`LocalJoinParams`]).
-        match params.effective_kind(a_objs.len(), &node.mbr) {
+        let a_probed = match params.effective_kind(a_objs.len(), &node.mbr) {
             LocalJoinKind::AllPairs => {
                 kernels::all_pairs(a_objs, b_objs, counters, emit);
+                a_objs.len()
             }
             LocalJoinKind::PlaneSweep => {
                 let (a_scratch, b_scratch) = scratch.load_sweep(a_objs, b_objs);
                 kernels::plane_sweep(a_scratch, b_scratch, counters, emit);
+                a_objs.len()
             }
             LocalJoinKind::Grid => {
                 let grid = self.node_grid(index, params);
-                scratch.grid_join(&grid, a_objs, b_objs, counters, emit);
+                scratch.grid_join(&grid, self, index, b_objs, counters, emit)
+            }
+        };
+        (scratch.memory_bytes(), a_probed)
+    }
+
+    /// Fills `runs` with the A-ranges the grid probe of node `index` scans: the
+    /// leaves of its subtree whose MBR passes `reaches`, in leaf order (which is
+    /// A-array order), adjacent ranges merged. A subtree whose MBR fails is
+    /// skipped whole; `stack` is the walk's reused DFS stack.
+    ///
+    /// Exact for any `reaches` that fails for every box inside one it fails for:
+    /// every A-MBR lies inside its leaf's MBR, and every leaf's inside its
+    /// ancestors'. NaN breaks that containment (see `nan_free`), so a leaf,
+    /// and any node of a tree holding a NaN, yields its whole A-range.
+    pub(crate) fn probe_runs(
+        &self,
+        index: usize,
+        reaches: impl Fn(&Aabb) -> bool,
+        stack: &mut Vec<u32>,
+        runs: &mut Vec<Range<u32>>,
+    ) {
+        runs.clear();
+        let node = &self.nodes[index];
+        if node.is_leaf || !self.nan_free {
+            runs.push(node.a_range.clone());
+            return;
+        }
+        // The node itself is not tested: its grid spans exactly its MBR.
+        stack.clear();
+        stack.extend(node.children.clone().rev());
+        while let Some(i) = stack.pop() {
+            let i = i as usize;
+            if !reaches(&self.node_mbrs[i]) {
+                continue;
+            }
+            let node = &self.nodes[i];
+            if !node.is_leaf {
+                stack.extend(node.children.clone().rev());
+                continue;
+            }
+            match runs.last_mut() {
+                Some(run) if run.end == node.a_range.start => run.end = node.a_range.end,
+                _ => runs.push(node.a_range.clone()),
             }
         }
-        scratch.memory_bytes()
     }
 
     /// The local-join grid geometry of the node at `index` (Algorithm 4): the
@@ -1489,6 +1550,38 @@ mod tests {
                 "node {idx} differs between assign and extend_assigned"
             );
         }
+    }
+
+    #[test]
+    fn probe_runs_keep_every_reaching_object_in_a_order() {
+        let a = lattice(8, 4.0, 1.5);
+        let tree = TouchTree::build(a.objects(), 16, 2);
+        let root = tree.root_index().unwrap();
+        let (mut stack, mut runs) = (Vec::new(), Vec::new());
+        // `intersects` fails for every box inside one it fails for, as the
+        // grid probe's occupied-cell test does.
+        let window = Aabb::new(Point3::splat(5.0), Point3::splat(12.0));
+        tree.probe_runs(root, |m| m.intersects(&window), &mut stack, &mut runs);
+        for pair in runs.windows(2) {
+            assert!(pair[0].end < pair[1].start, "runs must ascend, disjoint and merged");
+        }
+        let kept: usize = runs.iter().map(|r| r.len()).sum();
+        assert!(0 < kept && kept < tree.a_len(), "the window should prune some leaves");
+        for (i, o) in tree.a_objects().iter().enumerate() {
+            if o.mbr.intersects(&window) {
+                assert!(runs.iter().any(|r| r.contains(&(i as u32))), "object {i} pruned");
+            }
+        }
+
+        // A leaf, and any node of a tree holding a NaN, is one whole run.
+        let leaf = tree.node_indices().find(|&i| tree.node(i).is_leaf()).unwrap();
+        tree.probe_runs(leaf, |_| false, &mut stack, &mut runs);
+        assert_eq!((runs.len(), runs[0].clone()), (1, 0..tree.node(leaf).a_count() as u32));
+        let mut items = a.objects().to_vec();
+        items[5].mbr.max.y = f64::NAN;
+        let tree = TouchTree::from_tiled(items, 16, 2);
+        tree.probe_runs(tree.root_index().unwrap(), |_| false, &mut stack, &mut runs);
+        assert_eq!((runs.len(), runs[0].clone()), (1, 0..tree.a_len() as u32));
     }
 
     #[test]

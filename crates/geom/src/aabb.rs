@@ -95,6 +95,14 @@ impl Aabb {
         self.min.is_finite() && self.max.is_finite() && !self.is_empty()
     }
 
+    /// `true` if any corner coordinate is NaN. Unions ([`Aabb::union`]) drop
+    /// NaN coordinates, so a box built from ones with NaN need not enclose them.
+    #[inline]
+    pub fn has_nan(&self) -> bool {
+        let (lo, hi) = (self.min, self.max);
+        [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z].iter().any(|v| v.is_nan())
+    }
+
     /// The centre point of the box.
     #[inline]
     pub fn center(&self) -> Point3 {
@@ -342,6 +350,23 @@ mod tests {
         let far = unit_box_at(5.0, 5.0, 5.0);
         assert!(a.intersection(&far).is_none());
         assert!(u.contains(&a) && u.contains(&b));
+    }
+
+    #[test]
+    fn has_nan_sees_every_coordinate_and_unions_drop_it() {
+        let a = unit_box_at(0.0, 0.0, 0.0);
+        assert!(!a.has_nan());
+        assert!(!Aabb::empty().has_nan(), "infinite corners are not NaN");
+        for axis in 0..6 {
+            let mut b = a;
+            if axis < 3 {
+                b.min.set_coord(axis, f64::NAN);
+            } else {
+                b.max.set_coord(axis - 3, f64::NAN);
+            }
+            assert!(b.has_nan(), "NaN in coordinate {axis} missed");
+            assert!(!a.union(&b).has_nan(), "union keeps the non-NaN side");
+        }
     }
 
     #[test]

@@ -98,13 +98,27 @@ impl UniformGrid {
         self.cells[0] * self.cells[1] * self.cells[2]
     }
 
+    /// The cell index of coordinate `v` along `axis`, clamped to the grid.
+    ///
+    /// Truncation after `max(0.0)` is the floor for every `f64` (NaN maps to
+    /// cell 0, ±∞ saturate), so no `floor` call — out-of-line libm on baseline
+    /// x86-64 — is needed. The division stays: a reciprocal multiply would
+    /// move cell boundaries.
     #[inline]
     fn axis_cell(&self, axis: usize, v: f64) -> usize {
         if self.cell_size[axis] <= 0.0 {
             return 0;
         }
         let rel = (v - self.extent.min.coord(axis)) / self.cell_size[axis];
-        (rel.floor().max(0.0) as usize).min(self.cells[axis] - 1)
+        (rel.max(0.0) as usize).min(self.cells[axis] - 1)
+    }
+
+    /// The inclusive range of cell indices `mbr` overlaps along `axis` — one
+    /// axis of [`UniformGrid::cell_range`], so a caller can reject a box on
+    /// its first axis before it pays for the other two.
+    #[inline]
+    pub fn axis_range(&self, axis: usize, mbr: &Aabb) -> (usize, usize) {
+        (self.axis_cell(axis, mbr.min.coord(axis)), self.axis_cell(axis, mbr.max.coord(axis)))
     }
 
     /// The coordinates of the cell containing `p` (points outside the extent are
@@ -436,6 +450,85 @@ mod tests {
         // Degenerate inputs stay well-defined.
         let empty = MultiAssignGrid::build_parallel(g, &[], 4);
         assert_eq!(empty.total_assignments(), 0);
+    }
+
+    /// The cell formula `axis_cell` replaced, verbatim: `floor`, then clamp.
+    fn floor_axis_cell(g: &UniformGrid, axis: usize, v: f64) -> usize {
+        if g.cell_size[axis] <= 0.0 {
+            return 0;
+        }
+        let rel = (v - g.extent.min.coord(axis)) / g.cell_size[axis];
+        (rel.floor().max(0.0) as usize).min(g.cells[axis] - 1)
+    }
+
+    /// Grids whose cell sizes are inexact, exact, tiny, huge and degenerate.
+    fn cell_math_grids() -> Vec<UniformGrid> {
+        vec![
+            UniformGrid::with_cells(
+                Aabb::new(Point3::new(-3.7, 0.0, 1e-3), Point3::new(96.1, 1.0, 2e-3)),
+                [7, 1, 500],
+            ),
+            UniformGrid::new(space(), 10),
+            UniformGrid::new(Aabb::new(Point3::splat(-1e-300), Point3::splat(1e-300)), 3),
+            UniformGrid::new(Aabb::new(Point3::splat(-1e300), Point3::splat(1e300)), 64),
+            UniformGrid::new(Aabb::new(Point3::splat(5.0), Point3::new(5.0, 6.0, 5.0)), 4),
+        ]
+    }
+
+    #[test]
+    fn axis_cell_matches_the_floor_formula_on_edge_values() {
+        for g in cell_math_grids() {
+            for axis in 0..3 {
+                let lo = g.extent.min.coord(axis);
+                let values = crate::float_cases::edge_values(lo, g.cell_size[axis], g.cells[axis]);
+                for v in values {
+                    assert_eq!(
+                        g.axis_cell(axis, v),
+                        floor_axis_cell(&g, axis, v),
+                        "axis {axis}, v = {v:e} ({:#018x}) on {g:?}",
+                        v.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn axis_cell_matches_the_floor_formula_on_any_bit_pattern(
+            bits in 0u64..u64::MAX,
+            near in -150.0..250.0f64,
+        ) {
+            for g in cell_math_grids() {
+                for axis in 0..3 {
+                    for v in [f64::from_bits(bits), near] {
+                        proptest::prop_assert_eq!(
+                            g.axis_cell(axis, v),
+                            floor_axis_cell(&g, axis, v),
+                            "axis {}, v = {:e} ({:#018x})", axis, v, v.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axis_range_is_one_axis_of_cell_range() {
+        let g = UniformGrid::with_cells(space(), [7, 3, 11]);
+        let mbrs = [
+            Aabb::new(Point3::new(5.0, 15.0, 95.0), Point3::new(25.0, 15.0, 99.0)),
+            Aabb::new(Point3::splat(-20.0), Point3::splat(300.0)),
+            Aabb { min: Point3::new(f64::NAN, 60.0, 1.0), max: Point3::new(40.0, 10.0, 1.0) },
+        ];
+        for mbr in mbrs {
+            let (lo, hi) = g.cell_range(&mbr);
+            for axis in 0..3 {
+                assert_eq!(g.axis_range(axis, &mbr), (lo[axis], hi[axis]), "{mbr:?} axis {axis}");
+            }
+        }
     }
 
     #[test]

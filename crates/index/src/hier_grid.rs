@@ -75,6 +75,9 @@ impl HierarchicalGrid {
         (self.refinement as u64).pow(level)
     }
 
+    /// The cell index of coordinate `v` along `axis` at `level`, clamped to
+    /// the level. Truncation after `max(0.0)` equals the floor for every `f64`
+    /// (NaN maps to cell 0, ±∞ saturate), so no libm `floor` call is needed.
     #[inline]
     fn axis_cell(&self, level: u32, axis: usize, v: f64) -> u32 {
         let cells = self.cells_per_axis(level);
@@ -83,7 +86,7 @@ impl HierarchicalGrid {
         if side <= 0.0 {
             return 0;
         }
-        let cell = ((v - lo) / side * cells as f64).floor();
+        let cell = (v - lo) / side * cells as f64;
         (cell.max(0.0) as u64).min(cells - 1) as u32
     }
 
@@ -329,6 +332,78 @@ mod tests {
         }
         // An untouched cell at the finest level is empty.
         assert!(idx.cell(LevelCell { level: h.levels() - 1, coords: [999, 999, 999] }).is_none());
+    }
+
+    /// The cell formula `axis_cell` replaced, verbatim: `floor`, then clamp.
+    fn floor_axis_cell(h: &HierarchicalGrid, level: u32, axis: usize, v: f64) -> u32 {
+        let cells = h.cells_per_axis(level);
+        let lo = h.extent.min.coord(axis);
+        let side = h.extent.max.coord(axis) - lo;
+        if side <= 0.0 {
+            return 0;
+        }
+        let cell = ((v - lo) / side * cells as f64).floor();
+        (cell.max(0.0) as u64).min(cells - 1) as u32
+    }
+
+    /// Hierarchies with inexact, tiny, huge and degenerate cell sizes.
+    fn cell_math_hierarchies() -> Vec<HierarchicalGrid> {
+        vec![
+            HierarchicalGrid::paper_default(Aabb::new(
+                Point3::new(-3.7, 0.0, 1e-3),
+                Point3::new(96.1, 1.0, 2e-3),
+            )),
+            HierarchicalGrid::new(space(), 4, 2),
+            HierarchicalGrid::new(Aabb::new(Point3::splat(-1e-300), Point3::splat(1e-300)), 3, 3),
+            HierarchicalGrid::new(Aabb::new(Point3::splat(-1e300), Point3::splat(1e300)), 3, 7),
+            HierarchicalGrid::new(Aabb::new(Point3::splat(5.0), Point3::new(5.0, 6.0, 5.0)), 3, 3),
+        ]
+    }
+
+    #[test]
+    fn axis_cell_matches_the_floor_formula_on_edge_values() {
+        for h in cell_math_hierarchies() {
+            for level in 0..h.levels() {
+                let cells = h.cells_per_axis(level);
+                for axis in 0..3 {
+                    let lo = h.extent.min.coord(axis);
+                    let step = (h.extent.max.coord(axis) - lo) / cells as f64;
+                    for v in crate::float_cases::edge_values(lo, step, cells as usize) {
+                        assert_eq!(
+                            h.axis_cell(level, axis, v),
+                            floor_axis_cell(&h, level, axis, v),
+                            "level {level}, axis {axis}, v = {v:e} ({:#018x}) on {h:?}",
+                            v.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn axis_cell_matches_the_floor_formula_on_any_bit_pattern(
+            bits in 0u64..u64::MAX,
+            near in -150.0..250.0f64,
+        ) {
+            for h in cell_math_hierarchies() {
+                for level in 0..h.levels() {
+                    for axis in 0..3 {
+                        for v in [f64::from_bits(bits), near] {
+                            proptest::prop_assert_eq!(
+                                h.axis_cell(level, axis, v),
+                                floor_axis_cell(&h, level, axis, v),
+                                "level {}, axis {}, v = {:e} ({:#018x})",
+                                level, axis, v, v.to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod float_cases;
 mod grid;
 mod hier_grid;
 mod octree;

@@ -244,6 +244,7 @@ mod tests {
             node: 1,
             worker,
             a_count: 1,
+            a_probed: 1,
             b_count: 1,
             strategy: "grid",
             candidates: 1,

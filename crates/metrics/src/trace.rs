@@ -55,6 +55,10 @@ pub enum TraceEvent {
         worker: usize,
         /// Objects of the tree dataset stored at the node.
         a_count: usize,
+        /// A-objects the local join scanned: `a_count`, less the leaves the
+        /// grid probe pruned because they cannot reach a cell holding a
+        /// B-object.
+        a_probed: usize,
         /// Probe objects assigned to the node.
         b_count: usize,
         /// Local strategy actually used: `"grid"`, `"plane-sweep"` or `"all-pairs"`.
@@ -233,6 +237,7 @@ impl ExecTrace {
                     node,
                     worker,
                     a_count,
+                    a_probed,
                     b_count,
                     strategy,
                     candidates,
@@ -242,8 +247,8 @@ impl ExecTrace {
                 } => {
                     let _ = write!(
                         out,
-                        "{{\"name\":\"node-join\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"node\":{},\"a\":{},\"b\":{},\"strategy\":\"{}\",\"candidates\":{},\"pairs\":{}}}}}",
-                        worker, start_us, duration_us, node, a_count, b_count, strategy, candidates, pairs
+                        "{{\"name\":\"node-join\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"node\":{},\"a\":{},\"a_probed\":{},\"b\":{},\"strategy\":\"{}\",\"candidates\":{},\"pairs\":{}}}}}",
+                        worker, start_us, duration_us, node, a_count, a_probed, b_count, strategy, candidates, pairs
                     );
                 }
                 TraceEvent::Steal { worker, victim, at_us } => {
@@ -296,12 +301,27 @@ impl ExecTrace {
             s.epochs,
             s.steals
         );
+        let (mut a_count, mut a_probed) = (0usize, 0usize);
         for ev in events.iter() {
-            if let TraceEvent::Phase { phase, duration_us, .. } = ev {
-                let _ = writeln!(out, "phase {:<12} {:>12} µs", phase.name(), duration_us);
+            match ev {
+                TraceEvent::Phase { phase, duration_us, .. } => {
+                    let _ = writeln!(out, "phase {:<12} {:>12} µs", phase.name(), duration_us);
+                }
+                TraceEvent::NodeJoin { a_count: a, a_probed: probed, .. } => {
+                    a_count += a;
+                    a_probed += probed;
+                }
+                _ => {}
             }
         }
         drop(events);
+        let _ = writeln!(
+            out,
+            "a objects        {} in joined subtrees, {} probed ({:.1}%)",
+            a_count,
+            a_probed,
+            100.0 * a_probed as f64 / a_count.max(1) as f64
+        );
         for (label, h) in [
             ("node time (µs)", &s.node_time_us),
             ("candidates/node", &s.candidates),
@@ -500,6 +520,7 @@ mod tests {
             node: 7,
             worker: 0,
             a_count: 12,
+            a_probed: 5,
             b_count: 30,
             strategy: "grid",
             candidates: 90,
@@ -511,6 +532,7 @@ mod tests {
             node: 9,
             worker: 1,
             a_count: 3,
+            a_probed: 3,
             b_count: 5,
             strategy: "all-pairs",
             candidates: 15,
@@ -574,6 +596,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+        assert!(json.contains("\"a\":12,\"a_probed\":5,"), "a_probed sits next to a: {json}");
         // Crude structural check: braces and brackets balance.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
@@ -588,6 +611,7 @@ mod tests {
         assert!(profile.contains("p99="));
         assert!(profile.contains("worker"));
         assert!(profile.contains("phase build"));
+        assert!(profile.contains("15 in joined subtrees, 8 probed (53.3%)"), "{profile}");
     }
 
     #[test]

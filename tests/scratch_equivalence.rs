@@ -9,15 +9,21 @@
 //! 2. across all three engines at 1/2/4/8 worker threads,
 //! 3. across streaming epoch splits (property-tested), with the engine's shared
 //!    [`ScratchPool`] serving every epoch and stream.
+//!
+//! The seed semantics scan every A-object of a node's subtree, so they also pin
+//! the probe's leaf-run pruning — including on the NaN, inverted and infinite
+//! A-boxes that unvalidated entry points let into a tree.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use touch::core::{kernels, LocalJoinKind};
+use touch::geom::{Aabb, Point3, SpatialObject};
 use touch::index::UniformGrid;
 use touch::{
-    collect_join, CollectingSink, Counters, Dataset, JoinOrder, JoinQuery, LocalJoinParams,
-    LocalJoinScratch, ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm, StreamingConfig,
-    StreamingTouchJoin, SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin, TouchTree,
+    collect_join, CollectingSink, Counters, Dataset, ExecTrace, JoinOrder, JoinQuery,
+    LocalJoinParams, LocalJoinScratch, ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm,
+    StreamingConfig, StreamingTouchJoin, SyntheticDistribution, SyntheticSpec, TouchConfig,
+    TouchJoin, TouchTree, TraceEvent,
 };
 
 /// Tree-side (A) workload: larger objects on average than [`probe`]'s, so the
@@ -184,6 +190,87 @@ fn csr_path_reproduces_the_seed_semantics_exactly() {
                 "{kind:?}/{cells}/{min_cell}/{cutoff}: counters diverged from seed"
             );
             assert!(scratch.directory_is_clean(), "scratch left dirty after {kind:?}");
+        }
+    }
+}
+
+/// An object with arbitrary corners: unlike `Aabb::new`, no finiteness or
+/// ordering check.
+fn raw(id: u32, min: [f64; 3], max: [f64; 3]) -> SpatialObject {
+    let point = |c: [f64; 3]| Point3::new(c[0], c[1], c[2]);
+    SpatialObject { id, mbr: Aabb { min: point(min), max: point(max) } }
+}
+
+/// A row of small boxes along x, an inverted box, a box reaching z = +∞ and
+/// the object 17 whose min.x is `nan_min_x`. Listed last, object 17 stays
+/// last through the STR sort even with a NaN sort key, so it lands in the
+/// highest-x leaf, whose MBR drops a NaN and so starts far above x = 58.
+fn invalid_geometry_side(nan_min_x: f64) -> Vec<SpatialObject> {
+    let mut a: Vec<_> = (0..15)
+        .map(|i| raw(i, [6.0 * i as f64, 0.0, 0.0], [6.0 * i as f64 + 2.0, 1.0, 1.0]))
+        .collect();
+    a.push(raw(15, [62.0, 0.9, 0.9], [58.0, 0.1, 0.1]));
+    a.push(raw(16, [20.0, 0.0, 0.0], [22.0, 1.0, f64::INFINITY]));
+    a.push(raw(17, [nan_min_x, 0.0, 0.0], [95.0, 1.0, 1.0]));
+    a
+}
+
+#[test]
+fn invalid_a_geometry_joins_like_the_full_seed_scan() {
+    // Both B-objects straddle the root's two halves, so the root holds them,
+    // and both sit far below the highest leaf in x; the first covers the
+    // root grid's x cell 0, the one a NaN coordinate maps to.
+    let b = [raw(0, [0.0, 0.2, 0.2], [58.0, 0.8, 0.8]), raw(1, [44.0, 0.0, 0.0], [56.0, 1.0, 1.0])];
+    for nan_min_x in [f64::NAN, 80.0] {
+        let mut tree = TouchTree::build(&invalid_geometry_side(nan_min_x), 4, 2);
+        tree.assign(&b, &mut Counters::new());
+        let root = tree.root_index().expect("non-empty tree");
+        assert_eq!(tree.node(root).assigned_b().len(), b.len(), "the root must hold B");
+        let top_leaf = tree
+            .node_indices()
+            .map(|i| tree.node(i))
+            .find(|n| n.is_leaf() && tree.subtree_a_objects(n).iter().any(|o| o.id == 17))
+            .expect("object 17 is in a leaf");
+        assert!(top_leaf.mbr.min.x > 58.0, "object 17's leaf must lie above B: {top_leaf:?}");
+
+        let mut scratch = LocalJoinScratch::new();
+        for (cells, min_cell) in [(20, 1.0), (64, 0.5), (500, 5.0)] {
+            let params = LocalJoinParams {
+                kind: LocalJoinKind::Grid,
+                cells_per_dim: cells,
+                min_cell_size: min_cell,
+                allpairs_max_a: 0,
+                adapt: None,
+            };
+            let label = format!("min.x={nan_min_x} cells={cells} min_cell={min_cell}");
+            let (seed_pairs, seed_counters) = seed_join(&tree, &params);
+            let (pairs, counters) = scratch_join(&tree, &params, &mut scratch);
+            assert!(!seed_pairs.is_empty(), "{label}: no pairs");
+            assert_eq!(pairs, seed_pairs, "{label}: pairs or emission order diverged");
+            assert_eq!(counters, seed_counters, "{label}: counters diverged");
+
+            // The trace shows whether the root's probe pruned: never with a
+            // NaN in the tree, and the top leaf without one.
+            let trace = ExecTrace::new();
+            tree.local_join_node(
+                root,
+                tree.node(root).assigned_b(),
+                &params,
+                &mut scratch,
+                &mut Counters::new(),
+                &mut |_, _| true,
+                &trace,
+                0,
+            );
+            let Some(TraceEvent::NodeJoin { a_count, a_probed, .. }) = trace.events().pop() else {
+                panic!("{label}: no node-join span");
+            };
+            assert_eq!(a_count, 18);
+            if nan_min_x.is_nan() {
+                assert_eq!(a_probed, a_count, "{label}: a tree with NaN must not prune");
+            } else {
+                assert!(a_probed < a_count, "{label}: the top leaf should be pruned");
+            }
         }
     }
 }
