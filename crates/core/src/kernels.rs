@@ -14,21 +14,26 @@
 //! [`crate::FirstKSink`] — cuts a join short). Emitters that never stop simply
 //! return `true` unconditionally.
 //!
-//! Both kernels run their candidate tests through the batched SIMD MBR filter
-//! ([`crate::simd::overlap_window`]): candidates are tested [`simd::LANES`] at a
-//! time, and only lanes the (exact) bitmask keeps reach the scalar
-//! confirmation. Comparisons are still **counted one candidate at a time, in
-//! candidate order, before the test** — precisely the scalar convention — so
-//! pairs, emission order and counters are bit-identical to the scalar
-//! reference on every backend, including under early termination mid-batch.
+//! Both kernels run their candidate tests through the run-level SIMD MBR
+//! filter ([`crate::simd::overlap_contiguous`]): one call tests a whole
+//! candidate window, up to [`simd::RUN_MAX`] candidates, and only lanes the
+//! (exact) bitmask keeps reach the scalar confirmation, in candidate order.
+//! Comparisons and batch counters are added per run afterwards, by the rule
+//! in the [`simd`] module docs: a run walked to the end counts every
+//! candidate, a run the emitter stopped counts up to the stopping lane and
+//! its 4-lane batch. The totals equal counting one comparison per candidate
+//! before its test, so pairs, emission order and counters are bit-identical
+//! to the scalar reference on every backend, including under early
+//! termination.
 
 use crate::simd::{self, Backend};
 use touch_geom::{ObjectId, SpatialObject};
 use touch_metrics::Counters;
 
-/// One probe object tested against a window of candidates through the batched
-/// filter. Returns `true` if `emit` stopped the scan. Emits `(probe, other)`
-/// unless `flip` is set (the sweep's B-opens-first branch emits `(other, probe)`).
+/// One probe object tested against a window of candidates through the
+/// run-level filter. Returns `true` if `emit` stopped the scan. Emits
+/// `(probe, other)` unless `flip` is set (the sweep's B-opens-first branch
+/// emits `(other, probe)`).
 #[inline]
 fn probe_window(
     probe: &SpatialObject,
@@ -38,23 +43,19 @@ fn probe_window(
     counters: &mut Counters,
     emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
 ) -> bool {
-    let mut at = 0;
-    while at < window.len() {
-        let chunk = &window[at..(at + simd::LANES).min(window.len())];
-        // Pull the next chunk towards L1 while this one is tested.
-        simd::prefetch_read(window, at + simd::LANES);
-        let mask = simd::overlap_window(backend, &probe.mbr, chunk);
-        counters.record_batch(chunk.len() as u64, u64::from(mask.count_ones()));
-        for (lane, other) in chunk.iter().enumerate() {
-            counters.record_comparison();
-            if mask >> lane & 1 == 1 && probe.mbr.intersects(&other.mbr) {
+    for run in window.chunks(simd::RUN_MAX) {
+        let mask = simd::overlap_contiguous(backend, &probe.mbr, run);
+        for lane in simd::set_lanes(mask) {
+            let other = &run[lane];
+            if probe.mbr.intersects(&other.mbr) {
                 let go = if flip { emit(other.id, probe.id) } else { emit(probe.id, other.id) };
                 if !go {
+                    simd::record_run(counters, run.len(), mask, Some(lane));
                     return true;
                 }
             }
         }
-        at += simd::LANES;
+        simd::record_run(counters, run.len(), mask, None);
     }
     false
 }

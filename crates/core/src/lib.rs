@@ -68,6 +68,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(rust_2018_idioms)]
 
 mod assignment;

@@ -32,6 +32,16 @@
 //!   that containment — node MBRs drop NaN coordinates, the grid maps them to
 //!   cell 0 — so a tree holding any NaN coordinate probes every object.
 //!
+//! Per candidate, the probe pays only for what decides a pair:
+//!
+//! * **run-level filter** — a cell's whole candidate run goes through one SIMD
+//!   call per [`simd::RUN_MAX`] candidates, and only the lanes its mask keeps
+//!   are visited; the run is counted in bulk afterwards;
+//! * **division-free reference point** — the count pass keeps each B-object's
+//!   cell range, so the fill pass does not recompute it and the probe finds the
+//!   cell of a hit's reference point with three `max`es instead of three
+//!   divisions.
+//!
 //! Every path through the scratch produces **exactly** the pairs, pair order and
 //! counters of the seed implementation — the CSR directory lists each cell's
 //! candidates in B-insertion order, precisely as the per-cell `Vec`s did, and
@@ -41,7 +51,7 @@ use crate::simd;
 use crate::TouchTree;
 use std::ops::Range;
 use touch_geom::{Aabb, ObjectId, SpatialObject};
-use touch_index::UniformGrid;
+use touch_index::{CellCoords, UniformGrid};
 use touch_metrics::{vec_bytes, Counters, MemoryUsage};
 
 /// Grids with at most this many cells use the dense CSR directory (two flat `u32`
@@ -84,6 +94,10 @@ pub struct LocalJoinScratch {
     /// 48-byte-stride array instead of 56-byte `SpatialObject`s scattered through
     /// the probe loop.
     b_mbrs: Vec<Aabb>,
+    /// Each B-object's inclusive cell range, from the count pass: the fill
+    /// pass reuses it, and the probe's reference-point test reads the lower
+    /// cells.
+    b_cells: Vec<(CellCoords, CellCoords)>,
     /// Plane-sweep clone of the node's A-objects (sorted in place by the kernel).
     sweep_a: Vec<SpatialObject>,
     /// Plane-sweep clone of the node's B-objects.
@@ -144,6 +158,24 @@ impl LocalJoinScratch {
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> usize {
+        let dense = grid.total_cells() <= DENSE_DIRECTORY_MAX_CELLS;
+        self.join_with(dense, grid, tree, index, b_objs, counters, emit)
+    }
+
+    /// [`LocalJoinScratch::grid_join`] on the directory form the caller picks:
+    /// the dense CSR arrays (O(1) lookups, memory per grid cell) or the sorted
+    /// sparse runs (binary-searched, memory per occupied cell).
+    #[allow(clippy::too_many_arguments)]
+    fn join_with(
+        &mut self,
+        dense: bool,
+        grid: &UniformGrid,
+        tree: &TouchTree,
+        index: usize,
+        b_objs: &[SpatialObject],
+        counters: &mut Counters,
+        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
+    ) -> usize {
         // Defensive reset: a panic that unwound through a previous join may have
         // left directory entries behind; clearing here (O(touched)) restores the
         // all-zero invariant no matter how the last join ended.
@@ -153,14 +185,51 @@ impl LocalJoinScratch {
         self.touched_cells.clear();
         self.entries.clear();
 
+        // One pass over B computes every cell range the directory passes and
+        // the probe need, and the bounding box of occupied cells, which the
+        // probe uses to skip A-objects that cannot reach any candidate.
         self.b_mbrs.clear();
-        self.b_mbrs.extend(b_objs.iter().map(|o| o.mbr));
-
-        if grid.total_cells() <= DENSE_DIRECTORY_MAX_CELLS {
-            self.dense_join(grid, tree, index, b_objs, counters, emit)
-        } else {
-            self.sparse_join(grid, tree, index, b_objs, counters, emit)
+        self.b_cells.clear();
+        let mut occupied = CellBox::empty();
+        for o in b_objs {
+            let (lo, hi) = grid.cell_range(&o.mbr);
+            occupied.widen(lo, hi);
+            self.b_mbrs.push(o.mbr);
+            self.b_cells.push((lo, hi));
         }
+
+        if dense {
+            self.fill_dense(grid, counters);
+        } else {
+            self.fill_sparse(grid, counters);
+        }
+        let a_probed = self.select_runs(grid, tree, index, &occupied);
+        let (a_items, a_runs) = (tree.a_objects(), &self.a_runs);
+        let b = BSide { objs: b_objs, mbrs: &self.b_mbrs, cells: &self.b_cells };
+        if dense {
+            let (cell_len, cell_end, entries) = (&self.cell_len, &self.cell_end, &self.entries);
+            probe(grid, a_items, a_runs, &b, &occupied, counters, emit, |cell| {
+                let len = cell_len[cell] as usize;
+                if len == 0 {
+                    return None;
+                }
+                let end = cell_end[cell] as usize;
+                Some(&entries[end - len..end])
+            });
+            // Reset the directory to all-zero in O(touched cells).
+            for &c in &self.touched_cells {
+                self.cell_len[c as usize] = 0;
+            }
+            self.touched_cells.clear();
+        } else {
+            let (runs, entries) = (&self.sparse_runs, &self.entries);
+            probe(grid, a_items, a_runs, &b, &occupied, counters, emit, |cell| {
+                let i = runs.binary_search_by_key(&(cell as u64), |&(c, _, _)| c).ok()?;
+                let (_, start, end) = runs[i];
+                Some(&entries[start as usize..end as usize])
+            });
+        }
+        a_probed
     }
 
     /// Leaf-run pruning ([`TouchTree::probe_runs`]): fills `a_runs` with the
@@ -178,17 +247,9 @@ impl LocalJoinScratch {
         self.a_runs.iter().map(|run| run.len()).sum()
     }
 
-    /// Dense CSR path: count pass → prefix sum over the touched cells → fill, then
-    /// probe with O(1) cell lookups.
-    fn dense_join(
-        &mut self,
-        grid: &UniformGrid,
-        tree: &TouchTree,
-        index: usize,
-        b_objs: &[SpatialObject],
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-    ) -> usize {
+    /// Dense CSR directory over `b_cells`: count pass → prefix sum over the
+    /// touched cells → fill, probed with O(1) cell lookups.
+    fn fill_dense(&mut self, grid: &UniformGrid, counters: &mut Counters) {
         let cells = grid.total_cells();
         if self.cell_len.len() < cells {
             self.cell_len.resize(cells, 0);
@@ -196,14 +257,8 @@ impl LocalJoinScratch {
         }
 
         // Count pass: how many B-objects land in each cell (multiple assignment;
-        // every cell beyond an object's first is a replica, as in the seed). The
-        // pass also accumulates the bounding box of occupied cells, which the
-        // probe uses to skip A-objects that cannot reach any candidate.
-        let mut occupied = CellBox::empty();
-        for (pos, _) in b_objs.iter().enumerate() {
-            let mbr = self.b_mbrs[pos];
-            let (lo, hi) = grid.cell_range(&mbr);
-            occupied.widen(lo, hi);
+        // every cell beyond an object's first is a replica, as in the seed).
+        for &(lo, hi) in &self.b_cells {
             let mut first = true;
             for_cells(lo, hi, |c| {
                 let cell = grid.linear_index(c);
@@ -231,56 +286,21 @@ impl LocalJoinScratch {
         // Fill pass: B-positions drop into their cells in B order, so every cell's
         // run lists candidates in exactly the insertion order the seed's per-cell
         // `Vec`s had.
-        for (pos, _) in b_objs.iter().enumerate() {
-            let mbr = self.b_mbrs[pos];
-            let (lo, hi) = grid.cell_range(&mbr);
+        for (pos, &(lo, hi)) in self.b_cells.iter().enumerate() {
             for_cells(lo, hi, |c| {
                 let cell = grid.linear_index(c);
                 self.entries[self.cell_end[cell] as usize] = pos as u32;
                 self.cell_end[cell] += 1;
             });
         }
-
-        // Probe pass over flat slices.
-        let a_probed = self.select_runs(grid, tree, index, &occupied);
-        let (cell_len, cell_end) = (&self.cell_len, &self.cell_end);
-        let entries = &self.entries;
-        let (a_items, a_runs) = (tree.a_objects(), &self.a_runs);
-        probe(grid, a_items, a_runs, b_objs, &self.b_mbrs, &occupied, counters, emit, |cell| {
-            let len = cell_len[cell] as usize;
-            if len == 0 {
-                return None;
-            }
-            let end = cell_end[cell] as usize;
-            Some(&entries[end - len..end])
-        });
-
-        // Reset the directory to all-zero in O(touched cells).
-        for &c in &self.touched_cells {
-            self.cell_len[c as usize] = 0;
-        }
-        self.touched_cells.clear();
-        a_probed
     }
 
     /// Sparse fallback for geometrically huge grids: `(cell, b_position)` pairs are
     /// sorted to group cells (B order within a cell is preserved because the pairs
     /// are unique and sorted lexicographically), then probed via binary search.
-    fn sparse_join(
-        &mut self,
-        grid: &UniformGrid,
-        tree: &TouchTree,
-        index: usize,
-        b_objs: &[SpatialObject],
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-    ) -> usize {
+    fn fill_sparse(&mut self, grid: &UniformGrid, counters: &mut Counters) {
         self.sparse_pairs.clear();
-        let mut occupied = CellBox::empty();
-        for (pos, _) in b_objs.iter().enumerate() {
-            let mbr = self.b_mbrs[pos];
-            let (lo, hi) = grid.cell_range(&mbr);
-            occupied.widen(lo, hi);
+        for (pos, &(lo, hi)) in self.b_cells.iter().enumerate() {
             let mut first = true;
             for_cells(lo, hi, |c| {
                 self.sparse_pairs.push((grid.linear_index(c) as u64, pos as u32));
@@ -297,7 +317,6 @@ impl LocalJoinScratch {
         self.sparse_pairs.sort_unstable();
 
         self.sparse_runs.clear();
-        self.entries.clear();
         for &(cell, pos) in &self.sparse_pairs {
             self.entries.push(pos);
             match self.sparse_runs.last_mut() {
@@ -308,16 +327,6 @@ impl LocalJoinScratch {
                 }
             }
         }
-
-        let a_probed = self.select_runs(grid, tree, index, &occupied);
-        let (runs, entries) = (&self.sparse_runs, &self.entries);
-        let (a_items, a_runs) = (tree.a_objects(), &self.a_runs);
-        probe(grid, a_items, a_runs, b_objs, &self.b_mbrs, &occupied, counters, emit, |cell| {
-            let i = runs.binary_search_by_key(&(cell as u64), |&(c, _, _)| c).ok()?;
-            let (_, start, end) = runs[i];
-            Some(&entries[start as usize..end as usize])
-        });
-        a_probed
     }
 }
 
@@ -333,6 +342,7 @@ impl MemoryUsage for LocalJoinScratch {
             + vec_bytes(&self.sparse_pairs)
             + vec_bytes(&self.sparse_runs)
             + vec_bytes(&self.b_mbrs)
+            + vec_bytes(&self.b_cells)
             + vec_bytes(&self.sweep_a)
             + vec_bytes(&self.sweep_b)
             + vec_bytes(&self.a_runs)
@@ -392,6 +402,15 @@ fn for_cells(lo: [usize; 3], hi: [usize; 3], mut f: impl FnMut([usize; 3])) {
     }
 }
 
+/// The node's B side as the probe reads it: the objects (for their ids), the
+/// SoA MBR cache the candidate test gathers from, and each object's cell
+/// range from the count pass.
+struct BSide<'b> {
+    objs: &'b [SpatialObject],
+    mbrs: &'b [Aabb],
+    cells: &'b [(CellCoords, CellCoords)],
+}
+
 /// The shared probe pass: every A-object of the `a_runs` ranges of `a_items`
 /// visits the cells it overlaps (in the same z-major order the assignment passes
 /// used, clamped to the occupied cell box — x first, so most misses cost one
@@ -401,20 +420,35 @@ fn for_cells(lo: [usize; 3], hi: [usize; 3], mut f: impl FnMut([usize; 3])) {
 /// de-duplication pass. `lookup` maps a linear cell id to its candidate run
 /// (`None` for empty cells).
 ///
-/// Each candidate run goes through the batched SIMD MBR filter
-/// ([`simd::overlap_run`]): [`simd::LANES`] candidates are gathered from the
-/// SoA cache per batch while the MBRs of the *next* batch are prefetched, and
-/// only lanes the (exact) bitmask keeps reach the scalar confirmation and the
-/// reference-point rule. Comparisons are counted one candidate at a time, in
-/// run order, before the test — so pairs, order and counters are bit-identical
-/// to the unbatched scalar walk on every backend.
+/// Each candidate run goes through the run-level SIMD MBR filter
+/// ([`simd::overlap_gathered`]), up to [`simd::RUN_MAX`] candidates per call,
+/// and only lanes the (exact) bitmask keeps reach the scalar confirmation and
+/// the reference-point rule, in run order. Comparisons and batch counters are
+/// added per run by the rule in the [`simd`] module docs — all `n` lanes of a
+/// run walked to the end; up to the stopping lane and its 4-lane batch when
+/// `emit` stops the join — so pairs, order and counters are bit-identical to
+/// the unbatched scalar walk on every backend.
+///
+/// The reference point is the lower corner of the intersection, and its cell
+/// is found without a division: a hit lies in cell `(x, y, z)` iff
+/// `max(x_lo, b_lo.x) == x` on every axis, where `x_lo` is the A-object's
+/// clamped lower cell and `b_lo` the candidate's lower cell from the count
+/// pass. This equals mapping the reference point itself: a confirmed hit has
+/// no NaN among its compared coordinates, the cell map is monotone on
+/// non-NaN values (so the cell of a max is the max of the cells), and every
+/// candidate's lower cell is at least the occupied box's, so clamping A
+/// cannot change the max.
+///
+/// Kept out of line, like the candidate walk inside it ([`probe_cell`]):
+/// inlined into the directory pass, the probe ran slower on streams of small
+/// joins.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)] // private kernel: the args *are* the hot state
 fn probe<'d>(
     grid: &UniformGrid,
     a_items: &[SpatialObject],
     a_runs: &[Range<u32>],
-    b_objs: &[SpatialObject],
-    b_mbrs: &[Aabb],
+    b: &BSide<'_>,
     occupied: &CellBox,
     counters: &mut Counters,
     emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
@@ -426,50 +460,59 @@ fn probe<'d>(
         let Some((x_lo, x_hi)) = occupied.clamp(grid, &a.mbr, 0) else { continue };
         let Some((y_lo, y_hi)) = occupied.clamp(grid, &a.mbr, 1) else { continue };
         let Some((z_lo, z_hi)) = occupied.clamp(grid, &a.mbr, 2) else { continue };
+        let lo = [x_lo, y_lo, z_lo];
         for z in z_lo..=z_hi {
             for y in y_lo..=y_hi {
                 for x in x_lo..=x_hi {
-                    let cell = grid.linear_index([x, y, z]);
-                    let Some(candidates) = lookup(cell) else { continue };
-                    let mut at = 0;
-                    while at < candidates.len() {
-                        let run = &candidates[at..(at + simd::LANES).min(candidates.len())];
-                        // Hide the gather latency of the next batch: its MBR
-                        // cache lines start moving while this batch is tested.
-                        if let Some(next) = candidates.get(at + simd::LANES..) {
-                            for &nb in next.iter().take(simd::LANES) {
-                                simd::prefetch_read(b_mbrs, nb as usize);
-                            }
-                        }
-                        let mask = simd::overlap_run(backend, &a.mbr, b_mbrs, run);
-                        counters.record_batch(run.len() as u64, u64::from(mask.count_ones()));
-                        for (lane, &bpos) in run.iter().enumerate() {
-                            counters.record_comparison();
-                            if mask >> lane & 1 == 0 {
-                                continue;
-                            }
-                            let bm = &b_mbrs[bpos as usize];
-                            if a.mbr.intersects(bm) {
-                                // Reference-point rule: report only from the cell
-                                // that contains the lower corner of the
-                                // intersection.
-                                let rp = a.mbr.intersection_reference_point(bm);
-                                let rp_cell = grid.linear_index(grid.cell_of_point(&rp));
-                                if rp_cell == cell {
-                                    if !emit(a.id, b_objs[bpos as usize].id) {
-                                        break 'all;
-                                    }
-                                } else {
-                                    counters.record_duplicate_suppressed();
-                                }
-                            }
-                        }
-                        at += simd::LANES;
+                    let Some(candidates) = lookup(grid.linear_index([x, y, z])) else { continue };
+                    let cell = [x, y, z];
+                    if !probe_cell(a, lo, cell, candidates, b, backend, counters, emit) {
+                        break 'all;
                     }
                 }
             }
         }
     }
+}
+
+/// [`probe`]'s candidate walk for A-object `a` in the cell at `cell`, where
+/// `lo` holds `a`'s clamped lower cells. Returns `false` if `emit` stopped the
+/// join. Out of line so that the cell loop around it stays small: in the
+/// workloads whose node joins scan many A-objects for few candidates, the
+/// time goes to visiting empty cells, and with the walk inlined there their
+/// joins measured 5–10% slower.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)] // private kernel: the args *are* the hot state
+fn probe_cell(
+    a: &SpatialObject,
+    lo: [usize; 3],
+    cell: [usize; 3],
+    candidates: &[u32],
+    b: &BSide<'_>,
+    backend: simd::Backend,
+    counters: &mut Counters,
+    emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
+) -> bool {
+    for run in candidates.chunks(simd::RUN_MAX) {
+        let mask = simd::overlap_gathered(backend, &a.mbr, b.mbrs, run);
+        for lane in simd::set_lanes(mask) {
+            let bpos = run[lane] as usize;
+            if !a.mbr.intersects(&b.mbrs[bpos]) {
+                continue;
+            }
+            let (b_lo, _) = b.cells[bpos];
+            if (0..3).all(|axis| lo[axis].max(b_lo[axis]) == cell[axis]) {
+                if !emit(a.id, b.objs[bpos].id) {
+                    simd::record_run(counters, run.len(), mask, Some(lane));
+                    return false;
+                }
+            } else {
+                counters.record_duplicate_suppressed();
+            }
+        }
+        simd::record_run(counters, run.len(), mask, None);
+    }
+    true
 }
 
 /// A set of [`LocalJoinScratch`]es plus the join-phase work list, sized on demand:
@@ -616,8 +659,8 @@ mod tests {
         let mut forced = LocalJoinScratch::new();
         let mut counters = Counters::new();
         let mut pairs = Vec::new();
-        forced.b_mbrs.extend(b.objects().iter().map(|o| o.mbr));
-        forced.sparse_join(&dense_grid, &leaf(&a), 0, b.objects(), &mut counters, &mut |x, y| {
+        let tree = leaf(&a);
+        forced.join_with(false, &dense_grid, &tree, 0, b.objects(), &mut counters, &mut |x, y| {
             pairs.push((x, y));
             true
         });

@@ -1629,4 +1629,41 @@ mod tests {
         via_all.sort_unstable();
         assert_eq!(via_list, via_all);
     }
+
+    #[test]
+    fn build_survives_nan_sort_keys_and_joins_the_finite_objects() {
+        // Every fifth min.x is NaN: with `partial_cmp(..).unwrap_or(Equal)`
+        // the STR sort saw no total order and the standard sort panicked.
+        let a: Vec<SpatialObject> = (0..33)
+            .map(|i| {
+                let f = i as f64;
+                let min = Point3::new((f * 7.3) % 20.0, (f * 3.1) % 20.0, (f * 5.7) % 20.0);
+                let mut mbr = Aabb::new(min, min + Point3::splat(1.0));
+                if i % 5 == 0 {
+                    mbr.min.x = f64::NAN;
+                }
+                SpatialObject { id: i, mbr }
+            })
+            .collect();
+        let mut tree = TouchTree::build(&a, 4, 2);
+        assert_eq!(tree.a_len(), 33);
+        let b = lattice(4, 5.0, 3.0);
+        tree.assign(b.objects(), &mut Counters::new());
+        let mut pairs = Vec::new();
+        let params = test_params(LocalJoinKind::Grid);
+        tree.join_assigned(
+            &params,
+            &mut LocalJoinScratch::new(),
+            &mut Counters::new(),
+            &mut |x, y| {
+                pairs.push((x, y));
+                true
+            },
+        );
+        pairs.sort_unstable();
+        // A NaN box intersects nothing; the others join as usual.
+        let expected = brute_pairs(&Dataset::from_objects(a), &b);
+        assert!(!expected.is_empty());
+        assert_eq!(pairs, expected);
+    }
 }

@@ -31,4 +31,4 @@ pub use grid::{CellCoords, MultiAssignGrid, UniformGrid};
 pub use hier_grid::{HierGridIndex, HierarchicalGrid, LevelCell};
 pub use octree::Octree;
 pub use rtree::{PackedRTree, RTreeNode};
-pub use str_pack::{str_partition, str_sort};
+pub use str_pack::{cmp_coord, str_partition, str_sort};

@@ -7,6 +7,7 @@
 //! objects have compact MBRs, which is why the paper uses STR both for TOUCH's
 //! tree-building phase (Section 5.1) and for the bulk-loaded R-tree baseline.
 
+use std::cmp::Ordering;
 use touch_geom::Point3;
 
 /// Reorders `items` in place so that consecutive chunks of `cap` items form STR tiles
@@ -69,12 +70,24 @@ fn str_sort_axis<T>(
 }
 
 fn sort_by_axis<T>(items: &mut [T], center: impl Fn(&T) -> Point3 + Copy, axis: usize) {
-    items.sort_by(|a, b| {
-        center(a)
-            .coord(axis)
-            .partial_cmp(&center(b).coord(axis))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    items.sort_by(|a, b| cmp_coord(center(a).coord(axis), center(b).coord(axis)));
+}
+
+/// The order STR sorts coordinates by: IEEE `total_cmp` after folding −0.0
+/// onto +0.0. It equals `partial_cmp` on every pair of non-NaN values (so
+/// ±0.0 tie and a stable sort keeps their input order), and stays a total
+/// order when a centre is NaN: NaN sorts beyond ±∞ by its sign, where
+/// `partial_cmp(..).unwrap_or(Equal)` would call it equal to everything and
+/// let the standard library's sort panic. `touch-parallel`'s STR sort uses the
+/// same comparator, so both produce one tile order.
+///
+/// Computed as `partial_cmp` with a `total_cmp` fallback, which is the same
+/// order: the two agree on every non-NaN pair once zeros are folded, and on a
+/// pair holding a NaN the fold changes nothing. The fast path keeps the sort
+/// as cheap as the `partial_cmp` it replaces.
+#[inline]
+pub fn cmp_coord(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.total_cmp(&b))
 }
 
 #[cfg(test)]
@@ -181,5 +194,74 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(xs, sorted);
+    }
+
+    #[test]
+    fn cmp_coord_is_total_cmp_after_folding_zeros() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            2.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let fold = |v: f64| if v == 0.0 { 0.0 } else { v };
+        for a in values {
+            for b in values {
+                assert_eq!(cmp_coord(a, b), fold(a).total_cmp(&fold(b)), "{a:e} vs {b:e}");
+                if !a.is_nan() && !b.is_nan() {
+                    assert_eq!(Some(cmp_coord(a, b)), a.partial_cmp(&b), "{a:e} vs {b:e}");
+                }
+            }
+        }
+    }
+
+    /// Boxes with every fifth `min.x` NaN: a sort key on which
+    /// `partial_cmp(..).unwrap_or(Equal)` is not a total order.
+    fn nan_every_fifth(n: usize) -> Vec<SpatialObject> {
+        (0..n)
+            .map(|i| {
+                let f = i as f64;
+                let min = Point3::new((f * 7.3) % 20.0, (f * 3.1) % 20.0, (f * 5.7) % 20.0);
+                let mut mbr = Aabb { min, max: min + Point3::splat(1.0) };
+                if i % 5 == 0 {
+                    mbr.min.x = f64::NAN;
+                }
+                SpatialObject { id: i as u32, mbr }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nan_centres_sort_without_panicking() {
+        // 33 objects in buckets of 9: the sort `TouchTree::build` runs for 4
+        // partitions.
+        let mut objs = nan_every_fifth(33);
+        str_sort(&mut objs, |o| o.mbr.center(), 9);
+        let mut ids: Vec<u32> = objs.iter().map(|o| o.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..33).collect::<Vec<_>>(), "STR must stay a permutation");
+    }
+
+    #[test]
+    fn signed_zero_ties_keep_input_order() {
+        // Zero-extent boxes at x = ±0.0 only: every key ties, so the stable
+        // sort must leave them where they were.
+        let mut objs: Vec<SpatialObject> = (0..12)
+            .map(|i| {
+                let x = if i % 3 == 0 { -0.0 } else { 0.0 };
+                let p = Point3::new(x, 0.0, 0.0);
+                SpatialObject { id: i, mbr: Aabb { min: p, max: p } }
+            })
+            .collect();
+        str_sort(&mut objs, |o| o.mbr.center(), 2);
+        assert_eq!(objs.iter().map(|o| o.id).collect::<Vec<_>>(), (0..12).collect::<Vec<_>>());
     }
 }

@@ -19,6 +19,7 @@
 
 use std::cmp::Ordering;
 use touch_geom::{SpatialObject, DIMS};
+use touch_index::cmp_coord;
 
 /// Reorders `items` in place so that consecutive chunks of `cap` items form STR
 /// tiles, using up to `threads` worker threads. Inputs of `seq_threshold` objects or
@@ -119,7 +120,7 @@ fn str_axis(
 
 #[inline]
 fn cmp_axis(a: &SpatialObject, b: &SpatialObject, axis: usize) -> Ordering {
-    a.mbr.center().coord(axis).partial_cmp(&b.mbr.center().coord(axis)).unwrap_or(Ordering::Equal)
+    cmp_coord(a.mbr.center().coord(axis), b.mbr.center().coord(axis))
 }
 
 /// Stable parallel sort of `items` by MBR-centre coordinate `axis`: stable
@@ -299,5 +300,48 @@ mod tests {
     fn zero_capacity_panics() {
         let mut objs = pseudo_random_objects(8, 1);
         par_str_sort(&mut objs, 0, 2, 1);
+    }
+
+    /// Boxes with every fifth `min.x` NaN: the sort key the comparator must
+    /// keep a total order on.
+    fn nan_every_fifth(n: usize) -> Vec<SpatialObject> {
+        let mut objs = pseudo_random_objects(n, 5);
+        for o in objs.iter_mut().step_by(5) {
+            o.mbr.min.x = f64::NAN;
+        }
+        objs
+    }
+
+    #[test]
+    fn nan_centres_match_the_sequential_sort_at_every_thread_count() {
+        let original = nan_every_fifth(100);
+        let mut expected = original.clone();
+        str_sort(&mut expected, |o| o.mbr.center(), 9);
+        let expected: Vec<u32> = expected.iter().map(|o| o.id).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut actual = original.clone();
+            par_str_sort(&mut actual, 9, threads, 16);
+            let actual: Vec<u32> = actual.iter().map(|o| o.id).collect();
+            assert_eq!(actual, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn signed_zero_ties_keep_input_order_in_parallel() {
+        // Zero-extent boxes whose coordinates are ±0.0 in every sign pattern:
+        // all keys tie on every axis, so every pass must keep input order.
+        let zero = |bit: usize| if bit == 1 { -0.0 } else { 0.0 };
+        let original: Vec<SpatialObject> = (0..64)
+            .map(|i| {
+                let p = Point3::new(zero(i & 1), zero(i >> 1 & 1), zero(i >> 2 & 1));
+                SpatialObject { id: i as u32, mbr: Aabb { min: p, max: p } }
+            })
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let mut objs = original.clone();
+            par_str_sort(&mut objs, 4, threads, 8);
+            let ids: Vec<u32> = objs.iter().map(|o| o.id).collect();
+            assert_eq!(ids, (0..64).collect::<Vec<_>>(), "threads = {threads}");
+        }
     }
 }
