@@ -1,11 +1,37 @@
-//! Workloads and engine sets shared by the fault-tolerance and trace suites.
-//! Each suite compiles this module on its own and uses a subset of it.
+//! Workloads, engine sets and the SIMD backend guard shared by the
+//! integration suites. Each suite compiles this module on its own and uses a
+//! subset of it.
 #![allow(dead_code)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use touch::core::simd::{self, Backend};
 use touch::{
     Dataset, OneShotStreaming, ParallelTouchJoin, ServeConfig, SpatialJoinAlgorithm,
     StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
+
+/// `simd::force_backend` is process-global state; every test that forces a
+/// backend holds this lock for its whole run and restores runtime detection on
+/// drop, so the tests in one binary cannot race each other's overrides.
+pub static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Forces one SIMD backend while alive, holding [`FORCE_LOCK`]; dropping it
+/// restores runtime detection, even if the test panics.
+pub struct Forced(MutexGuard<'static, ()>);
+
+impl Forced {
+    pub fn new(backend: Backend) -> Self {
+        let guard = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(simd::force_backend(Some(backend)), "{} unsupported here", backend.name());
+        Forced(guard)
+    }
+}
+
+impl Drop for Forced {
+    fn drop(&mut self) {
+        simd::force_backend(None);
+    }
+}
 
 /// Uniform boxes with sides up to 2 units in a `size`-unit cube.
 fn uniform(count: usize, size: f64, seed: u64) -> Dataset {

@@ -6,35 +6,17 @@
 //! exercise more than one local-join kind, and adaptivity must never change
 //! the pairs.
 
+mod common;
+
+use common::{Forced, FORCE_LOCK};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use touch::core::simd::{self, Backend};
+use std::sync::PoisonError;
+use touch::core::simd::Backend;
 use touch::{
     collect_join, CollectingSink, Dataset, ExecTrace, JoinOrder, JoinQuery, OneShotStreaming,
     ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm, StreamingConfig,
     SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin, TraceEvent,
 };
-
-/// `simd::force_backend` is process-global state; every test that forces a
-/// backend holds this lock for its whole run and restores runtime detection on
-/// drop, so the tests in this binary cannot race each other's overrides.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-struct Forced(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Forced {
-    fn new(backend: Backend) -> Self {
-        let guard = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(simd::force_backend(Some(backend)), "{} unsupported here", backend.name());
-        Forced(guard)
-    }
-}
-
-impl Drop for Forced {
-    fn drop(&mut self) {
-        simd::force_backend(None);
-    }
-}
 
 fn uniform(count: usize, seed: u64, side: f64) -> Dataset {
     SyntheticSpec {
