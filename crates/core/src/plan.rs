@@ -123,7 +123,8 @@ pub struct JoinPlan {
     pub params: LocalJoinParams,
     /// Probe objects per parallel-assignment work unit.
     pub chunk_size: usize,
-    /// Inputs smaller than this are STR-sorted sequentially at build.
+    /// Inputs of at most this many objects are STR-sorted on one thread at
+    /// build; larger ones spread the sort's slabs over the workers.
     pub sort_threshold: usize,
     /// The planner's work proxy (|A| + |B|); recorded for transparency, not used
     /// by the engines.
@@ -306,7 +307,8 @@ pub struct JoinPlanner {
     pub early_stop_limit: u64,
     /// Probe objects per parallel-assignment work unit. Default: 4 096.
     pub chunk_size: usize,
-    /// Inputs below this are STR-sorted sequentially. Default: 8 192.
+    /// Inputs of at most this many objects are STR-sorted on one thread; larger
+    /// ones spread the sort's slabs over the workers. Default: 8 192.
     pub sort_threshold: usize,
 }
 

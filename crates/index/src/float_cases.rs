@@ -1,6 +1,7 @@
-//! Adversarial `f64` inputs for the grid cell-math tests: both grids compute
-//! cells without `floor`, and these are the values where a truncating formula
-//! could part from the flooring one.
+//! Adversarial `f64` inputs for the grid cell-math tests and the STR sort-key
+//! tests: both grids compute cells without `floor`, and these are the values
+//! where a truncating formula could part from the flooring one, or a bit-pattern
+//! key from the float order.
 
 /// The next representable `f64` above `v` (`f64::next_up` needs Rust 1.86;
 /// the workspace supports 1.75).

@@ -3,9 +3,9 @@
 //! The TOUCH algorithm and every baseline of the paper's evaluation are built from a
 //! small set of indexing substrates, all implemented here from scratch:
 //!
-//! * [`str_sort`] / [`str_partition`] — the Sort-Tile-Recursive (STR) bulk-loading
+//! * [`str_sort`] / [`par_str_sort`] — the Sort-Tile-Recursive (STR) bulk-loading
 //!   partitioner (Leutenegger et al., ICDE '97) used by TOUCH's tree-building phase
-//!   and by the packed R-tree,
+//!   and by the packed R-tree, on one thread or with its slabs spread over several,
 //! * [`PackedRTree`] — an STR bulk-loaded R-tree with range queries and access to its
 //!   node structure (for the synchronous-traversal join baseline),
 //! * [`UniformGrid`] / [`MultiAssignGrid`] — space-oriented uniform grid with
@@ -31,4 +31,4 @@ pub use grid::{CellCoords, MultiAssignGrid, UniformGrid};
 pub use hier_grid::{HierGridIndex, HierarchicalGrid, LevelCell};
 pub use octree::Octree;
 pub use rtree::{PackedRTree, RTreeNode};
-pub use str_pack::{cmp_coord, str_partition, str_sort};
+pub use str_pack::{par_str_sort, str_sort};

@@ -17,9 +17,9 @@ pub struct ParallelConfig {
     /// Number of probe objects per assignment work unit. Smaller chunks balance
     /// better, larger chunks schedule cheaper. Default: 4096.
     pub chunk_size: usize,
-    /// Inputs smaller than this are STR-sorted sequentially during tree building —
-    /// below it, the merge overhead of the parallel sort outweighs the win.
-    /// Default: 8192.
+    /// Inputs of at most this many objects are STR-sorted on one thread during
+    /// tree building; larger ones spread the sort's slabs over the workers, which
+    /// only pays once a slab outweighs a thread spawn. Default: 8192.
     pub sort_threshold: usize,
     /// The algorithmic configuration shared with the sequential [`touch_core::TouchJoin`].
     pub touch: TouchConfig,

@@ -15,9 +15,9 @@ use touch_metrics::{MemoryUsage, Phase, RunReport};
 /// Algorithmically this is exactly [`touch_core::TouchJoin`] — same hierarchy, same
 /// assignment rule, same local joins — executed on `threads` workers:
 ///
-/// 1. **Build**: the STR sort of the tree dataset runs as a parallel stable merge
-///    sort with slab-parallel recursion ([`crate::sort::par_str_sort`]), then the
-///    hierarchy is assembled with [`touch_core::TouchTree::from_tiled`].
+/// 1. **Build**: the STR sort of the tree dataset spreads its slabs over the
+///    workers ([`crate::sort::par_str_sort`]), then the hierarchy is assembled
+///    with [`touch_core::TouchTree::from_tiled`].
 /// 2. **Assignment**: the probe dataset is cut into [`ParallelConfig::chunk_size`]
 ///    chunks; workers claim chunks from work-stealing queues and compute each
 ///    object's target node with the read-only [`touch_core::TouchTree::assignment_target`]; the

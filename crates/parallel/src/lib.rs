@@ -5,8 +5,8 @@
 //! spatial-join work (Tsitsigkos & Mamoulis 2019; Kipf et al. 2018) exploits to
 //! saturate modern CPUs:
 //!
-//! * **tree building** — the STR sort dominates and parallelises as a stable merge
-//!   sort plus independent per-slab recursion ([`sort::par_str_sort`]),
+//! * **tree building** — the STR sort dominates; after its x-pass the slabs are
+//!   independent, so they recurse on separate workers ([`sort::par_str_sort`]),
 //! * **assignment** — each probe object descends the tree independently and
 //!   read-only, so the probe dataset is processed in work-stealing chunks,
 //! * **local joins** — each assigned node is an independent task, distributed over
@@ -20,11 +20,11 @@
 //!
 //! The headline guarantee: [`ParallelTouchJoin`] is **deterministic and exactly
 //! equivalent** to the sequential [`touch_core::TouchJoin`] — for every thread
-//! count it builds a bit-identical tree (the parallel STR sort is stable), performs
-//! the identical assignment and local joins, and therefore reports the same sorted
-//! result set *and the same counters*; only pair arrival order and wall-clock times
-//! vary. This is verified by the workspace's cross-algorithm equivalence and
-//! determinism test suites.
+//! count it builds a bit-identical tree (the STR tile order does not depend on the
+//! thread count), performs the identical assignment and local joins, and therefore
+//! reports the same sorted result set *and the same counters*; only pair arrival
+//! order and wall-clock times vary. This is verified by the workspace's
+//! cross-algorithm equivalence and determinism test suites.
 //!
 //! ## Quick example
 //!

@@ -70,11 +70,10 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Phase 1: builds the TOUCH hierarchy with the parallel stable STR sort
-/// ([`par_str_sort`]) and [`TouchTree::from_tiled`]. Returns the tree and the
-/// transient bytes of the sort scratch. Because the parallel sort is stable and
-/// bit-identical to the sequential one, the tree is the same for every `threads`
-/// value (including 1).
+/// Phase 1: builds the TOUCH hierarchy with the STR sort ([`par_str_sort`], its
+/// slabs spread over `threads` workers) and [`TouchTree::from_tiled`]. Returns the
+/// tree and the sort's transient bytes. The tile order does not depend on the
+/// thread count, so the tree is the same for every `threads` value (including 1).
 pub fn par_build_tree(
     objects: &[SpatialObject],
     partitions: usize,

@@ -34,8 +34,8 @@ pub struct StreamingConfig {
     /// Probe objects per parallel-assignment work unit (as in
     /// [`touch_parallel::ParallelConfig::chunk_size`]).
     pub chunk_size: usize,
-    /// Inputs smaller than this are STR-sorted sequentially at build (as in
-    /// [`touch_parallel::ParallelConfig::sort_threshold`]).
+    /// Inputs of at most this many objects are STR-sorted on one thread at build
+    /// (as in [`touch_parallel::ParallelConfig::sort_threshold`]).
     pub sort_threshold: usize,
 }
 

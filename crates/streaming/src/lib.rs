@@ -6,7 +6,7 @@
 //! batches, query windows, simulation timesteps. This crate exploits that shape:
 //!
 //! * [`StreamingTouchJoin::build`] constructs the TOUCH hierarchy over A **once**
-//!   (parallel stable STR sort at `threads > 1`),
+//!   (the STR sort spreads its slabs over the workers at `threads > 1`),
 //! * [`StreamingTouchJoin::push_batch`] runs assignment + local joins for one epoch
 //!   of B against the persistent tree and returns an [`EpochReport`],
 //! * [`StreamingTouchJoin::reset`] starts a new B stream over the same tree.
