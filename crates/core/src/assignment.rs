@@ -1,40 +1,57 @@
-//! Reader-owned assignment storage: joining a **frozen, shared** tree.
+//! The assignment store: the per-node B-lists that the assignment phase
+//! (Algorithm 3) fills and the join phase (Algorithm 4) reads.
 //!
-//! The tree's own assignment paths ([`TouchTree::assign`],
-//! [`TouchTree::extend_assigned`]) store the probe objects inside the node
-//! structs, which requires `&mut TouchTree` — fine for a single-owner engine,
-//! impossible for the serving layer, where many reader threads join against one
-//! `Arc`-held generation concurrently. An [`AssignmentBuffer`] moves the
-//! per-node B-lists *out of the tree and into the reader*: the descent uses the
-//! read-only [`TouchTree::assignment_target`], the lists live in the buffer,
-//! and the join phase feeds them back through
-//! [`TouchTree::local_join_node`].
-//!
-//! The buffer reproduces the tree-resident path exactly — same descent, same
-//! per-node arrival order, same work-list ordering, same local-join kernels —
-//! so pairs *and counters* are bit-identical to [`TouchTree::assign`] +
-//! [`TouchTree::join_assigned`] over the same batch (pinned by the tests
-//! below and by the serving equivalence suite).
+//! [`AssignmentBuffer`] is the only implementation of that store. A
+//! [`TouchTree`] keeps one behind its `assign`/`join_assigned` methods, and
+//! every serving reader holds its own over a frozen, `Arc`-held tree that many
+//! readers join concurrently. Either way the descent is the read-only
+//! [`TouchTree::assignment_target`] and each node's list goes to
+//! [`TouchTree::local_join_node`], so pairs *and counters* do not depend on
+//! where the lists live.
 
 use crate::control::{CancelCause, CancelToken, ExecControl};
 use crate::scratch::LocalJoinScratch;
-use crate::tree::{LocalJoinParams, TouchTree, ASSIGN_CANCEL_CHUNK};
+use crate::tree::{LocalJoinParams, TouchTree};
 use touch_geom::{ObjectId, SpatialObject};
 use touch_metrics::{vec_bytes, Counters, MemoryUsage};
 
-/// Per-reader B-side assignment over a frozen [`TouchTree`] (see the module
-/// docs). Reusable across queries: [`AssignmentBuffer::clear`] keeps the
-/// per-node capacities, so a long-lived reader stops allocating once it has
-/// seen a typical batch.
+/// Objects between two cancellation polls in [`AssignmentBuffer::assign_ctl`]:
+/// large enough that the poll (one relaxed atomic load) vanishes next to the
+/// per-object descent, small enough that cancellation lands within
+/// microseconds on any realistic dataset.
+pub const ASSIGN_CANCEL_CHUNK: usize = 1024;
+
+/// Per-node B-side assignment over a [`TouchTree`] (see the module docs).
+/// Reusable across batches: [`AssignmentBuffer::clear`] keeps the per-node
+/// capacities, so a long-lived owner stops allocating once it has seen a
+/// typical batch.
 #[derive(Debug, Default)]
 pub struct AssignmentBuffer {
     /// One B-list per tree node, indexed by node id (lazily sized to the tree).
     lists: Vec<Vec<SpatialObject>>,
-    /// Nodes holding at least one assigned object, in first-assignment order —
-    /// the same bookkeeping the tree itself keeps, so clearing and work-list
-    /// construction are O(touched).
+    /// Nodes holding at least one assigned object, in first-assignment order:
+    /// clearing and work-list construction are O(touched), not O(all nodes).
     touched: Vec<u32>,
     assigned: u64,
+    /// Heap bytes reserved by the lists, counted on every push so
+    /// [`MemoryUsage::memory_bytes`] is O(1). Clearing and retracting keep
+    /// the capacities, so this figure survives them, as the memory does.
+    list_bytes: usize,
+}
+
+impl Clone for AssignmentBuffer {
+    fn clone(&self) -> Self {
+        let lists = self.lists.clone();
+        // Cloning a Vec does not keep its capacity, so the clone's reserved
+        // bytes are recounted from what its lists actually hold.
+        let list_bytes = lists.iter().map(vec_bytes).sum();
+        AssignmentBuffer {
+            lists,
+            touched: self.touched.clone(),
+            assigned: self.assigned,
+            list_bytes,
+        }
+    }
 }
 
 impl AssignmentBuffer {
@@ -55,35 +72,51 @@ impl AssignmentBuffer {
         self.lists.get(node).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Assigns every object of `batch` against `tree` (Algorithm 3), storing
-    /// the results in this buffer instead of the tree. Counter-for-counter
-    /// identical to [`TouchTree::assign`]: the descent is the same read-only
-    /// [`TouchTree::assignment_target`], and filtered objects are recorded the
-    /// same way.
-    pub fn assign(&mut self, tree: &TouchTree, batch: &[SpatialObject], counters: &mut Counters) {
+    /// The nodes currently holding at least one assigned object, in
+    /// first-assignment order ([`AssignmentBuffer::work_into`] is the sorted,
+    /// A-filtered view). The sliding-window engine diffs list lengths over it.
+    #[inline]
+    pub fn touched_nodes(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// Sizes the per-node lists to cover every node of `tree`.
+    fn bind(&mut self, tree: &TouchTree) {
         if self.lists.len() < tree.node_count() {
             self.lists.resize_with(tree.node_count(), Vec::new);
         }
+    }
+
+    /// Stores one object at `node`: every write path funnels through here.
+    #[inline]
+    fn push(&mut self, node: usize, obj: SpatialObject) {
+        let list = &mut self.lists[node];
+        if list.is_empty() {
+            self.touched.push(node as u32);
+        }
+        let capacity = list.capacity();
+        list.push(obj);
+        self.list_bytes += (list.capacity() - capacity) * std::mem::size_of::<SpatialObject>();
+        self.assigned += 1;
+    }
+
+    /// Assigns every object of `batch` against `tree` (Algorithm 3), recording
+    /// filtered objects in `counters`.
+    pub fn assign(&mut self, tree: &TouchTree, batch: &[SpatialObject], counters: &mut Counters) {
+        self.bind(tree);
         for obj in batch {
             match tree.assignment_target(&obj.mbr, counters) {
-                Some(node) => {
-                    let list = &mut self.lists[node];
-                    if list.is_empty() {
-                        self.touched.push(node as u32);
-                    }
-                    list.push(*obj);
-                    self.assigned += 1;
-                }
+                Some(node) => self.push(node, *obj),
                 None => counters.record_filtered(),
             }
         }
     }
 
     /// Cancellable [`AssignmentBuffer::assign`]: polls `cancel` once per
-    /// [`ASSIGN_CANCEL_CHUNK`]-object chunk and stops assigning when it trips,
-    /// returning the cause. Everything assigned before the trip stays in the
-    /// buffer and is counted, so a cancelled query's partial counters are an
-    /// honest account; an untriggered token is bit-identical to `assign`.
+    /// [`ASSIGN_CANCEL_CHUNK`]-object chunk and stops when it trips, returning
+    /// the cause (`None` = ran to completion). What was assigned before the
+    /// trip stays and is counted; an untriggered token is bit-identical to
+    /// `assign`.
     pub fn assign_ctl(
         &mut self,
         tree: &TouchTree,
@@ -100,6 +133,23 @@ impl AssignmentBuffer {
         None
     }
 
+    /// Stores pre-computed `(node_index, object)` assignments against `tree`,
+    /// in iteration order: the write half of `touch-parallel`'s two-step
+    /// assignment, storing what [`AssignmentBuffer::assign`] would.
+    ///
+    /// # Panics
+    /// Panics if a node index is out of range.
+    pub fn extend(
+        &mut self,
+        tree: &TouchTree,
+        assignments: impl IntoIterator<Item = (usize, SpatialObject)>,
+    ) {
+        self.bind(tree);
+        for (node, obj) in assignments {
+            self.push(node, obj);
+        }
+    }
+
     /// Drops every assignment, keeping the per-node capacities (O(touched)).
     pub fn clear(&mut self) {
         for &node in &self.touched {
@@ -109,10 +159,40 @@ impl AssignmentBuffer {
         self.assigned = 0;
     }
 
-    /// Runs the join phase (Algorithm 4) of this buffer's assignments against
-    /// `tree` — the external-B mirror of [`TouchTree::join_assigned`], with the
-    /// identical work-list ordering and early-termination protocol. Returns the
-    /// bytes the scratch has reserved.
+    /// Removes each `(node, count)` entry's `count` oldest assignments — the
+    /// sliding-window eviction primitive: lists keep arrival order, so their
+    /// fronts hold the oldest batch. Emptied nodes leave the touched list (a
+    /// stale entry would be joined twice); capacities are kept.
+    ///
+    /// # Panics
+    /// Panics if a node index is out of range or `count` exceeds what the
+    /// node currently holds — both indicate corrupted eviction records.
+    pub fn retract(&mut self, retractions: impl IntoIterator<Item = (usize, usize)>) {
+        let mut removed = 0u64;
+        let mut emptied = false;
+        for (node, count) in retractions {
+            let list = &mut self.lists[node];
+            assert!(
+                count <= list.len(),
+                "retracting {count} B-objects from node {node} holding {}",
+                list.len()
+            );
+            list.drain(..count);
+            emptied |= list.is_empty();
+            removed += count as u64;
+        }
+        self.assigned -= removed;
+        if emptied {
+            let lists = &self.lists;
+            self.touched.retain(|&n| !lists[n as usize].is_empty());
+        }
+    }
+
+    /// Runs the join phase (Algorithm 4) of these assignments against `tree`,
+    /// emitting each intersecting pair `(a_id, b_id)` exactly once. `scratch`
+    /// holds the reusable join memory (grid directory, sweep buffers, work
+    /// list); `emit` returning `false` abandons the current local join and
+    /// the remaining nodes. Returns the bytes the scratch has reserved.
     pub fn join(
         &self,
         tree: &TouchTree,
@@ -125,12 +205,10 @@ impl AssignmentBuffer {
     }
 
     /// Controlled form of [`AssignmentBuffer::join`] (which is this with
-    /// [`ExecControl::infallible`]), exactly like
-    /// [`TouchTree::join_assigned_ctl`]: per-node spans to `ctl.trace`
-    /// attributed to `worker`, and `ctl.cancel` polled before every per-node
-    /// local join — the remaining work list is abandoned when it trips, and
-    /// the cause is returned alongside the scratch bytes. Pairs already
-    /// emitted and their counters stand.
+    /// [`ExecControl::infallible`]): per-node spans go to `ctl.trace` as
+    /// `worker`, and `ctl.cancel` is polled before every node — a trip
+    /// abandons the rest and its cause is returned with the scratch bytes.
+    /// Pairs already emitted and their counters stand.
     #[allow(clippy::too_many_arguments)]
     pub fn join_ctl(
         &self,
@@ -174,9 +252,9 @@ impl AssignmentBuffer {
         (scratch.memory_bytes(), cause)
     }
 
-    /// Refills `work` with the nodes the join phase has to visit — assigned
-    /// objects over a non-empty A-subtree, ascending node-index order — the
-    /// buffer-side mirror of [`TouchTree::nodes_with_assignments_into`].
+    /// Refills `work` with the nodes the join phase visits — assigned objects
+    /// over a non-empty A-subtree — in ascending order. Joining them in any
+    /// order, each once, yields the result set of [`AssignmentBuffer::join`].
     pub fn work_into(&self, tree: &TouchTree, work: &mut Vec<usize>) {
         work.clear();
         work.extend(
@@ -190,10 +268,9 @@ impl AssignmentBuffer {
 }
 
 impl MemoryUsage for AssignmentBuffer {
+    /// O(1): the lists' reserved bytes are counted as they grow.
     fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.lists)
-            + self.lists.iter().map(vec_bytes).sum::<usize>()
-            + vec_bytes(&self.touched)
+        vec_bytes(&self.lists) + self.list_bytes + vec_bytes(&self.touched)
     }
 }
 
@@ -343,5 +420,62 @@ mod tests {
         let mut counters = Counters::new();
         buffer.assign(&frozen, lattice(3, 2.0, 1.0, 0.1).objects(), &mut counters);
         assert!(buffer.memory_bytes() > before);
+    }
+
+    /// The O(1) reserved-bytes count against its ground truth, a scan of the
+    /// lists.
+    fn assert_counted(store: &AssignmentBuffer, step: &str) {
+        let scanned: usize = store.lists.iter().map(vec_bytes).sum();
+        assert_eq!(store.list_bytes, scanned, "{step}");
+    }
+
+    /// Every touched node's two oldest objects, or all it holds if fewer.
+    fn oldest_two(store: &AssignmentBuffer) -> Vec<(usize, usize)> {
+        let len = |n: u32| store.node_objects(n as usize).len();
+        store.touched_nodes().iter().map(|&n| (n as usize, len(n).min(2))).collect()
+    }
+
+    #[test]
+    fn incremental_memory_accounting_matches_a_full_scan() {
+        let a = lattice(4, 2.0, 1.0, 0.0);
+        let b = lattice(4, 1.7, 0.9, 0.0);
+        let tree = TouchTree::build(a.objects(), 8, 2);
+        let placed: Vec<(usize, SpatialObject)> = b
+            .iter()
+            .filter_map(|o| tree.assignment_target(&o.mbr, &mut Counters::new()).map(|n| (n, *o)))
+            .collect();
+
+        // A standalone buffer.
+        let mut buffer = AssignmentBuffer::new();
+        assert_counted(&buffer, "fresh");
+        buffer.assign(&tree, b.objects(), &mut Counters::new());
+        assert_counted(&buffer, "after assign");
+        buffer.extend(&tree, placed.iter().copied());
+        assert_counted(&buffer, "after extend");
+        buffer.retract(oldest_two(&buffer));
+        assert_counted(&buffer, "after retract");
+        let cloned = buffer.clone();
+        assert_counted(&cloned, "after clone");
+        assert_eq!(cloned.assigned_count(), buffer.assigned_count());
+        assert_eq!(cloned.touched_nodes(), buffer.touched_nodes());
+        buffer.clear();
+        assert_counted(&buffer, "after clear");
+        buffer.assign(&tree, b.objects(), &mut Counters::new());
+        assert_counted(&buffer, "after reuse");
+
+        // A tree's resident store, through the tree's own write paths.
+        let mut resident = TouchTree::build(a.objects(), 8, 2);
+        assert_counted(resident.store(), "resident, fresh");
+        resident.assign(b.objects(), &mut Counters::new());
+        assert_counted(resident.store(), "resident, after assign");
+        resident.extend_assigned(placed.iter().copied());
+        assert_counted(resident.store(), "resident, after extend");
+        resident.retract_assigned(oldest_two(resident.store()));
+        assert_counted(resident.store(), "resident, after retract");
+        let cloned = resident.clone();
+        assert_counted(cloned.store(), "resident, after clone");
+        assert_eq!(cloned.assigned_b_count(), resident.assigned_b_count());
+        resident.clear_assignment();
+        assert_counted(resident.store(), "resident, after clear");
     }
 }

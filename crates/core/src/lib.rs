@@ -35,9 +35,14 @@
 //! * the pairwise join kernels ([`kernels`]) and the runtime-dispatched batched
 //!   MBR filter underneath them ([`simd`]).
 //!
+//! The assignment's per-node B-lists live in one store, [`AssignmentBuffer`]: the
+//! tree keeps one for its own assign and join phases, and a serving reader holds
+//! one of its own over a frozen, shared tree.
+//!
 //! For multi-threaded execution (the `touch-parallel` crate) the tree exposes its
 //! per-phase building blocks — [`TouchTree::from_tiled`],
-//! [`TouchTree::assignment_target`] (read-only), [`TouchTree::extend_assigned`],
+//! [`TouchTree::assignment_target`] (read-only), [`TouchTree::extend_assigned`]
+//! (which applies pre-computed targets to the tree's store),
 //! [`TouchTree::nodes_with_assignments`] and [`TouchTree::local_join_node`] — and
 //! [`ShardedSink`] adapts any [`PairSink`] into lock-free per-worker shards that
 //! merge back when the parallel section is over.
@@ -85,7 +90,7 @@ mod touch;
 mod traits;
 mod tree;
 
-pub use assignment::AssignmentBuffer;
+pub use assignment::{AssignmentBuffer, ASSIGN_CANCEL_CHUNK};
 pub use control::{catch_phase, panic_message, CancelCause, CancelToken, ExecControl, JoinError};
 pub use plan::{AutoJoin, ExecutionStrategy, JoinPlan, JoinPlanner, PlanEnv};
 pub use query::{IntoEngine, JoinQuery, Predicate};
@@ -99,6 +104,4 @@ pub use touch::{time_phase_traced, JoinOrder, LocalJoinStrategy, TouchConfig, To
 pub use traits::{
     collect_join, count_join, distance_join, join_contained, Shape, SpatialJoinAlgorithm,
 };
-pub use tree::{
-    AdaptiveParams, LocalJoinKind, LocalJoinParams, TouchNode, TouchTree, ASSIGN_CANCEL_CHUNK,
-};
+pub use tree::{AdaptiveParams, LocalJoinKind, LocalJoinParams, TouchNode, TouchTree};

@@ -10,6 +10,7 @@
 //! any subtree form one contiguous range of the object array, which is what the join
 //! phase iterates.
 
+use crate::assignment::AssignmentBuffer;
 use crate::control::{CancelCause, CancelToken, ExecControl};
 use crate::kernels;
 use crate::scratch::LocalJoinScratch;
@@ -17,12 +18,6 @@ use std::ops::Range;
 use touch_geom::{Aabb, ObjectId, SpatialObject};
 use touch_index::{str_sort, UniformGrid};
 use touch_metrics::{vec_bytes, Counters, MemoryUsage, TraceEvent, TraceSink};
-
-/// Objects between two cancellation polls in [`TouchTree::assign_ctl`]: large
-/// enough that the poll (one relaxed atomic load) vanishes next to the
-/// per-object descent, small enough that cancellation lands within
-/// microseconds on any realistic dataset.
-pub const ASSIGN_CANCEL_CHUNK: usize = 1024;
 
 /// Strategy used by the join phase to join one node's B-objects against the
 /// A-objects of its descendant leaves.
@@ -184,8 +179,6 @@ pub struct TouchNode {
     children: Range<u32>,
     /// Range into the tree's A-object array covered by this subtree.
     a_range: Range<u32>,
-    /// Objects of dataset B assigned to this node (Algorithm 3).
-    b_items: Vec<SpatialObject>,
     is_leaf: bool,
 }
 
@@ -207,34 +200,12 @@ impl TouchNode {
     pub fn a_count(&self) -> usize {
         (self.a_range.end - self.a_range.start) as usize
     }
-
-    /// The B-objects assigned to this node.
-    #[inline]
-    pub fn assigned_b(&self) -> &[SpatialObject] {
-        &self.b_items
-    }
-}
-
-/// Memoised per-node local-join grid geometry (see [`TouchTree::memoise_grids`]).
-///
-/// The cache is valid for exactly one `(cells_per_dim, min_cell_size)` pair — the
-/// two [`LocalJoinParams`] fields grid geometry depends on besides the node MBR,
-/// which is immutable. A lookup under different parameters misses, so a stale
-/// cache can never change a join; it only stops accelerating it.
-#[derive(Debug, Clone)]
-struct GridCache {
-    cells_per_dim: usize,
-    min_cell_size: f64,
-    /// One entry per node; `None` for nodes whose effective strategy is not
-    /// [`LocalJoinKind::Grid`] (all-pairs fallback, adaptive pick) or that hold
-    /// no A-objects.
-    grids: Vec<Option<UniformGrid>>,
 }
 
 /// The TOUCH support structure: a data-oriented hierarchy over dataset A whose inner
 /// (and, degenerately, leaf) nodes additionally hold the assigned objects of
 /// dataset B.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TouchTree {
     a_items: Vec<SpatialObject>,
     nodes: Vec<TouchNode>,
@@ -248,53 +219,14 @@ pub struct TouchTree {
     levels: Vec<Range<usize>>,
     partitions: usize,
     fanout: usize,
-    /// Indices of nodes holding at least one assigned B-object, in first-assignment
-    /// order. Lets [`TouchTree::clear_assignment`] and
-    /// [`TouchTree::nodes_with_assignments`] run in O(touched nodes) instead of
-    /// O(all nodes) — the difference matters when a persistent tree serves many
-    /// small epochs (`touch-streaming`).
-    touched: Vec<u32>,
-    /// Number of B-objects assigned since the last [`TouchTree::clear_assignment`]
-    /// (the O(1) form of [`TouchTree::assigned_b_count`]).
-    assigned_b: u64,
-    /// Heap bytes currently reserved by the per-node B-lists, maintained
-    /// incrementally on every assignment so [`MemoryUsage::memory_bytes`] is O(1)
-    /// instead of an O(all nodes) scan per epoch. `clear_assignment` keeps the
-    /// capacities (deliberately — reuse stops allocating), so this figure survives
-    /// clears, exactly like the memory itself does.
-    b_items_bytes: usize,
-    /// Memoised per-node grid geometry for persistent trees (`touch-streaming`):
-    /// epoch re-joins of the same node stop recomputing
-    /// [`UniformGrid::with_min_cell_size`] from scratch. `None` until
-    /// [`TouchTree::memoise_grids`] is called; read-only during joins.
-    grid_cache: Option<GridCache>,
+    /// The per-node B-lists of the current assignment (Algorithm 3): the same
+    /// store a serving reader keeps outside a frozen tree.
+    store: AssignmentBuffer,
     /// `false` if any A-coordinate is NaN. Node MBRs drop NaN coordinates
     /// (`f64::min`/`max` ignore them) while the grid maps NaN to cell 0, so
     /// such a tree cannot bound its objects' cells by its nodes' cells and
     /// [`TouchTree::probe_runs`] does not prune it.
     nan_free: bool,
-}
-
-impl Clone for TouchTree {
-    fn clone(&self) -> Self {
-        let nodes = self.nodes.clone();
-        // Cloning a Vec does not preserve its capacity, so the clone's reserved
-        // B-list bytes are recomputed from what the clone actually holds.
-        let b_items_bytes = nodes.iter().map(|n| vec_bytes(&n.b_items)).sum();
-        TouchTree {
-            a_items: self.a_items.clone(),
-            nodes,
-            node_mbrs: self.node_mbrs.clone(),
-            levels: self.levels.clone(),
-            partitions: self.partitions,
-            fanout: self.fanout,
-            touched: self.touched.clone(),
-            assigned_b: self.assigned_b,
-            b_items_bytes,
-            grid_cache: self.grid_cache.clone(),
-            nan_free: self.nan_free,
-        }
-    }
 }
 
 impl TouchTree {
@@ -361,10 +293,7 @@ impl TouchTree {
                 levels,
                 partitions,
                 fanout,
-                touched: Vec::new(),
-                assigned_b: 0,
-                b_items_bytes: 0,
-                grid_cache: None,
+                store: AssignmentBuffer::new(),
                 nan_free: true,
             };
         }
@@ -385,7 +314,6 @@ impl TouchTree {
                 level: 0,
                 children: 0..0,
                 a_range: start as u32..end as u32,
-                b_items: Vec::new(),
                 is_leaf: true,
             });
             start = end;
@@ -408,7 +336,6 @@ impl TouchTree {
                     level,
                     children: child as u32..child_end as u32,
                     a_range,
-                    b_items: Vec::new(),
                     is_leaf: false,
                 });
                 child = child_end;
@@ -425,10 +352,7 @@ impl TouchTree {
             levels,
             partitions,
             fanout,
-            touched: Vec::new(),
-            assigned_b: 0,
-            b_items_bytes: 0,
-            grid_cache: None,
+            store: AssignmentBuffer::new(),
             nan_free,
         }
     }
@@ -506,37 +430,37 @@ impl TouchTree {
         &self.a_items
     }
 
-    /// Total number of B-objects currently assigned to nodes. O(1): the tree keeps
-    /// a running count alongside the per-node lists.
+    /// Total number of B-objects currently assigned to nodes. O(1).
     pub fn assigned_b_count(&self) -> usize {
-        self.assigned_b as usize
+        self.store.assigned_count()
+    }
+
+    /// The B-objects assigned to the node at `index`, in arrival order.
+    #[inline]
+    pub fn assigned_b(&self, index: usize) -> &[SpatialObject] {
+        self.store.node_objects(index)
     }
 
     /// The nodes currently holding at least one assigned B-object, in
-    /// first-assignment order (the raw touched-node bookkeeping;
-    /// [`TouchTree::nodes_with_assignments`] is the join-ready, sorted and
-    /// A-filtered view). Lets incremental callers — the sliding-window engine —
-    /// diff per-node list lengths in O(touched) instead of O(all nodes).
+    /// first-assignment order (see [`AssignmentBuffer::touched_nodes`]).
     #[inline]
     pub fn touched_nodes(&self) -> &[u32] {
-        &self.touched
+        self.store.touched_nodes()
     }
 
-    /// Stores one B-object at `node`, maintaining the assignment bookkeeping (the
-    /// touched-node list and the running count). Every assignment path —
-    /// [`TouchTree::assign`] and [`TouchTree::extend_assigned`] — funnels through
-    /// here so the bookkeeping can never drift from the per-node lists.
-    #[inline]
-    fn push_assignment(&mut self, node: usize, obj: SpatialObject) {
-        let items = &mut self.nodes[node].b_items;
-        if items.is_empty() {
-            self.touched.push(node as u32);
-        }
-        let capacity_before = items.capacity();
-        items.push(obj);
-        self.b_items_bytes +=
-            (items.capacity() - capacity_before) * std::mem::size_of::<SpatialObject>();
-        self.assigned_b += 1;
+    /// Runs `write` on the tree's store, which is moved out for the call
+    /// because the store's methods take the tree they index.
+    fn with_store<R>(&mut self, write: impl FnOnce(&mut AssignmentBuffer, &Self) -> R) -> R {
+        let mut store = std::mem::take(&mut self.store);
+        let out = write(&mut store, self);
+        self.store = store;
+        out
+    }
+
+    /// The tree's own store, for the store's accounting tests.
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &AssignmentBuffer {
+        &self.store
     }
 
     /// Determines the node an object of dataset B would be assigned to (Algorithm 3),
@@ -590,40 +514,20 @@ impl TouchTree {
         debug_assert!(complete.is_none(), "the never token cannot trip");
     }
 
-    /// Cancellable form of [`TouchTree::assign`]: polls `cancel` once per
-    /// [`ASSIGN_CANCEL_CHUNK`]-object chunk and stops assigning when it trips,
-    /// returning the cause (`None` = ran to completion). Objects are visited in
-    /// exactly the order of [`TouchTree::assign`] — with an untriggered token
-    /// the assignments and counters are bit-identical, the poll being one
-    /// relaxed atomic load per chunk.
+    /// Cancellable [`TouchTree::assign`] (see [`AssignmentBuffer::assign_ctl`]).
     pub fn assign_ctl(
         &mut self,
         b_objects: &[SpatialObject],
         counters: &mut Counters,
         cancel: &CancelToken,
     ) -> Option<CancelCause> {
-        for chunk in b_objects.chunks(ASSIGN_CANCEL_CHUNK) {
-            if let Some(cause) = cancel.triggered() {
-                return Some(cause);
-            }
-            for obj in chunk {
-                match self.assignment_target(&obj.mbr, counters) {
-                    Some(node) => self.push_assignment(node, *obj),
-                    None => counters.record_filtered(),
-                }
-            }
-        }
-        None
+        self.with_store(|store, tree| store.assign_ctl(tree, b_objects, counters, cancel))
     }
 
-    /// Attaches pre-computed assignments to the tree: every `(node_index, object)`
-    /// pair is stored at that node, in iteration order.
-    ///
-    /// This is the write half of the two-step parallel assignment used by
-    /// `touch-parallel`: worker threads compute targets concurrently with the
-    /// read-only [`TouchTree::assignment_target`], and the coordinator applies the
-    /// collected batches with this method. It is equivalent to what
-    /// [`TouchTree::assign`] does for the non-filtered objects.
+    /// Stores pre-computed `(node_index, object)` assignments (see
+    /// [`AssignmentBuffer::extend`]): worker threads compute targets with the
+    /// read-only [`TouchTree::assignment_target`], the coordinator applies
+    /// them here.
     ///
     /// # Panics
     /// Panics if a node index is out of range.
@@ -631,71 +535,30 @@ impl TouchTree {
         &mut self,
         assignments: impl IntoIterator<Item = (usize, SpatialObject)>,
     ) {
-        for (node, obj) in assignments {
-            self.push_assignment(node, obj);
-        }
+        self.with_store(|store, tree| store.extend(tree, assignments));
     }
 
-    /// Removes all assigned B-objects and resets every piece of per-epoch assignment
-    /// state — the touched-node list and the running assignment count — so the tree
-    /// can serve another probe epoch with nothing left over from the previous one.
-    ///
-    /// Only the nodes that actually received assignments are visited (O(touched)
-    /// rather than O(all nodes)), and the per-node `Vec` capacities are kept so a
-    /// long-lived tree stops allocating once it has seen a typical epoch. The node
-    /// structure — MBRs, levels, A-ranges — is untouched.
+    /// Removes all assigned B-objects in O(touched nodes), keeping the node
+    /// structure and the per-node capacities, so a long-lived tree stops
+    /// allocating once it has seen a typical epoch.
     pub fn clear_assignment(&mut self) {
-        for &node in &self.touched {
-            self.nodes[node as usize].b_items.clear();
-        }
-        self.touched.clear();
-        self.assigned_b = 0;
+        self.store.clear();
     }
 
-    /// Retracts assigned B-objects from the **front** of the listed nodes'
-    /// per-node lists: each `(node, count)` entry drops that node's `count`
-    /// oldest assignments. Assignments are stored in arrival order and epochs
-    /// arrive in order, so the front of every list is exactly what the oldest
-    /// epoch put there — this is the sliding-window eviction primitive: instead
-    /// of [`TouchTree::clear_assignment`] (drop *everything*), a windowed
-    /// stream retracts one expired epoch and keeps the rest.
-    ///
-    /// All assignment bookkeeping is maintained: the running count shrinks, and
-    /// nodes whose list becomes empty leave the touched list (a later
-    /// assignment re-adds them; a stale entry would otherwise be double-listed
-    /// and double-joined). Capacities are kept, like `clear_assignment`.
+    /// Removes each `(node, count)` entry's `count` oldest assignments (see
+    /// [`AssignmentBuffer::retract`]): a windowed stream retracts one expired
+    /// epoch instead of clearing everything.
     ///
     /// # Panics
     /// Panics if a node index is out of range or `count` exceeds what the node
     /// currently holds — both indicate corrupted eviction records.
     pub fn retract_assigned(&mut self, retractions: impl IntoIterator<Item = (usize, usize)>) {
-        let mut removed = 0u64;
-        let mut emptied = false;
-        for (node, count) in retractions {
-            let items = &mut self.nodes[node].b_items;
-            assert!(
-                count <= items.len(),
-                "retracting {count} B-objects from node {node} holding {}",
-                items.len()
-            );
-            items.drain(..count);
-            emptied |= items.is_empty();
-            removed += count as u64;
-        }
-        self.assigned_b -= removed;
-        if emptied {
-            let nodes = &self.nodes;
-            self.touched.retain(|&n| !nodes[n as usize].b_items.is_empty());
-        }
+        self.store.retract(retractions);
     }
 
-    /// Indices of the nodes the join phase has to visit: nodes holding at least one
-    /// B-object over a non-empty A-subtree. These are the independent work units a
-    /// parallel scheduler distributes; joining them in any order, each exactly once,
-    /// produces the same result set as [`TouchTree::join_assigned`].
-    ///
-    /// Returned in ascending node-index order (derived from the touched-node list,
-    /// so the scan is O(touched log touched), not O(all nodes)).
+    /// Indices of the nodes the join phase has to visit, ascending (see
+    /// [`AssignmentBuffer::work_into`]): the independent work units a parallel
+    /// scheduler distributes.
     pub fn nodes_with_assignments(&self) -> Vec<usize> {
         let mut work = Vec::new();
         self.nodes_with_assignments_into(&mut work);
@@ -703,34 +566,13 @@ impl TouchTree {
     }
 
     /// The allocation-free form of [`TouchTree::nodes_with_assignments`]: clears
-    /// `work` and refills it in ascending node-index order, retaining the buffer's
-    /// capacity. A persistent engine serving many epochs passes the same buffer
-    /// every time (see [`crate::ScratchPool::take_work`]) so the per-epoch work
-    /// list stops allocating after the first typical epoch.
+    /// `work` and refills it, retaining the buffer's capacity.
     pub fn nodes_with_assignments_into(&self, work: &mut Vec<usize>) {
-        work.clear();
-        work.extend(
-            self.touched
-                .iter()
-                .map(|&idx| idx as usize)
-                .filter(|&idx| self.nodes[idx].a_count() > 0),
-        );
-        work.sort_unstable();
+        self.store.work_into(self, work);
     }
 
-    /// Runs the join phase (Algorithm 4) over every node holding B-objects, emitting
-    /// each intersecting pair `(a_id, b_id)` exactly once.
-    ///
-    /// `params` configures the per-node grid of the [`LocalJoinKind::Grid`] strategy
-    /// (Section 5.2.2: cells should stay larger than the average object). `scratch`
-    /// provides the reusable join-phase memory — the CSR grid directory, the
-    /// plane-sweep buffers and the work-list buffer all live there, so a caller
-    /// that passes the same scratch across epochs allocates nothing per epoch once
-    /// the buffers have warmed up. `emit` follows the early-termination convention
-    /// of [`crate::kernels`]: returning `false` stops the join phase — the current
-    /// local join and the remaining nodes are abandoned. Returns the bytes the
-    /// scratch has reserved, which the caller folds into the reported memory
-    /// footprint.
+    /// Runs the join phase (Algorithm 4) over every node holding B-objects (see
+    /// [`AssignmentBuffer::join`]); `params` configures the local joins.
     pub fn join_assigned(
         &self,
         params: &LocalJoinParams,
@@ -738,17 +580,11 @@ impl TouchTree {
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> usize {
-        self.join_assigned_ctl(params, scratch, counters, emit, ExecControl::infallible(), 0).0
+        self.store.join(self, params, scratch, counters, emit)
     }
 
-    /// Controlled form of [`TouchTree::join_assigned`] (which is this with
-    /// [`ExecControl::infallible`]): each node's local join reports its span to
-    /// `ctl.trace` attributed to `worker`, and the token is polled once per
-    /// node — the remaining nodes are abandoned when it trips, and the cause is
-    /// returned alongside the scratch bytes (`None` = ran to completion). Node
-    /// order and per-node work are identical — with an untriggered token pairs
-    /// and counters are bit-identical, the poll being one relaxed atomic load
-    /// per node.
+    /// Controlled form of [`TouchTree::join_assigned`] (see
+    /// [`AssignmentBuffer::join_ctl`]).
     pub fn join_assigned_ctl(
         &self,
         params: &LocalJoinParams,
@@ -758,37 +594,7 @@ impl TouchTree {
         ctl: ExecControl<'_>,
         worker: usize,
     ) -> (usize, Option<CancelCause>) {
-        let mut work = std::mem::take(&mut scratch.work);
-        self.nodes_with_assignments_into(&mut work);
-        let mut stopped = false;
-        let mut cause = None;
-        for &idx in &work {
-            if let Some(c) = ctl.cancel.triggered() {
-                cause = Some(c);
-                break;
-            }
-            let mut watched = |a: ObjectId, b: ObjectId| {
-                let go_on = emit(a, b);
-                stopped = !go_on;
-                go_on
-            };
-            let b_objs = self.nodes[idx].assigned_b();
-            self.local_join_node(
-                idx,
-                b_objs,
-                params,
-                scratch,
-                counters,
-                &mut watched,
-                ctl.trace,
-                worker,
-            );
-            if stopped {
-                break;
-            }
-        }
-        scratch.work = work;
-        (scratch.memory_bytes(), cause)
+        self.store.join_ctl(self, params, scratch, counters, emit, ctl, worker)
     }
 
     /// Joins the B-objects `b_objs` of the node at `index` against the
@@ -798,12 +604,11 @@ impl TouchTree {
     /// the scratch has reserved after this join (its high-water mark so far —
     /// the figure a caller folds into the join phase's auxiliary memory).
     ///
-    /// The B-list is passed in rather than read from the node so the same
-    /// kernel serves the tree-resident assignment (`node.assigned_b()`) and
-    /// the serving layer's reader-owned [`crate::AssignmentBuffer`], where a
-    /// frozen `Arc`-held tree is joined concurrently by many readers. The
-    /// strategy cutoff consults only the A side, so where the B-list lives
-    /// cannot change the computation.
+    /// The B-list is passed in rather than looked up so the same kernel
+    /// serves the tree's own store ([`TouchTree::assigned_b`]) and a serving
+    /// reader's [`AssignmentBuffer`], where a frozen `Arc`-held tree is joined
+    /// concurrently by many readers. The strategy cutoff consults only the A
+    /// side, so where the B-list lives cannot change the computation.
     ///
     /// When `trace` is enabled the local join is wrapped in a
     /// [`TraceEvent::NodeJoin`] span attributed to `worker`, carrying the
@@ -883,7 +688,11 @@ impl TouchTree {
                 a_objs.len()
             }
             LocalJoinKind::Grid => {
-                let grid = self.node_grid(index, params);
+                let grid = UniformGrid::with_min_cell_size(
+                    node.mbr,
+                    params.cells_per_dim.max(1),
+                    params.min_cell_size,
+                );
                 scratch.grid_join(&grid, self, index, b_objs, counters, emit)
             }
         };
@@ -931,86 +740,17 @@ impl TouchTree {
             }
         }
     }
-
-    /// The local-join grid geometry of the node at `index` (Algorithm 4): the
-    /// memoised copy when [`TouchTree::memoise_grids`] pre-computed it for these
-    /// parameters, otherwise freshly derived. The two are identical by
-    /// construction — [`UniformGrid::with_min_cell_size`] is a pure function of
-    /// the node MBR and the parameters — so memoisation can never change a join.
-    #[inline]
-    fn node_grid(&self, index: usize, params: &LocalJoinParams) -> UniformGrid {
-        if let Some(cache) = &self.grid_cache {
-            if cache.cells_per_dim == params.cells_per_dim
-                && cache.min_cell_size == params.min_cell_size
-            {
-                if let Some(grid) = cache.grids[index] {
-                    return grid;
-                }
-            }
-        }
-        UniformGrid::with_min_cell_size(
-            self.nodes[index].mbr,
-            params.cells_per_dim.max(1),
-            params.min_cell_size,
-        )
-    }
-
-    /// Pre-computes the local-join grid geometry of every node that can need one
-    /// (those whose [`LocalJoinParams::effective_kind`] resolves to
-    /// [`LocalJoinKind::Grid`]), replacing any previously memoised set.
-    ///
-    /// This is the persistent-tree optimisation of `touch-streaming`: a one-shot
-    /// join uses each node's grid exactly once, but a tree serving many epochs
-    /// re-derives identical geometry every time a node is re-joined. The cache is
-    /// keyed by the `(cells_per_dim, min_cell_size)` it was built for — a join
-    /// under different parameters simply bypasses it — and is invisible to
-    /// results: grids are pure geometry, so cached and freshly computed joins are
-    /// bit-identical (locked down by the streaming equivalence suites).
-    pub fn memoise_grids(&mut self, params: &LocalJoinParams) {
-        let grids = self
-            .nodes
-            .iter()
-            .map(|node| {
-                if params.effective_kind(node.a_count(), &node.mbr) == LocalJoinKind::Grid {
-                    Some(UniformGrid::with_min_cell_size(
-                        node.mbr,
-                        params.cells_per_dim.max(1),
-                        params.min_cell_size,
-                    ))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        self.grid_cache = Some(GridCache {
-            cells_per_dim: params.cells_per_dim,
-            min_cell_size: params.min_cell_size,
-            grids,
-        });
-    }
-
-    /// Number of node grids currently memoised (0 without a cache). Exposed for
-    /// the reuse test suites and the streaming engine's memory accounting.
-    pub fn memoised_grid_count(&self) -> usize {
-        self.grid_cache
-            .as_ref()
-            .map(|c| c.grids.iter().filter(|g| g.is_some()).count())
-            .unwrap_or(0)
-    }
 }
 
 impl MemoryUsage for TouchTree {
-    /// O(1): the per-node B-list bytes are tracked incrementally by the assignment
-    /// paths, so a streaming engine can report memory every epoch without scanning
-    /// the node array.
+    /// O(1): the store counts its B-list bytes as they grow, so a streaming
+    /// engine can report memory every epoch without scanning the node array.
     fn memory_bytes(&self) -> usize {
         vec_bytes(&self.a_items)
-            + self.nodes.capacity() * std::mem::size_of::<TouchNode>()
-            + self.b_items_bytes
+            + vec_bytes(&self.nodes)
             + vec_bytes(&self.node_mbrs)
             + vec_bytes(&self.levels)
-            + vec_bytes(&self.touched)
-            + self.grid_cache.as_ref().map(|c| vec_bytes(&c.grids)).unwrap_or(0)
+            + self.store.memory_bytes()
     }
 }
 
@@ -1140,7 +880,7 @@ mod tests {
         let root_level = tree.node(root_idx).level;
         let mut levels_of_assignment = Vec::new();
         for idx in tree.node_indices() {
-            for ob in tree.node(idx).assigned_b() {
+            for ob in tree.assigned_b(idx) {
                 levels_of_assignment.push((ob.id, tree.node(idx).level));
             }
         }
@@ -1188,7 +928,7 @@ mod tests {
         assert_eq!(tree.assigned_b_count(), 0);
         assert!(tree.nodes_with_assignments().is_empty(), "no join work after a clear");
         for idx in tree.node_indices() {
-            assert!(tree.node(idx).assigned_b().is_empty(), "node {idx} kept B-objects");
+            assert!(tree.assigned_b(idx).is_empty(), "node {idx} kept B-objects");
         }
     }
 
@@ -1242,8 +982,8 @@ mod tests {
             );
             for idx in reused.node_indices() {
                 assert_eq!(
-                    reused.node(idx).assigned_b().len(),
-                    fresh.node(idx).assigned_b().len(),
+                    reused.assigned_b(idx).len(),
+                    fresh.assigned_b(idx).len(),
                     "round {round}: node {idx} distribution drifted"
                 );
             }
@@ -1286,7 +1026,7 @@ mod tests {
         // Every listed node must actually hold epoch-2 objects; a stale list would
         // resurface epoch-1 nodes with empty B-lists.
         for &idx in &epoch2_work {
-            assert!(!tree.node(idx).assigned_b().is_empty(), "stale touched node {idx}");
+            assert!(!tree.assigned_b(idx).is_empty(), "stale touched node {idx}");
         }
         let epoch2_fresh: Vec<usize> = {
             let mut t = TouchTree::build(a.objects(), 8, 2);
@@ -1355,84 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn memoised_grids_do_not_change_the_join() {
-        let a = lattice(4, 1.5, 1.0);
-        let b = lattice(5, 1.2, 0.8);
-        let params = test_params(LocalJoinKind::Grid);
-
-        let run = |tree: &mut TouchTree| {
-            let mut counters = Counters::new();
-            tree.assign(b.objects(), &mut counters);
-            let mut pairs = Vec::new();
-            tree.join_assigned(
-                &params,
-                &mut LocalJoinScratch::new(),
-                &mut counters,
-                &mut |x, y| {
-                    pairs.push((x, y));
-                    true
-                },
-            );
-            (pairs, counters)
-        };
-
-        let mut plain = TouchTree::build(a.objects(), 8, 2);
-        let expected = run(&mut plain);
-        assert_eq!(plain.memoised_grid_count(), 0, "no cache unless requested");
-
-        let mut memoised = TouchTree::build(a.objects(), 8, 2);
-        memoised.memoise_grids(&params);
-        assert!(memoised.memoised_grid_count() > 0, "lattice leaves exceed the cutoff");
-        // Emission order, pairs and counters are identical with the cache in place,
-        // over repeated epochs.
-        for round in 0..3 {
-            let got = run(&mut memoised);
-            assert_eq!(got, expected, "round {round} diverged with memoised grids");
-            memoised.clear_assignment();
-        }
-
-        // A join under *different* parameters bypasses the cache instead of using
-        // stale geometry: it must agree with a fresh tree run under those params.
-        let other = LocalJoinParams { cells_per_dim: 7, ..params };
-        let mut fresh = TouchTree::build(a.objects(), 8, 2);
-        let mut fresh_counters = Counters::new();
-        fresh.assign(b.objects(), &mut fresh_counters);
-        let mut fresh_pairs = Vec::new();
-        fresh.join_assigned(
-            &other,
-            &mut LocalJoinScratch::new(),
-            &mut fresh_counters,
-            &mut |x, y| {
-                fresh_pairs.push((x, y));
-                true
-            },
-        );
-        let mut stale_counters = Counters::new();
-        memoised.assign(b.objects(), &mut stale_counters);
-        let mut stale_pairs = Vec::new();
-        memoised.join_assigned(
-            &other,
-            &mut LocalJoinScratch::new(),
-            &mut stale_counters,
-            &mut |x, y| {
-                stale_pairs.push((x, y));
-                true
-            },
-        );
-        assert_eq!(stale_pairs, fresh_pairs);
-        assert_eq!(stale_counters, fresh_counters);
-    }
-
-    #[test]
-    fn memoising_grows_the_memory_accounting() {
-        let a = lattice(4, 1.5, 1.0);
-        let mut tree = TouchTree::build(a.objects(), 8, 2);
-        let before = tree.memory_bytes();
-        tree.memoise_grids(&test_params(LocalJoinKind::Grid));
-        assert!(tree.memory_bytes() > before, "the grid cache must be charged");
-    }
-
-    #[test]
     fn smaller_fanout_gives_taller_tree() {
         let a = lattice(6, 2.0, 1.0);
         let t2 = TouchTree::build(a.objects(), 32, 2);
@@ -1451,29 +1113,32 @@ mod tests {
         assert!(tree.memory_bytes() > before);
     }
 
-    /// Ground truth for the incrementally tracked B-list bytes: the full scan.
-    fn scanned_b_bytes(tree: &TouchTree) -> usize {
-        tree.nodes.iter().map(|n| vec_bytes(&n.b_items)).sum()
-    }
-
     #[test]
-    fn incremental_memory_accounting_matches_a_full_scan() {
-        let a = lattice(4, 2.0, 1.0);
-        let b = lattice(4, 1.7, 0.9);
-        let mut tree = TouchTree::build(a.objects(), 8, 2);
+    fn a_cloned_tree_joins_like_the_original() {
+        let a = lattice(4, 1.5, 1.0);
+        let b = lattice(5, 1.2, 0.8);
+        let mut original = TouchTree::build(a.objects(), 8, 2);
         let mut counters = Counters::new();
-        assert_eq!(tree.b_items_bytes, scanned_b_bytes(&tree));
-        tree.assign(b.objects(), &mut counters);
-        assert_eq!(tree.b_items_bytes, scanned_b_bytes(&tree), "after assignment");
-        // clear keeps the capacities, and the tracked figure must agree.
-        tree.clear_assignment();
-        assert_eq!(tree.b_items_bytes, scanned_b_bytes(&tree), "after clear");
-        tree.assign(b.objects(), &mut counters);
-        assert_eq!(tree.b_items_bytes, scanned_b_bytes(&tree), "after reuse");
-        // A clone does not inherit capacities; its tracking must match *its* vecs.
-        let cloned = tree.clone();
-        assert_eq!(cloned.b_items_bytes, scanned_b_bytes(&cloned), "after clone");
-        assert_eq!(cloned.assigned_b_count(), tree.assigned_b_count());
+        original.assign(b.objects(), &mut counters);
+        let cloned = original.clone();
+        assert_eq!(cloned.assigned_b_count(), original.assigned_b_count());
+        let join = |tree: &TouchTree| {
+            let mut counters = counters;
+            let mut pairs = Vec::new();
+            tree.join_assigned(
+                &test_params(LocalJoinKind::Grid),
+                &mut LocalJoinScratch::new(),
+                &mut counters,
+                &mut |x, y| {
+                    pairs.push((x, y));
+                    true
+                },
+            );
+            (pairs, counters)
+        };
+        let expected = join(&original);
+        assert!(!expected.0.is_empty());
+        assert_eq!(join(&cloned), expected, "emission order and counters must match");
     }
 
     #[test]
@@ -1545,8 +1210,8 @@ mod tests {
         assert_eq!(direct.assigned_b_count(), two_step.assigned_b_count());
         for idx in direct.node_indices() {
             assert_eq!(
-                direct.node(idx).assigned_b().len(),
-                two_step.node(idx).assigned_b().len(),
+                direct.assigned_b(idx).len(),
+                two_step.assigned_b(idx).len(),
                 "node {idx} differs between assign and extend_assigned"
             );
         }
@@ -1595,8 +1260,7 @@ mod tests {
         let work = tree.nodes_with_assignments();
         assert!(!work.is_empty());
         for idx in tree.node_indices() {
-            let node = tree.node(idx);
-            let expected = !node.assigned_b().is_empty() && node.a_count() > 0;
+            let expected = !tree.assigned_b(idx).is_empty() && tree.node(idx).a_count() > 0;
             assert_eq!(work.contains(&idx), expected, "node {idx}");
         }
         // Joining exactly these nodes gives the same pairs as join_assigned.
@@ -1604,7 +1268,7 @@ mod tests {
         let mut scratch = LocalJoinScratch::new();
         let mut via_list = Vec::new();
         for &idx in &work {
-            let b_objs = tree.node(idx).assigned_b();
+            let b_objs = tree.assigned_b(idx);
             let mut emit = |x, y| {
                 via_list.push((x, y));
                 true

@@ -308,8 +308,8 @@ fn par_local_join_ctl(
     );
     let trace = ctl.trace;
     work.sort_by_key(|&idx| {
-        let node = tree.node(idx);
-        std::cmp::Reverse(node.a_count() as u64 * node.assigned_b().len() as u64)
+        let cost = tree.node(idx).a_count() as u64 * tree.assigned_b(idx).len() as u64;
+        std::cmp::Reverse(cost)
     });
     let queues = StealQueues::distribute(work.iter().copied(), sharded.shard_count());
     let abort = AtomicBool::new(false);
@@ -346,7 +346,7 @@ fn par_local_join_ctl(
                             }
                             let aux = tree.local_join_node(
                                 idx,
-                                tree.node(idx).assigned_b(),
+                                tree.assigned_b(idx),
                                 params,
                                 scratch,
                                 &mut local,
@@ -559,8 +559,8 @@ mod tests {
             assert_eq!(counters, seq_counters, "workers = {workers}");
             for idx in tree.node_indices() {
                 assert_eq!(
-                    tree.node(idx).assigned_b().len(),
-                    sequential.node(idx).assigned_b().len(),
+                    tree.assigned_b(idx).len(),
+                    sequential.assigned_b(idx).len(),
                     "workers = {workers}, node {idx}"
                 );
             }

@@ -279,9 +279,8 @@ impl JoinServer {
                     .chain(inserts.iter().copied())
                     .collect();
                 let cfg = &self.config.touch;
-                let mut tree = TouchTree::from_tiled(tiled, cfg.partitions, cfg.fanout);
+                let tree = TouchTree::from_tiled(tiled, cfg.partitions, cfg.fanout);
                 let a_cell_floor = cfg.min_local_cell_size_of_objects(&next_live);
-                tree.memoise_grids(&cfg.local_join_params(a_cell_floor));
                 Generation { version, tree, a_cell_floor, delta }
             };
             if trace.is_enabled() {
@@ -328,9 +327,8 @@ impl JoinServer {
         delta: usize,
     ) -> Generation {
         let cfg = &config.touch;
-        let mut tree = TouchTree::build(live, cfg.partitions, cfg.fanout);
+        let tree = TouchTree::build(live, cfg.partitions, cfg.fanout);
         let a_cell_floor = cfg.min_local_cell_size_of_objects(live);
-        tree.memoise_grids(&cfg.local_join_params(a_cell_floor));
         Generation { version, tree, a_cell_floor, delta }
     }
 
@@ -427,7 +425,7 @@ impl SnapshotReader {
         if let Some(cause) = assign_cause {
             report.counters = counters;
             report.completion = cause.completion();
-            report.memory_bytes = snapshot.tree.memory_bytes();
+            report.memory_bytes = snapshot.tree.memory_bytes() + self.buffer.memory_bytes();
             sink.finish();
             return Ok(report);
         }
@@ -452,7 +450,8 @@ impl SnapshotReader {
         report.counters = counters;
         match joined {
             Ok((local_aux, cause)) => {
-                report.memory_bytes = snapshot.tree.memory_bytes() + local_aux;
+                report.memory_bytes =
+                    snapshot.tree.memory_bytes() + buffer.memory_bytes() + local_aux;
                 if let Some(c) = cause {
                     report.completion = c.completion();
                 }

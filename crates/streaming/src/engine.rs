@@ -184,13 +184,9 @@ impl StreamingTouchJoin {
         base.threads = threads;
         base.epochs = 0;
         base.plan = Some(plan.summary());
-        let (mut tree, sort_aux) = base.timer.time(Phase::Build, || {
+        let (tree, sort_aux) = base.timer.time(Phase::Build, || {
             par_build_tree(a.objects(), plan.partitions, plan.fanout, threads, plan.sort_threshold)
         });
-        // A persistent tree re-joins the same nodes every epoch: memoise their
-        // grid geometry once so epochs stop re-deriving it (pure geometry — the
-        // cached and recomputed grids are identical).
-        tree.memoise_grids(&plan.params);
         base.memory_bytes = tree.memory_bytes() + sort_aux;
         let cumulative = base.clone();
         StreamingTouchJoin {
@@ -517,7 +513,7 @@ impl StreamingTouchJoin {
         }
         let mut record = Vec::new();
         for &node in self.tree.touched_nodes() {
-            let cur = self.tree.node(node as usize).assigned_b().len() as u32;
+            let cur = self.tree.assigned_b(node as usize).len() as u32;
             let prev = self.window_len[node as usize];
             if cur > prev {
                 record.push((node, cur - prev));
@@ -559,8 +555,7 @@ impl StreamingTouchJoin {
     /// A [planned](StreamingTouchJoin::build_planned) engine additionally
     /// **re-plans the next stream** here: the local-join parameters (grid cell
     /// floor, all-pairs cutoff) are re-derived from the tree statistics plus the
-    /// probe statistics accumulated over the finished stream, and the per-node
-    /// grid memoisation is refreshed for the new geometry. The tree structure
+    /// probe statistics accumulated over the finished stream. The tree structure
     /// (partitions, fanout) stays as built. Explicitly configured engines keep
     /// their pinned parameters forever, exactly as before the planning layer.
     pub fn reset(&mut self) {
@@ -575,7 +570,6 @@ impl StreamingTouchJoin {
                 // Only the per-stream knobs may move: the hierarchy is built and
                 // its partitioning is no longer negotiable.
                 self.plan.params = replanned.params;
-                self.tree.memoise_grids(&self.plan.params);
                 self.base.plan = Some(self.plan.summary());
             }
         }
@@ -1043,7 +1037,6 @@ mod tests {
         // 2 × the mean side of the unit boxes.
         assert!((initial_cell - 2.0).abs() < 1e-9, "got {initial_cell}");
         assert!(engine.plan().partitions >= 1);
-        assert!(engine.tree().memoised_grid_count() > 0, "planned build memoises node grids");
 
         // Stream 1: large probe objects (side 4) in two epochs.
         let big = lattice(4, 3.0, 4.0, 0.2);

@@ -129,7 +129,7 @@ fn seed_local_join(
 ) -> bool {
     let node = tree.node(index);
     let a_objs = tree.subtree_a_objects(node);
-    let b_objs = node.assigned_b();
+    let b_objs = tree.assigned_b(index);
     match params.kind {
         LocalJoinKind::AllPairs => seed_all_pairs(a_objs, b_objs, counters, emit),
         LocalJoinKind::PlaneSweep => {
@@ -351,7 +351,7 @@ fn invalid_a_geometry_joins_like_the_full_seed_scan() {
         let mut tree = TouchTree::build(&invalid_geometry_side(nan_min_x), 4, 2);
         tree.assign(&b, &mut Counters::new());
         let root = tree.root_index().expect("non-empty tree");
-        assert_eq!(tree.node(root).assigned_b().len(), b.len(), "the root must hold B");
+        assert_eq!(tree.assigned_b(root).len(), b.len(), "the root must hold B");
         let top_leaf = tree
             .node_indices()
             .map(|i| tree.node(i))
@@ -380,7 +380,7 @@ fn invalid_a_geometry_joins_like_the_full_seed_scan() {
             let trace = ExecTrace::new();
             tree.local_join_node(
                 root,
-                tree.node(root).assigned_b(),
+                tree.assigned_b(root),
                 &params,
                 &mut scratch,
                 &mut Counters::new(),
@@ -429,7 +429,7 @@ fn long_run_tree() -> TouchTree {
 fn early_termination_counts_exactly_at_every_stop_point_on_every_backend() {
     let tree = long_run_tree();
     assert!(
-        tree.node_indices().any(|i| tree.node(i).assigned_b().len() > simd::RUN_MAX),
+        tree.node_indices().any(|i| tree.assigned_b(i).len() > simd::RUN_MAX),
         "some node must hold a run longer than the filter's width"
     );
     // Scalar first: its plane-sweep results are what the other backends match.

@@ -15,8 +15,8 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use touch::{
     collect_join, Aabb, BoundedSink, CollectingSink, Counters, Dataset, ExecControl, ExecTrace,
-    JoinOrder, JoinServer, Point3, ReaderPool, RunReport, ServeConfig, SpatialObject, TouchConfig,
-    TouchJoin, TraceEvent, TraceSink,
+    JoinOrder, JoinServer, LocalJoinStrategy, Point3, ReaderPool, RunReport, ServeConfig,
+    SpatialObject, TouchConfig, TouchJoin, TraceEvent, TraceSink,
 };
 
 fn touch_cfg() -> TouchConfig {
@@ -332,4 +332,24 @@ fn bounded_sinks_bound_memory_on_the_query_path() {
         report.counters.comparisons < full.counters.comparisons,
         "truncation must stop the join early, not just drop pairs"
     );
+}
+
+/// A query's memory report counts the reader's B-lists, as the resident
+/// engines count theirs inside the tree. All-pairs local joins leave only the
+/// work list in the reader's scratch, so the assigned objects' bytes can come
+/// from nowhere but the buffer.
+#[test]
+fn query_memory_counts_the_readers_assignment() {
+    use touch::metrics::MemoryUsage;
+    let a = lattice(5, 1.5, 1.0, 0.0);
+    let b = lattice(5, 1.5, 1.0, 0.2);
+    let touch = TouchConfig { local_join: LocalJoinStrategy::AllPairs, ..touch_cfg() };
+    let server = JoinServer::new(&a, ServeConfig { touch, ..serve_cfg(None) });
+    let mut reader = server.reader();
+    let report = reader.query(b.objects(), &mut CollectingSink::new());
+    let assigned = b.len() - report.counters.filtered as usize;
+    assert!(assigned > 0, "the batch must land in the tree");
+    let floor =
+        server.snapshot().tree().memory_bytes() + assigned * std::mem::size_of::<SpatialObject>();
+    assert!(report.memory_bytes >= floor, "{} < {floor}", report.memory_bytes);
 }
