@@ -25,11 +25,13 @@
 //! `--smoke` is the quick mode: a tiny scale and few repetitions, enough to
 //! prove the harness runs. `--gate <baseline>` is the CI mode: the run replays
 //! the committed baseline's scale and then **fails (exit 3) if any
-//! machine-independent counter regressed** — pairs must match exactly,
-//! comparisons / node tests / replicas must not exceed the baseline, and every
-//! violation names the counter plus its absolute and relative delta. Wall-clock
-//! throughput stays advisory (CI boxes are noisy); updating the committed
-//! `BENCH_core.json` is the deliberate act that moves the bar.
+//! machine-independent field moved** — every cell's threads, epochs, pairs,
+//! comparisons, node tests, replicas, batch lanes and hits, traced node count,
+//! candidate percentiles and plan must equal the baseline cell's, a move in
+//! either direction fails, and every violation names the field plus its
+//! absolute and relative delta. Wall-clock throughput stays advisory (CI boxes
+//! are noisy); updating the committed `BENCH_core.json` is the deliberate act
+//! that moves the bar.
 //!
 //! Every cell additionally runs **one dedicated traced repetition** (outside
 //! the timed reps, so the recorded wall numbers stay untraced): the per-node
@@ -176,14 +178,31 @@ fn json_str(s: &str) -> String {
     format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
-/// One baseline counter record parsed back out of a committed trajectory file.
+/// The machine-independent fields of a cell: everything but the timings.
+/// The gate requires each to equal the baseline's (absent in both counts as
+/// equal: the serve and tick cells carry no plan, the tick cells no trace).
+const GATED_FIELDS: [&str; 13] = [
+    "threads",
+    "epochs",
+    "pairs",
+    "comparisons",
+    "node_tests",
+    "replicas",
+    "batch_lanes",
+    "batch_hits",
+    "nodes",
+    "cand_p50",
+    "cand_p90",
+    "cand_p99",
+    "plan",
+];
+
+/// One engine cell parsed back out of a committed trajectory file: its
+/// workload, its engine and the raw text of its flat JSON object.
 struct BaselineCell {
     workload: String,
     engine: String,
-    pairs: u64,
-    comparisons: u64,
-    node_tests: u64,
-    replicas: u64,
+    json: String,
 }
 
 /// Extracts the raw text of `"key":<value>` from one flat JSON object (our own
@@ -197,12 +216,8 @@ fn json_field<'j>(obj: &'j str, key: &str) -> Option<&'j str> {
     Some(rest[..end].trim())
 }
 
-fn json_u64(obj: &str, key: &str) -> Option<u64> {
-    json_field(obj, key)?.parse().ok()
-}
-
-/// Parses the counter cells of a `touch-bench-core/v1` baseline file, returning
-/// its scale and every (workload, engine) counter record.
+/// Parses the engine cells of a `touch-bench-core/v1` baseline file, returning
+/// its scale and every (workload, engine) cell.
 fn parse_baseline(json: &str) -> Result<(f64, Vec<BaselineCell>), String> {
     if !json.contains("touch-bench-core/v1") {
         return Err("baseline is not a touch-bench-core/v1 file".into());
@@ -224,20 +239,12 @@ fn parse_baseline(json: &str) -> Result<(f64, Vec<BaselineCell>), String> {
                 .chars()
                 .take_while(|&c| c != '"')
                 .collect();
-            let parse = |key: &str| {
-                json_u64(engine_chunk, key)
-                    .ok_or_else(|| format!("baseline cell {workload}/{engine} lacks {key}"))
-            };
-            let (pairs, comparisons, node_tests, replicas) =
-                (parse("pairs")?, parse("comparisons")?, parse("node_tests")?, parse("replicas")?);
-            cells.push(BaselineCell {
-                workload: workload.clone(),
-                engine,
-                pairs,
-                comparisons,
-                node_tests,
-                replicas,
-            });
+            // Engine cells are flat: the object ends at its first brace.
+            let json = &engine_chunk[..engine_chunk.find('}').unwrap_or(engine_chunk.len())];
+            if json_field(json, "pairs").is_none() {
+                return Err(format!("baseline cell {workload}/{engine} lacks pairs"));
+            }
+            cells.push(BaselineCell { workload: workload.clone(), engine, json: json.to_string() });
         }
     }
     if cells.is_empty() {
@@ -247,8 +254,9 @@ fn parse_baseline(json: &str) -> Result<(f64, Vec<BaselineCell>), String> {
 }
 
 /// The regression gate: every baseline cell must be matched by the current run
-/// with **equal pairs** and **no higher** comparisons / node tests / replicas —
-/// the machine-independent work counters. Returns the list of violations.
+/// with **every** [`GATED_FIELDS`] entry equal — the machine-independent work
+/// counters, skew percentiles and plan. A move either way is a violation; a
+/// numeric one carries its delta. Returns the list of violations.
 fn gate_violations(baseline: &[BaselineCell], current: &[(String, Vec<Cell>)]) -> Vec<String> {
     let mut violations = Vec::new();
     for base in baseline {
@@ -263,25 +271,28 @@ fn gate_violations(baseline: &[BaselineCell], current: &[(String, Vec<Cell>)]) -
             ));
             continue;
         };
-        let mut check = |what: &str, now: u64, then: u64, exact: bool| {
-            let bad = if exact { now != then } else { now > then };
-            if bad {
-                let delta = now as i128 - then as i128;
-                let pct = if then > 0 {
-                    format!(", {:+.2}%", 100.0 * delta as f64 / then as f64)
-                } else {
-                    String::new()
-                };
-                violations.push(format!(
-                    "{}/{}: {what} regressed: {now} vs baseline {then} ({delta:+}{pct})",
-                    base.workload, base.engine
-                ));
+        let current = cell.to_json();
+        for key in GATED_FIELDS {
+            let (now, then) = (json_field(&current, key), json_field(&base.json, key));
+            if now == then {
+                continue;
             }
-        };
-        check("pairs", cell.pairs, base.pairs, true);
-        check("comparisons", cell.comparisons, base.comparisons, false);
-        check("node_tests", cell.node_tests, base.node_tests, false);
-        check("replicas", cell.replicas, base.replicas, false);
+            let number = |v: Option<&str>| v?.parse::<i128>().ok();
+            let delta = match (number(now), number(then)) {
+                (Some(n), Some(0)) => format!(" ({n:+})"),
+                (Some(n), Some(t)) => {
+                    format!(" ({:+}, {:+.2}%)", n - t, 100.0 * (n - t) as f64 / t as f64)
+                }
+                _ => String::new(),
+            };
+            violations.push(format!(
+                "{}/{}: {key} moved: {} vs baseline {}{delta}",
+                base.workload,
+                base.engine,
+                now.unwrap_or("absent"),
+                then.unwrap_or("absent"),
+            ));
+        }
     }
     violations
 }
@@ -641,8 +652,9 @@ fn main() {
         let violations = gate_violations(&baseline_cells, &results);
         if violations.is_empty() {
             eprintln!(
-                "[perfsmoke] gate vs {path}: OK ({} cells, no counter regressions)",
-                baseline_cells.len()
+                "[perfsmoke] gate vs {path}: OK ({} cells, {} fields each, all equal)",
+                baseline_cells.len(),
+                GATED_FIELDS.len()
             );
         } else {
             eprintln!("[perfsmoke] gate vs {path}: FAILED");
@@ -650,10 +662,10 @@ fn main() {
                 eprintln!("[perfsmoke]   {v}");
             }
             eprintln!(
-                "[perfsmoke] counters are deterministic: a regression here means the \
-                 join does more work than the committed baseline. If the increase is \
+                "[perfsmoke] these fields are deterministic: a move either way means the \
+                 join does different work from the committed baseline. If the change is \
                  intentional, regenerate BENCH_core.json (cargo run -p touch-bench \
-                 --release --bin perfsmoke) and commit it."
+                 --release --bin perfsmoke), commit it and say why."
             );
             std::process::exit(3);
         }

@@ -134,8 +134,8 @@ impl AssignmentBuffer {
     }
 
     /// Stores pre-computed `(node_index, object)` assignments against `tree`,
-    /// in iteration order: the write half of `touch-parallel`'s two-step
-    /// assignment, storing what [`AssignmentBuffer::assign`] would.
+    /// in iteration order: the write half of the multi-worker two-step
+    /// assignment ([`crate::phases::par_assign_ctl`]), storing what [`AssignmentBuffer::assign`] would.
     ///
     /// # Panics
     /// Panics if a node index is out of range.

@@ -39,13 +39,16 @@
 //! tree keeps one for its own assign and join phases, and a serving reader holds
 //! one of its own over a frozen, shared tree.
 //!
-//! For multi-threaded execution (the `touch-parallel` crate) the tree exposes its
-//! per-phase building blocks — [`TouchTree::from_tiled`],
+//! The three phases run as the blocks of [`phases`] at any worker count:
+//! [`TouchJoin`] executes its plan at the plan's width, in-thread at one worker
+//! and over work-stealing workers ([`scheduler::StealQueues`]) at more, and the
+//! streaming engine and the tick loop drive the same blocks. The blocks use the
+//! tree's per-phase building blocks — [`TouchTree::from_tiled`],
 //! [`TouchTree::assignment_target`] (read-only), [`TouchTree::extend_assigned`]
 //! (which applies pre-computed targets to the tree's store),
 //! [`TouchTree::nodes_with_assignments`] and [`TouchTree::local_join_node`] — and
-//! [`ShardedSink`] adapts any [`PairSink`] into lock-free per-worker shards that
-//! merge back when the parallel section is over.
+//! [`ShardedSink`], which adapts any [`PairSink`] into lock-free per-worker shards
+//! that merge back when the parallel section is over.
 //!
 //! ## Quick example
 //!
@@ -80,8 +83,10 @@
 mod assignment;
 mod control;
 pub mod kernels;
+pub mod phases;
 mod plan;
 mod query;
+pub mod scheduler;
 mod scratch;
 pub mod simd;
 mod sink;

@@ -1,25 +1,27 @@
-//! The reusable parallel building blocks of the three TOUCH phases.
+//! The building blocks of the three TOUCH phases, at any worker count.
 //!
-//! [`crate::ParallelTouchJoin`] composes these into a one-shot join; the
-//! `touch-streaming` engine composes the same blocks into its per-epoch pipeline
-//! (build once, then assignment + local join per pushed batch). Keeping the blocks
-//! in one place guarantees the two subsystems can never diverge in how they
-//! parallelise a phase.
+//! [`crate::TouchJoin`] composes these into the one-shot join at its plan's
+//! width; the `touch-streaming` engine composes the same blocks into its
+//! per-epoch pipeline (build once, then assignment + local join per pushed
+//! batch), and the `touch-sim` tick loop into its per-tick one. At one worker
+//! every block runs in-thread; at more, the work spreads over work-stealing
+//! workers ([`crate::scheduler::StealQueues`]). Keeping the blocks in one place
+//! guarantees the engines can never diverge in how they run a phase.
 //!
-//! Every block preserves the determinism contract of the subsystem: for a fixed
-//! input and [`touch_core::TouchConfig`], the produced tree, assignment and local
-//! joins — and therefore the result set and all counters — are identical at every
-//! worker count.
+//! Every block preserves the determinism contract: for a fixed input and
+//! [`crate::TouchConfig`], the produced tree, assignment and local joins — and
+//! therefore the result set and all counters — are identical at every worker
+//! count.
 
 use crate::scheduler::StealQueues;
-use crate::sort::par_str_sort;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use touch_core::{
+use crate::{
     catch_phase, deliver, panic_message, CancelCause, ExecControl, JoinError, LocalJoinParams,
     LocalJoinScratch, PairSink, ScratchPool, ShardedSink, TouchTree,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use touch_geom::SpatialObject;
+use touch_index::par_str_sort;
 use touch_metrics::{Counters, Phase, TraceEvent};
 
 /// What one fault-contained worker thread hands back: its partial work on
@@ -60,8 +62,8 @@ fn fold_workers<T>(
 
 /// Resolves a configured worker count: an explicit value is used as-is, `0`
 /// auto-detects the machine's available parallelism (falling back to 1). The single
-/// resolution rule shared by [`crate::ParallelConfig`] and the streaming engine's
-/// configuration.
+/// resolution rule shared by `touch-parallel`'s `ParallelConfig`, the streaming
+/// engine's configuration and the tick loop's.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads > 0 {
         threads
@@ -122,8 +124,8 @@ pub fn par_assign(
 /// claim; the sequential fallback records the whole probe batch as a single
 /// chunk on worker 0.
 ///
-/// Fault-tolerance contract (the parallel half of
-/// [`SpatialJoinAlgorithm::try_join`](touch_core::SpatialJoinAlgorithm::try_join)):
+/// Fault-tolerance contract (the assignment half of
+/// [`SpatialJoinAlgorithm::try_join`](crate::SpatialJoinAlgorithm::try_join)):
 ///
 /// * workers poll the cancel token per claimed chunk; on a trip every worker
 ///   stops claiming, the chunks already computed are still applied (in chunk
@@ -278,7 +280,7 @@ pub fn par_assign_ctl(
 /// [`TraceEvent::NodeJoin`] span attributed to the worker that joined it, and
 /// every cross-queue claim a [`TraceEvent::Steal`]. Returns the sum over
 /// workers of each worker's reserved scratch bytes (concurrent footprints
-/// coexist, unlike the sequential join which charges a single scratch).
+/// coexist, unlike the in-thread join which charges a single scratch).
 ///
 /// Fault-tolerance contract: workers poll the cancel token per claimed node
 /// (pairs already pushed into the shards stay — a cancelled run's shards hold
@@ -511,7 +513,7 @@ pub fn par_join_into_ctl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use touch_core::{LocalJoinKind, TouchConfig};
+    use crate::{CollectingSink, FirstKSink, LocalJoinKind, TouchConfig};
     use touch_geom::{Aabb, Dataset, Point3};
 
     fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {
@@ -619,7 +621,7 @@ mod tests {
             for swap_pairs in [false, true] {
                 let case = format!("workers = {workers}, swap = {swap_pairs}");
                 let log = ThreadLog::default();
-                let mut sink = touch_core::CollectingSink::new();
+                let mut sink = CollectingSink::new();
                 let mut pool = ScratchPool::new();
                 let mut counters = Counters::new();
                 let ctl = ExecControl::with_trace(&log);
@@ -654,7 +656,7 @@ mod tests {
         }
 
         // A first-k sink stops the in-thread join at exactly K.
-        let mut sink = touch_core::FirstKSink::new(3);
+        let mut sink = FirstKSink::new(3);
         let mut pool = ScratchPool::new();
         let mut counters = Counters::new();
         par_join_into(&tree, &params, 1, false, false, &mut sink, &mut pool, &mut counters);
@@ -665,7 +667,7 @@ mod tests {
         // An empty work list at any width takes the in-thread path: nothing
         // joins and no per-worker scratch is allocated.
         let empty = TouchTree::build(a.objects(), 8, 2);
-        let mut sink = touch_core::CollectingSink::new();
+        let mut sink = CollectingSink::new();
         let mut pool = ScratchPool::new();
         let mut counters = Counters::new();
         par_join_into(&empty, &params, 4, false, false, &mut sink, &mut pool, &mut counters);
@@ -698,7 +700,7 @@ mod tests {
         let filtered: Vec<(u32, u32)> = in_order.into_iter().filter(|&(x, y)| x < y).collect();
 
         for workers in [1, 4] {
-            let mut sink = touch_core::CollectingSink::new();
+            let mut sink = CollectingSink::new();
             let mut pool = ScratchPool::new();
             let mut counters = Counters::new();
             par_join_into(

@@ -61,9 +61,9 @@ use touch_metrics::{PlanSummary, RunReport};
 /// The execution strategy a [`JoinPlan`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecutionStrategy {
-    /// Single-threaded `TouchJoin`.
+    /// One worker: the phases run in-thread.
     Sequential,
-    /// Work-stealing `ParallelTouchJoin` at the given worker count.
+    /// Work-stealing workers at the given count (`ParallelTouchJoin`).
     Parallel {
         /// Resolved worker count (≥ 2).
         threads: usize,

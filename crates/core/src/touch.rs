@@ -2,9 +2,10 @@
 //! implementation tying the three phases together (Algorithm 1).
 
 use crate::control::{catch_phase, ExecControl, JoinError};
+use crate::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl};
 use crate::plan::JoinPlan;
 use crate::tree::LocalJoinKind;
-use crate::{deliver, LocalJoinScratch, PairSink, Shape, SpatialJoinAlgorithm, TouchTree};
+use crate::{PairSink, ScratchPool, Shape, SpatialJoinAlgorithm};
 use serde::{Deserialize, Serialize};
 use touch_geom::Dataset;
 use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
@@ -22,8 +23,8 @@ pub enum LocalJoinStrategy {
 }
 
 impl LocalJoinStrategy {
-    /// The tree-level join kind this strategy selects (used by the sequential join
-    /// and by `touch-parallel` when driving [`crate::TouchTree::local_join_node`]).
+    /// The tree-level join kind this strategy selects (what the join phase
+    /// passes to [`crate::TouchTree::local_join_node`]).
     pub fn kind(self) -> LocalJoinKind {
         match self {
             LocalJoinStrategy::Grid => LocalJoinKind::Grid,
@@ -121,7 +122,8 @@ impl Default for TouchConfig {
 /// Executes from a [`JoinPlan`]: an explicit [`TouchConfig`] is translated per
 /// run with [`JoinPlan::from_touch_config`] (reproducing the pre-planning
 /// behaviour exactly), while [`TouchJoin::from_plan`] pins a pre-computed plan —
-/// the form the auto-planning layer dispatches to.
+/// the form the auto-planning layer dispatches to. A plan runs at its own width,
+/// [`JoinPlan::threads`]; a translated configuration runs on one thread.
 #[derive(Debug, Clone, Default)]
 pub struct TouchJoin {
     config: TouchConfig,
@@ -130,8 +132,7 @@ pub struct TouchJoin {
 
 impl TouchConfig {
     /// Whether the hierarchy is built on dataset A under this configuration's
-    /// [`JoinOrder`]. Shared by the sequential join and `touch-parallel`, so the two
-    /// can never diverge on the decision.
+    /// [`JoinOrder`]: the one place the decision is made.
     pub fn builds_tree_on_a(&self, a: &Dataset, b: &Dataset) -> bool {
         match self.join_order {
             JoinOrder::TreeOnA => true,
@@ -142,7 +143,7 @@ impl TouchConfig {
 
     /// The minimum local-join grid cell size for joining `a` and `b`: grid cells
     /// must stay larger than the average object (Section 5.2.2), measured over both
-    /// inputs. Shared by the sequential join and `touch-parallel`.
+    /// inputs.
     pub fn min_local_cell_size(&self, a: &Dataset, b: &Dataset) -> f64 {
         self.min_local_cell_size_of(a).max(self.min_local_cell_size_of(b))
     }
@@ -176,7 +177,7 @@ impl TouchConfig {
 
     /// The [`LocalJoinParams`](crate::LocalJoinParams) this configuration selects for
     /// the given minimum cell size — the single place the per-node join knobs are
-    /// assembled, shared by the sequential, parallel and streaming execution paths.
+    /// assembled, shared by the one-shot and streaming execution paths.
     pub fn local_join_params(&self, min_cell_size: f64) -> crate::LocalJoinParams {
         crate::LocalJoinParams {
             kind: self.local_join.kind(),
@@ -196,8 +197,8 @@ impl TouchJoin {
 
     /// Creates a TOUCH join that executes a pre-computed, fully resolved
     /// [`JoinPlan`] (the planner's output). The plan pins every decision —
-    /// tree side, partitioning, grid sizing — so it should be executed on the
-    /// datasets it was planned for.
+    /// tree side, partitioning, grid sizing, worker count — so it should be
+    /// executed on the datasets it was planned for.
     pub fn from_plan(plan: JoinPlan) -> Self {
         TouchJoin { config: plan.as_touch_config(), plan: Some(plan) }
     }
@@ -222,9 +223,9 @@ impl TouchJoin {
 }
 
 /// Times `f` into `report`'s `phase` and, when `trace` is enabled, also records
-/// the phase as a [`TraceEvent::Phase`] span. Shared by the sequential and (via
-/// re-export) the parallel/streaming coordinators so phase spans line up with
-/// the reported phase times.
+/// the phase as a [`TraceEvent::Phase`] span. Shared by the one-shot executor and
+/// the streaming coordinator so phase spans line up with the reported phase
+/// times.
 pub fn time_phase_traced<T>(
     report: &mut RunReport,
     phase: Phase,
@@ -244,13 +245,15 @@ pub fn time_phase_traced<T>(
     out
 }
 
-/// Executes a resolved [`JoinPlan`] sequentially: the one sequential execution
-/// path behind [`TouchJoin`]'s [`SpatialJoinAlgorithm::try_join`], shared by
-/// explicit configurations and the planning layer so the two can never diverge.
-/// Phase spans and per-node [`TraceEvent::NodeJoin`] spans (worker 0) go to
-/// `ctl.trace`.
+/// Executes a resolved [`JoinPlan`] at its width, [`JoinPlan::threads`]: the one
+/// execution path behind [`TouchJoin`] and, through it, the parallel engine and
+/// the planning layer, so none of them can diverge. Each phase is one block of
+/// [`crate::phases`]: at one worker the blocks run in-thread, at more they spread
+/// over work-stealing workers, and the tree, the assignment, the pairs and the
+/// counters are the same at every width. `ctl.trace` receives phase spans,
+/// per-chunk assignment spans, per-node join spans and steal events.
 ///
-/// For [`Shape::SelfJoin`] the index-order filter sits inside the emit closure
+/// For [`Shape::SelfJoin`] the index-order filter sits inside the emit closures
 /// — identity pairs and mirrored duplicates are dropped *before* the sink sees
 /// them, so early termination budgets are spent on post-filter pairs only
 /// while the comparison/node-test counters stay identical to the raw `a ⋈ b`
@@ -262,17 +265,19 @@ pub fn time_phase_traced<T>(
 ///   join node; a tripped token stops the run in an orderly way and returns
 ///   `Ok` with the partial report stamped
 ///   ([`Completion`](touch_metrics::Completion)),
-/// * each phase runs inside [`catch_phase`], so a panic surfaces as
-///   `Err(`[`JoinError::WorkerPanicked`]`)` (phase attributed, worker 0) with
+/// * each phase, its trace hook included, runs inside [`catch_phase`], and each
+///   worker inside a containment of its own, so a panic surfaces as
+///   `Err(`[`JoinError::WorkerPanicked`]`)` (phase and worker attributed) with
 ///   the report covering the work completed before the panic,
 /// * with an untriggered token the run is bit-identical — pairs *and* counters
 ///   — to the pre-fault-tolerance code path (locked by the equivalence suites
 ///   and the perfsmoke counter gate).
 ///
-/// Counters are accumulated locally and folded back into the report on
-/// **every** exit path, so a cancelled or panicked run still reports the work
-/// it did.
-pub(crate) fn execute_sequential(
+/// Counters are folded back into the report on **every** exit path, so a
+/// cancelled or panicked run still reports the work it did. `memory_bytes` is
+/// the tree plus the transient buffers of every phase reached: the STR sort
+/// keys, the assignment batches and the join scratch.
+fn execute(
     plan: &JoinPlan,
     a: &Dataset,
     b: &Dataset,
@@ -282,6 +287,8 @@ pub(crate) fn execute_sequential(
     ctl: ExecControl<'_>,
 ) -> Result<(), JoinError> {
     report.plan = Some(plan.summary());
+    let threads = plan.threads();
+    report.threads = threads;
     let build_on_a = plan.build_on_a;
     let (tree_ds, probe_ds) = if build_on_a { (a, b) } else { (b, a) };
     if let Some(cause) = ctl.cancel.triggered() {
@@ -289,14 +296,17 @@ pub(crate) fn execute_sequential(
         return Ok(());
     }
 
-    // Phase 1: build the hierarchy on the tree dataset (Algorithm 2).
-    let mut tree = catch_phase(Phase::Build, 0, || {
+    // Phase 1: the STR sort, then the hierarchy on the tree dataset
+    // (Algorithm 2). The sort has no cancel points of its own, so the token is
+    // re-checked right after it.
+    let (mut tree, sort_aux) = catch_phase(Phase::Build, 0, || {
         time_phase_traced(report, Phase::Build, ctl.trace, || {
-            TouchTree::build(tree_ds.objects(), plan.partitions, plan.fanout)
+            let (partitions, fanout) = (plan.partitions, plan.fanout);
+            par_build_tree(tree_ds.objects(), partitions, fanout, threads, plan.sort_threshold)
         })
     })?;
     if let Some(cause) = ctl.cancel.triggered() {
-        report.memory_bytes = tree.memory_bytes();
+        report.memory_bytes = tree.memory_bytes() + sort_aux;
         report.completion = cause.completion();
         return Ok(());
     }
@@ -305,59 +315,55 @@ pub(crate) fn execute_sequential(
     let mut counters = std::mem::take(&mut report.counters);
     let assigned = catch_phase(Phase::Assignment, 0, || {
         time_phase_traced(report, Phase::Assignment, ctl.trace, || {
-            tree.assign_ctl(probe_ds.objects(), &mut counters, ctl.cancel)
+            let probe = probe_ds.objects();
+            par_assign_ctl(&mut tree, probe, plan.chunk_size, threads, &mut counters, ctl)
         })
-    });
-    let cut_short = match assigned {
-        Ok(cut_short) => cut_short,
+    })
+    .and_then(|assigned| assigned);
+    let assign_aux = match assigned {
+        Ok((aux, None)) => aux,
+        Ok((aux, Some(cause))) => {
+            report.counters = counters;
+            report.memory_bytes = tree.memory_bytes() + sort_aux + aux;
+            report.completion = cause.completion();
+            return Ok(());
+        }
         Err(e) => {
             report.counters = counters;
             return Err(e);
         }
     };
-    if let Some(cause) = cut_short {
-        report.counters = counters;
-        report.memory_bytes = tree.memory_bytes();
-        report.completion = cause.completion();
-        return Ok(());
-    }
 
     // Phase 3: local joins (Algorithm 4), honouring the sink's early
-    // termination after every delivered pair. The emit closure encodes the
-    // orientation and the self-join filter. The scratch lives for the whole
-    // join, so the per-node grid directories and sweep buffers allocate once.
+    // termination after every delivered pair. The pool's scratches live for
+    // the whole join, so the per-node grid directories and sweep buffers
+    // allocate once per worker.
+    let mut pool = ScratchPool::new();
     let self_join = shape == Shape::SelfJoin;
-    let mut results = 0u64;
-    let mut emit = |tree_id, probe_id| {
-        let (x, y) = if build_on_a { (tree_id, probe_id) } else { (probe_id, tree_id) };
-        if !self_join || x < y {
-            deliver(sink, x, y, &mut results)
-        } else {
-            !sink.is_done()
-        }
-    };
-    let mut scratch = LocalJoinScratch::new();
     let joined = catch_phase(Phase::Join, 0, || {
         time_phase_traced(report, Phase::Join, ctl.trace, || {
-            tree.join_assigned_ctl(&plan.params, &mut scratch, &mut counters, &mut emit, ctl, 0)
+            par_join_into_ctl(
+                &tree,
+                &plan.params,
+                threads,
+                !build_on_a,
+                self_join,
+                sink,
+                &mut pool,
+                &mut counters,
+                ctl,
+            )
         })
-    });
-    match joined {
-        Ok((peak_local_aux, cause)) => {
-            counters.results += results;
-            report.counters = counters;
-            report.memory_bytes = tree.memory_bytes() + peak_local_aux;
-            if let Some(cause) = cause {
-                report.completion = cause.completion();
-            }
-            Ok(())
-        }
-        Err(e) => {
-            report.counters = counters;
-            report.memory_bytes = tree.memory_bytes() + scratch.memory_bytes();
-            Err(e)
-        }
+    })
+    .and_then(|joined| joined);
+    report.counters = counters;
+    report.memory_bytes = tree.memory_bytes() + sort_aux + assign_aux;
+    let (join_aux, cause) = joined?;
+    report.memory_bytes += join_aux;
+    if let Some(cause) = cause {
+        report.completion = cause.completion();
     }
+    Ok(())
 }
 
 impl SpatialJoinAlgorithm for TouchJoin {
@@ -378,7 +384,7 @@ impl SpatialJoinAlgorithm for TouchJoin {
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        execute_sequential(&self.resolve_plan(a, b), a, b, shape, sink, report, ctl)
+        execute(&self.resolve_plan(a, b), a, b, shape, sink, report, ctl)
     }
 }
 

@@ -232,8 +232,8 @@ pub struct TouchTree {
 impl TouchTree {
     /// The STR bucket (leaf) capacity for `len` objects split into `partitions`
     /// buckets. The single source of the chunking that [`TouchTree::build`],
-    /// [`TouchTree::from_tiled`] and the parallel sort in `touch-parallel` must all
-    /// agree on.
+    /// [`TouchTree::from_tiled`] and the multi-threaded sort of
+    /// [`crate::phases::par_build_tree`] must all agree on.
     ///
     /// # Panics
     /// Panics if `partitions` is zero.
@@ -265,9 +265,9 @@ impl TouchTree {
     /// `a_items` must be ordered so that consecutive chunks of
     /// [`TouchTree::leaf_capacity`] objects form spatially coherent buckets —
     /// exactly what [`touch_index::str_sort`] with that capacity produces. This is
-    /// the entry point for `touch-parallel`, which runs the STR sort on multiple
-    /// threads and then hands the tiled objects over; [`TouchTree::build`] is the
-    /// single-threaded sort + this constructor.
+    /// the entry point for [`crate::phases::par_build_tree`], which runs the STR
+    /// sort on one or more threads and then hands the tiled objects over;
+    /// [`TouchTree::build`] is the single-threaded sort + this constructor.
     ///
     /// Correctness does not depend on *how good* the tiling is (any permutation
     /// yields a correct join — Theorem 1 only needs the leaves to partition A); the

@@ -48,7 +48,7 @@ impl ParallelConfig {
     /// Resolves the configured thread count: an explicit value is used as-is,
     /// `0` auto-detects the machine's available parallelism (falling back to 1).
     pub fn effective_threads(&self) -> usize {
-        crate::phases::resolve_threads(self.threads)
+        touch_core::phases::resolve_threads(self.threads)
     }
 }
 

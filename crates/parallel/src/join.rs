@@ -1,19 +1,18 @@
-//! The parallel TOUCH join: the three phases of Algorithm 1 executed on a thread
-//! pool, with results and counters sharded per worker and merged at the end.
+//! The parallel TOUCH join: a configured width for touch-core's one executor.
 
-use crate::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl};
 use crate::ParallelConfig;
 use touch_core::{
-    catch_phase, time_phase_traced, ExecControl, ExecutionStrategy, JoinError, JoinPlan, PairSink,
-    ScratchPool, Shape, SpatialJoinAlgorithm,
+    ExecControl, ExecutionStrategy, JoinError, JoinPlan, PairSink, Shape, SpatialJoinAlgorithm,
+    TouchJoin,
 };
 use touch_geom::Dataset;
-use touch_metrics::{MemoryUsage, Phase, RunReport};
+use touch_metrics::RunReport;
 
 /// Multi-threaded TOUCH (implements [`SpatialJoinAlgorithm`]).
 ///
-/// Algorithmically this is exactly [`touch_core::TouchJoin`] — same hierarchy, same
-/// assignment rule, same local joins — executed on `threads` workers:
+/// This is [`touch_core::TouchJoin`] at a plan of `threads` workers: the same
+/// executor runs the same three phase blocks ([`crate::phases`]), which spread
+/// their work over the workers:
 ///
 /// 1. **Build**: the STR sort of the tree dataset spreads its slabs over the
 ///    workers ([`crate::sort::par_str_sort`]), then the hierarchy is assembled
@@ -34,7 +33,8 @@ use touch_metrics::{MemoryUsage, Phase, RunReport};
 /// same for *every* thread count — the sorted result set **and all counters** equal
 /// the sequential `TouchJoin` run configured with the same
 /// [`touch_core::TouchConfig`]. Only the arrival order of pairs in the sink (and the
-/// wall-clock phase times) vary between runs.
+/// wall-clock phase times) vary between runs; at one thread the run is the
+/// sequential `TouchJoin`'s, emission order and memory report included.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelTouchJoin {
     config: ParallelConfig,
@@ -65,7 +65,7 @@ impl ParallelTouchJoin {
     }
 
     /// Default algorithmic configuration pinned to an explicit thread count
-    /// (`with_threads(1)` is the sequential algorithm on the pool machinery).
+    /// (`with_threads(1)` runs exactly as the default sequential `TouchJoin`).
     pub fn with_threads(threads: usize) -> Self {
         ParallelTouchJoin::new(ParallelConfig::with_threads(threads))
     }
@@ -86,121 +86,6 @@ impl ParallelTouchJoin {
                 })
                 .with_execution(self.config.chunk_size, self.config.sort_threshold)
         })
-    }
-}
-
-/// Executes a resolved [`JoinPlan`] on the work-stealing machinery: the one
-/// parallel execution path behind [`ParallelTouchJoin`]'s
-/// [`SpatialJoinAlgorithm::try_join`], shared by explicit configurations and the
-/// planning layer so the two can never diverge. `ctl.trace` receives phase
-/// spans, per-chunk assignment spans, per-node join spans and steal events.
-/// [`Shape::SelfJoin`] pushes the index-order filter into the worker emit
-/// closures (via [`par_join_into_ctl`]'s `self_join` flag), so shared pair
-/// budgets are spent on post-filter pairs only, and pairs, counters and the
-/// tree are bit-identical at every worker count.
-///
-/// The cooperation contract matches the sequential engine's: the token is
-/// polled between phases and — inside [`par_assign_ctl`] /
-/// [`par_join_into_ctl`] — per chunk and per node by every worker; a tripped
-/// token ends the run in an orderly way with the partial report's completion
-/// stamped, a panicked worker is contained and surfaced as
-/// `Err(`[`JoinError::WorkerPanicked`]`)` (its siblings stop via a shared abort
-/// flag), and with an untriggered token the run is bit-identical at every
-/// thread count.
-fn execute_parallel(
-    plan: &JoinPlan,
-    a: &Dataset,
-    b: &Dataset,
-    shape: Shape,
-    sink: &mut dyn PairSink,
-    report: &mut RunReport,
-    ctl: ExecControl<'_>,
-) -> Result<(), JoinError> {
-    report.plan = Some(plan.summary());
-    let threads = plan.threads();
-    report.threads = threads;
-    let build_on_a = plan.build_on_a;
-    let (tree_ds, probe_ds) = if build_on_a { (a, b) } else { (b, a) };
-    if let Some(cause) = ctl.cancel.triggered() {
-        report.completion = cause.completion();
-        return Ok(());
-    }
-
-    // Phase 1: parallel STR sort, then hierarchy assembly (Algorithm 2). Each
-    // phase is timed at its fork/join point, so the recorded duration is wall
-    // clock — correct no matter how many workers ran inside. The sort has no
-    // internal cancel points (it is memory-bound and brief relative to the
-    // join), so the token is re-checked right after it.
-    let (mut tree, sort_aux) = catch_phase(Phase::Build, 0, || {
-        time_phase_traced(report, Phase::Build, ctl.trace, || {
-            par_build_tree(
-                tree_ds.objects(),
-                plan.partitions,
-                plan.fanout,
-                threads,
-                plan.sort_threshold,
-            )
-        })
-    })?;
-    if let Some(cause) = ctl.cancel.triggered() {
-        report.memory_bytes = tree.memory_bytes() + sort_aux;
-        report.completion = cause.completion();
-        return Ok(());
-    }
-
-    // Phase 2: chunked parallel assignment (Algorithm 3).
-    let mut counters = std::mem::take(&mut report.counters);
-    let assigned = time_phase_traced(report, Phase::Assignment, ctl.trace, || {
-        par_assign_ctl(&mut tree, probe_ds.objects(), plan.chunk_size, threads, &mut counters, ctl)
-    });
-    let assign_aux = match assigned {
-        Ok((aux, None)) => aux,
-        Ok((aux, Some(cause))) => {
-            report.counters = counters;
-            report.memory_bytes = tree.memory_bytes() + sort_aux + aux;
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        Err(e) => {
-            report.counters = counters;
-            return Err(e);
-        }
-    };
-
-    // Phase 3: work-stealing local joins (Algorithm 4). Grid sizing is pinned by
-    // the plan — the same resolved parameters the sequential engine executes.
-    let mut pool = ScratchPool::new();
-    let joined = time_phase_traced(report, Phase::Join, ctl.trace, || {
-        par_join_into_ctl(
-            &tree,
-            &plan.params,
-            threads,
-            !build_on_a,
-            shape == Shape::SelfJoin,
-            sink,
-            &mut pool,
-            &mut counters,
-            ctl,
-        )
-    });
-    match joined {
-        Ok((aux_bytes, cause)) => {
-            report.counters = counters;
-            // Charge the transient buffers of every phase, not just the local
-            // joins: unlike the sequential join, the parallel one buffers sort
-            // scratch and assignment batches, and hiding them would flatter
-            // TOUCH-P in the experiments' memory comparison.
-            report.memory_bytes = tree.memory_bytes() + sort_aux + assign_aux + aux_bytes;
-            if let Some(cause) = cause {
-                report.completion = cause.completion();
-            }
-            Ok(())
-        }
-        Err(e) => {
-            report.counters = counters;
-            report.memory_bytes = tree.memory_bytes() + sort_aux + assign_aux;
-            Err(e)
-        }
     }
 }
 
@@ -226,7 +111,7 @@ impl SpatialJoinAlgorithm for ParallelTouchJoin {
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        execute_parallel(&self.resolve_plan(a, b), a, b, shape, sink, report, ctl)
+        TouchJoin::from_plan(self.resolve_plan(a, b)).try_join(a, b, shape, sink, report, ctl)
     }
 }
 
@@ -235,7 +120,7 @@ mod tests {
     use super::*;
     use touch_core::{
         collect_join, distance_join, CountingSink, JoinOrder, JoinQuery, LocalJoinStrategy,
-        TouchConfig, TouchJoin,
+        TouchConfig,
     };
     use touch_geom::{Aabb, Point3};
 

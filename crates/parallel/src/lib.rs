@@ -1,4 +1,4 @@
-//! # touch-parallel — multi-threaded execution subsystem for TOUCH
+//! # touch-parallel — the multi-threaded TOUCH engine
 //!
 //! The TOUCH join (see `touch-core`) is evaluated single-threaded in the paper, but
 //! its three phases are embarrassingly parallel, the structure partition-parallel
@@ -11,6 +11,13 @@
 //!   read-only, so the probe dataset is processed in work-stealing chunks,
 //! * **local joins** — each assigned node is an independent task, distributed over
 //!   work-stealing deques ([`scheduler::StealQueues`]) in descending cost order.
+//!
+//! The phase blocks that do this live in touch-core ([`phases`], re-exported
+//! here under their old path), and one executor there runs them at a plan's
+//! width: the sequential join is the one-worker case of the same pipeline.
+//! [`ParallelTouchJoin`] is that executor at a configured thread count, and
+//! [`ParallelConfig`] holds the execution knobs next to the algorithmic
+//! [`touch_core::TouchConfig`].
 //!
 //! Workers never share mutable state: each owns a [`touch_core::SinkShard`] and a
 //! [`touch_metrics::Counters`] set, merged at every phase's join point. Phases are
@@ -53,11 +60,8 @@
 
 mod config;
 mod join;
-pub mod phases;
-mod pool;
-pub mod scheduler;
 pub mod sort;
 
 pub use config::ParallelConfig;
 pub use join::ParallelTouchJoin;
-pub use pool::ReaderPool;
+pub use touch_core::{phases, scheduler};

@@ -2,10 +2,11 @@
 //!
 //! The tree-building phase of TOUCH is dominated by the STR sort of dataset A.
 //! [`par_str_sort`] is [`touch_index::par_str_sort`], the one STR implementation,
-//! re-exported here for the parallel build ([`crate::phases::par_build_tree`]),
-//! the streaming engine and the tick loop. After its x-pass it spreads the
-//! disjoint slabs over the worker threads; each pass is a stable keyed sort, so
-//! the tile order, and with it the tree, is the same for every thread count.
+//! re-exported here under its old path; the phase blocks' build
+//! ([`crate::phases::par_build_tree`]) and the tick loop sort with it. After its
+//! x-pass it spreads the disjoint slabs over the worker threads; each pass is a
+//! stable keyed sort, so the tile order, and with it the tree, is the same for
+//! every thread count.
 
 pub use touch_index::par_str_sort;
 

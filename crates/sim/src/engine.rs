@@ -4,13 +4,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use touch_core::phases::{par_assign_ctl, par_join_into_ctl, resolve_threads};
 use touch_core::{
     catch_phase, CountingSink, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner,
     PairSink, PlanEnv, ScratchPool, TouchTree,
 };
 use touch_geom::{Dataset, ObjectId, SpatialObject};
 use touch_metrics::{Counters, Phase, PlanSummary, TickSummary};
-use touch_parallel::phases::{par_assign_ctl, par_join_into_ctl, resolve_threads};
 use touch_parallel::sort::par_str_sort;
 
 use crate::World;

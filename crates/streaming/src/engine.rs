@@ -3,13 +3,13 @@
 use crate::EpochReport;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use touch_core::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl, resolve_threads};
 use touch_core::{
     catch_phase, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv,
     ScratchPool, Shape, SpatialJoinAlgorithm, TouchConfig, TouchTree,
 };
 use touch_geom::{Dataset, SpatialObject};
 use touch_metrics::{Counters, MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
-use touch_parallel::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl, resolve_threads};
 
 /// Configuration of [`StreamingTouchJoin`].
 ///
@@ -29,7 +29,8 @@ pub struct StreamingConfig {
     pub touch: TouchConfig,
     /// Worker threads: `1` (the default) runs the strictly sequential path, `0`
     /// auto-detects ([`std::thread::available_parallelism`]), anything else runs
-    /// the work-stealing parallel path of `touch-parallel` at that width.
+    /// the work-stealing path of the phase blocks ([`touch_core::phases`]) at that
+    /// width.
     pub threads: usize,
     /// Probe objects per parallel-assignment work unit (as in
     /// [`touch_parallel::ParallelConfig::chunk_size`]).
@@ -230,7 +231,7 @@ impl StreamingTouchJoin {
     /// previous epoch's assignments, assigns `batch` (Algorithm 3), runs the local
     /// joins (Algorithm 4) into `sink`, and returns this epoch's [`EpochReport`].
     ///
-    /// Both phases run through [`touch_parallel::phases`], which joins in-thread
+    /// Both phases run through [`touch_core::phases`], which joins in-thread
     /// at `threads == 1` and on the work-stealing machinery otherwise. The two
     /// paths are deterministically equivalent — same pairs, same counters, at
     /// every width. `sink` is any [`PairSink`]; an early-terminating sink

@@ -152,7 +152,7 @@ pub use touch_metrics::{
     Completion, Counters, ExecTrace, FaultAction, FaultPlan, Histogram, NoTrace, Phase,
     PlanSummary, RunReport, Seam, TickSummary, TraceEvent, TraceSink, TraceSummary, WorkerStats,
 };
-pub use touch_parallel::{ParallelConfig, ParallelTouchJoin, ReaderPool};
+pub use touch_parallel::{ParallelConfig, ParallelTouchJoin};
 pub use touch_serve::{
     BoundedSink, GenCell, Generation, JoinServer, OverflowPolicy, ServeConfig, SnapshotReader,
 };

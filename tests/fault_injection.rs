@@ -76,20 +76,14 @@ fn seeded_fault_matrix_returns_errors_without_aborting() {
     let mut cases = 0u64;
     for threads in [1usize, 2, 4, 8] {
         // Per engine, the seams whose hooks run inside its catch regions: the
-        // sequential engine wraps all three coordinator phase boundaries; the
-        // parallel engine wraps its build boundary and its worker loops; the
-        // streaming engine wraps its (assignment, join) worker loops.
+        // one-shot executor, at one worker or several, wraps all three phase
+        // boundaries and its worker loops; the streaming engine wraps its
+        // (assignment, join) worker loops.
+        let one_shot =
+            vec![Seam::Build, Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin];
         let combos: Vec<(&str, Box<dyn SpatialJoinAlgorithm>, Vec<Seam>)> = vec![
-            (
-                "touch",
-                Box::new(TouchJoin::default()),
-                vec![Seam::Build, Seam::Assignment, Seam::Join, Seam::NodeJoin],
-            ),
-            (
-                "parallel",
-                Box::new(ParallelTouchJoin::with_threads(threads)),
-                vec![Seam::Build, Seam::AssignChunk, Seam::NodeJoin],
-            ),
+            ("touch", Box::new(TouchJoin::default()), one_shot.clone()),
+            ("parallel", Box::new(ParallelTouchJoin::with_threads(threads)), one_shot),
             (
                 "streaming",
                 Box::new(OneShotStreaming::new(StreamingConfig {

@@ -6,9 +6,9 @@
 //! output).
 
 use touch::{
-    collect_join, CollectingSink, Dataset, EpochSummary, JoinQuery, NeuroscienceSpec,
-    ParallelConfig, ParallelTouchJoin, StreamingConfig, StreamingTouchJoin, SyntheticDistribution,
-    SyntheticSpec, TouchConfig, TouchJoin,
+    collect_join, CollectingSink, Dataset, EpochSummary, ExecutionStrategy, JoinQuery,
+    NeuroscienceSpec, ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm, StreamingConfig,
+    StreamingTouchJoin, SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -93,6 +93,37 @@ fn repeated_runs_with_the_same_thread_count_agree() {
                 "threads = {threads}: counters changed across runs"
             );
         }
+    }
+}
+
+/// A plan runs at its own width: at one thread the parallel engine is the
+/// sequential one, down to emission order and the memory report, and a
+/// `TouchJoin` pinned to a `parallel(t)` plan runs on `t` workers.
+#[test]
+fn a_plan_runs_at_its_own_width() {
+    let a = touch::datagen::uniform(3_000, 1);
+    let b = touch::datagen::uniform(3_000, 2);
+    let query = || JoinQuery::new(&a, &b).within_distance(10.0);
+    let run = |algo: &dyn SpatialJoinAlgorithm| {
+        let mut sink = CollectingSink::new();
+        let report = query().engine(algo).run(&mut sink);
+        (sink.pairs().to_vec(), report)
+    };
+    let cfg = TouchConfig::default();
+    let (seq_pairs, seq) = run(&TouchJoin::new(cfg));
+    assert!(!seq_pairs.is_empty(), "degenerate workload");
+    let (one_pairs, one) = run(&ParallelTouchJoin::with_threads(1));
+    assert_eq!(one_pairs, seq_pairs, "one thread: emission order");
+    assert_eq!(one.counters, seq.counters, "one thread: counters");
+    assert_eq!(one.memory_bytes, seq.memory_bytes, "one thread: memory");
+
+    let plan = query().engine(TouchJoin::new(cfg)).plan().expect("TOUCH has a plan");
+    for threads in [2, 3] {
+        let wide = plan.with_strategy(ExecutionStrategy::Parallel { threads });
+        let (_, report) = run(&TouchJoin::from_plan(wide));
+        assert_eq!(report.threads, threads);
+        assert_eq!(report.plan.as_ref().map(|p| p.threads), Some(threads));
+        assert_eq!(report.counters, seq.counters, "threads = {threads}: counters");
     }
 }
 

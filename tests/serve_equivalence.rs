@@ -11,12 +11,10 @@
 //! on centres, the kernels on geometry — so the remap changes nothing but the
 //! labels, which the test maps back before comparing.
 
-use std::sync::mpsc::channel;
-use std::sync::Arc;
 use touch::{
     collect_join, Aabb, BoundedSink, CollectingSink, Counters, Dataset, ExecControl, ExecTrace,
-    JoinOrder, JoinServer, LocalJoinStrategy, Point3, ReaderPool, RunReport, ServeConfig,
-    SpatialObject, TouchConfig, TouchJoin, TraceEvent, TraceSink,
+    JoinOrder, JoinServer, LocalJoinStrategy, Point3, RunReport, ServeConfig, SpatialObject,
+    TouchConfig, TouchJoin, TraceEvent, TraceSink,
 };
 
 fn touch_cfg() -> TouchConfig {
@@ -85,9 +83,8 @@ impl Shadow {
 fn snapshot_queries_match_the_one_shot_reference_at_every_thread_count() {
     let a = lattice(5, 1.5, 1.0, 0.0);
     let b = lattice(6, 1.3, 0.8, 0.4);
-    let batch: Arc<Vec<SpatialObject>> = Arc::new(b.objects().to_vec());
-
-    let server = Arc::new(JoinServer::new(&a, serve_cfg(Some(0))));
+    let batch = b.objects();
+    let server = JoinServer::new(&a, serve_cfg(Some(0)));
     let mut shadow = Shadow { live: a.objects().to_vec() };
 
     // Round 0 queries the seed generation; each later round mutates + publishes.
@@ -116,24 +113,25 @@ fn snapshot_queries_match_the_one_shot_reference_at_every_thread_count() {
 
         let (expected_pairs, expected) = reference_join(&shadow.live, &b);
         for threads in [1usize, 2, 4, 8] {
-            let pool = ReaderPool::new(threads);
-            let (tx, rx) = channel::<(Vec<(u32, u32)>, Counters, Option<u64>)>();
-            let queries = threads * 2;
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = (0..queries)
-                .map(|_| {
-                    let mut reader = server.reader();
-                    let batch = Arc::clone(&batch);
-                    let tx = tx.clone();
-                    Box::new(move || {
-                        let mut sink = CollectingSink::new();
-                        let report = reader.query(&batch, &mut sink);
-                        tx.send((sink.sorted_pairs(), report.counters, report.generation)).unwrap();
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            pool.run_all(jobs);
-            for _ in 0..queries {
-                let (pairs, counters, generation) = rx.recv().unwrap();
+            // One reader per thread, two queries each.
+            let answers: Vec<_> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut reader = server.reader();
+                            let mut query = || {
+                                let mut sink = CollectingSink::new();
+                                let report = reader.query(batch, &mut sink);
+                                (sink.sorted_pairs(), report.counters, report.generation)
+                            };
+                            [query(), query()]
+                        })
+                    })
+                    .collect();
+                readers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(answers.len(), threads * 2);
+            for (pairs, counters, generation) in answers {
                 assert_eq!(pairs, expected_pairs, "round {round}, {threads} reader threads");
                 assert_eq!(
                     counters, expected.counters,
