@@ -50,8 +50,7 @@ use touch_datagen::SyntheticDistribution;
 use touch_experiments::{workload, Context};
 use touch_geom::Dataset;
 use touch_geom::{Aabb, Point3};
-use touch_metrics::{ExecTrace, Phase, RunReport, TraceSink, TraceSummary};
-use touch_parallel::{ParallelConfig, ParallelTouchJoin};
+use touch_metrics::{json_str, ExecTrace, Phase, RunReport, TraceSink, TraceSummary};
 use touch_serve::{JoinServer, ServeConfig};
 use touch_streaming::{StreamingConfig, StreamingTouchJoin};
 
@@ -172,10 +171,6 @@ impl Cell {
             plan,
         )
     }
-}
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 /// The machine-independent fields of a cell: everything but the timings.
@@ -577,11 +572,7 @@ fn main() {
         let (summary, _) = trace_one_shot(&touch, &w);
         cells.push(Cell::from_runs("touch".into(), &run_one_shot(&touch, &w, reps), summary));
 
-        let par = ParallelTouchJoin::new(ParallelConfig {
-            threads: 4,
-            touch: w.cfg,
-            ..ParallelConfig::default()
-        });
+        let par = TouchJoin::new(w.cfg).with_threads(4);
         let (summary, par_trace) = trace_one_shot(&par, &w);
         cells.push(Cell::from_runs("parallel".into(), &run_one_shot(&par, &w, reps), summary));
         if trace_out.is_some() && chrome_json.is_none() {

@@ -30,8 +30,9 @@
 //!   distance-join ε-translation ([`Predicate::WithinDistance`]), report identity
 //!   and the sink lifecycle,
 //! * the planning layer — [`DatasetStats`] (one-pass, exactly-mergeable dataset
-//!   statistics), the [`JoinPlanner`] cost model and the [`JoinPlan`] every
-//!   engine executes; a bare query (no `.engine(…)`) plans automatically,
+//!   statistics), the [`JoinPlanner`] cost model, the [`JoinPlan`] every
+//!   engine executes and the [`AutoEngine`] that plans for [`TouchJoin`]; a
+//!   bare query (no `.engine(…)`) plans automatically,
 //! * the pairwise join kernels ([`kernels`]) and the runtime-dispatched batched
 //!   MBR filter underneath them ([`simd`]).
 //!
@@ -40,9 +41,10 @@
 //! one of its own over a frozen, shared tree.
 //!
 //! The three phases run as the blocks of [`phases`] at any worker count:
-//! [`TouchJoin`] executes its plan at the plan's width, in-thread at one worker
-//! and over work-stealing workers ([`scheduler::StealQueues`]) at more, and the
-//! streaming engine and the tick loop drive the same blocks. The blocks use the
+//! [`TouchJoin`] executes its plan at the plan's width
+//! ([`TouchJoin::with_threads`] sets it for a configured join), in-thread at one
+//! worker and over work-stealing workers ([`scheduler::StealQueues`]) at more,
+//! and the streaming engine and the tick loop drive the same blocks. The blocks use the
 //! tree's per-phase building blocks — [`TouchTree::from_tiled`],
 //! [`TouchTree::assignment_target`] (read-only), [`TouchTree::extend_assigned`]
 //! (which applies pre-computed targets to the tree's store),
@@ -97,7 +99,7 @@ mod tree;
 
 pub use assignment::{AssignmentBuffer, ASSIGN_CANCEL_CHUNK};
 pub use control::{catch_phase, panic_message, CancelCause, CancelToken, ExecControl, JoinError};
-pub use plan::{AutoJoin, ExecutionStrategy, JoinPlan, JoinPlanner, PlanEnv};
+pub use plan::{AutoEngine, ExecutionStrategy, JoinPlan, JoinPlanner, PlanEnv};
 pub use query::{IntoEngine, JoinQuery, Predicate};
 pub use scratch::{LocalJoinScratch, ScratchPool};
 pub use sink::{

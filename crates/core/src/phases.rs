@@ -62,7 +62,7 @@ fn fold_workers<T>(
 
 /// Resolves a configured worker count: an explicit value is used as-is, `0`
 /// auto-detects the machine's available parallelism (falling back to 1). The single
-/// resolution rule shared by `touch-parallel`'s `ParallelConfig`, the streaming
+/// resolution rule shared by [`crate::TouchJoin::with_threads`], the streaming
 /// engine's configuration and the tick loop's.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads > 0 {

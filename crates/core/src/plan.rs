@@ -1,5 +1,5 @@
-//! The join planning layer: [`JoinPlanner`], [`JoinPlan`] and the core
-//! [`AutoJoin`] engine.
+//! The join planning layer: [`JoinPlanner`], [`JoinPlan`] and the
+//! [`AutoEngine`] that plans for [`TouchJoin`].
 //!
 //! TOUCH's performance hinges on tuning knobs the paper sets per workload — tree
 //! partitioning and fanout, the grid cell floor, the grid-vs-all-pairs cutoff —
@@ -7,19 +7,18 @@
 //! This module turns those hand-set constants into **derived quantities**: a
 //! [`JoinPlanner`] reads [`DatasetStats`](crate::DatasetStats) (one cheap pass
 //! per dataset) plus a [`PlanEnv`] (thread availability, the sink's pair limit,
-//! the ε of the predicate, the expected number of probe epochs) and emits a
-//! [`JoinPlan`] — the **complete, pinned parameterisation of one join**.
+//! the ε of the predicate) and emits a [`JoinPlan`] — the **complete, pinned
+//! parameterisation of one join**.
 //!
 //! Every TOUCH engine executes from a `JoinPlan`. Explicit configurations
-//! ([`TouchConfig`], `ParallelConfig`, `StreamingConfig`) are translated into
-//! plans by faithful constructors ([`JoinPlan::from_touch_config`],
+//! ([`TouchConfig`], `StreamingConfig`) are translated into plans by faithful
+//! constructors ([`JoinPlan::from_touch_config`],
 //! [`JoinPlan::from_streaming_tree`]) that reproduce the historical decisions
 //! bit-for-bit, so the explicit paths behave exactly as before the planning
 //! layer existed. Because a plan pins *resolved* values — which side the tree is
-//! built on, the concrete minimum cell size — the same plan executed by the
-//! sequential, parallel or streaming engine performs the identical computation:
-//! same pairs, same counters. That is what makes automatic strategy selection
-//! safe.
+//! built on, the concrete minimum cell size — the same plan performs the
+//! identical computation at every width and in every epoch split: same pairs,
+//! same counters. That is what makes automatic strategy selection safe.
 //!
 //! ## The cost model
 //!
@@ -43,12 +42,12 @@
 //! * **All-pairs cutoff** — `leaf/16` (clamped to `[8, 128]`): nodes whose
 //!   subtree holds fewer A-objects than this do not repay building a grid.
 //! * **Strategy** — a sink that stops after a handful of pairs
-//!   ([`PlanEnv::pair_limit`]) favours the sequential engine (earliest possible
-//!   termination, no worker spin-up to waste); a multi-epoch probe side
-//!   ([`PlanEnv::epochs`]) selects the streaming engine (build once, amortise);
-//!   otherwise the parallel engine is chosen whenever more than one thread is
-//!   available and the input is large enough ([`JoinPlanner::parallel_min_work`])
-//!   for the fork/join overhead to pay off.
+//!   ([`PlanEnv::pair_limit`]) favours one worker (earliest possible
+//!   termination, no worker spin-up to waste); otherwise the plan goes parallel
+//!   whenever more than one thread is available and the input is large enough
+//!   ([`JoinPlanner::parallel_min_work`]) for the fork/join overhead to pay off.
+//!   Only [`JoinPlanner::plan_streaming`] makes a streaming plan: the epoch
+//!   engine builds its tree once and amortises it over the stream.
 
 use crate::control::{ExecControl, JoinError};
 use crate::stats::DatasetStats;
@@ -63,12 +62,14 @@ use touch_metrics::{PlanSummary, RunReport};
 pub enum ExecutionStrategy {
     /// One worker: the phases run in-thread.
     Sequential,
-    /// Work-stealing workers at the given count (`ParallelTouchJoin`).
+    /// [`TouchJoin`]'s phases over work-stealing workers at the given count.
     Parallel {
         /// Resolved worker count (≥ 2).
         threads: usize,
     },
-    /// Persistent-tree `StreamingTouchJoin` (one-shot runs push B as one epoch).
+    /// The plan of a persistent-tree `StreamingTouchJoin`. Run one-shot
+    /// ([`TouchJoin::from_plan`]), it is the one-shot executor at this width, on
+    /// the plan's tree side.
     Streaming {
         /// Resolved worker count per epoch (1 = sequential epochs).
         threads: usize,
@@ -208,27 +209,6 @@ impl JoinPlan {
             stats_time: std::time::Duration::ZERO,
         }
     }
-
-    /// The equivalent [`TouchConfig`] — the explicit configuration that would
-    /// reproduce this plan's algorithmic decisions on the datasets it was
-    /// planned for. Used by engines that are constructed
-    /// [`from_plan`](crate::TouchJoin::from_plan) but still expose a `config()`.
-    pub fn as_touch_config(&self) -> TouchConfig {
-        TouchConfig {
-            partitions: self.partitions,
-            fanout: self.fanout,
-            local_cells_per_dim: self.params.cells_per_dim,
-            min_cell_factor: TouchConfig::default().min_cell_factor,
-            local_join: crate::LocalJoinStrategy::from_kind(self.params.kind),
-            join_order: if self.build_on_a {
-                crate::JoinOrder::TreeOnA
-            } else {
-                crate::JoinOrder::TreeOnB
-            },
-            grid_allpairs_max_a: self.params.allpairs_max_a,
-            adapt: self.params.adapt,
-        }
-    }
 }
 
 /// The planning environment: everything the cost model consults besides the
@@ -246,9 +226,6 @@ pub struct PlanEnv {
     /// planner usually sees the ε-extended dataset A already, so this is
     /// informational.
     pub epsilon: f64,
-    /// Expected number of probe epochs: 1 for a one-shot query; > 1 selects the
-    /// streaming engine (build the tree once, amortise it over the epochs).
-    pub epochs: usize,
 }
 
 impl PlanEnv {
@@ -258,13 +235,12 @@ impl PlanEnv {
             threads: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
             pair_limit: None,
             epsilon: 0.0,
-            epochs: 1,
         }
     }
 
     /// A one-shot environment restricted to sequential execution.
     pub fn sequential() -> Self {
-        PlanEnv { threads: 1, pair_limit: None, epsilon: 0.0, epochs: 1 }
+        PlanEnv { threads: 1, pair_limit: None, epsilon: 0.0 }
     }
 
     /// This environment with an explicit thread count.
@@ -276,12 +252,6 @@ impl PlanEnv {
     /// This environment with a sink pair budget.
     pub fn with_pair_limit(mut self, limit: Option<u64>) -> Self {
         self.pair_limit = limit;
-        self
-    }
-
-    /// This environment expecting the probe side in `epochs` batches.
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs.max(1);
         self
     }
 }
@@ -313,9 +283,9 @@ pub struct JoinPlanner {
 }
 
 impl JoinPlanner {
-    /// Default assignment chunk size (shared with `ParallelConfig`).
+    /// Default assignment chunk size (shared with `StreamingConfig`).
     pub const DEFAULT_CHUNK_SIZE: usize = 4096;
-    /// Default sequential-sort threshold (shared with `ParallelConfig`).
+    /// Default sequential-sort threshold (shared with `StreamingConfig`).
     pub const DEFAULT_SORT_THRESHOLD: usize = 8192;
 
     /// The leaf-size target for a tree over `n` objects: `√n` clamped to
@@ -340,7 +310,7 @@ impl JoinPlanner {
         Self::target_leaf_size(live).max(live / 8)
     }
 
-    /// Plans a one-shot (or epoch-hinted) join of `a` and `b`.
+    /// Plans a one-shot join of `a` and `b`.
     ///
     /// `a` must be the statistics of the dataset the engine will actually see —
     /// for a distance join, the ε-extended A (which is what
@@ -367,7 +337,7 @@ impl JoinPlanner {
     /// for [`Shape::Pair`] ([`JoinPlanner::plan`]), `a` alone for
     /// [`Shape::SelfJoin`] ([`JoinPlanner::plan_self`]) — and plans with them.
     /// Also returns how long the statistics pass took (recorded by the auto
-    /// engines as `PlanSummary::stats_time`).
+    /// engine as `PlanSummary::stats_time`).
     pub fn plan_datasets(
         &self,
         a: &Dataset,
@@ -433,8 +403,6 @@ impl JoinPlanner {
 
         let strategy = if env.pair_limit.is_some_and(|k| k <= self.early_stop_limit) {
             ExecutionStrategy::Sequential
-        } else if env.epochs > 1 {
-            ExecutionStrategy::Streaming { threads: self.parallel_width(env, work) }
         } else if env.threads > 1 && work >= self.parallel_min_work {
             ExecutionStrategy::Parallel { threads: env.threads }
         } else {
@@ -458,16 +426,6 @@ impl JoinPlanner {
             estimated_work: work,
         }
     }
-
-    /// The worker count a non-sequential plan runs with: the available threads
-    /// if the work justifies them, 1 otherwise.
-    fn parallel_width(&self, env: &PlanEnv, work: u64) -> usize {
-        if env.threads > 1 && work >= self.parallel_min_work {
-            env.threads
-        } else {
-            1
-        }
-    }
 }
 
 impl Default for JoinPlanner {
@@ -483,45 +441,54 @@ impl Default for JoinPlanner {
     }
 }
 
-/// The core auto-planned engine: collects [`DatasetStats`], runs the
-/// [`JoinPlanner`] and executes the plan **sequentially**.
+/// The auto-planned TOUCH engine: collects [`DatasetStats`] for the inputs, runs
+/// the [`JoinPlanner`] for a worker budget, and executes the plan with
+/// [`TouchJoin::from_plan`].
 ///
-/// This is what a bare [`crate::JoinQuery`] (no `.engine(…)`) runs. `touch-core`
-/// cannot name the parallel or streaming engines (they live downstream), so this
-/// engine plans with [`PlanEnv::sequential`] — every knob is statistics-derived,
-/// the strategy is always [`ExecutionStrategy::Sequential`], and the recorded
-/// plan always matches what actually ran. The facade crate's `Engine::Auto`
-/// plans with the machine's full parallelism and dispatches across all three
-/// engines; it is the form the experiment harness and benchmarks use.
-#[derive(Debug, Clone, Default)]
-pub struct AutoJoin {
-    planner: JoinPlanner,
+/// A bare [`crate::JoinQuery`] (no `.engine(…)`) runs
+/// `AutoEngine::with_threads(1)`, whose plans are always sequential; the facade
+/// crate's `Engine::Auto` runs [`AutoEngine::new`], which plans for the
+/// machine's parallelism. The statistics pass is timed and recorded as
+/// `PlanSummary::stats_time` on the report, the executed plan is recorded on
+/// [`RunReport::plan`], and the executing engine's name is appended to the
+/// report's label (e.g. `"TOUCH-AUTO → TOUCH-P4"`).
+///
+/// Because a [`JoinPlan`] pins every algorithmic decision, the run is
+/// bit-identical — pairs *and* counters — to running
+/// [`TouchJoin::from_plan`] on the same plan directly; the planner equivalence
+/// suite locks this down at 1/2/4/8 threads.
+#[derive(Debug, Clone)]
+pub struct AutoEngine {
+    env: PlanEnv,
 }
 
-impl AutoJoin {
-    /// An auto engine with the default planner.
+impl AutoEngine {
+    /// An auto engine planning for the machine's detected parallelism.
     pub fn new() -> Self {
-        Self::default()
+        AutoEngine { env: PlanEnv::detect() }
     }
 
-    /// An auto engine with a custom planner.
-    pub fn with_planner(planner: JoinPlanner) -> Self {
-        AutoJoin { planner }
-    }
-
-    /// The planner this engine consults.
-    pub fn planner(&self) -> &JoinPlanner {
-        &self.planner
+    /// An auto engine planning for an explicit worker budget (1 keeps every
+    /// plan sequential; the equivalence suites use it to exercise every
+    /// strategy deterministically).
+    pub fn with_threads(threads: usize) -> Self {
+        AutoEngine { env: PlanEnv::sequential().with_threads(threads) }
     }
 }
 
-impl SpatialJoinAlgorithm for AutoJoin {
+impl Default for AutoEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SpatialJoinAlgorithm for AutoEngine {
     fn name(&self) -> String {
         "TOUCH-AUTO".to_string()
     }
 
     fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        Some(self.planner.plan_datasets(a, b, shape, &PlanEnv::sequential()).0)
+        Some(JoinPlanner::default().plan_datasets(a, b, shape, &self.env).0)
     }
 
     fn try_join(
@@ -533,14 +500,22 @@ impl SpatialJoinAlgorithm for AutoJoin {
         report: &mut RunReport,
         ctl: ExecControl<'_>,
     ) -> Result<(), JoinError> {
-        // Check before the stats pass so a pre-cancelled run skips even planning.
+        // Check before the stats pass so a pre-cancelled run skips even
+        // planning; the executor then owns all finer-grained polling.
         if let Some(cause) = ctl.cancel.triggered() {
             report.completion = cause.completion();
             return Ok(());
         }
-        let env = PlanEnv::sequential().with_pair_limit(sink.pair_limit()).with_threads(1);
-        let (plan, stats_time) = self.planner.plan_datasets(a, b, shape, &env);
-        TouchJoin::from_plan(plan).try_join(a, b, shape, sink, report, ctl)?;
+        // Self-joins are costed on the single input's statistics (work estimate
+        // halved — see `JoinPlanner::plan_self`); the executor then runs its
+        // in-kernel index-order filter, so pairs and counters stay identical to
+        // an explicitly pinned plan at every width.
+        let mut env = self.env.with_pair_limit(sink.pair_limit());
+        env.epsilon = report.epsilon;
+        let (plan, stats_time) = JoinPlanner::default().plan_datasets(a, b, shape, &env);
+        let engine = TouchJoin::from_plan(plan);
+        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
+        engine.try_join(a, b, shape, sink, report, ctl)?;
         if let Some(summary) = &mut report.plan {
             summary.stats_time = stats_time;
         }
@@ -647,11 +622,6 @@ mod tests {
             &PlanEnv::sequential().with_threads(8).with_pair_limit(Some(1 << 40)),
         );
         assert_eq!(bulk.strategy, ExecutionStrategy::Parallel { threads: 8 });
-
-        // Multi-epoch probes select streaming.
-        let streaming =
-            planner.plan(&a, &b, &PlanEnv::sequential().with_threads(4).with_epochs(16));
-        assert_eq!(streaming.strategy, ExecutionStrategy::Streaming { threads: 4 });
     }
 
     #[test]
@@ -678,12 +648,6 @@ mod tests {
         assert_eq!(plan.fanout, cfg.fanout);
         assert_eq!(plan.params, cfg.local_join_params(cfg.min_local_cell_size(&a, &b)));
         assert_eq!(plan.strategy, ExecutionStrategy::Sequential);
-        // And the round-trip back to a config preserves the knobs.
-        let back = plan.as_touch_config();
-        assert_eq!(back.partitions, cfg.partitions);
-        assert_eq!(back.fanout, cfg.fanout);
-        assert_eq!(back.grid_allpairs_max_a, cfg.grid_allpairs_max_a);
-        assert_eq!(back.join_order, crate::JoinOrder::TreeOnB, "tree side is resolved");
     }
 
     #[test]

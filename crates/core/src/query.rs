@@ -1,7 +1,7 @@
 //! The unified query layer: [`JoinQuery`], [`Predicate`] and [`IntoEngine`].
 //!
-//! Every join in the workspace — TOUCH itself, the parallel and streaming
-//! engines, and all eight baselines — runs through the same builder:
+//! Every join in the workspace — TOUCH at any width, the streaming engine's
+//! one-shot adapter, and all eight baselines — runs through the same builder:
 //!
 //! ```
 //! use touch_core::{CollectingSink, JoinQuery, Predicate, TouchConfig};
@@ -32,7 +32,7 @@
 //! the sink lifecycle ([`crate::PairSink::finish`] after the join).
 
 use crate::control::{CancelToken, ExecControl, JoinError};
-use crate::plan::{AutoJoin, JoinPlan};
+use crate::plan::{AutoEngine, JoinPlan};
 use crate::{PairSink, Shape, SpatialJoinAlgorithm, TouchConfig, TouchJoin};
 use touch_geom::{Dataset, ValidationPolicy};
 use touch_metrics::{NoTrace, RunReport, TraceSink};
@@ -133,21 +133,20 @@ impl std::fmt::Debug for JoinQuery<'_> {
 impl<'a> JoinQuery<'a> {
     /// A query joining datasets `a` and `b` with the default predicate
     /// ([`Predicate::Intersects`]) and the default engine: **automatic
-    /// planning** ([`AutoJoin`]) — dataset statistics are collected when the
-    /// query runs and every TOUCH knob (partitioning, fanout, grid sizing, the
-    /// all-pairs cutoff) is derived from them by the
-    /// [`JoinPlanner`](crate::JoinPlanner).
+    /// planning** on one worker (`AutoEngine::with_threads(1)`) — dataset
+    /// statistics are collected when the query runs and every TOUCH knob
+    /// (partitioning, fanout, grid sizing, the all-pairs cutoff) is derived from
+    /// them by the [`JoinPlanner`](crate::JoinPlanner).
     ///
-    /// `touch-core`'s auto engine executes its plans sequentially; the facade
-    /// crate's `Engine::Auto` additionally dispatches to the parallel and
-    /// streaming engines when the plan calls for them. Pass an explicit engine
-    /// with [`JoinQuery::engine`] to bypass planning entirely.
+    /// Pass [`AutoEngine::new`] (the facade crate's `Engine::Auto`) to plan for
+    /// the machine's parallelism, or an explicit engine with
+    /// [`JoinQuery::engine`] to bypass planning entirely.
     pub fn new(a: &'a Dataset, b: &'a Dataset) -> Self {
         JoinQuery {
             a,
             b,
             predicate: Predicate::Intersects,
-            engine: Box::new(AutoJoin::new()),
+            engine: Box::new(AutoEngine::with_threads(1)),
             scratch: None,
             trace: None,
             cancel: None,
@@ -398,7 +397,7 @@ mod tests {
         let plan = query.plan().expect("the auto engine always has a plan");
         assert!(plan.partitions >= 1);
         let report = query.run(&mut sink);
-        assert_eq!(report.algorithm, "TOUCH-AUTO");
+        assert_eq!(report.algorithm, "TOUCH-AUTO → TOUCH");
         assert_eq!(report.epsilon, 0.0);
         assert_eq!(report.result_pairs(), 10);
         assert_eq!(sink.count(), 10);

@@ -2,8 +2,8 @@
 //! implementation tying the three phases together (Algorithm 1).
 
 use crate::control::{catch_phase, ExecControl, JoinError};
-use crate::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl};
-use crate::plan::JoinPlan;
+use crate::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl, resolve_threads};
+use crate::plan::{ExecutionStrategy, JoinPlan};
 use crate::tree::LocalJoinKind;
 use crate::{PairSink, ScratchPool, Shape, SpatialJoinAlgorithm};
 use serde::{Deserialize, Serialize};
@@ -39,16 +39,6 @@ impl LocalJoinStrategy {
             LocalJoinStrategy::Grid => "grid",
             LocalJoinStrategy::PlaneSweep => "plane-sweep",
             LocalJoinStrategy::AllPairs => "all-pairs",
-        }
-    }
-
-    /// The inverse of [`LocalJoinStrategy::kind`] (used when a resolved
-    /// [`JoinPlan`] is translated back into a [`TouchConfig`]).
-    pub fn from_kind(kind: LocalJoinKind) -> Self {
-        match kind {
-            LocalJoinKind::Grid => LocalJoinStrategy::Grid,
-            LocalJoinKind::PlaneSweep => LocalJoinStrategy::PlaneSweep,
-            LocalJoinKind::AllPairs => LocalJoinStrategy::AllPairs,
         }
     }
 }
@@ -117,17 +107,35 @@ impl Default for TouchConfig {
     }
 }
 
-/// The TOUCH in-memory spatial join (the paper's contribution).
+/// The TOUCH in-memory spatial join (the paper's contribution), at any width:
+/// the one one-shot TOUCH engine.
 ///
-/// Executes from a [`JoinPlan`]: an explicit [`TouchConfig`] is translated per
-/// run with [`JoinPlan::from_touch_config`] (reproducing the pre-planning
-/// behaviour exactly), while [`TouchJoin::from_plan`] pins a pre-computed plan —
-/// the form the auto-planning layer dispatches to. A plan runs at its own width,
-/// [`JoinPlan::threads`]; a translated configuration runs on one thread.
-#[derive(Debug, Clone, Default)]
+/// It holds either an explicit [`TouchConfig`] with a worker count, translated
+/// per run with [`JoinPlan::from_touch_config`] (reproducing the pre-planning
+/// behaviour exactly), or a pinned [`JoinPlan`] ([`TouchJoin::from_plan`]), the
+/// form the planning layer dispatches to, which runs at its own width,
+/// [`JoinPlan::threads`]. [`TouchJoin::new`] runs on one worker and
+/// [`TouchJoin::with_threads`] sets the width. The tree, the assignment, the
+/// pairs and the counters are the same at every width; only the arrival order
+/// of pairs and the wall-clock times vary.
+#[derive(Debug, Clone)]
 pub struct TouchJoin {
-    config: TouchConfig,
-    plan: Option<JoinPlan>,
+    source: Source,
+}
+
+/// What a [`TouchJoin`] executes.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// An explicit configuration on `threads` workers (`0` detects them).
+    Config { config: TouchConfig, threads: usize },
+    /// A pinned plan, run at [`JoinPlan::threads`].
+    Plan(JoinPlan),
+}
+
+impl Default for TouchJoin {
+    fn default() -> Self {
+        TouchJoin::new(TouchConfig::default())
+    }
 }
 
 impl TouchConfig {
@@ -190,17 +198,17 @@ impl TouchConfig {
 }
 
 impl TouchJoin {
-    /// Creates a TOUCH join with the given configuration.
+    /// Creates a TOUCH join with the given configuration, on one worker.
     pub fn new(config: TouchConfig) -> Self {
-        TouchJoin { config, plan: None }
+        TouchJoin { source: Source::Config { config, threads: 1 } }
     }
 
     /// Creates a TOUCH join that executes a pre-computed, fully resolved
-    /// [`JoinPlan`] (the planner's output). The plan pins every decision —
-    /// tree side, partitioning, grid sizing, worker count — so it should be
-    /// executed on the datasets it was planned for.
+    /// [`JoinPlan`] (the planner's output) at the plan's width. The plan pins
+    /// every decision — tree side, partitioning, grid sizing, worker count — so
+    /// it should be executed on the datasets it was planned for.
     pub fn from_plan(plan: JoinPlan) -> Self {
-        TouchJoin { config: plan.as_touch_config(), plan: Some(plan) }
+        TouchJoin { source: Source::Plan(plan) }
     }
 
     /// Creates a TOUCH join with the paper's default configuration but a custom
@@ -209,16 +217,37 @@ impl TouchJoin {
         TouchJoin::new(TouchConfig { fanout, ..TouchConfig::default() })
     }
 
-    /// The configuration this join runs with (for a plan-pinned join, the
-    /// equivalent explicit configuration).
-    pub fn config(&self) -> &TouchConfig {
-        &self.config
+    /// This join on `threads` workers; `0` detects the machine's available
+    /// parallelism ([`resolve_threads`]). A configured join records its plan as
+    /// `sequential` on one worker and `parallel(n)` on more; a plan-pinned join
+    /// keeps its knobs and takes the new width as its strategy.
+    pub fn with_threads(self, threads: usize) -> Self {
+        let source = match self.source {
+            Source::Config { config, .. } => Source::Config { config, threads },
+            Source::Plan(plan) => Source::Plan(plan.with_strategy(strategy_for(threads))),
+        };
+        TouchJoin { source }
     }
 
     /// The plan this join executes for datasets `a` and `b`: the pinned plan if
-    /// one was provided, otherwise the faithful translation of the configuration.
+    /// one was provided, otherwise the faithful translation of the configuration
+    /// at the configured width.
     fn resolve_plan(&self, a: &Dataset, b: &Dataset) -> JoinPlan {
-        self.plan.unwrap_or_else(|| JoinPlan::from_touch_config(&self.config, a, b))
+        match self.source {
+            Source::Config { config, threads } => {
+                JoinPlan::from_touch_config(&config, a, b).with_strategy(strategy_for(threads))
+            }
+            Source::Plan(plan) => plan,
+        }
+    }
+}
+
+/// The strategy of a configured width: one worker runs `sequential`, more run
+/// `parallel(n)`, and `0` resolves to the machine's parallelism first.
+fn strategy_for(threads: usize) -> ExecutionStrategy {
+    match resolve_threads(threads) {
+        1 => ExecutionStrategy::Sequential,
+        threads => ExecutionStrategy::Parallel { threads },
     }
 }
 
@@ -246,11 +275,11 @@ pub fn time_phase_traced<T>(
 }
 
 /// Executes a resolved [`JoinPlan`] at its width, [`JoinPlan::threads`]: the one
-/// execution path behind [`TouchJoin`] and, through it, the parallel engine and
-/// the planning layer, so none of them can diverge. Each phase is one block of
-/// [`crate::phases`]: at one worker the blocks run in-thread, at more they spread
-/// over work-stealing workers, and the tree, the assignment, the pairs and the
-/// counters are the same at every width. `ctl.trace` receives phase spans,
+/// execution path behind [`TouchJoin`] and, through it, the planning layer's
+/// [`crate::AutoEngine`], so no width or plan can diverge. Each phase is one
+/// block of [`crate::phases`]: at one worker the blocks run in-thread, at more
+/// they spread over work-stealing workers, and the tree, the assignment, the
+/// pairs and the counters are the same at every width. `ctl.trace` receives phase spans,
 /// per-chunk assignment spans, per-node join spans and steal events.
 ///
 /// For [`Shape::SelfJoin`] the index-order filter sits inside the emit closures
@@ -367,8 +396,18 @@ fn execute(
 }
 
 impl SpatialJoinAlgorithm for TouchJoin {
+    /// `TOUCH` on one worker, `TOUCH-P{n}` on `n`, and `TOUCH-P` when the width
+    /// is detected at run time.
     fn name(&self) -> String {
-        "TOUCH".to_string()
+        let threads = match self.source {
+            Source::Config { threads, .. } => threads,
+            Source::Plan(plan) => plan.threads(),
+        };
+        match threads {
+            1 => "TOUCH".to_string(),
+            0 => "TOUCH-P".to_string(),
+            n => format!("TOUCH-P{n}"),
+        }
     }
 
     fn plan_for(&self, a: &Dataset, b: &Dataset, _shape: Shape) -> Option<JoinPlan> {

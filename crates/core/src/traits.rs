@@ -55,7 +55,7 @@ pub trait SpatialJoinAlgorithm {
     /// The [`JoinPlan`] this engine would execute for `a` and `b` joined in
     /// `shape`, if it is a planned engine: the TOUCH engines return the
     /// faithful translation of their configuration (or the pinned plan they
-    /// were built from), the auto engines return the planner's output (a
+    /// were built from), the auto engine returns the planner's output (a
     /// self-join is costed on one dataset's statistics, its pair estimate
     /// halved). Baselines — which have no TOUCH plan — return `None` (the
     /// default).

@@ -16,7 +16,7 @@
 //! | [`figure16`] | Figure 16 — neuroscience datasets, time / comparisons / memory |
 //! | [`ablation`] | beyond the paper: TOUCH local-join strategy and join order |
 //! | [`planner`] | beyond the paper: automatic planning (`Engine::Auto`) vs fixed configurations |
-//! | [`scaling`] | beyond the paper: `touch-parallel` thread scaling at 1/2/4/8 threads |
+//! | [`scaling`] | beyond the paper: `TouchJoin` thread scaling at 1/2/4/8 threads |
 //! | [`streaming`] | beyond the paper: `touch-streaming` epoch amortisation vs. per-batch rebuild |
 //! | [`tick`] | beyond the paper: `touch-sim` tick-loop simulation, kernel vs. serve integration |
 //!

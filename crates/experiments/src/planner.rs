@@ -7,9 +7,9 @@
 //! synthetic distributions of Figures 9–11 (uniform, Gaussian, clustered) at
 //! the paper's density: for each workload it runs
 //!
-//! * `auto` — `Engine::Auto` (statistics → plan → dispatched engine),
-//! * `touch-paper` — the sequential engine in the paper's fixed configuration,
-//! * `parallel-4` — the parallel engine at four workers, paper knobs,
+//! * `auto` — `Engine::Auto` (statistics → plan → `TouchJoin` at the plan's width),
+//! * `touch-paper` — TOUCH on one worker in the paper's fixed configuration,
+//! * `parallel-4` — TOUCH on four workers, paper knobs,
 //! * `streaming-4ep` — the streaming engine, paper knobs, probe side in four
 //!   epochs,
 //!
@@ -18,7 +18,7 @@
 //! *work*, never the answer.
 
 use crate::{workload, Context, ExperimentTable, Row};
-use touch::{AutoEngine, CountingSink, Engine, JoinQuery, ParallelConfig};
+use touch::{AutoEngine, CountingSink, Engine, JoinQuery, TouchJoin};
 use touch_core::TouchConfig;
 use touch_datagen::SyntheticDistribution;
 use touch_streaming::{StreamingConfig, StreamingTouchJoin};
@@ -71,7 +71,7 @@ pub fn run(ctx: &Context) -> ExperimentTable {
             "parallel-4",
             JoinQuery::new(&a, &b)
                 .within_distance(EPS)
-                .engine(Engine::Parallel(ParallelConfig::with_threads(4)))
+                .engine(TouchJoin::default().with_threads(4))
                 .run(&mut CountingSink::new()),
         );
 

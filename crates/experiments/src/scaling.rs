@@ -1,8 +1,8 @@
-//! Thread scaling — beyond the paper: the `touch-parallel` subsystem on a
+//! Thread scaling — beyond the paper: [`TouchJoin`] at several widths on a
 //! Figure-8-scale uniform workload.
 //!
-//! The paper evaluates TOUCH single-threaded; this experiment measures how the
-//! multi-threaded [`ParallelTouchJoin`] scales. The workload is Figure 8's largest
+//! The paper evaluates TOUCH single-threaded; this experiment measures how
+//! [`TouchJoin::with_threads`] scales. The workload is Figure 8's largest
 //! step (A = 10 K, B = 640 K, uniform, ε = 10, scaled like every other experiment),
 //! joined once with the sequential [`TouchJoin`] as the baseline and then with
 //! 1 / 2 / 4 / 8 worker threads. Every row carries the measured speedup over the
@@ -12,14 +12,13 @@
 //! Expectations: near-linear scaling of the join phase up to the physical core
 //! count, throttled overall by the merge/assembly fractions (Amdahl); on a
 //! single-core machine all speedups hover around 1×. The result *sets* are
-//! identical in every row — the parallel subsystem is deterministically equivalent
-//! to the sequential join.
+//! identical in every row — every width is deterministically equivalent to the
+//! sequential join.
 
 use crate::{workload, Context, ExperimentTable, Row};
 use touch_core::{CountingSink, JoinQuery, SpatialJoinAlgorithm, TouchJoin};
 use touch_datagen::SyntheticDistribution;
 use touch_metrics::{ExecTrace, RunReport};
-use touch_parallel::ParallelTouchJoin;
 
 const PAPER_A: usize = 10_000;
 const PAPER_B: usize = 640_000;
@@ -49,7 +48,7 @@ fn best_of(
     best.expect("REPEATS > 0")
 }
 
-/// Runs the thread-scaling sweep: sequential TOUCH, then `touch-parallel` at
+/// Runs the thread-scaling sweep: sequential TOUCH, then TOUCH at
 /// [`THREAD_STEPS`] threads, with per-row speedup over the sequential baseline.
 pub fn run(ctx: &Context) -> ExperimentTable {
     let mut table = ExperimentTable::new(
@@ -68,7 +67,7 @@ pub fn run(ctx: &Context) -> ExperimentTable {
     ));
 
     for threads in THREAD_STEPS {
-        let report = best_of(&ParallelTouchJoin::with_threads(threads), &a, &b);
+        let report = best_of(&TouchJoin::default().with_threads(threads), &a, &b);
         let speedup = baseline_time / report.total_time().as_secs_f64().max(f64::EPSILON);
         table.push(Row::new(
             vec![("workers", format!("{threads}")), ("speedup", format!("{speedup:.2}"))],
@@ -84,7 +83,7 @@ pub fn run(ctx: &Context) -> ExperimentTable {
         let trace = ExecTrace::new();
         let _ = JoinQuery::new(&a, &b)
             .within_distance(EPS)
-            .engine(ParallelTouchJoin::with_threads(threads))
+            .engine(TouchJoin::default().with_threads(threads))
             .trace(&trace)
             .run(&mut CountingSink::new());
         match std::fs::write(path, trace.to_chrome_json()) {

@@ -1,4 +1,4 @@
-//! # touch-parallel — the multi-threaded TOUCH engine
+//! # touch-parallel — the multi-threaded building blocks of TOUCH
 //!
 //! The TOUCH join (see `touch-core`) is evaluated single-threaded in the paper, but
 //! its three phases are embarrassingly parallel, the structure partition-parallel
@@ -12,56 +12,22 @@
 //! * **local joins** — each assigned node is an independent task, distributed over
 //!   work-stealing deques ([`scheduler::StealQueues`]) in descending cost order.
 //!
-//! The phase blocks that do this live in touch-core ([`phases`], re-exported
-//! here under their old path), and one executor there runs them at a plan's
-//! width: the sequential join is the one-worker case of the same pipeline.
-//! [`ParallelTouchJoin`] is that executor at a configured thread count, and
-//! [`ParallelConfig`] holds the execution knobs next to the algorithmic
-//! [`touch_core::TouchConfig`].
-//!
-//! Workers never share mutable state: each owns a [`touch_core::SinkShard`] and a
-//! [`touch_metrics::Counters`] set, merged at every phase's join point. Phases are
-//! timed at their fork/join boundaries, so the reported
-//! [`touch_metrics::PhaseTimer`] durations are wall clock and the familiar
-//! `speedup = sequential_time / parallel_time` arithmetic holds.
-//!
-//! The headline guarantee: [`ParallelTouchJoin`] is **deterministic and exactly
-//! equivalent** to the sequential [`touch_core::TouchJoin`] — for every thread
-//! count it builds a bit-identical tree (the STR tile order does not depend on the
-//! thread count), performs the identical assignment and local joins, and therefore
-//! reports the same sorted result set *and the same counters*; only pair arrival
-//! order and wall-clock times vary. This is verified by the workspace's
-//! cross-algorithm equivalence and determinism test suites.
-//!
-//! ## Quick example
-//!
-//! ```
-//! use touch_core::{collect_join, TouchJoin};
-//! use touch_geom::{Aabb, Dataset, Point3};
-//! use touch_parallel::ParallelTouchJoin;
-//!
-//! let a = Dataset::from_mbrs((0..500).map(|i| {
-//!     let min = Point3::new((i % 50) as f64 * 2.0, (i / 50) as f64 * 2.0, 0.0);
-//!     Aabb::new(min, min + Point3::splat(1.5))
-//! }));
-//! let b = Dataset::from_mbrs((0..500).map(|i| {
-//!     let min = Point3::new((i % 50) as f64 * 2.0 + 0.7, (i / 50) as f64 * 2.0 + 0.7, 0.0);
-//!     Aabb::new(min, min + Point3::splat(1.5))
-//! }));
-//!
-//! let (parallel_pairs, report) = collect_join(&ParallelTouchJoin::with_threads(4), &a, &b);
-//! let (sequential_pairs, _) = collect_join(&TouchJoin::default(), &a, &b);
-//! assert_eq!(parallel_pairs, sequential_pairs);
-//! assert_eq!(report.threads, 4);
-//! ```
+//! The phase blocks that do this live in touch-core, and one engine runs them at
+//! any width: [`touch_core::TouchJoin`], whose
+//! [`with_threads`](touch_core::TouchJoin::with_threads) sets the worker count
+//! (a pinned plan runs at its own). The parallel join is the sequential join on
+//! more workers: for every thread count it builds a bit-identical tree, performs
+//! the identical assignment and local joins, and reports the same sorted result
+//! set *and the same counters*; only pair arrival order and wall-clock times
+//! vary. This crate re-exports the blocks under their old paths: [`phases`],
+//! [`scheduler`] and [`sort`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod config;
-mod join;
 pub mod sort;
 
-pub use config::ParallelConfig;
-pub use join::ParallelTouchJoin;
+#[cfg(test)]
+mod join;
+
 pub use touch_core::{phases, scheduler};

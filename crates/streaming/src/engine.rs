@@ -14,8 +14,9 @@ use touch_metrics::{Counters, MemoryUsage, Phase, RunReport, TraceEvent, TraceSi
 /// Configuration of [`StreamingTouchJoin`].
 ///
 /// Wraps the algorithmic knobs of [`TouchConfig`] with the execution knobs of the
-/// parallel subsystem. Two `TouchConfig` fields behave differently in streaming
-/// mode, both pinned so that epoch splits cannot change the computation:
+/// phase blocks ([`touch_core::phases`]). Two `TouchConfig` fields behave
+/// differently in streaming mode, both pinned so that epoch splits cannot change
+/// the computation:
 ///
 /// * `join_order` is ignored — the hierarchy is always built on the dataset handed
 ///   to [`StreamingTouchJoin::build`]; the B side streams in and is never indexed.
@@ -33,16 +34,16 @@ pub struct StreamingConfig {
     /// width.
     pub threads: usize,
     /// Probe objects per parallel-assignment work unit (as in
-    /// [`touch_parallel::ParallelConfig::chunk_size`]).
+    /// [`JoinPlan::chunk_size`]).
     pub chunk_size: usize,
     /// Inputs of at most this many objects are STR-sorted on one thread at build
-    /// (as in [`touch_parallel::ParallelConfig::sort_threshold`]).
+    /// (as in [`JoinPlan::sort_threshold`]).
     pub sort_threshold: usize,
 }
 
 impl Default for StreamingConfig {
     fn default() -> Self {
-        // Execution knobs share the planner's constants (see `ParallelConfig`).
+        // Execution knobs share the planner's constants, as one-shot plans do.
         StreamingConfig {
             touch: TouchConfig::default(),
             threads: 1,
@@ -59,7 +60,7 @@ impl StreamingConfig {
     }
 
     /// Resolves the configured thread count (`0` → available parallelism), via the
-    /// same [`resolve_threads`] rule [`touch_parallel::ParallelConfig`] uses.
+    /// same [`resolve_threads`] rule [`touch_core::TouchJoin::with_threads`] uses.
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads)
     }
@@ -130,7 +131,7 @@ impl StreamingTouchJoin {
             config.chunk_size,
             config.sort_threshold,
         );
-        Self::build_with_plan_inner(a, config, plan, None)
+        Self::build_inner(a, config, plan, None)
     }
 
     /// Builds the persistent hierarchy with **statistics-driven planning**: the
@@ -155,26 +156,12 @@ impl StreamingTouchJoin {
             .plan_streaming(&tree_stats, &DatasetStats::new(), &env)
             .with_execution(config.chunk_size, config.sort_threshold)
             .with_strategy(touch_core::ExecutionStrategy::Streaming { threads });
-        let mut engine = Self::build_with_plan_inner(a, config, plan, Some(planner));
+        let mut engine = Self::build_inner(a, config, plan, Some(planner));
         engine.tree_stats = tree_stats;
         engine
     }
 
-    /// Builds the persistent hierarchy executing a pre-computed, fully resolved
-    /// [`JoinPlan`] — the constructor the planning layer's one-shot dispatch
-    /// uses. The plan's partitioning and local-join parameters are pinned; its
-    /// strategy supplies the worker count.
-    pub fn build_with_plan(a: &Dataset, plan: JoinPlan) -> Self {
-        let config = StreamingConfig {
-            touch: plan.as_touch_config(),
-            threads: plan.threads(),
-            chunk_size: plan.chunk_size,
-            sort_threshold: plan.sort_threshold,
-        };
-        Self::build_with_plan_inner(a, config, plan, None)
-    }
-
-    fn build_with_plan_inner(
+    fn build_inner(
         a: &Dataset,
         config: StreamingConfig,
         plan: JoinPlan,
@@ -643,37 +630,21 @@ impl StreamingTouchJoin {
 /// The streaming engine exposed as a one-shot [`SpatialJoinAlgorithm`]: builds the
 /// persistent tree over A and pushes the whole of B as a single epoch.
 ///
-/// This is the adapter that lets the streaming engine participate in the unified
-/// [`touch_core::JoinQuery`] facade (and in every cross-engine equivalence suite)
-/// alongside `TouchJoin` and `ParallelTouchJoin`. For actual serving workloads use
-/// [`StreamingTouchJoin`] directly — the whole point of the engine is *not* to
-/// rebuild the tree per query.
+/// This is the adapter that lets the streaming engine's epoch path participate
+/// in the unified [`touch_core::JoinQuery`] facade (and in every cross-engine
+/// equivalence suite) alongside `TouchJoin`. A resolved [`JoinPlan`], streaming
+/// or not, runs one-shot through `TouchJoin::from_plan`. For actual serving
+/// workloads use [`StreamingTouchJoin`] directly — the whole point of the engine
+/// is *not* to rebuild the tree per query.
 #[derive(Debug, Clone, Default)]
 pub struct OneShotStreaming {
     config: StreamingConfig,
-    plan: Option<JoinPlan>,
 }
 
 impl OneShotStreaming {
     /// Wraps `config` as a one-shot algorithm.
     pub fn new(config: StreamingConfig) -> Self {
-        OneShotStreaming { config, plan: None }
-    }
-
-    /// Wraps a pre-computed, fully resolved [`JoinPlan`] as a one-shot
-    /// algorithm: every run builds the tree with the plan's partitioning and
-    /// joins with its pinned local-join parameters
-    /// ([`StreamingTouchJoin::build_with_plan`]).
-    pub fn from_plan(plan: JoinPlan) -> Self {
-        OneShotStreaming {
-            config: StreamingConfig {
-                touch: plan.as_touch_config(),
-                threads: plan.threads(),
-                chunk_size: plan.chunk_size,
-                sort_threshold: plan.sort_threshold,
-            },
-            plan: Some(plan),
-        }
+        OneShotStreaming { config }
     }
 
     /// The streaming configuration every run builds with.
@@ -688,15 +659,13 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
     }
 
     fn plan_for(&self, a: &Dataset, _b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
-        Some(self.plan.unwrap_or_else(|| {
-            JoinPlan::from_streaming_tree(
-                &self.config.touch,
-                a,
-                self.config.effective_threads(),
-                self.config.chunk_size,
-                self.config.sort_threshold,
-            )
-        }))
+        Some(JoinPlan::from_streaming_tree(
+            &self.config.touch,
+            a,
+            self.config.effective_threads(),
+            self.config.chunk_size,
+            self.config.sort_threshold,
+        ))
     }
 
     /// The one-shot run: build under panic containment, push the whole probe
@@ -715,10 +684,8 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
             report.completion = cause.completion();
             return Ok(());
         }
-        let mut engine = catch_phase(Phase::Build, 0, || match self.plan {
-            Some(plan) => StreamingTouchJoin::build_with_plan(a, plan),
-            None => StreamingTouchJoin::build(a, self.config),
-        })?;
+        let mut engine =
+            catch_phase(Phase::Build, 0, || StreamingTouchJoin::build(a, self.config))?;
         let self_join = shape == Shape::SelfJoin;
         let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, self_join, None)?;
         report.completion = epoch.completion;
@@ -1097,25 +1064,6 @@ mod tests {
         let _ = engine.push_batch(b.objects(), &mut sink);
         engine.reset();
         assert_eq!(engine.min_cell(), cell, "explicit configs stay pinned across streams");
-    }
-
-    #[test]
-    fn build_with_plan_matches_the_equivalent_config() {
-        let (a, b) = workloads();
-        let cfg = streaming_cfg(1);
-        let plan =
-            JoinPlan::from_streaming_tree(&cfg.touch, &a, 1, cfg.chunk_size, cfg.sort_threshold);
-
-        let mut via_cfg = StreamingTouchJoin::build(&a, cfg);
-        let mut cfg_sink = CollectingSink::new();
-        let cfg_report = via_cfg.push_batch(b.objects(), &mut cfg_sink);
-
-        let mut via_plan = StreamingTouchJoin::build_with_plan(&a, plan);
-        let mut plan_sink = CollectingSink::new();
-        let plan_report = via_plan.push_batch(b.objects(), &mut plan_sink);
-
-        assert_eq!(plan_sink.sorted_pairs(), cfg_sink.sorted_pairs());
-        assert_eq!(plan_report.counters, cfg_report.counters);
     }
 
     #[test]

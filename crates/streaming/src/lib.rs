@@ -1,7 +1,7 @@
 //! # touch-streaming — the batched/streaming TOUCH join engine
 //!
-//! The one-shot joins in `touch-core` / `touch-parallel` rebuild the hierarchy for
-//! every query. In a serving scenario the roles are asymmetric: dataset A (the
+//! The one-shot join in `touch-core` (`TouchJoin`, at any width) rebuilds the
+//! hierarchy for every query. In a serving scenario the roles are asymmetric: dataset A (the
 //! indexed side) is long-lived, while dataset B arrives continuously — sensor
 //! batches, query windows, simulation timesteps. This crate exploits that shape:
 //!
@@ -16,8 +16,8 @@
 //!
 //! ## Epoch equivalence
 //!
-//! The engine's headline guarantee mirrors `touch-parallel`'s determinism: for a
-//! tree built on A, streaming B through [`StreamingTouchJoin::push_batch`] in **any
+//! The engine's headline guarantee mirrors the one-shot join's determinism across
+//! widths: for a tree built on A, streaming B through [`StreamingTouchJoin::push_batch`] in **any
 //! epoch split** produces exactly the union of pairs — and exactly the additive
 //! counters — of the one-shot [`touch_core::TouchJoin`] over (A, B) with the same
 //! [`touch_core::TouchConfig`] (tree on A; see [`StreamingConfig::touch`] for the two knobs the

@@ -1,9 +1,9 @@
 //! Engine selection for [`JoinQuery`](touch_core::JoinQuery): the [`Engine`] and
 //! [`Baseline`] enums.
 //!
-//! `touch-core` cannot name the parallel/streaming engines or the baselines (they
-//! live in downstream crates), so the facade provides the closed selector that
-//! spans the whole workspace. `Engine` itself implements
+//! `touch-core` cannot name the streaming engine or the baselines (they live in
+//! downstream crates), so the facade provides the closed selector that spans the
+//! whole workspace. `Engine` itself implements
 //! [`SpatialJoinAlgorithm`] by delegating to the selected engine, which means it
 //! plugs into `JoinQuery::engine(...)` through the blanket
 //! [`touch_core::IntoEngine`] impl — and doubles as a serialisable-ish "engine
@@ -14,12 +14,11 @@ use touch_baselines::{
     S3Join, SeededTreeJoin,
 };
 use touch_core::{
-    ExecControl, ExecutionStrategy, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv, Shape,
-    SpatialJoinAlgorithm, TouchConfig, TouchJoin,
+    AutoEngine, ExecControl, JoinError, JoinPlan, PairSink, Shape, SpatialJoinAlgorithm,
+    TouchConfig, TouchJoin,
 };
 use touch_geom::Dataset;
 use touch_metrics::RunReport;
-use touch_parallel::{ParallelConfig, ParallelTouchJoin};
 use touch_streaming::{OneShotStreaming, StreamingConfig};
 
 /// One of the paper's competitor algorithms, in its evaluated configuration.
@@ -80,7 +79,7 @@ impl Baseline {
 /// selector spanning every join implementation of the workspace.
 ///
 /// ```
-/// use touch::{CountingSink, Engine, JoinQuery, ParallelConfig, Predicate};
+/// use touch::{CountingSink, Engine, JoinQuery, Predicate, TouchJoin};
 /// use touch::{Aabb, Dataset, Point3};
 ///
 /// let a: Dataset = (0..100)
@@ -99,28 +98,37 @@ impl Baseline {
 /// let mut sink = CountingSink::new();
 /// let report = JoinQuery::new(&a, &b)
 ///     .predicate(Predicate::WithinDistance(1.0))
-///     .engine(Engine::Parallel(ParallelConfig::with_threads(2)))
+///     .engine(Engine::touch())
 ///     .run(&mut sink);
 /// assert_eq!(report.result_pairs(), sink.count());
+///
+/// // The width is a setting of the one TOUCH engine, not a variant of its own.
+/// let mut wide = CountingSink::new();
+/// let report = JoinQuery::new(&a, &b)
+///     .predicate(Predicate::WithinDistance(1.0))
+///     .engine(TouchJoin::default().with_threads(2))
+///     .run(&mut wide);
+/// assert_eq!(wide.count(), sink.count());
+/// assert_eq!(report.threads, 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Engine {
     /// **Automatic planning** (the default): collect
     /// [`DatasetStats`](touch_core::DatasetStats) for both inputs, derive every
-    /// TOUCH knob with the [`JoinPlanner`] cost model, and dispatch to the
-    /// sequential, parallel or streaming engine — whichever the plan selects
-    /// for this query on this machine ([`AutoEngine`]).
+    /// TOUCH knob with the [`JoinPlanner`](touch_core::JoinPlanner) cost model
+    /// for this machine's parallelism, and run the plan on [`TouchJoin`]
+    /// ([`AutoEngine::new`]).
     #[default]
     Auto,
-    /// A pre-computed, fully resolved [`JoinPlan`] — executed verbatim by the
-    /// engine its strategy names. This is the explicit form of what
+    /// A pre-computed, fully resolved [`JoinPlan`] — executed verbatim by
+    /// [`TouchJoin::from_plan`] at the plan's width, on the plan's tree side,
+    /// whatever its strategy. This is the explicit form of what
     /// [`Engine::Auto`] does internally, and the hook the planner equivalence
-    /// suite uses to pin `Auto` against the engine it resolves to.
+    /// suite uses to pin `Auto` against the plan it resolves to.
     Planned(JoinPlan),
-    /// The sequential TOUCH join ([`TouchJoin`]).
+    /// The TOUCH join ([`TouchJoin`]) on one worker; for more, pass
+    /// `TouchJoin::new(cfg).with_threads(n)` to the query instead.
     Touch(TouchConfig),
-    /// The multi-threaded TOUCH join ([`ParallelTouchJoin`]).
-    Parallel(ParallelConfig),
     /// The streaming engine run one-shot: build the tree, push B as one epoch
     /// ([`OneShotStreaming`]).
     Streaming(StreamingConfig),
@@ -134,18 +142,12 @@ impl Engine {
         Engine::Touch(TouchConfig::default())
     }
 
-    /// The parallel engine with auto-detected thread count.
-    pub fn parallel() -> Self {
-        Engine::Parallel(ParallelConfig::default())
-    }
-
     /// Instantiates the selected engine.
     pub fn build(&self) -> Box<dyn SpatialJoinAlgorithm> {
         match *self {
             Engine::Auto => Box::new(AutoEngine::new()),
-            Engine::Planned(plan) => AutoEngine::resolve(plan),
+            Engine::Planned(plan) => Box::new(TouchJoin::from_plan(plan)),
             Engine::Touch(cfg) => Box::new(TouchJoin::new(cfg)),
-            Engine::Parallel(cfg) => Box::new(ParallelTouchJoin::new(cfg)),
             Engine::Streaming(cfg) => Box::new(OneShotStreaming::new(cfg)),
             Engine::Baseline(baseline) => baseline.build(),
         }
@@ -174,110 +176,6 @@ impl SpatialJoinAlgorithm for Engine {
     }
 }
 
-/// The workspace-wide auto-planning engine behind [`Engine::Auto`].
-///
-/// Where `touch-core`'s [`touch_core::AutoJoin`] can only execute its plans
-/// sequentially (the parallel and streaming engines live downstream of it),
-/// this engine spans the whole workspace: it collects
-/// [`DatasetStats`](touch_core::DatasetStats) for both
-/// inputs (one cheap linear pass each, measured and recorded as
-/// `PlanSummary::stats_time` on the report), plans with the machine's available
-/// parallelism and the sink's pair budget, and dispatches to
-/// [`TouchJoin`], [`ParallelTouchJoin`] or [`OneShotStreaming`] — whichever the
-/// plan's strategy names. The executed plan is recorded on
-/// [`RunReport::plan`] and the resolved engine's name is appended to the
-/// report's algorithm label (e.g. `"TOUCH-AUTO → TOUCH-P4"`).
-///
-/// Because a [`JoinPlan`] pins every algorithmic decision, the dispatched run is
-/// bit-identical — pairs *and* counters — to running `Engine::Planned(plan)`
-/// (or the matching engine's `from_plan` constructor) directly; the planner
-/// equivalence suite locks this down at 1/2/4/8 threads.
-#[derive(Debug, Clone)]
-pub struct AutoEngine {
-    planner: JoinPlanner,
-    env: PlanEnv,
-}
-
-impl AutoEngine {
-    /// An auto engine planning with the default [`JoinPlanner`] and the
-    /// machine's detected parallelism.
-    pub fn new() -> Self {
-        AutoEngine { planner: JoinPlanner::default(), env: PlanEnv::detect() }
-    }
-
-    /// An auto engine planning for an explicit worker budget (used by the
-    /// equivalence suites to exercise every strategy deterministically).
-    pub fn with_threads(threads: usize) -> Self {
-        AutoEngine { planner: JoinPlanner::default(), env: PlanEnv::detect().with_threads(threads) }
-    }
-
-    /// An auto engine with a custom planner and environment.
-    pub fn with_planner(planner: JoinPlanner, env: PlanEnv) -> Self {
-        AutoEngine { planner, env }
-    }
-
-    /// The planner this engine consults.
-    pub fn planner(&self) -> &JoinPlanner {
-        &self.planner
-    }
-
-    /// Instantiates the engine a resolved plan's strategy names.
-    pub fn resolve(plan: JoinPlan) -> Box<dyn SpatialJoinAlgorithm> {
-        match plan.strategy {
-            ExecutionStrategy::Sequential => Box::new(TouchJoin::from_plan(plan)),
-            ExecutionStrategy::Parallel { .. } => Box::new(ParallelTouchJoin::from_plan(plan)),
-            ExecutionStrategy::Streaming { .. } => Box::new(OneShotStreaming::from_plan(plan)),
-        }
-    }
-}
-
-impl Default for AutoEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SpatialJoinAlgorithm for AutoEngine {
-    fn name(&self) -> String {
-        "TOUCH-AUTO".to_string()
-    }
-
-    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        Some(self.planner.plan_datasets(a, b, shape, &self.env).0)
-    }
-
-    fn try_join(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        shape: Shape,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        // Check before the stats pass so a pre-cancelled run skips even
-        // planning; the resolved engine then owns all finer-grained polling.
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        // Self-joins are costed on the single input's statistics (work estimate
-        // halved — see `JoinPlanner::plan_self`); the dispatched engine then runs
-        // its in-kernel index-order filter, so pairs and counters stay identical
-        // to the explicitly selected engine at every width.
-        let mut env = self.env.with_pair_limit(sink.pair_limit());
-        env.epsilon = report.epsilon;
-        let (plan, stats_time) = self.planner.plan_datasets(a, b, shape, &env);
-        let engine = Self::resolve(plan);
-        report.algorithm = format!("TOUCH-AUTO → {}", engine.name());
-        engine.try_join(a, b, shape, sink, report, ctl)?;
-        if let Some(summary) = &mut report.plan {
-            summary.stats_time = stats_time;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +201,9 @@ mod tests {
         let (expected, _) = collect_join(&TouchJoin::default(), &a, &b);
         let engines = [
             Engine::touch(),
-            Engine::Parallel(ParallelConfig::with_threads(2)),
+            Engine::Planned(
+                TouchJoin::default().with_threads(2).plan_for(&a, &b, Shape::Pair).unwrap(),
+            ),
             Engine::Streaming(StreamingConfig::default()),
             Engine::Baseline(Baseline::RTree),
         ];

@@ -9,14 +9,16 @@
 //!   synthetic neuron morphologies),
 //! * [`index`] — indexing substrates (STR packing, packed R-tree, uniform and
 //!   hierarchical grids),
-//! * [`core`] — the TOUCH algorithm ([`TouchJoin`]) and the unified query API:
-//!   the [`JoinQuery`] builder, the [`Predicate`] enum and the [`PairSink`]
-//!   result-consumer trait with its standard implementations ([`CountingSink`],
-//!   [`CollectingSink`], [`CallbackSink`], [`FirstKSink`]) — plus the planning
-//!   layer: [`DatasetStats`], the [`JoinPlanner`] cost model and the
-//!   [`JoinPlan`] every engine executes,
-//! * [`parallel`] — the multi-threaded execution subsystem ([`ParallelTouchJoin`]),
-//!   deterministically equivalent to [`TouchJoin`] at every thread count,
+//! * [`core`] — the TOUCH algorithm ([`TouchJoin`], at any width: the sequential
+//!   join is its one-worker case, and every thread count gives the same pairs
+//!   and counters) and the unified query API: the [`JoinQuery`] builder, the
+//!   [`Predicate`] enum and the [`PairSink`] result-consumer trait with its
+//!   standard implementations ([`CountingSink`], [`CollectingSink`],
+//!   [`CallbackSink`], [`FirstKSink`]) — plus the planning layer:
+//!   [`DatasetStats`], the [`JoinPlanner`] cost model, the [`JoinPlan`] every
+//!   engine executes and the [`AutoEngine`] that plans for [`TouchJoin`],
+//! * [`parallel`] — the multi-threaded phase blocks under their old paths
+//!   (`phases`, `scheduler`, `sort`),
 //! * [`streaming`] — the batched/streaming engine ([`StreamingTouchJoin`]): one
 //!   persistent tree over A serving epoch after epoch of B, any epoch split exactly
 //!   reproducing the one-shot join — including sliding-window epochs that *evict*
@@ -34,9 +36,9 @@
 //!
 //! On top of the re-exports the facade defines [`Engine`] and [`Baseline`] — the
 //! closed selector enums that let one [`JoinQuery`] dispatch over every engine and
-//! baseline in the workspace — and [`AutoEngine`], the workspace-wide automatic
-//! planner behind [`Engine::Auto`] (the default): statistics in, plan out,
-//! dispatched to whichever engine the plan's strategy names.
+//! baseline in the workspace. [`Engine::Auto`] (the default) is [`AutoEngine`]
+//! planning for the machine's parallelism: statistics in, plan out, run on
+//! [`TouchJoin`].
 //!
 //! ## Quickstart
 //!
@@ -75,7 +77,7 @@
 //! Swap the engine without touching the rest of the query:
 //!
 //! ```
-//! use touch::{Baseline, CountingSink, Engine, JoinQuery, ParallelConfig};
+//! use touch::{Baseline, CountingSink, Engine, JoinQuery};
 //! # use touch::{Aabb, Dataset, Point3};
 //! # let a: Dataset = (0..60).map(|i| {
 //! #     let min = Point3::new(i as f64 * 2.0, 0.0, 0.0);
@@ -116,7 +118,7 @@
 
 mod engine;
 
-pub use engine::{AutoEngine, Baseline, Engine};
+pub use engine::{Baseline, Engine};
 
 pub use touch_baselines as baselines;
 pub use touch_core as core;
@@ -135,7 +137,7 @@ pub use touch_baselines::{
     S3Join, SeededTreeJoin,
 };
 pub use touch_core::{
-    collect_join, count_join, distance_join, AdaptiveParams, AssignmentBuffer, AutoJoin,
+    collect_join, count_join, distance_join, AdaptiveParams, AssignmentBuffer, AutoEngine,
     CallbackSink, CancelCause, CancelToken, CollectingSink, CountingSink, DatasetStats,
     ExecControl, ExecutionStrategy, FirstKSink, IntoEngine, JoinError, JoinOrder, JoinPlan,
     JoinPlanner, JoinQuery, LocalJoinParams, LocalJoinScratch, LocalJoinStrategy, PairSink,
@@ -152,7 +154,6 @@ pub use touch_metrics::{
     Completion, Counters, ExecTrace, FaultAction, FaultPlan, Histogram, NoTrace, Phase,
     PlanSummary, RunReport, Seam, TickSummary, TraceEvent, TraceSink, TraceSummary, WorkerStats,
 };
-pub use touch_parallel::{ParallelConfig, ParallelTouchJoin};
 pub use touch_serve::{
     BoundedSink, GenCell, Generation, JoinServer, OverflowPolicy, ServeConfig, SnapshotReader,
 };

@@ -9,8 +9,8 @@
 use touch::baselines::{OctreeJoin, SeededTreeJoin};
 use touch::{
     collect_join, CollectingSink, Dataset, IndexedNestedLoopJoin, JoinQuery, NestedLoopJoin,
-    NeuroscienceSpec, ParallelTouchJoin, PbsmJoin, PlaneSweepJoin, RTreeSyncJoin, S3Join,
-    SpatialJoinAlgorithm, SyntheticDistribution, SyntheticSpec, TouchJoin,
+    NeuroscienceSpec, PbsmJoin, PlaneSweepJoin, RTreeSyncJoin, S3Join, SpatialJoinAlgorithm,
+    SyntheticDistribution, SyntheticSpec, TouchJoin,
 };
 
 /// Every algorithm in the workspace, configured for the compact (~120-unit) spaces
@@ -30,11 +30,10 @@ fn full_suite() -> Vec<Box<dyn SpatialJoinAlgorithm>> {
         Box::new(OctreeJoin::with_defaults()),
         Box::new(SeededTreeJoin::paper_comparable()),
         Box::new(TouchJoin::default()),
-        // The multi-threaded subsystem, at several thread counts: it must uphold
-        // Theorem 1 / Lemma 3 exactly like its sequential counterpart.
-        Box::new(ParallelTouchJoin::with_threads(1)),
-        Box::new(ParallelTouchJoin::with_threads(2)),
-        Box::new(ParallelTouchJoin::with_threads(8)),
+        // TOUCH on more workers: it must uphold Theorem 1 / Lemma 3 exactly like
+        // its one-worker case.
+        Box::new(TouchJoin::default().with_threads(2)),
+        Box::new(TouchJoin::default().with_threads(8)),
     ]
 }
 

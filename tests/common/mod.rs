@@ -6,7 +6,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use touch::core::simd::{self, Backend};
 use touch::{
-    Dataset, OneShotStreaming, ParallelTouchJoin, ServeConfig, SpatialJoinAlgorithm,
+    Dataset, ExecutionStrategy, JoinQuery, OneShotStreaming, ServeConfig, SpatialJoinAlgorithm,
     StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
 
@@ -54,12 +54,22 @@ pub fn serve_cfg() -> ServeConfig {
     ServeConfig { touch: TouchConfig::default(), delta_limit: None, hazard_slots: 8 }
 }
 
-/// The three TOUCH engines at a given worker budget.
+/// TOUCH on one worker and at a given worker budget, and the streaming
+/// engine's epoch path at that budget.
 pub fn engines(threads: usize) -> Vec<(&'static str, Box<dyn SpatialJoinAlgorithm>)> {
     let streaming = StreamingConfig { threads, ..StreamingConfig::default() };
     vec![
         ("touch", Box::new(TouchJoin::default()) as Box<dyn SpatialJoinAlgorithm>),
-        ("parallel", Box::new(ParallelTouchJoin::with_threads(threads))),
+        ("parallel", Box::new(TouchJoin::default().with_threads(threads))),
         ("streaming", Box::new(OneShotStreaming::new(streaming))),
     ]
+}
+
+/// The plan `query` resolves for its engine, re-pinned to `threads` workers
+/// with assignment chunks of 64 probe objects and a sort threshold of 128, so
+/// test-sized inputs still reach the multi-worker assignment and sort.
+pub fn busy(mut query: JoinQuery<'_>, threads: usize) -> TouchJoin {
+    let plan = query.plan().expect("the query's engine has a TOUCH plan");
+    let strategy = ExecutionStrategy::Parallel { threads };
+    TouchJoin::from_plan(plan.with_strategy(strategy).with_execution(64, 128))
 }

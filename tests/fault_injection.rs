@@ -15,8 +15,8 @@ use std::sync::Once;
 use std::time::Duration;
 use touch::{
     BoundedSink, CollectingSink, Completion, Engine, ExecControl, FaultPlan, JoinError, JoinQuery,
-    JoinServer, ObjectId, OneShotStreaming, ParallelTouchJoin, Phase, Seam, SpatialJoinAlgorithm,
-    StreamingConfig, StreamingTouchJoin, TickConfig, TickEngine, TouchJoin, World,
+    JoinServer, ObjectId, OneShotStreaming, Phase, Seam, SpatialJoinAlgorithm, StreamingConfig,
+    StreamingTouchJoin, TickConfig, TickEngine, TouchJoin, World,
 };
 
 mod common;
@@ -83,7 +83,7 @@ fn seeded_fault_matrix_returns_errors_without_aborting() {
             vec![Seam::Build, Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin];
         let combos: Vec<(&str, Box<dyn SpatialJoinAlgorithm>, Vec<Seam>)> = vec![
             ("touch", Box::new(TouchJoin::default()), one_shot.clone()),
-            ("parallel", Box::new(ParallelTouchJoin::with_threads(threads)), one_shot),
+            ("parallel", Box::new(TouchJoin::default().with_threads(threads)), one_shot),
             (
                 "streaming",
                 Box::new(OneShotStreaming::new(StreamingConfig {
@@ -186,7 +186,7 @@ fn worker_restricted_triggers_attribute_the_panic() {
         let mut sink = CollectingSink::new();
         let err = JoinQuery::new(&a, &b)
             .within_distance(EPS)
-            .engine(ParallelTouchJoin::with_threads(threads))
+            .engine(TouchJoin::default().with_threads(threads))
             .trace(&plan)
             .try_run(&mut sink)
             .expect_err("the pinned panic must surface");

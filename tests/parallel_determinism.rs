@@ -1,14 +1,17 @@
-//! Determinism of the `touch-parallel` subsystem: for every thread count the
-//! parallel join must report the **same sorted result set** — and, because its
-//! parallel STR sort is bit-identical to the sequential one, the **same counters** —
-//! as the sequential `TouchJoin`, on every dataset family. Repeated runs with the
-//! same thread count must also agree with each other (no scheduling-dependent
+//! Determinism of TOUCH across widths: for every thread count the join must
+//! report the **same sorted result set** — and, because its parallel STR sort is
+//! bit-identical to the sequential one, the **same counters** — as the
+//! one-worker `TouchJoin`, on every dataset family. Repeated runs with the same
+//! thread count must also agree with each other (no scheduling-dependent
 //! output).
 
+mod common;
+
+use common::busy;
 use touch::{
     collect_join, CollectingSink, Dataset, EpochSummary, ExecutionStrategy, JoinQuery,
-    NeuroscienceSpec, ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm, StreamingConfig,
-    StreamingTouchJoin, SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
+    NeuroscienceSpec, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin,
+    SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -22,11 +25,6 @@ fn synthetic(count: usize, dist: SyntheticDistribution, seed: u64) -> Dataset {
     .generate(seed)
 }
 
-/// A parallel configuration whose chunking actually splits test-sized workloads.
-fn busy_config(threads: usize) -> ParallelConfig {
-    ParallelConfig { threads, chunk_size: 64, sort_threshold: 128, touch: TouchConfig::default() }
-}
-
 fn assert_deterministic(a: &Dataset, b: &Dataset, eps: f64, context: &str) {
     let mut sink = CollectingSink::new();
     let sequential =
@@ -34,7 +32,8 @@ fn assert_deterministic(a: &Dataset, b: &Dataset, eps: f64, context: &str) {
     let expected = sink.sorted_pairs();
 
     for threads in THREAD_COUNTS {
-        let algo = ParallelTouchJoin::new(busy_config(threads));
+        let query = JoinQuery::new(a, b).within_distance(eps).engine(TouchJoin::default());
+        let algo = busy(query, threads);
         let mut sink = CollectingSink::new();
         let report = JoinQuery::new(a, b).within_distance(eps).engine(&algo).run(&mut sink);
         assert_eq!(
@@ -83,7 +82,7 @@ fn repeated_runs_with_the_same_thread_count_agree() {
     let a = synthetic(700, SyntheticDistribution::Uniform, 10);
     let b = synthetic(1_000, SyntheticDistribution::Uniform, 11);
     for threads in THREAD_COUNTS {
-        let algo = ParallelTouchJoin::new(busy_config(threads));
+        let algo = busy(JoinQuery::new(&a, &b).engine(TouchJoin::default()), threads);
         let (first_pairs, first_report) = collect_join(&algo, &a, &b);
         for _ in 0..2 {
             let (pairs, report) = collect_join(&algo, &a, &b);
@@ -96,9 +95,9 @@ fn repeated_runs_with_the_same_thread_count_agree() {
     }
 }
 
-/// A plan runs at its own width: at one thread the parallel engine is the
-/// sequential one, down to emission order and the memory report, and a
-/// `TouchJoin` pinned to a `parallel(t)` plan runs on `t` workers.
+/// A plan runs at its own width: a `parallel(1)` plan is the sequential one,
+/// down to emission order and the memory report, and a plan-pinned `TouchJoin`
+/// set to `t` workers runs the same plan on `t` workers.
 #[test]
 fn a_plan_runs_at_its_own_width() {
     let a = touch::datagen::uniform(3_000, 1);
@@ -112,17 +111,18 @@ fn a_plan_runs_at_its_own_width() {
     let cfg = TouchConfig::default();
     let (seq_pairs, seq) = run(&TouchJoin::new(cfg));
     assert!(!seq_pairs.is_empty(), "degenerate workload");
-    let (one_pairs, one) = run(&ParallelTouchJoin::with_threads(1));
+    let plan = query().engine(TouchJoin::new(cfg)).plan().expect("TOUCH has a plan");
+    let one_thread = plan.with_strategy(ExecutionStrategy::Parallel { threads: 1 });
+    let (one_pairs, one) = run(&TouchJoin::from_plan(one_thread));
     assert_eq!(one_pairs, seq_pairs, "one thread: emission order");
     assert_eq!(one.counters, seq.counters, "one thread: counters");
     assert_eq!(one.memory_bytes, seq.memory_bytes, "one thread: memory");
 
-    let plan = query().engine(TouchJoin::new(cfg)).plan().expect("TOUCH has a plan");
     for threads in [2, 3] {
-        let wide = plan.with_strategy(ExecutionStrategy::Parallel { threads });
-        let (_, report) = run(&TouchJoin::from_plan(wide));
+        let (_, report) = run(&TouchJoin::from_plan(plan).with_threads(threads));
         assert_eq!(report.threads, threads);
         assert_eq!(report.plan.as_ref().map(|p| p.threads), Some(threads));
+        assert_eq!(report.plan.as_ref().map(|p| p.partitions), Some(plan.partitions));
         assert_eq!(report.counters, seq.counters, "threads = {threads}: counters");
     }
 }
@@ -194,7 +194,7 @@ fn auto_thread_detection_is_equivalent_too() {
     let a = synthetic(600, SyntheticDistribution::Uniform, 20);
     let b = synthetic(900, SyntheticDistribution::Uniform, 21);
     let (expected, _) = collect_join(&TouchJoin::default(), &a, &b);
-    let auto = ParallelTouchJoin::default(); // threads = 0: auto-detect
+    let auto = TouchJoin::default().with_threads(0); // auto-detect
     let (pairs, report) = collect_join(&auto, &a, &b);
     assert_eq!(pairs, expected);
     assert!(report.threads >= 1);

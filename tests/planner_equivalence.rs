@@ -1,9 +1,9 @@
 //! Planner determinism and equivalence: `Engine::Auto` must be a pure
-//! *dispatcher* — the plan it derives, executed by whichever engine its strategy
-//! names, produces **bit-identical pairs and counters** to explicitly running
-//! that engine on the same plan, at every thread count and for every epoch
-//! split. And the statistics the planner runs on must accumulate exactly:
-//! merging per-epoch [`DatasetStats`] equals collecting them in one shot.
+//! *planner* — the plan it derives produces **bit-identical pairs and
+//! counters** to explicitly running `TouchJoin` on the same plan, at every
+//! thread count, under every strategy and for every epoch split. And the
+//! statistics the planner runs on must accumulate exactly: merging per-epoch
+//! [`DatasetStats`] equals collecting them in one shot.
 
 use proptest::prelude::*;
 use touch::{
@@ -40,8 +40,8 @@ fn run(
     (sink.sorted_pairs(), report)
 }
 
-/// `Engine::Auto` vs. the explicitly-chosen engine it resolves to, across
-/// thread budgets that exercise the sequential (1) and parallel (2/4/8)
+/// `Engine::Auto` vs. an explicitly pinned run of the plan it resolves to,
+/// across thread budgets that exercise the sequential (1) and parallel (2/4/8)
 /// strategies. Pairs and every counter must match bit-for-bit.
 #[test]
 fn auto_matches_the_engine_it_resolves_to_at_every_thread_count() {
@@ -83,24 +83,33 @@ fn auto_matches_the_engine_it_resolves_to_at_every_thread_count() {
     }
 }
 
-/// The same plan executed by all three engines is the same computation.
+/// The same plan is the same computation under every strategy, with the tree
+/// on either side: a plan pins its tree side whatever strategy runs it.
 #[test]
 fn one_plan_is_bit_identical_on_every_engine() {
-    let a = synthetic(800, 5);
-    let b = synthetic(1000, 6);
-    let plan = AutoEngine::with_threads(1).plan_for(&a, &b, Shape::Pair).unwrap();
-    let (seq_pairs, seq_report) =
-        run(Engine::Planned(plan.with_strategy(ExecutionStrategy::Sequential)), &a, &b);
-    for strategy in [
-        ExecutionStrategy::Parallel { threads: 2 },
-        ExecutionStrategy::Parallel { threads: 8 },
-        ExecutionStrategy::Streaming { threads: 1 },
-        ExecutionStrategy::Streaming { threads: 3 },
-    ] {
-        let (pairs, report) = run(Engine::Planned(plan.with_strategy(strategy)), &a, &b);
-        assert_eq!(pairs, seq_pairs, "{strategy:?}: pairs diverged");
-        assert_eq!(report.counters, seq_report.counters, "{strategy:?}: counters diverged");
+    let inputs = [(synthetic(800, 5), synthetic(1000, 6)), (synthetic(1000, 5), synthetic(800, 6))];
+    let mut sides = Vec::new();
+    for (a, b) in &inputs {
+        let plan = AutoEngine::with_threads(1).plan_for(a, b, Shape::Pair).unwrap();
+        sides.push(plan.build_on_a);
+        let side = if plan.build_on_a { "tree on A" } else { "tree on B" };
+        let (seq_pairs, seq_report) =
+            run(Engine::Planned(plan.with_strategy(ExecutionStrategy::Sequential)), a, b);
+        for strategy in [
+            ExecutionStrategy::Parallel { threads: 2 },
+            ExecutionStrategy::Parallel { threads: 8 },
+            ExecutionStrategy::Streaming { threads: 1 },
+            ExecutionStrategy::Streaming { threads: 3 },
+        ] {
+            let (pairs, report) = run(Engine::Planned(plan.with_strategy(strategy)), a, b);
+            assert_eq!(pairs, seq_pairs, "{side}, {strategy:?}: pairs diverged");
+            assert_eq!(
+                report.counters, seq_report.counters,
+                "{side}, {strategy:?}: counters diverged"
+            );
+        }
     }
+    assert_eq!(sides, [true, false], "the inputs cover both tree sides");
 }
 
 /// Auto through the unified query builder (the zero-config path) still answers

@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::Forced;
+use common::{busy, Forced};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use touch::core::simd::{self, Backend};
@@ -29,9 +29,8 @@ use touch::geom::{Aabb, Point3, SpatialObject};
 use touch::index::UniformGrid;
 use touch::{
     collect_join, CollectingSink, Counters, Dataset, ExecTrace, JoinOrder, JoinQuery,
-    LocalJoinParams, LocalJoinScratch, ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm,
-    StreamingConfig, StreamingTouchJoin, SyntheticDistribution, SyntheticSpec, TouchConfig,
-    TouchJoin, TouchTree, TraceEvent,
+    LocalJoinParams, LocalJoinScratch, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin,
+    SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin, TouchTree, TraceEvent,
 };
 
 /// Tree-side (A) workload: larger objects on average than [`probe`]'s, so the
@@ -488,12 +487,8 @@ fn all_engines_and_thread_counts_agree_on_pairs_and_counters() {
 
         let mut engines: Vec<Box<dyn SpatialJoinAlgorithm>> = Vec::new();
         for threads in [1, 2, 4, 8] {
-            engines.push(Box::new(ParallelTouchJoin::new(ParallelConfig {
-                threads,
-                chunk_size: 64,
-                sort_threshold: 128,
-                touch: cfg(),
-            })));
+            let query = JoinQuery::new(&a, &b).within_distance(eps).engine(&reference_algo);
+            engines.push(Box::new(busy(query, threads)));
             engines.push(Box::new(touch::OneShotStreaming::new(StreamingConfig {
                 touch: cfg(),
                 threads,

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use touch::{
-    Baseline, CollectingSink, Dataset, Engine, FirstKSink, JoinQuery, ObjectId, ParallelConfig,
-    Predicate, RunReport, StreamingConfig, SyntheticDistribution, SyntheticSpec, World,
+    Baseline, CollectingSink, Dataset, Engine, FirstKSink, IntoEngine, JoinQuery, ObjectId,
+    Predicate, RunReport, StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchJoin, World,
 };
 
 fn synthetic(count: usize, seed: u64) -> Dataset {
@@ -36,7 +36,11 @@ fn brute_force(a: &Dataset, eps: f64) -> Vec<(ObjectId, ObjectId)> {
     pairs
 }
 
-fn run_self(a: &Dataset, eps: f64, engine: Engine) -> (Vec<(ObjectId, ObjectId)>, RunReport) {
+fn run_self<'a>(
+    a: &'a Dataset,
+    eps: f64,
+    engine: impl IntoEngine<'a>,
+) -> (Vec<(ObjectId, ObjectId)>, RunReport) {
     let mut sink = CollectingSink::new();
     let mut query = JoinQuery::self_join(a).engine(engine);
     if eps > 0.0 {
@@ -61,8 +65,7 @@ fn every_engine_and_thread_count_matches_brute_force() {
     assert_eq!(seq_report.result_pairs() as usize, expected.len());
 
     for threads in [1, 2, 4, 8] {
-        let (pairs, report) =
-            run_self(&a, eps, Engine::Parallel(ParallelConfig::with_threads(threads)));
+        let (pairs, report) = run_self(&a, eps, TouchJoin::default().with_threads(threads));
         assert_eq!(pairs, expected, "parallel, {threads} threads");
         assert_eq!(report.counters, seq_report.counters, "parallel counters, {threads} threads");
 
@@ -106,7 +109,7 @@ fn pair_budgets_count_filtered_pairs_only() {
     let eps = 6.0;
     let expected = brute_force(&a, eps);
     assert!(expected.len() > 16);
-    for engine in [Engine::touch(), Engine::Parallel(ParallelConfig::with_threads(4))] {
+    for engine in [TouchJoin::default(), TouchJoin::default().with_threads(4)] {
         let mut sink = FirstKSink::new(16);
         let _ = JoinQuery::self_join(&a)
             .predicate(Predicate::WithinDistance(eps))
@@ -139,7 +142,7 @@ proptest! {
         let (seq, seq_report) = run_self(&a, eps, Engine::touch());
         prop_assert_eq!(&seq, &expected);
         let (par, par_report) =
-            run_self(&a, eps, Engine::Parallel(ParallelConfig::with_threads(4)));
+            run_self(&a, eps, TouchJoin::default().with_threads(4));
         prop_assert_eq!(&par, &expected);
         prop_assert_eq!(par_report.counters, seq_report.counters);
         let (stream, _) =

@@ -8,14 +8,14 @@
 
 mod common;
 
-use common::{Forced, FORCE_LOCK};
+use common::{busy, Forced, FORCE_LOCK};
 use proptest::prelude::*;
 use std::sync::PoisonError;
 use touch::core::simd::Backend;
 use touch::{
     collect_join, CollectingSink, Dataset, ExecTrace, JoinOrder, JoinQuery, OneShotStreaming,
-    ParallelConfig, ParallelTouchJoin, SpatialJoinAlgorithm, StreamingConfig,
-    SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin, TraceEvent,
+    SpatialJoinAlgorithm, StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig,
+    TouchJoin, TraceEvent,
 };
 
 fn uniform(count: usize, seed: u64, side: f64) -> Dataset {
@@ -40,20 +40,16 @@ fn cfg() -> TouchConfig {
     TouchConfig { partitions: 24, join_order: JoinOrder::TreeOnA, ..TouchConfig::default() }
 }
 
-/// The three TOUCH engines at a given worker budget, pinned to one config so
-/// every run performs the same plan.
-fn engines(threads: usize) -> Vec<(&'static str, Box<dyn SpatialJoinAlgorithm>)> {
+/// TOUCH on one worker and at a given worker budget, and the streaming
+/// engine's epoch path at that budget, pinned to one config so every run
+/// performs the same plan for `query`.
+fn engines(
+    query: JoinQuery<'_>,
+    threads: usize,
+) -> Vec<(&'static str, Box<dyn SpatialJoinAlgorithm>)> {
     vec![
         ("touch", Box::new(TouchJoin::new(cfg())) as Box<dyn SpatialJoinAlgorithm>),
-        (
-            "parallel",
-            Box::new(ParallelTouchJoin::new(ParallelConfig {
-                threads,
-                chunk_size: 64,
-                sort_threshold: 128,
-                touch: cfg(),
-            })),
-        ),
+        ("parallel", Box::new(busy(query.engine(TouchJoin::new(cfg())), threads))),
         (
             "streaming",
             Box::new(OneShotStreaming::new(StreamingConfig {
@@ -81,7 +77,8 @@ fn all_backends_are_bit_identical_on_every_engine_and_thread_count() {
     {
         let _forced = Forced::new(Backend::Scalar);
         for threads in [1, 2, 4, 8] {
-            for (name, algo) in engines(threads) {
+            let query = JoinQuery::new(&a, &b).within_distance(1.0);
+            for (name, algo) in engines(query, threads) {
                 let mut sink = CollectingSink::new();
                 let report =
                     JoinQuery::new(&a, &b).within_distance(1.0).engine(&algo).run(&mut sink);
@@ -102,7 +99,8 @@ fn all_backends_are_bit_identical_on_every_engine_and_thread_count() {
         let _forced = Forced::new(backend);
         let mut expected = reference.iter();
         for threads in [1, 2, 4, 8] {
-            for (name, algo) in engines(threads) {
+            let query = JoinQuery::new(&a, &b).within_distance(1.0);
+            for (name, algo) in engines(query, threads) {
                 let mut sink = CollectingSink::new();
                 let report =
                     JoinQuery::new(&a, &b).within_distance(1.0).engine(&algo).run(&mut sink);

@@ -7,20 +7,20 @@
 use proptest::prelude::*;
 use touch::{
     Baseline, CallbackSink, CollectingSink, CountingSink, Dataset, Engine, ExecControl, FirstKSink,
-    JoinQuery, NestedLoopJoin, ParallelConfig, PbsmJoin, RunReport, Shape, SpatialJoinAlgorithm,
-    StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig,
+    JoinQuery, NestedLoopJoin, PbsmJoin, RunReport, Shape, SpatialJoinAlgorithm, StreamingConfig,
+    SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
 
-/// Every engine variant of the workspace: the three engines (sequential, parallel
-/// at two widths, streaming one-shot) through the facade's `Engine` selector, and
-/// every baseline. PBSM runs at resolutions scaled to the ~100-unit test space
+/// Every engine variant of the workspace: TOUCH on one worker (through the
+/// facade's `Engine` selector) and at two wider widths, the streaming engine
+/// one-shot, and every baseline. PBSM runs at resolutions scaled to the ~100-unit test space
 /// (the paper's 500/100 cells per dimension would allocate a 1.25e8-cell grid for
 /// a toy workload), like the other integration suites do.
 fn all_engines() -> Vec<Box<dyn SpatialJoinAlgorithm>> {
     vec![
         Engine::Touch(TouchConfig::default()).build(),
-        Engine::Parallel(ParallelConfig::with_threads(1)).build(),
-        Engine::Parallel(ParallelConfig::with_threads(4)).build(),
+        Box::new(TouchJoin::default().with_threads(2)),
+        Box::new(TouchJoin::default().with_threads(4)),
         Engine::Streaming(StreamingConfig::default()).build(),
         Engine::Streaming(StreamingConfig::with_threads(3)).build(),
         Engine::Baseline(Baseline::NestedLoop).build(),
@@ -150,7 +150,7 @@ fn first_k_under_the_parallel_engine_shares_one_budget_across_workers() {
     for threads in [2, 4, 8] {
         let mut sink = FirstKSink::new(K);
         let report = JoinQuery::new(&a, &b)
-            .engine(Engine::Parallel(ParallelConfig::with_threads(threads)))
+            .engine(TouchJoin::default().with_threads(threads))
             .run(&mut sink);
         assert_eq!(sink.count(), K as u64, "threads = {threads}");
         assert_eq!(report.result_pairs(), K as u64, "threads = {threads}");
@@ -235,7 +235,7 @@ fn parallel_merge_credits_only_delivered_pairs_for_unbudgeted_done_sinks() {
     for threads in [1, 4] {
         let mut sink = DoneWithoutLimit { limit: 5, pairs: Vec::new() };
         let report = JoinQuery::new(&a, &b)
-            .engine(Engine::Parallel(ParallelConfig::with_threads(threads)))
+            .engine(TouchJoin::default().with_threads(threads))
             .run(&mut sink);
         assert_eq!(sink.pairs.len(), 5, "threads = {threads}");
         assert_eq!(

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use touch::{
-    CollectingSink, Dataset, ExecControl, ExecTrace, Histogram, JoinQuery, ParallelTouchJoin,
-    RunReport, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TouchJoin, TraceSink,
+    CollectingSink, Dataset, ExecControl, ExecTrace, Histogram, JoinQuery, RunReport,
+    SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TouchJoin, TraceSink,
 };
 
 mod common;
@@ -74,7 +74,7 @@ fn candidate_histograms_are_schedule_independent() {
     assert!(reference.candidates.sum <= report.counters.comparisons);
     for threads in [2, 4, 8] {
         let trace = ExecTrace::new();
-        let (_, report) = run(&ParallelTouchJoin::with_threads(threads), &a, &b, Some(&trace));
+        let (_, report) = run(&TouchJoin::default().with_threads(threads), &a, &b, Some(&trace));
         let summary = report.trace.expect("traced");
         assert_eq!(
             summary.candidates, reference.candidates,
@@ -126,7 +126,7 @@ fn trace_exports_are_well_formed() {
     let a = synthetic(400, 47);
     let b = synthetic(500, 48);
     let trace = ExecTrace::new();
-    let _ = run(&ParallelTouchJoin::with_threads(4), &a, &b, Some(&trace));
+    let _ = run(&TouchJoin::default().with_threads(4), &a, &b, Some(&trace));
     let chrome = trace.to_chrome_json();
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.contains("\"ph\":\"X\""));
