@@ -135,7 +135,8 @@ impl AssignmentBuffer {
 
     /// Stores pre-computed `(node_index, object)` assignments against `tree`,
     /// in iteration order: the write half of the multi-worker two-step
-    /// assignment ([`crate::phases::par_assign_ctl`]), storing what [`AssignmentBuffer::assign`] would.
+    /// assignment ([`crate::phases::assign_and_join`]), storing what
+    /// [`AssignmentBuffer::assign`] would.
     ///
     /// # Panics
     /// Panics if a node index is out of range.
@@ -468,7 +469,7 @@ mod tests {
         assert_counted(resident.store(), "resident, fresh");
         resident.assign(b.objects(), &mut Counters::new());
         assert_counted(resident.store(), "resident, after assign");
-        resident.extend_assigned(placed.iter().copied());
+        resident.with_store(|store, tree| store.extend(tree, placed.iter().copied()));
         assert_counted(resident.store(), "resident, after extend");
         resident.retract_assigned(oldest_two(resident.store()));
         assert_counted(resident.store(), "resident, after retract");

@@ -40,17 +40,19 @@
 //! tree keeps one for its own assign and join phases, and a serving reader holds
 //! one of its own over a frozen, shared tree.
 //!
-//! The three phases run as the blocks of [`phases`] at any worker count:
-//! [`TouchJoin`] executes its plan at the plan's width
-//! ([`TouchJoin::with_threads`] sets it for a configured join), in-thread at one
-//! worker and over work-stealing workers ([`scheduler::StealQueues`]) at more,
-//! and the streaming engine and the tick loop drive the same blocks. The blocks use the
-//! tree's per-phase building blocks — [`TouchTree::from_tiled`],
-//! [`TouchTree::assignment_target`] (read-only), [`TouchTree::extend_assigned`]
-//! (which applies pre-computed targets to the tree's store),
-//! [`TouchTree::nodes_with_assignments`] and [`TouchTree::local_join_node`] — and
-//! [`ShardedSink`], which adapts any [`PairSink`] into lock-free per-worker shards
-//! that merge back when the parallel section is over.
+//! The three phases run behind the two entries of [`phases`]:
+//! [`phases::build_tree`] and [`phases::assign_and_join`]. Every surface calls
+//! them: [`TouchJoin`] executes its plan at the plan's width
+//! ([`TouchJoin::with_threads`] sets it for a configured join), the streaming
+//! engine and the tick loop call both, and a serving reader, whose tree is
+//! frozen, calls [`phases::assign_and_join`]. A phase runs in-thread at one worker and over work-stealing workers
+//! ([`scheduler::StealQueues`]) at more. The entries use the tree's per-phase
+//! building blocks — [`TouchTree::from_tiled`], [`TouchTree::assignment_target`]
+//! (read-only), [`AssignmentBuffer::extend`] (which applies pre-computed
+//! targets), [`TouchTree::with_store`] (which lends out the tree's own store)
+//! and [`TouchTree::local_join_node`] — and [`ShardedSink`], which adapts any
+//! [`PairSink`] into lock-free per-worker shards that merge back when the
+//! parallel section is over.
 //!
 //! ## Quick example
 //!
@@ -107,7 +109,7 @@ pub use sink::{
     ShardedSink, SinkShard,
 };
 pub use stats::{DatasetStats, EXTENT_BUCKETS};
-pub use touch::{time_phase_traced, JoinOrder, LocalJoinStrategy, TouchConfig, TouchJoin};
+pub use touch::{JoinOrder, LocalJoinStrategy, TouchConfig, TouchJoin};
 pub use traits::{
     collect_join, count_join, distance_join, join_contained, Shape, SpatialJoinAlgorithm,
 };

@@ -1,28 +1,34 @@
-//! The building blocks of the three TOUCH phases, at any worker count.
+//! The three TOUCH phases, at any worker count, behind two entries.
 //!
-//! [`crate::TouchJoin`] composes these into the one-shot join at its plan's
-//! width; the `touch-streaming` engine composes the same blocks into its
-//! per-epoch pipeline (build once, then assignment + local join per pushed
-//! batch), and the `touch-sim` tick loop into its per-tick one. At one worker
-//! every block runs in-thread; at more, the work spreads over work-stealing
-//! workers ([`crate::scheduler::StealQueues`]). Keeping the blocks in one place
-//! guarantees the engines can never diverge in how they run a phase.
+//! [`build_tree`] runs phase 1 (Algorithm 2) and [`assign_and_join`] phases 2
+//! and 3 (Algorithms 3 and 4). They are the only code that runs the phases:
+//! [`crate::TouchJoin`] calls both per join, the `touch-streaming` engine
+//! builds once and assigns and joins per epoch, a `touch-serve` reader assigns
+//! and joins per query over a frozen, shared tree, and the `touch-sim` tick
+//! loop calls both per tick. Each entry runs every phase inside
+//! [`catch_phase`], times it into the caller's [`PhaseTimer`] and, on an
+//! enabled trace, records a [`TraceEvent::Phase`] span, so every surface
+//! contains panics at its phase boundaries and reports the same spans. At one
+//! worker a phase runs in-thread; at more, over work-stealing workers
+//! ([`crate::scheduler::StealQueues`]).
 //!
-//! Every block preserves the determinism contract: for a fixed input and
-//! [`crate::TouchConfig`], the produced tree, assignment and local joins — and
-//! therefore the result set and all counters — are identical at every worker
-//! count.
+//! Every phase preserves the determinism contract: for a fixed input and
+//! [`JoinPlan`], the produced tree, assignment and local joins — and therefore
+//! the result set and all counters — are identical at every worker count.
+//! [`par_assign`] and [`par_join_into`] run one inner phase alone, on a tree's
+//! own store, for callers that replay the phases one at a time.
 
 use crate::scheduler::StealQueues;
 use crate::{
-    catch_phase, deliver, panic_message, CancelCause, ExecControl, JoinError, LocalJoinParams,
-    LocalJoinScratch, PairSink, ScratchPool, ShardedSink, TouchTree,
+    catch_phase, deliver, panic_message, AssignmentBuffer, CancelCause, ExecControl, JoinError,
+    JoinPlan, LocalJoinParams, LocalJoinScratch, PairSink, ScratchPool, Shape, ShardedSink,
+    TouchTree,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use touch_geom::SpatialObject;
 use touch_index::par_str_sort;
-use touch_metrics::{Counters, Phase, TraceEvent};
+use touch_metrics::{Counters, Phase, PhaseTimer, TraceEvent, TraceSink};
 
 /// What one fault-contained worker thread hands back: its partial work on
 /// success (with the cancel cause it observed, if any), or the message of the
@@ -72,35 +78,130 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Phase 1: builds the TOUCH hierarchy with the STR sort ([`par_str_sort`], its
-/// slabs spread over `threads` workers) and [`TouchTree::from_tiled`]. Returns the
-/// tree and the sort's transient bytes. The tile order does not depend on the
-/// thread count, so the tree is the same for every `threads` value (including 1).
-pub fn par_build_tree(
-    objects: &[SpatialObject],
-    partitions: usize,
-    fanout: usize,
-    threads: usize,
-    sort_threshold: usize,
-) -> (TouchTree, usize) {
-    let mut items = objects.to_vec();
-    let mut sort_aux = 0;
-    if !items.is_empty() {
-        let cap = TouchTree::leaf_capacity(items.len(), partitions);
-        sort_aux = par_str_sort(&mut items, cap, threads, sort_threshold);
+/// Times `f` into `timer`'s `phase` and, when `trace` is enabled, also records
+/// the phase as a [`TraceEvent::Phase`] span, so the spans line up with the
+/// reported phase times. The two entries wrap every phase in it.
+fn time_phase_traced<T>(
+    timer: &mut PhaseTimer,
+    phase: Phase,
+    trace: &dyn TraceSink,
+    f: impl FnOnce() -> T,
+) -> T {
+    if !trace.is_enabled() {
+        return timer.time(phase, f);
     }
-    (TouchTree::from_tiled(items, partitions, fanout), sort_aux)
+    let start_us = trace.now_us();
+    let out = timer.time(phase, f);
+    trace.record(TraceEvent::Phase {
+        phase,
+        start_us,
+        duration_us: trace.now_us().saturating_sub(start_us),
+    });
+    out
+}
+
+/// Phase 1 (Algorithm 2): copies `tree_side` into `items`, the caller's
+/// reusable buffer, STR-sorts it at the plan's width ([`par_str_sort`]) and
+/// hands it to [`TouchTree::from_tiled`]. Returns the tree and the sort's
+/// transient bytes. The tile order, and so the tree, does not depend on the
+/// width. A tick loop passes the buffer it reclaimed from last tick's tree
+/// ([`TouchTree::into_items`]); an empty `Vec` is sized exactly to the input.
+/// A panic, the phase span's included, returns [`JoinError::WorkerPanicked`]
+/// and loses the buffer.
+pub fn build_tree(
+    tree_side: &[SpatialObject],
+    mut items: Vec<SpatialObject>,
+    plan: &JoinPlan,
+    timer: &mut PhaseTimer,
+    trace: &dyn TraceSink,
+) -> Result<(TouchTree, usize), JoinError> {
+    catch_phase(Phase::Build, 0, || {
+        time_phase_traced(timer, Phase::Build, trace, || {
+            items.clear();
+            items.reserve_exact(tree_side.len());
+            items.extend_from_slice(tree_side);
+            let mut sort_aux = 0;
+            if !items.is_empty() {
+                let cap = TouchTree::leaf_capacity(items.len(), plan.partitions);
+                sort_aux = par_str_sort(&mut items, cap, plan.threads(), plan.sort_threshold);
+            }
+            (TouchTree::from_tiled(items, plan.partitions, plan.fanout), sort_aux)
+        })
+    })
+}
+
+/// Phases 2 and 3 (Algorithms 3 and 4): assigns `probe` to `tree` into
+/// `store`, then, unless the assignment was cancelled, joins the nodes holding
+/// assigned objects into `sink`, at the plan's width, chunk size and
+/// local-join parameters. Pairs reach `sink` as `(tree_id, probe_id)`, flipped
+/// when the plan builds on B; a [`Shape::SelfJoin`] keeps only pairs with
+/// `x < y`. The work is added to `counters` and the phase times to `timer`;
+/// `pool` is the join's reusable scratch.
+///
+/// The store is explicit: a serving reader passes its own buffer over a tree
+/// many readers share, and the other surfaces pass their tree's own store
+/// through [`TouchTree::with_store`]. The join runs over everything the store
+/// holds, so the caller clears it first (a streaming window keeps the epochs
+/// still in the window).
+///
+/// * `ctl.cancel` is polled before the assignment, per assignment chunk and
+///   per join node. A trip returns `Ok` with its cause; the store and the sink
+///   then hold consistent subsets of the assignment and of the pairs.
+/// * Each phase, its span included, runs inside [`catch_phase`], and each
+///   worker inside a containment of its own, so a panic returns
+///   [`JoinError::WorkerPanicked`] attributed to its phase and worker.
+/// * With an untriggered token and no panic, pairs and counters are the same
+///   at every width, traced or not.
+///
+/// Returns the transient bytes of both phases (the assignment batches and the
+/// join scratch) and the cancel cause, if any.
+#[allow(clippy::too_many_arguments)]
+pub fn assign_and_join(
+    tree: &TouchTree,
+    store: &mut AssignmentBuffer,
+    probe: &[SpatialObject],
+    plan: &JoinPlan,
+    shape: Shape,
+    sink: &mut dyn PairSink,
+    pool: &mut ScratchPool,
+    counters: &mut Counters,
+    timer: &mut PhaseTimer,
+    ctl: ExecControl<'_>,
+) -> Result<(usize, Option<CancelCause>), JoinError> {
+    if let Some(cause) = ctl.cancel.triggered() {
+        return Ok((0, Some(cause)));
+    }
+    let threads = plan.threads();
+    let (assign_aux, cause) = catch_phase(Phase::Assignment, 0, || {
+        time_phase_traced(timer, Phase::Assignment, ctl.trace, || {
+            par_assign_ctl(tree, store, probe, plan.chunk_size, threads, counters, ctl)
+        })
+    })??;
+    if cause.is_some() {
+        return Ok((assign_aux, cause));
+    }
+    let (swap_pairs, self_join) = (!plan.build_on_a, shape == Shape::SelfJoin);
+    let (join_aux, cause) = catch_phase(Phase::Join, 0, || {
+        time_phase_traced(timer, Phase::Join, ctl.trace, || {
+            let params = &plan.params;
+            par_join_into_ctl(
+                tree, store, params, threads, swap_pairs, self_join, sink, pool, counters, ctl,
+            )
+        })
+    })??;
+    Ok((assign_aux + join_aux, cause))
 }
 
 /// One worker's claim share of the assignment phase: the chunk index and the
 /// `(node, object)` placements computed for it.
 type ChunkBatch = (usize, Vec<(usize, SpatialObject)>);
 
-/// Phase 2: computes assignment targets on `workers` threads (read-only tree
-/// traversals over work-stealing chunk queues), then applies the batches in chunk
-/// order so the per-node B-lists match the sequential [`TouchTree::assign`] exactly.
-/// Returns the bytes of the transient batch buffers (0 on the sequential fallback).
-/// This is [`par_assign_ctl`] with [`ExecControl::infallible`].
+/// The assignment phase of [`assign_and_join`] on the tree's own store,
+/// untimed and never cancelled: computes assignment targets on `workers`
+/// threads (read-only tree traversals over work-stealing chunk queues), then
+/// applies the batches in chunk order so the per-node B-lists match the
+/// sequential [`TouchTree::assign`] exactly. Returns the bytes of the
+/// transient batch buffers (0 on the sequential fallback).
 ///
 /// # Panics
 /// Re-raises a contained worker panic with the attributed
@@ -112,34 +213,36 @@ pub fn par_assign(
     workers: usize,
     counters: &mut Counters,
 ) -> usize {
-    par_assign_ctl(tree, probe, chunk_size, workers, counters, ExecControl::infallible())
-        .unwrap_or_else(|e| panic!("{e}"))
-        .0
+    let ctl = ExecControl::infallible();
+    tree.with_store(|store, tree| {
+        par_assign_ctl(tree, store, probe, chunk_size, workers, counters, ctl)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// The one parallel-assignment code path ([`par_assign`] is this with
-/// [`ExecControl::infallible`]). With `ctl.trace` enabled it records one
-/// [`TraceEvent::AssignChunk`] span per claimed chunk — attributed to the
-/// worker that computed it — and a [`TraceEvent::Steal`] per cross-queue
-/// claim; the sequential fallback records the whole probe batch as a single
-/// chunk on worker 0.
+/// The one parallel-assignment code path, into `store`. With `ctl.trace`
+/// enabled it records one [`TraceEvent::AssignChunk`] span per claimed chunk —
+/// attributed to the worker that computed it — and a [`TraceEvent::Steal`]
+/// per cross-queue claim; the sequential fallback records the whole probe
+/// batch as a single chunk on worker 0.
 ///
-/// Fault-tolerance contract (the assignment half of
-/// [`SpatialJoinAlgorithm::try_join`](crate::SpatialJoinAlgorithm::try_join)):
+/// Fault-tolerance contract (the assignment half of [`assign_and_join`]):
 ///
 /// * workers poll the cancel token per claimed chunk; on a trip every worker
 ///   stops claiming, the chunks already computed are still applied (in chunk
-///   order) and the observed [`CancelCause`] is returned — the tree holds a
+///   order) and the observed [`CancelCause`] is returned — the store holds a
 ///   consistent subset of the full assignment,
 /// * each worker's drain loop runs inside `catch_unwind`: one panicked worker
 ///   makes its siblings stop via a shared abort flag and surfaces as
 ///   `Err(`[`JoinError::WorkerPanicked`]`)` (lowest worker index wins); no
-///   batch is applied to the tree and the panicked worker's partial counters
+///   batch is applied to the store and the panicked worker's partial counters
 ///   are discarded,
 /// * with no trip and no panic the assignment is bit-identical to the
-///   sequential [`TouchTree::assign`] at every worker count, as before.
-pub fn par_assign_ctl(
-    tree: &mut TouchTree,
+///   sequential [`AssignmentBuffer::assign`] at every worker count.
+fn par_assign_ctl(
+    tree: &TouchTree,
+    store: &mut AssignmentBuffer,
     probe: &[SpatialObject],
     chunk_size: usize,
     workers: usize,
@@ -160,7 +263,7 @@ pub fn par_assign_ctl(
         // loop below: a panicking trace sink surfaces as `WorkerPanicked`
         // instead of unwinding through the coordinator.
         let cause = catch_phase(Phase::Assignment, 0, || {
-            let cause = tree.assign_ctl(probe, counters, ctl.cancel);
+            let cause = store.assign_ctl(tree, probe, counters, ctl.cancel);
             if trace.is_enabled() {
                 trace.record(TraceEvent::AssignChunk {
                     chunk: 0,
@@ -177,7 +280,6 @@ pub fn par_assign_ctl(
 
     let queues = StealQueues::distribute(0..chunk_count, workers);
     let abort = AtomicBool::new(false);
-    let tree_ref: &TouchTree = tree;
     let per_worker: Vec<WorkerOutcome<Vec<ChunkBatch>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -209,7 +311,7 @@ pub fn par_assign_ctl(
                             let hi = (lo + chunk_size).min(probe.len());
                             let mut assigned = Vec::new();
                             for obj in &probe[lo..hi] {
-                                match tree_ref.assignment_target(&obj.mbr, &mut local) {
+                                match tree.assignment_target(&obj.mbr, &mut local) {
                                     Some(node) => assigned.push((node, *obj)),
                                     None => local.record_filtered(),
                                 }
@@ -260,9 +362,7 @@ pub fn par_assign_ctl(
     // Apply in chunk order: B-objects land in their nodes in probe-dataset order,
     // exactly as the sequential assignment would have placed them.
     all_batches.sort_unstable_by_key(|(chunk, _)| *chunk);
-    for (_, assigned) in all_batches {
-        tree.extend_assigned(assigned);
-    }
+    store.extend(tree, all_batches.into_iter().flat_map(|(_, assigned)| assigned));
     Ok((aux_bytes, cause))
 }
 
@@ -293,6 +393,7 @@ pub fn par_assign_ctl(
 #[allow(clippy::too_many_arguments)]
 fn par_local_join_ctl(
     tree: &TouchTree,
+    store: &AssignmentBuffer,
     work: &mut [usize],
     params: &LocalJoinParams,
     swap_pairs: bool,
@@ -310,7 +411,7 @@ fn par_local_join_ctl(
     );
     let trace = ctl.trace;
     work.sort_by_key(|&idx| {
-        let cost = tree.node(idx).a_count() as u64 * tree.assigned_b(idx).len() as u64;
+        let cost = tree.node(idx).a_count() as u64 * store.node_objects(idx).len() as u64;
         std::cmp::Reverse(cost)
     });
     let queues = StealQueues::distribute(work.iter().copied(), sharded.shard_count());
@@ -348,7 +449,7 @@ fn par_local_join_ctl(
                             }
                             let aux = tree.local_join_node(
                                 idx,
-                                tree.assigned_b(idx),
+                                store.node_objects(idx),
                                 params,
                                 scratch,
                                 &mut local,
@@ -397,11 +498,11 @@ fn par_local_join_ctl(
     Ok((peaks.into_iter().sum(), cause))
 }
 
-/// Phase 3: the complete join phase against any [`PairSink`] — the one place
-/// the worker-capping/sharding decision lives, so the one-shot joins, the
-/// streaming engine and the tick loop cannot diverge on it. This is
-/// [`par_join_into_ctl`] with [`ExecControl::infallible`]; returns the
-/// auxiliary bytes charged to the join phase.
+/// The join phase of [`assign_and_join`] on the tree's own store, untimed
+/// and never cancelled: the nodes holding assigned objects are joined into
+/// `sink` at `threads` workers, with the orientation and self-join filter of
+/// `swap_pairs` and `self_join`. Returns the auxiliary bytes charged to the
+/// join phase.
 ///
 /// # Panics
 /// Re-raises a contained worker panic with the attributed
@@ -417,28 +518,29 @@ pub fn par_join_into(
     pool: &mut ScratchPool,
     counters: &mut Counters,
 ) -> usize {
-    let ctl = ExecControl::infallible();
-    par_join_into_ctl(tree, params, threads, swap_pairs, self_join, sink, pool, counters, ctl)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .0
+    let (store, ctl) = (tree.store(), ExecControl::infallible());
+    par_join_into_ctl(
+        tree, store, params, threads, swap_pairs, self_join, sink, pool, counters, ctl,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
 }
 
-/// The one join-phase code path. Pairs reach `sink` as `(tree_id, probe_id)`,
-/// or flipped when `swap_pairs` is set (the caller built the tree on dataset
-/// B). When `self_join` is set the two sides are the same dataset (aligned
-/// ids) and only pairs whose A-oriented ids satisfy `x < y` reach the sink —
-/// identity pairs and mirrored duplicates are dropped **before** the pair
-/// budget is spent, while the comparison/node-test counters stay identical to
-/// the raw two-dataset run. The pairs the sink actually received are added to
-/// `counters.results`.
+/// The one join-phase code path, over the lists of `store`, and the one
+/// place the worker-capping/sharding decision lives. Pairs reach `sink` as
+/// `(tree_id, probe_id)`, or flipped when `swap_pairs` is set (the caller
+/// built the tree on dataset B). When `self_join` is set the two sides are
+/// the same dataset (aligned ids) and only pairs whose A-oriented ids satisfy
+/// `x < y` reach the sink — identity pairs and mirrored duplicates are
+/// dropped **before** the pair budget is spent, while the
+/// comparison/node-test counters stay identical to the raw two-dataset run.
+/// The pairs the sink actually received are added to `counters.results`.
 ///
-/// `pool` owns the per-worker scratches and the work-list buffer; a persistent
-/// engine passes the same pool every epoch, so the join phase stops allocating
-/// once the pool has warmed up. A one-shot join passes a fresh pool.
+/// `pool` owns the per-worker scratches and the work-list buffer.
 ///
 /// * **One worker** — `threads` ≤ 1, or at most one node to join: the nodes
 ///   are joined in-thread, in ascending node order, through
-///   [`TouchTree::join_assigned_ctl`] on the pool's primary scratch, inside
+///   [`AssignmentBuffer::join_ctl`] on the pool's primary scratch, inside
 ///   one [`catch_phase`]; no thread is spawned and no shard buffers pairs.
 ///   Pairs stream straight into `sink`, so after a contained panic the sink
 ///   holds what the join delivered before it.
@@ -453,8 +555,9 @@ pub fn par_join_into(
 /// Returns the auxiliary bytes charged to the join phase and the cancel cause
 /// the workers observed, if any.
 #[allow(clippy::too_many_arguments)]
-pub fn par_join_into_ctl(
+fn par_join_into_ctl(
     tree: &TouchTree,
+    store: &AssignmentBuffer,
     params: &LocalJoinParams,
     threads: usize,
     swap_pairs: bool,
@@ -468,7 +571,7 @@ pub fn par_join_into_ctl(
     // At one thread the work list is not needed to decide: the in-thread path
     // builds its own.
     let workers = if threads > 1 {
-        tree.nodes_with_assignments_into(&mut work);
+        store.work_into(tree, &mut work);
         threads.min(work.len())
     } else {
         1
@@ -485,7 +588,7 @@ pub fn par_join_into_ctl(
                     !sink.is_done()
                 }
             };
-            tree.join_assigned_ctl(params, pool.primary(), counters, &mut emit, ctl, 0)
+            store.join_ctl(tree, params, pool.primary(), counters, &mut emit, ctl, 0)
         });
         counters.results += results;
         return joined;
@@ -493,6 +596,7 @@ pub fn par_join_into_ctl(
     let mut sharded = ShardedSink::for_sink(sink, workers);
     let joined = par_local_join_ctl(
         tree,
+        store,
         &mut work,
         params,
         swap_pairs,
@@ -534,16 +638,24 @@ mod tests {
     }
 
     #[test]
-    fn par_build_tree_matches_sequential_build() {
+    fn build_tree_matches_sequential_build() {
         let a = lattice(5, 1.5, 1.0, 0.0);
         let sequential = TouchTree::build(a.objects(), 16, 2);
+        let cfg = TouchConfig { partitions: 16, ..TouchConfig::default() };
         for threads in [1, 2, 4] {
-            let (tree, _) = par_build_tree(a.objects(), 16, 2, threads, 8);
+            let plan = JoinPlan::from_touch_config(&cfg, &a, &a)
+                .with_strategy(crate::ExecutionStrategy::Parallel { threads })
+                .with_execution(16, 8);
+            let mut timer = PhaseTimer::new();
+            let items = Vec::with_capacity(3); // a reused buffer, smaller than the input
+            let (tree, _) =
+                build_tree(a.objects(), items, &plan, &mut timer, &touch_metrics::NoTrace).unwrap();
             assert_eq!(tree.node_count(), sequential.node_count(), "threads = {threads}");
             for idx in tree.node_indices() {
                 assert_eq!(tree.node(idx).mbr, sequential.node(idx).mbr, "threads = {threads}");
             }
             assert_eq!(tree.a_objects(), sequential.a_objects(), "threads = {threads}");
+            assert!(timer.get(Phase::Build) > std::time::Duration::ZERO, "the build is timed");
         }
     }
 
@@ -584,22 +696,14 @@ mod tests {
     }
 
     /// `(tree_id, probe_id)` pairs in emission order, and the counters, of the
-    /// sequential `join_assigned_ctl` — the one-worker reference.
+    /// sequential `join_assigned` — the one-worker reference.
     fn sequential_join(tree: &TouchTree, params: &LocalJoinParams) -> (Vec<(u32, u32)>, Counters) {
         let (mut pairs, mut counters) = (Vec::new(), Counters::new());
         let mut emit = |x, y| {
             pairs.push((x, y));
             true
         };
-        let ctl = ExecControl::infallible();
-        tree.join_assigned_ctl(
-            params,
-            &mut LocalJoinScratch::new(),
-            &mut counters,
-            &mut emit,
-            ctl,
-            0,
-        );
+        tree.join_assigned(params, &mut LocalJoinScratch::new(), &mut counters, &mut emit);
         counters.results = pairs.len() as u64;
         (pairs, counters)
     }
@@ -627,6 +731,7 @@ mod tests {
                 let ctl = ExecControl::with_trace(&log);
                 let (_, cause) = par_join_into_ctl(
                     &tree,
+                    tree.store(),
                     &params,
                     workers,
                     swap_pairs,

@@ -440,7 +440,7 @@ impl PairSink for SinkShard {
 ///
 /// `PairSink::push` takes `&mut self`, so a user sink cannot be shared between
 /// workers. `ShardedSink` is the concurrent counterpart used by the multi-worker
-/// join phase ([`crate::phases::par_join_into_ctl`]):
+/// join phase ([`crate::phases::assign_and_join`]):
 /// it is split into independent shards handed to worker threads (via
 /// [`ShardedSink::shards_mut`] and `split_at_mut`-style slice borrows, e.g.
 /// `iter_mut` inside [`std::thread::scope`]), then drained back into the caller's

@@ -1,14 +1,14 @@
 //! The TOUCH join algorithm: configuration and the [`SpatialJoinAlgorithm`]
 //! implementation tying the three phases together (Algorithm 1).
 
-use crate::control::{catch_phase, ExecControl, JoinError};
-use crate::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl, resolve_threads};
+use crate::control::{ExecControl, JoinError};
+use crate::phases::{assign_and_join, build_tree, resolve_threads};
 use crate::plan::{ExecutionStrategy, JoinPlan};
 use crate::tree::LocalJoinKind;
 use crate::{PairSink, ScratchPool, Shape, SpatialJoinAlgorithm};
 use serde::{Deserialize, Serialize};
 use touch_geom::Dataset;
-use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
+use touch_metrics::{MemoryUsage, RunReport};
 
 /// Local-join strategy of the join phase (Section 5.2.2 and the ablation study).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -251,36 +251,15 @@ fn strategy_for(threads: usize) -> ExecutionStrategy {
     }
 }
 
-/// Times `f` into `report`'s `phase` and, when `trace` is enabled, also records
-/// the phase as a [`TraceEvent::Phase`] span. Shared by the one-shot executor and
-/// the streaming coordinator so phase spans line up with the reported phase
-/// times.
-pub fn time_phase_traced<T>(
-    report: &mut RunReport,
-    phase: Phase,
-    trace: &dyn TraceSink,
-    f: impl FnOnce() -> T,
-) -> T {
-    if !trace.is_enabled() {
-        return report.timer.time(phase, f);
-    }
-    let start_us = trace.now_us();
-    let out = report.timer.time(phase, f);
-    trace.record(TraceEvent::Phase {
-        phase,
-        start_us,
-        duration_us: trace.now_us().saturating_sub(start_us),
-    });
-    out
-}
-
 /// Executes a resolved [`JoinPlan`] at its width, [`JoinPlan::threads`]: the one
 /// execution path behind [`TouchJoin`] and, through it, the planning layer's
-/// [`crate::AutoEngine`], so no width or plan can diverge. Each phase is one
-/// block of [`crate::phases`]: at one worker the blocks run in-thread, at more
-/// they spread over work-stealing workers, and the tree, the assignment, the
-/// pairs and the counters are the same at every width. `ctl.trace` receives phase spans,
-/// per-chunk assignment spans, per-node join spans and steal events.
+/// [`crate::AutoEngine`], so no width or plan can diverge. It is the two entries
+/// of [`crate::phases`]: [`build_tree`] on the plan's tree side, then
+/// [`assign_and_join`] of the other side over the tree's own store. At one
+/// worker the phases run in-thread, at more they spread over work-stealing
+/// workers, and the tree, the assignment, the pairs and the counters are the
+/// same at every width. `ctl.trace` receives phase spans, per-chunk assignment
+/// spans, per-node join spans and steal events.
 ///
 /// For [`Shape::SelfJoin`] the index-order filter sits inside the emit closures
 /// — identity pairs and mirrored duplicates are dropped *before* the sink sees
@@ -290,22 +269,21 @@ pub fn time_phase_traced<T>(
 ///
 /// Cooperation contract:
 ///
-/// * the cancel token is polled between phases, per assignment chunk and per
-///   join node; a tripped token stops the run in an orderly way and returns
-///   `Ok` with the partial report stamped
+/// * the cancel token is polled before the build, between the phases, per
+///   assignment chunk and per join node; a tripped token stops the run in an
+///   orderly way and returns `Ok` with the partial report stamped
 ///   ([`Completion`](touch_metrics::Completion)),
-/// * each phase, its trace hook included, runs inside [`catch_phase`], and each
-///   worker inside a containment of its own, so a panic surfaces as
-///   `Err(`[`JoinError::WorkerPanicked`]`)` (phase and worker attributed) with
-///   the report covering the work completed before the panic,
+/// * each phase, its trace hook included, runs inside
+///   [`catch_phase`](crate::catch_phase), and each worker inside a containment
+///   of its own, so a panic surfaces as `Err(`[`JoinError::WorkerPanicked`]`)`
+///   (phase and worker attributed) with the report's counters and phase times
+///   covering the work completed before the panic,
 /// * with an untriggered token the run is bit-identical — pairs *and* counters
 ///   — to the pre-fault-tolerance code path (locked by the equivalence suites
 ///   and the perfsmoke counter gate).
 ///
-/// Counters are folded back into the report on **every** exit path, so a
-/// cancelled or panicked run still reports the work it did. `memory_bytes` is
-/// the tree plus the transient buffers of every phase reached: the STR sort
-/// keys, the assignment batches and the join scratch.
+/// `memory_bytes` is the tree plus the transient buffers of every phase
+/// reached: the STR sort keys, the assignment batches and the join scratch.
 fn execute(
     plan: &JoinPlan,
     a: &Dataset,
@@ -316,79 +294,23 @@ fn execute(
     ctl: ExecControl<'_>,
 ) -> Result<(), JoinError> {
     report.plan = Some(plan.summary());
-    let threads = plan.threads();
-    report.threads = threads;
-    let build_on_a = plan.build_on_a;
-    let (tree_ds, probe_ds) = if build_on_a { (a, b) } else { (b, a) };
+    report.threads = plan.threads();
+    let (tree_ds, probe_ds) = if plan.build_on_a { (a, b) } else { (b, a) };
     if let Some(cause) = ctl.cancel.triggered() {
         report.completion = cause.completion();
         return Ok(());
     }
-
-    // Phase 1: the STR sort, then the hierarchy on the tree dataset
-    // (Algorithm 2). The sort has no cancel points of its own, so the token is
-    // re-checked right after it.
-    let (mut tree, sort_aux) = catch_phase(Phase::Build, 0, || {
-        time_phase_traced(report, Phase::Build, ctl.trace, || {
-            let (partitions, fanout) = (plan.partitions, plan.fanout);
-            par_build_tree(tree_ds.objects(), partitions, fanout, threads, plan.sort_threshold)
-        })
-    })?;
-    if let Some(cause) = ctl.cancel.triggered() {
-        report.memory_bytes = tree.memory_bytes() + sort_aux;
-        report.completion = cause.completion();
-        return Ok(());
-    }
-
-    // Phase 2: assign the probe dataset to the hierarchy (Algorithm 3).
-    let mut counters = std::mem::take(&mut report.counters);
-    let assigned = catch_phase(Phase::Assignment, 0, || {
-        time_phase_traced(report, Phase::Assignment, ctl.trace, || {
-            let probe = probe_ds.objects();
-            par_assign_ctl(&mut tree, probe, plan.chunk_size, threads, &mut counters, ctl)
-        })
-    })
-    .and_then(|assigned| assigned);
-    let assign_aux = match assigned {
-        Ok((aux, None)) => aux,
-        Ok((aux, Some(cause))) => {
-            report.counters = counters;
-            report.memory_bytes = tree.memory_bytes() + sort_aux + aux;
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        Err(e) => {
-            report.counters = counters;
-            return Err(e);
-        }
-    };
-
-    // Phase 3: local joins (Algorithm 4), honouring the sink's early
-    // termination after every delivered pair. The pool's scratches live for
-    // the whole join, so the per-node grid directories and sweep buffers
-    // allocate once per worker.
+    let (mut tree, sort_aux) =
+        build_tree(tree_ds.objects(), Vec::new(), plan, &mut report.timer, ctl.trace)?;
+    // The pool's scratches live for the whole join, so the per-node grid
+    // directories and sweep buffers allocate once per worker.
     let mut pool = ScratchPool::new();
-    let self_join = shape == Shape::SelfJoin;
-    let joined = catch_phase(Phase::Join, 0, || {
-        time_phase_traced(report, Phase::Join, ctl.trace, || {
-            par_join_into_ctl(
-                &tree,
-                &plan.params,
-                threads,
-                !build_on_a,
-                self_join,
-                sink,
-                &mut pool,
-                &mut counters,
-                ctl,
-            )
-        })
-    })
-    .and_then(|joined| joined);
-    report.counters = counters;
-    report.memory_bytes = tree.memory_bytes() + sort_aux + assign_aux;
-    let (join_aux, cause) = joined?;
-    report.memory_bytes += join_aux;
+    let (counters, timer) = (&mut report.counters, &mut report.timer);
+    let (aux, cause) = tree.with_store(|store, tree| {
+        let probe = probe_ds.objects();
+        assign_and_join(tree, store, probe, plan, shape, sink, &mut pool, counters, timer, ctl)
+    })?;
+    report.memory_bytes = tree.memory_bytes() + sort_aux + aux;
     if let Some(cause) = cause {
         report.completion = cause.completion();
     }

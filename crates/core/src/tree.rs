@@ -11,7 +11,6 @@
 //! phase iterates.
 
 use crate::assignment::AssignmentBuffer;
-use crate::control::{CancelCause, CancelToken, ExecControl};
 use crate::kernels;
 use crate::scratch::LocalJoinScratch;
 use std::ops::Range;
@@ -233,7 +232,7 @@ impl TouchTree {
     /// The STR bucket (leaf) capacity for `len` objects split into `partitions`
     /// buckets. The single source of the chunking that [`TouchTree::build`],
     /// [`TouchTree::from_tiled`] and the multi-threaded sort of
-    /// [`crate::phases::par_build_tree`] must all agree on.
+    /// [`crate::phases::build_tree`] must all agree on.
     ///
     /// # Panics
     /// Panics if `partitions` is zero.
@@ -265,7 +264,7 @@ impl TouchTree {
     /// `a_items` must be ordered so that consecutive chunks of
     /// [`TouchTree::leaf_capacity`] objects form spatially coherent buckets —
     /// exactly what [`touch_index::str_sort`] with that capacity produces. This is
-    /// the entry point for [`crate::phases::par_build_tree`], which runs the STR
+    /// the entry point for [`crate::phases::build_tree`], which runs the STR
     /// sort on one or more threads and then hands the tiled objects over;
     /// [`TouchTree::build`] is the single-threaded sort + this constructor.
     ///
@@ -448,17 +447,25 @@ impl TouchTree {
         self.store.touched_nodes()
     }
 
-    /// Runs `write` on the tree's store, which is moved out for the call
-    /// because the store's methods take the tree they index.
-    fn with_store<R>(&mut self, write: impl FnOnce(&mut AssignmentBuffer, &Self) -> R) -> R {
+    /// Runs `write` on the tree's own assignment store, next to the tree it
+    /// indexes: the way to hand that store to
+    /// [`crate::phases::assign_and_join`], whose store is explicit.
+    ///
+    /// The store is moved out of the tree for the call, because its methods
+    /// take the tree they index. So inside `write` the tree's own assignment
+    /// accessors ([`TouchTree::assigned_b`], [`TouchTree::assigned_b_count`],
+    /// [`TouchTree::touched_nodes`], [`TouchTree::nodes_with_assignments`])
+    /// and its [`MemoryUsage::memory_bytes`] read an empty store; read the
+    /// store passed to `write` instead. It is put back when `write` returns;
+    /// if `write` panics, the tree is left with an empty store.
+    pub fn with_store<R>(&mut self, write: impl FnOnce(&mut AssignmentBuffer, &Self) -> R) -> R {
         let mut store = std::mem::take(&mut self.store);
         let out = write(&mut store, self);
         self.store = store;
         out
     }
 
-    /// The tree's own store, for the store's accounting tests.
-    #[cfg(test)]
+    /// The tree's own store, read in place.
     pub(crate) fn store(&self) -> &AssignmentBuffer {
         &self.store
     }
@@ -510,32 +517,7 @@ impl TouchTree {
     /// Assigns every object of dataset B to the tree (Algorithm 3), recording filtered
     /// objects in `counters`.
     pub fn assign(&mut self, b_objects: &[SpatialObject], counters: &mut Counters) {
-        let complete = self.assign_ctl(b_objects, counters, CancelToken::never());
-        debug_assert!(complete.is_none(), "the never token cannot trip");
-    }
-
-    /// Cancellable [`TouchTree::assign`] (see [`AssignmentBuffer::assign_ctl`]).
-    pub fn assign_ctl(
-        &mut self,
-        b_objects: &[SpatialObject],
-        counters: &mut Counters,
-        cancel: &CancelToken,
-    ) -> Option<CancelCause> {
-        self.with_store(|store, tree| store.assign_ctl(tree, b_objects, counters, cancel))
-    }
-
-    /// Stores pre-computed `(node_index, object)` assignments (see
-    /// [`AssignmentBuffer::extend`]): worker threads compute targets with the
-    /// read-only [`TouchTree::assignment_target`], the coordinator applies
-    /// them here.
-    ///
-    /// # Panics
-    /// Panics if a node index is out of range.
-    pub fn extend_assigned(
-        &mut self,
-        assignments: impl IntoIterator<Item = (usize, SpatialObject)>,
-    ) {
-        self.with_store(|store, tree| store.extend(tree, assignments));
+        self.with_store(|store, tree| store.assign(tree, b_objects, counters));
     }
 
     /// Removes all assigned B-objects in O(touched nodes), keeping the node
@@ -561,14 +543,8 @@ impl TouchTree {
     /// scheduler distributes.
     pub fn nodes_with_assignments(&self) -> Vec<usize> {
         let mut work = Vec::new();
-        self.nodes_with_assignments_into(&mut work);
+        self.store.work_into(self, &mut work);
         work
-    }
-
-    /// The allocation-free form of [`TouchTree::nodes_with_assignments`]: clears
-    /// `work` and refills it, retaining the buffer's capacity.
-    pub fn nodes_with_assignments_into(&self, work: &mut Vec<usize>) {
-        self.store.work_into(self, work);
     }
 
     /// Runs the join phase (Algorithm 4) over every node holding B-objects (see
@@ -581,20 +557,6 @@ impl TouchTree {
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> usize {
         self.store.join(self, params, scratch, counters, emit)
-    }
-
-    /// Controlled form of [`TouchTree::join_assigned`] (see
-    /// [`AssignmentBuffer::join_ctl`]).
-    pub fn join_assigned_ctl(
-        &self,
-        params: &LocalJoinParams,
-        scratch: &mut LocalJoinScratch,
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-        ctl: ExecControl<'_>,
-        worker: usize,
-    ) -> (usize, Option<CancelCause>) {
-        self.store.join_ctl(self, params, scratch, counters, emit, ctl, worker)
     }
 
     /// Joins the B-objects `b_objs` of the node at `index` against the
@@ -1198,6 +1160,7 @@ mod tests {
 
         // Two-step form: compute targets read-only, then apply in one batch.
         let mut two_step = TouchTree::build(a.objects(), 8, 2);
+        let fresh_bytes = two_step.memory_bytes();
         let mut batch = Vec::new();
         let mut c2 = Counters::new();
         for obj in b.iter() {
@@ -1205,14 +1168,18 @@ mod tests {
                 batch.push((node, *obj));
             }
         }
-        two_step.extend_assigned(batch);
+        two_step.with_store(|store, tree| {
+            store.extend(tree, batch);
+            // Lent out, the store is not the tree's until the call returns.
+            assert_eq!((tree.assigned_b_count(), tree.memory_bytes()), (0, fresh_bytes));
+        });
 
         assert_eq!(direct.assigned_b_count(), two_step.assigned_b_count());
         for idx in direct.node_indices() {
             assert_eq!(
                 direct.assigned_b(idx).len(),
                 two_step.assigned_b(idx).len(),
-                "node {idx} differs between assign and extend_assigned"
+                "node {idx} differs between assign and a store extend"
             );
         }
     }

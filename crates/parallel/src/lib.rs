@@ -12,8 +12,10 @@
 //! * **local joins** — each assigned node is an independent task, distributed over
 //!   work-stealing deques ([`scheduler::StealQueues`]) in descending cost order.
 //!
-//! The phase blocks that do this live in touch-core, and one engine runs them at
-//! any width: [`touch_core::TouchJoin`], whose
+//! The phase blocks that do this live in touch-core, behind the two entries
+//! every TOUCH surface calls ([`phases::build_tree`] and
+//! [`phases::assign_and_join`]). The one-shot engine runs them at any width:
+//! [`touch_core::TouchJoin`], whose
 //! [`with_threads`](touch_core::TouchJoin::with_threads) sets the worker count
 //! (a pinned plan runs at its own). The parallel join is the sequential join on
 //! more workers: for every thread count it builds a bit-identical tree, performs

@@ -2,9 +2,8 @@
 //!
 //! The tree-building phase of TOUCH is dominated by the STR sort of dataset A.
 //! [`par_str_sort`] is [`touch_index::par_str_sort`], the one STR implementation,
-//! re-exported here under its old path; the phase blocks' build
-//! ([`crate::phases::par_build_tree`]) and the tick loop sort with it. After its
-//! x-pass it spreads the disjoint slabs over the worker threads; each pass is a
+//! re-exported here under its old path; the phases' build entry
+//! ([`crate::phases::build_tree`]) sorts with it. After its x-pass it spreads the disjoint slabs over the worker threads; each pass is a
 //! stable keyed sort, so the tile order, and with it the tree, is the same for
 //! every thread count.
 

@@ -27,9 +27,10 @@ use crate::bounded::{BoundedSink, OverflowPolicy};
 use crate::snapshot::GenCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
+use touch_core::phases::assign_and_join;
 use touch_core::{
-    catch_phase, deliver, time_phase_traced, AssignmentBuffer, ExecControl, JoinError, JoinPlanner,
-    LocalJoinScratch, PairSink, TouchConfig, TouchTree,
+    catch_phase, AssignmentBuffer, ExecControl, ExecutionStrategy, JoinError, JoinPlan,
+    JoinPlanner, PairSink, ScratchPool, Shape, TouchConfig, TouchTree,
 };
 use touch_geom::{Aabb, ObjectId, SpatialObject};
 use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent};
@@ -159,7 +160,7 @@ impl JoinServer {
             cell: Arc::clone(&self.cell),
             config: self.config.touch,
             buffer: AssignmentBuffer::new(),
-            scratch: LocalJoinScratch::new(),
+            pool: ScratchPool::new(),
         }
     }
 
@@ -343,17 +344,17 @@ impl JoinServer {
 /// A per-thread query handle over a [`JoinServer`]'s generations.
 ///
 /// Each query snapshots the current generation ([`GenCell::load`] — lock-free)
-/// and runs the assignment + local-join phases against it with reader-owned
-/// memory ([`AssignmentBuffer`], [`LocalJoinScratch`]), so any number of
-/// readers proceed fully independently, at full speed, while the server
-/// rebuilds. The reader reuses its buffers across queries: a warmed-up reader
-/// allocates nothing on the query path.
+/// and runs the assignment + local-join phases against it
+/// ([`assign_and_join`]) with reader-owned memory ([`AssignmentBuffer`],
+/// [`ScratchPool`]), so any number of readers proceed fully independently, at
+/// full speed, while the server rebuilds. The reader reuses its buffers across
+/// queries: a warmed-up reader allocates nothing on the query path.
 #[derive(Debug)]
 pub struct SnapshotReader {
     cell: Arc<GenCell<Generation>>,
     config: TouchConfig,
     buffer: AssignmentBuffer,
-    scratch: LocalJoinScratch,
+    pool: ScratchPool,
 }
 
 impl SnapshotReader {
@@ -373,8 +374,8 @@ impl SnapshotReader {
     /// Fallible [`SnapshotReader::query`]: polls `ctl.cancel` at chunk
     /// granularity through assignment and before every per-node local join,
     /// and contains phase panics instead of aborting. With `ctl.trace` enabled
-    /// the assignment/join phases and every per-node join record spans (as
-    /// worker 0).
+    /// the assignment and join phases, the assignment's one chunk and every
+    /// per-node join record spans (as worker 0).
     ///
     /// A trip mid-query returns `Ok` with a *partial* report — pairs already
     /// delivered to `sink` stand, the counters cover exactly the work done,
@@ -398,68 +399,35 @@ impl SnapshotReader {
             sink.finish();
             return Ok(report);
         }
-        let trace = ctl.trace;
 
         // Resolve the grid floor exactly as the one-shot reference would:
         // max of the A-side floor (pre-computed at publish over the logical
-        // live order) and this batch's floor.
-        let min_cell =
-            snapshot.a_cell_floor().max(self.config.min_local_cell_size_of_objects(batch));
-        let params = self.config.local_join_params(min_cell);
+        // live order) and this batch's floor. A reader joins on one worker,
+        // with the tree on the served side.
+        let cfg = &self.config;
+        let min_cell = snapshot.a_cell_floor().max(cfg.min_local_cell_size_of_objects(batch));
+        let plan = JoinPlan {
+            strategy: ExecutionStrategy::Sequential,
+            build_on_a: true,
+            partitions: cfg.partitions,
+            fanout: cfg.fanout,
+            params: cfg.local_join_params(min_cell),
+            chunk_size: JoinPlanner::DEFAULT_CHUNK_SIZE,
+            sort_threshold: JoinPlanner::DEFAULT_SORT_THRESHOLD,
+            estimated_work: (snapshot.live() + batch.len()) as u64,
+        };
 
         self.buffer.clear();
-        let mut counters = std::mem::take(&mut report.counters);
-        let buffer = &mut self.buffer;
-        let assigned = catch_phase(Phase::Assignment, 0, || {
-            time_phase_traced(&mut report, Phase::Assignment, trace, || {
-                buffer.assign_ctl(&snapshot.tree, batch, &mut counters, ctl.cancel)
-            })
-        });
-        let assign_cause = match assigned {
-            Ok(cause) => cause,
-            Err(e) => {
-                report.counters = counters;
-                return Err(e);
-            }
-        };
-        if let Some(cause) = assign_cause {
-            report.counters = counters;
-            report.completion = cause.completion();
-            report.memory_bytes = snapshot.tree.memory_bytes() + self.buffer.memory_bytes();
-            sink.finish();
-            return Ok(report);
+        let (tree, buffer, pool) = (&snapshot.tree, &mut self.buffer, &mut self.pool);
+        let (counters, timer, shape) = (&mut report.counters, &mut report.timer, Shape::Pair);
+        let (aux, cause) =
+            assign_and_join(tree, buffer, batch, &plan, shape, sink, pool, counters, timer, ctl)?;
+        report.memory_bytes = tree.memory_bytes() + buffer.memory_bytes() + aux;
+        if let Some(c) = cause {
+            report.completion = c.completion();
         }
-
-        let buffer = &self.buffer;
-        let scratch = &mut self.scratch;
-        let mut results = 0u64;
-        let joined = catch_phase(Phase::Join, 0, || {
-            time_phase_traced(&mut report, Phase::Join, trace, || {
-                buffer.join_ctl(
-                    &snapshot.tree,
-                    &params,
-                    scratch,
-                    &mut counters,
-                    &mut |a_id, b_id| deliver(sink, a_id, b_id, &mut results),
-                    ctl,
-                    0,
-                )
-            })
-        });
-        counters.results += results;
-        report.counters = counters;
-        match joined {
-            Ok((local_aux, cause)) => {
-                report.memory_bytes =
-                    snapshot.tree.memory_bytes() + buffer.memory_bytes() + local_aux;
-                if let Some(c) = cause {
-                    report.completion = c.completion();
-                }
-                sink.finish();
-                Ok(report)
-            }
-            Err(e) => Err(e),
-        }
+        sink.finish();
+        Ok(report)
     }
 
     /// [`SnapshotReader::try_query`] against a [`BoundedSink`], mapping a

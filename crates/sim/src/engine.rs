@@ -4,14 +4,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use touch_core::phases::{par_assign_ctl, par_join_into_ctl, resolve_threads};
+use touch_core::phases::{assign_and_join, build_tree, resolve_threads};
 use touch_core::{
-    catch_phase, CountingSink, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner,
-    PairSink, PlanEnv, ScratchPool, TouchTree,
+    CountingSink, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv,
+    ScratchPool, Shape,
 };
 use touch_geom::{Dataset, ObjectId, SpatialObject};
-use touch_metrics::{Counters, Phase, PlanSummary, TickSummary};
-use touch_parallel::sort::par_str_sort;
+use touch_metrics::{Counters, PhaseTimer, PlanSummary, TickSummary};
 
 use crate::World;
 
@@ -125,9 +124,12 @@ impl TickReport {
 ///    was derived from, re-planning only when the relative drift exceeds
 ///    [`TickConfig::replan_drift`],
 /// 4. rebuilds the TOUCH hierarchy *into the buffer reclaimed from last tick's
-///    tree* ([`TouchTree::into_items`]), assigns, and runs the self-join local
-///    joins through a reused [`ScratchPool`],
-/// 5. records the tick's wall-clock latency into the [`TickSummary`].
+///    tree* ([`TouchTree::into_items`](touch_core::TouchTree::into_items)) with
+///    [`build_tree`], then assigns and runs the self-join local joins through a
+///    reused [`ScratchPool`] with [`assign_and_join`] — the entries every
+///    TOUCH surface runs its phases through,
+/// 5. records the tick's wall-clock latency into the [`TickSummary`] and its
+///    phase times into [`TickEngine::phase_times`].
 ///
 /// The per-tick pair set is bit-identical at every thread count and across the
 /// sequential/parallel engines — the kernels' determinism contract — so the
@@ -148,6 +150,7 @@ pub struct TickEngine {
     pairs: Vec<(ObjectId, ObjectId)>,
     summary: TickSummary,
     counters: Counters,
+    timer: PhaseTimer,
     ticks: usize,
 }
 
@@ -183,6 +186,7 @@ impl TickEngine {
             pairs: Vec::new(),
             summary: TickSummary::new(engine, entities),
             counters: Counters::new(),
+            timer: PhaseTimer::new(),
             ticks: 0,
         }
     }
@@ -198,7 +202,9 @@ impl TickEngine {
     }
 
     /// Fallible [`TickEngine::tick`]: polls `ctl.cancel` between and inside
-    /// the join phases and contains phase panics.
+    /// the join phases and contains phase panics. With `ctl.trace` enabled the
+    /// build, assignment and join each record a phase span, besides the
+    /// assignment's chunk spans and the per-node join spans.
     ///
     /// A tick is **all-or-nothing** — there is no meaningful "partial tick" —
     /// so a token tripping mid-tick returns [`JoinError::Cancelled`] /
@@ -206,15 +212,18 @@ impl TickEngine {
     ///
     /// * a trip **before** the tick starts leaves the engine and world
     ///   completely untouched;
-    /// * a trip (or contained panic) **mid-tick** abandons the tick — the
-    ///   world has integrated one step, but no record is produced, nothing is
-    ///   added to the summary or counters, the pair list is cleared and
-    ///   [`TickEngine::ticks`] does not advance — and the engine stays fully
-    ///   usable for the next tick.
+    /// * a trip (or contained panic) **mid-tick**, in any phase, abandons the
+    ///   tick — the world has integrated one step, but no record is produced,
+    ///   nothing is added to the summary, counters or phase times, the pair
+    ///   list is cleared and [`TickEngine::ticks`] does not advance — and the
+    ///   engine stays fully usable for the next tick.
     pub fn try_tick(&mut self, ctl: ExecControl<'_>) -> Result<TickRecord, JoinError> {
         if let Some(cause) = ctl.cancel.triggered() {
             return Err(cause.into_error());
         }
+        // Past the pre-trip check the tick either completes or is abandoned;
+        // either way last tick's pairs no longer describe the world.
+        self.pairs.clear();
         let start = Instant::now();
         self.world.step(self.config.dt);
         self.world.fill_dataset(&mut self.dataset);
@@ -225,81 +234,36 @@ impl TickEngine {
         // Re-plan only when the world has drifted: the stats pass is O(n), the
         // re-plan itself is O(1), and a stale plan is still correct — just
         // possibly mis-tuned.
-        let stats = DatasetStats::from_objects(if eps > 0.0 {
-            self.extended.objects()
-        } else {
-            self.dataset.objects()
-        });
+        let stats = DatasetStats::from_objects(self.tree_side());
         let replanned = self.maybe_replan(&stats);
-        let threads = self.plan.threads();
 
         // Rebuild the hierarchy into last tick's reclaimed item buffer. A
         // panicking build loses the buffer (the next tick re-allocates it) but
         // nothing else: the tree never existed, the engine state is pre-tick.
-        let mut items = std::mem::take(&mut self.tree_buf);
-        items.clear();
-        items.extend_from_slice(if eps > 0.0 {
-            self.extended.objects()
-        } else {
-            self.dataset.objects()
-        });
-        let partitions = self.plan.partitions;
-        let fanout = self.plan.fanout;
-        let sort_threshold = self.plan.sort_threshold;
-        let mut tree = catch_phase(Phase::Build, 0, move || {
-            if !items.is_empty() {
-                let cap = TouchTree::leaf_capacity(items.len(), partitions);
-                par_str_sort(&mut items, cap, threads, sort_threshold);
-            }
-            TouchTree::from_tiled(items, partitions, fanout)
-        })?;
+        let mut timer = PhaseTimer::new();
+        let items = std::mem::take(&mut self.tree_buf);
+        let (mut tree, _) = build_tree(self.tree_side(), items, &self.plan, &mut timer, ctl.trace)?;
 
+        // The self-join; `assign_and_join` credits `counters.results` with
+        // exactly the pairs the sink received.
         let mut counters = Counters::new();
-        let assigned = par_assign_ctl(
-            &mut tree,
-            self.dataset.objects(),
-            self.plan.chunk_size,
-            threads,
-            &mut counters,
-            ctl,
-        );
-        let assign_cause = match assigned {
-            Ok((_, cause)) => cause,
-            Err(e) => {
-                self.tree_buf = tree.into_items();
-                return Err(e);
-            }
-        };
-        if let Some(cause) = assign_cause {
-            self.tree_buf = tree.into_items();
-            return Err(cause.into_error());
-        }
-
-        self.pairs.clear();
-        // The self-join phase; `par_join_into_ctl` credits `counters.results`
-        // with exactly the pairs the sink received.
         let mut collect = VecPairSink { pairs: &mut self.pairs };
         let mut count = CountingSink::default();
         let sink: &mut dyn PairSink =
             if self.config.collect_pairs { &mut collect } else { &mut count };
-        let params = &self.plan.params;
-        let pool = &mut self.pool;
-        let joined =
-            par_join_into_ctl(&tree, params, threads, false, true, sink, pool, &mut counters, ctl)
-                .map(|(_, cause)| cause);
+        let (probe, plan, pool) = (self.dataset.objects(), &self.plan, &mut self.pool);
+        let (tally, times, shape) = (&mut counters, &mut timer, Shape::SelfJoin);
+        let joined = tree.with_store(|store, tree| {
+            assign_and_join(tree, store, probe, plan, shape, sink, pool, tally, times, ctl)
+        });
         self.tree_buf = tree.into_items();
-        match joined {
-            Ok(None) => {}
+        // A trip fails the tick too: a tick has no partial result.
+        let done = joined.and_then(|(_, cause)| cause.map_or(Ok(()), |c| Err(c.into_error())));
+        if let Err(e) = done {
             // An abandoned tick must not leave a half-collected pair list
             // posing as a tick's output.
-            Ok(Some(cause)) => {
-                self.pairs.clear();
-                return Err(cause.into_error());
-            }
-            Err(e) => {
-                self.pairs.clear();
-                return Err(e);
-            }
+            self.pairs.clear();
+            return Err(e);
         }
         if self.config.collect_pairs {
             // Sorting makes the list identical across thread counts; the *set*
@@ -310,6 +274,7 @@ impl TickEngine {
         let latency_us = (start.elapsed().as_micros() as u64).max(1);
         let pairs = counters.results;
         self.counters.merge(&counters);
+        self.timer.merge(&timer);
         self.summary.record(latency_us, pairs, replanned);
         self.ticks += 1;
         Ok(TickRecord { tick: self.ticks, pairs, latency_us, replanned })
@@ -355,6 +320,13 @@ impl TickEngine {
         &self.counters
     }
 
+    /// Wall-clock time of the build, assignment and join phases, summed over
+    /// every completed tick. The rest of a tick — the world step, the dataset
+    /// refill and the drift check — is in no phase.
+    pub fn phase_times(&self) -> &PhaseTimer {
+        &self.timer
+    }
+
     /// The aggregated report of the run so far.
     pub fn report(&self) -> TickReport {
         TickReport {
@@ -363,6 +335,16 @@ impl TickEngine {
             dt: self.config.dt,
             threads: self.plan.threads(),
             plan: self.plan.summary(),
+        }
+    }
+
+    /// The tree side of the self-join: the ε-extended boxes, or the boxes
+    /// themselves at ε = 0.
+    fn tree_side(&self) -> &[SpatialObject] {
+        if self.config.epsilon > 0.0 {
+            self.extended.objects()
+        } else {
+            self.dataset.objects()
         }
     }
 

@@ -25,8 +25,11 @@
 //!
 //! Two integration styles:
 //!
-//! * [`TickEngine`] — kernel mode: drives the phase primitives directly
-//!   (fastest, single consumer).
+//! * [`TickEngine`] — kernel mode: runs each tick through the two phase
+//!   entries of [`touch_core::phases`] (fastest, single consumer), so a tick
+//!   records build, assignment and join phase spans, contains panics at every
+//!   phase boundary and sums its phase times
+//!   ([`TickEngine::phase_times`]).
 //! * [`ServeTickLoop`] — serve mode: republishes the world through
 //!   [`touch_serve::JoinServer::publish`] each tick and joins via a snapshot
 //!   reader, proving the simulation composes with the concurrent serving layer.

@@ -3,13 +3,13 @@
 use crate::EpochReport;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use touch_core::phases::{par_assign_ctl, par_build_tree, par_join_into_ctl, resolve_threads};
+use touch_core::phases::{assign_and_join, build_tree, resolve_threads};
 use touch_core::{
     catch_phase, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv,
     ScratchPool, Shape, SpatialJoinAlgorithm, TouchConfig, TouchTree,
 };
 use touch_geom::{Dataset, SpatialObject};
-use touch_metrics::{Counters, MemoryUsage, Phase, RunReport, TraceEvent, TraceSink};
+use touch_metrics::{Counters, MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
 
 /// Configuration of [`StreamingTouchJoin`].
 ///
@@ -120,9 +120,10 @@ pub struct StreamingTouchJoin {
 }
 
 impl StreamingTouchJoin {
-    /// Builds the persistent hierarchy over dataset `a` (Algorithm 2; the parallel
-    /// stable STR sort at `threads > 1`, bit-identical to the sequential sort).
-    /// This is the amortised cost: every epoch of every stream reuses the tree.
+    /// Builds the persistent hierarchy over dataset `a` (Algorithm 2, through
+    /// [`touch_core::phases::build_tree`]: the parallel stable STR sort at
+    /// `threads > 1`, bit-identical to the sequential sort). This is the
+    /// amortised cost: every epoch of every stream reuses the tree.
     pub fn build(a: &Dataset, config: StreamingConfig) -> Self {
         let plan = JoinPlan::from_streaming_tree(
             &config.touch,
@@ -172,9 +173,9 @@ impl StreamingTouchJoin {
         base.threads = threads;
         base.epochs = 0;
         base.plan = Some(plan.summary());
-        let (tree, sort_aux) = base.timer.time(Phase::Build, || {
-            par_build_tree(a.objects(), plan.partitions, plan.fanout, threads, plan.sort_threshold)
-        });
+        let (tree, sort_aux) =
+            build_tree(a.objects(), Vec::new(), &plan, &mut base.timer, &NoTrace)
+                .unwrap_or_else(|e| panic!("{e}"));
         base.memory_bytes = tree.memory_bytes() + sort_aux;
         let cumulative = base.clone();
         StreamingTouchJoin {
@@ -218,11 +219,12 @@ impl StreamingTouchJoin {
     /// previous epoch's assignments, assigns `batch` (Algorithm 3), runs the local
     /// joins (Algorithm 4) into `sink`, and returns this epoch's [`EpochReport`].
     ///
-    /// Both phases run through [`touch_core::phases`], which joins in-thread
-    /// at `threads == 1` and on the work-stealing machinery otherwise. The two
-    /// paths are deterministically equivalent — same pairs, same counters, at
-    /// every width. `sink` is any [`PairSink`]; an early-terminating sink
-    /// ([`PairSink::is_done`]) stops the epoch's local joins.
+    /// Both phases run through [`touch_core::phases::assign_and_join`], which
+    /// joins in-thread at `threads == 1` and on the work-stealing machinery
+    /// otherwise. The two paths are deterministically equivalent — same pairs,
+    /// same counters, at every width. `sink` is any [`PairSink`]; an
+    /// early-terminating sink ([`PairSink::is_done`]) stops the epoch's local
+    /// joins.
     ///
     /// This is [`try_push_batch`](StreamingTouchJoin::try_push_batch) with
     /// [`ExecControl::infallible`]; it panics if a phase panics.
@@ -249,10 +251,12 @@ impl StreamingTouchJoin {
 
     /// Fallible [`StreamingTouchJoin::push_batch`]: the epoch polls
     /// `ctl.cancel` at chunk (assignment) and node (join) granularity and
-    /// contains worker panics instead of aborting the process. With `ctl.trace`
-    /// enabled the whole epoch is wrapped in a [`TraceEvent::Epoch`] span and
-    /// the assignment and join phases record their per-chunk / per-node spans
-    /// (and steals) — tracing never changes pairs or counters.
+    /// contains panics at the phase boundaries and in the workers instead of
+    /// aborting the process. With `ctl.trace` enabled the whole epoch is
+    /// wrapped in a [`TraceEvent::Epoch`] span, inside which the assignment
+    /// and join record one [`TraceEvent::Phase`] span each plus their
+    /// per-chunk / per-node spans (and steals) — tracing never changes pairs
+    /// or counters.
     ///
     /// * A token that trips **before** the epoch starts leaves the engine
     ///   completely untouched — no assignments cleared, no statistics merged,
@@ -262,16 +266,17 @@ impl StreamingTouchJoin {
     ///   why; the pairs already delivered to `sink` and the partial counters
     ///   are folded into the cumulative record and the epoch is counted, so
     ///   the stream can keep going.
-    /// * A panicked phase worker returns [`JoinError::WorkerPanicked`]; the
-    ///   failed epoch is **not** counted, its partial assignments are cleared,
-    ///   and the engine remains usable.
+    /// * A panic in a phase — in a worker or in a phase's trace hook —
+    ///   returns [`JoinError::WorkerPanicked`]; the failed epoch is **not**
+    ///   counted, its partial assignments are cleared, and the engine remains
+    ///   usable.
     pub fn try_push_batch(
         &mut self,
         batch: &[SpatialObject],
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
-        self.push_epoch_ctl(batch, sink, ctl, false, None)
+        self.push_epoch_ctl(batch, sink, ctl, Shape::Pair, None)
     }
 
     /// Fallible [`StreamingTouchJoin::push_batch_self`] — the self-join form
@@ -283,7 +288,7 @@ impl StreamingTouchJoin {
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
-        self.push_epoch_ctl(batch, sink, ctl, true, None)
+        self.push_epoch_ctl(batch, sink, ctl, Shape::SelfJoin, None)
     }
 
     /// Joins `batch` as the newest epoch of a **sliding window** holding the
@@ -342,7 +347,7 @@ impl StreamingTouchJoin {
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
         assert!(window >= 1, "a sliding window holds at least one epoch");
-        self.push_epoch_ctl(batch, sink, ctl, false, Some(window))
+        self.push_epoch_ctl(batch, sink, ctl, Shape::Pair, Some(window))
     }
 
     /// The one epoch code path: `window` selects sliding-window mode (evict
@@ -353,7 +358,7 @@ impl StreamingTouchJoin {
         batch: &[SpatialObject],
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
-        self_join: bool,
+        shape: Shape,
         window: Option<usize>,
     ) -> Result<EpochReport, JoinError> {
         let mut report = EpochReport {
@@ -386,55 +391,22 @@ impl StreamingTouchJoin {
         }
         self.stream_stats.merge(&DatasetStats::from_objects(batch));
 
-        let mut counters = Counters::new();
-        let assigned = report.timer.time(Phase::Assignment, || {
-            par_assign_ctl(
-                &mut self.tree,
-                batch,
-                self.plan.chunk_size,
-                self.threads,
-                &mut counters,
-                ctl,
-            )
+        // The streaming tree is always on A, so the plan never swaps pairs.
+        let (plan, pool) = (&self.plan, &mut self.scratch);
+        let (counters, timer) = (&mut report.counters, &mut report.timer);
+        let epoch = self.tree.with_store(|store, tree| {
+            assign_and_join(tree, store, batch, plan, shape, sink, pool, counters, timer, ctl)
         });
-        // A panicked assignment worker fails the whole epoch (and drops any
-        // window); the cumulative record never sees the failed epoch.
-        let (assign_aux, mut cause) = assigned.map_err(|e| self.abandon_epoch(e))?;
+        // A panicked phase fails the whole epoch (and drops any window); the
+        // cumulative record never sees the failed epoch.
+        let (aux, cause) = epoch.map_err(|e| self.abandon_epoch(e))?;
         // In window mode `assigned` covers the whole surviving window — that
-        // is what the join below runs over.
+        // is what the join ran over.
         report.assigned = self.tree.assigned_b_count();
         if window.is_some() {
             self.record_window_epoch();
         }
-
-        let mut join_aux = 0;
-        if cause.is_none() {
-            let params = self.plan.params;
-            let tree = &self.tree;
-            let pool = &mut self.scratch;
-            // The streaming tree is always on A with no swap, so the self-join
-            // index-order filter applies directly. par_join_into_ctl adds the
-            // delivered pairs to `counters.results`.
-            let joined = report.timer.time(Phase::Join, || {
-                par_join_into_ctl(
-                    tree,
-                    &params,
-                    self.threads,
-                    false,
-                    self_join,
-                    sink,
-                    pool,
-                    &mut counters,
-                    ctl,
-                )
-            });
-            let (aux, join_cause) = joined.map_err(|e| self.abandon_epoch(e))?;
-            join_aux = aux;
-            cause = join_cause;
-        }
-
-        report.counters = counters;
-        report.memory_bytes = self.tree.memory_bytes() + assign_aux + join_aux;
+        report.memory_bytes = self.tree.memory_bytes() + aux;
         if let Some(c) = cause {
             report.completion = c.completion();
         }
@@ -686,8 +658,7 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
         }
         let mut engine =
             catch_phase(Phase::Build, 0, || StreamingTouchJoin::build(a, self.config))?;
-        let self_join = shape == Shape::SelfJoin;
-        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, self_join, None)?;
+        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, shape, None)?;
         report.completion = epoch.completion;
         let cumulative = engine.cumulative_report();
         report.threads = cumulative.threads;
@@ -868,6 +839,30 @@ mod tests {
         let summary = trace.summary().expect("recording sink summarises");
         assert_eq!(summary.epochs, reports.len());
         assert_eq!(summary.pairs_per_node.sum, expected_pairs.len() as u64);
+
+        // Each epoch's assignment and join record one phase span each, inside
+        // the epoch's span (which is recorded after them).
+        let mut phases = Vec::new();
+        let mut epochs = 0;
+        for event in trace.events() {
+            match event {
+                touch_metrics::TraceEvent::Phase { phase, start_us, duration_us } => {
+                    phases.push((phase, start_us, start_us + duration_us));
+                }
+                touch_metrics::TraceEvent::Epoch { start_us, duration_us, .. } => {
+                    let order: Vec<Phase> = phases.iter().map(|&(phase, ..)| phase).collect();
+                    assert_eq!(order, [Phase::Assignment, Phase::Join], "epoch {epochs}");
+                    for &(phase, start, end) in &phases {
+                        let inside = start_us <= start && end <= start_us + duration_us;
+                        assert!(inside, "epoch {epochs}: the {phase:?} span lies outside it");
+                    }
+                    phases.clear();
+                    epochs += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!((epochs, phases.len()), (reports.len(), 0));
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! * [`StreamingTouchJoin::build`] constructs the TOUCH hierarchy over A **once**
 //!   (the STR sort spreads its slabs over the workers at `threads > 1`),
 //! * [`StreamingTouchJoin::push_batch`] runs assignment + local joins for one epoch
-//!   of B against the persistent tree and returns an [`EpochReport`],
+//!   of B against the persistent tree and returns an [`EpochReport`]. Both the
+//!   build and each epoch run through the phase entries of
+//!   [`touch_core::phases`], as every other surface does, so an epoch records
+//!   assignment and join phase spans and contains panics at both phase
+//!   boundaries,
 //! * [`StreamingTouchJoin::reset`] starts a new B stream over the same tree.
 //!
 //! The build cost is thereby amortised over every epoch of every stream the tree

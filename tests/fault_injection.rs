@@ -5,10 +5,10 @@
 //! (stream, server, reader, tick engine) stays fully usable afterwards.
 //!
 //! Seam placement matters: a trigger is only *contained* if the trace hook it
-//! fires from runs inside an engine's `catch_phase` region. The matrix below
-//! arms exactly the contained seams of each engine — the sequential engine's
-//! coordinator phase boundaries, every engine's worker-level chunk/node hooks,
-//! and the serving layer's pre-commit generation build.
+//! fires from runs inside an engine's `catch_phase` region. Every surface runs
+//! its phases through the same two entries, which wrap each phase boundary and
+//! each worker's chunk/node hooks; the serving layer also wraps its pre-commit
+//! generation build. The tests below arm those seams on every surface.
 
 use std::collections::HashSet;
 use std::sync::Once;
@@ -77,8 +77,9 @@ fn seeded_fault_matrix_returns_errors_without_aborting() {
     for threads in [1usize, 2, 4, 8] {
         // Per engine, the seams whose hooks run inside its catch regions: the
         // one-shot executor, at one worker or several, wraps all three phase
-        // boundaries and its worker loops; the streaming engine wraps its
-        // (assignment, join) worker loops.
+        // boundaries and its worker loops; the streaming engine builds its tree
+        // untraced, and wraps its assignment and join boundaries and their
+        // worker loops.
         let one_shot =
             vec![Seam::Build, Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin];
         let combos: Vec<(&str, Box<dyn SpatialJoinAlgorithm>, Vec<Seam>)> = vec![
@@ -90,7 +91,7 @@ fn seeded_fault_matrix_returns_errors_without_aborting() {
                     threads,
                     ..StreamingConfig::default()
                 })),
-                vec![Seam::AssignChunk, Seam::NodeJoin],
+                vec![Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin],
             ),
         ];
         for (name, algo, seams) in combos {
@@ -204,46 +205,58 @@ fn worker_restricted_triggers_attribute_the_panic() {
     }
 }
 
-/// A panicked epoch worker fails that epoch only: it is not counted, nothing
-/// merges into the cumulative record, its assignments (and in window mode the
-/// window) are dropped, and the same batch pushed cleanly afterwards
-/// reproduces a never-faulted stream — at 1 and 4 threads, plain and windowed.
+/// A panic in an epoch's phase boundary or in a node join fails that epoch
+/// only: it is not counted, nothing merges into the cumulative record, its
+/// assignments (and in window mode the window) are dropped, and the same batch
+/// pushed cleanly afterwards reproduces a never-faulted stream — at 1 and 4
+/// threads, plain and windowed.
 #[test]
 fn streaming_fault_drops_the_epoch_and_keeps_the_stream_usable() {
     silence_fault_panics();
     let a = synthetic(400, 57);
     let b = synthetic(500, 58);
-    for (threads, window) in [(1usize, None), (4, None), (1, Some(2)), (4, Some(2))] {
-        let case = format!("threads = {threads}, window = {window:?}");
-        let config = StreamingConfig { threads, ..StreamingConfig::default() };
-        let push = |engine: &mut StreamingTouchJoin, ctl| {
-            let mut sink = CollectingSink::new();
-            match window {
-                None => engine.try_push_batch(b.objects(), &mut sink, ctl),
-                Some(w) => engine.try_push_windowed(b.objects(), w, &mut sink, ctl),
+    for seam in [Seam::Assignment, Seam::Join, Seam::NodeJoin] {
+        for (threads, window) in [(1usize, None), (4, None), (1, Some(2)), (4, Some(2))] {
+            let case = format!("{seam:?}, threads = {threads}, window = {window:?}");
+            let config = StreamingConfig { threads, ..StreamingConfig::default() };
+            let push = |engine: &mut StreamingTouchJoin, ctl| {
+                let mut sink = CollectingSink::new();
+                match window {
+                    None => engine.try_push_batch(b.objects(), &mut sink, ctl),
+                    Some(w) => engine.try_push_windowed(b.objects(), w, &mut sink, ctl),
+                }
+                .map(|report| (report, sink.sorted_pairs()))
+            };
+            let mut reference = StreamingTouchJoin::build_extended(&a, EPS, config);
+            let (_, ref_pairs) = push(&mut reference, ExecControl::infallible()).unwrap();
+
+            let mut engine = StreamingTouchJoin::build_extended(&a, EPS, config);
+            let plan = FaultPlan::seeded(threads as u64).panic_on(seam, None, 1, "epoch-fault");
+            let err = push(&mut engine, ExecControl::with_trace(&plan))
+                .expect_err("the injected panic must surface");
+            match err {
+                JoinError::WorkerPanicked { phase, .. } => {
+                    assert_eq!(phase, expected_phase(seam), "{case}");
+                }
+                other => panic!("{case}: expected WorkerPanicked, got {other}"),
             }
-            .map(|report| (report, sink.sorted_pairs()))
-        };
-        let mut reference = StreamingTouchJoin::build_extended(&a, EPS, config);
-        let (_, ref_pairs) = push(&mut reference, ExecControl::infallible()).unwrap();
+            assert_eq!(plan.fired(), 1, "{case}");
+            assert_eq!(engine.epochs(), 0, "{case}: a failed epoch is not counted");
+            assert_eq!(engine.cumulative_report().counters.results, 0, "{case}");
+            let residue = (engine.window_epochs(), engine.tree().assigned_b_count());
+            assert_eq!(residue, (0, 0), "{case}: no window epoch or assignment survives");
 
-        let mut engine = StreamingTouchJoin::build_extended(&a, EPS, config);
-        let plan =
-            FaultPlan::seeded(threads as u64).panic_on(Seam::NodeJoin, None, 1, "epoch-fault");
-        let err = push(&mut engine, ExecControl::with_trace(&plan))
-            .expect_err("the injected panic must surface");
-        assert!(matches!(err, JoinError::WorkerPanicked { phase: Phase::Join, .. }), "{err}");
-        assert_eq!(engine.epochs(), 0, "{case}: a failed epoch is not counted");
-        assert_eq!(engine.cumulative_report().counters.results, 0, "{case}");
-        let residue = (engine.window_epochs(), engine.tree().assigned_b_count());
-        assert_eq!(residue, (0, 0), "{case}: no window epoch or assignment survives");
-
-        let (report, pairs) = push(&mut engine, ExecControl::infallible()).expect("clean retry");
-        assert_eq!(report.completion, Completion::Complete);
-        assert_eq!(pairs, ref_pairs, "{case}");
-        let (got, want) = (engine.cumulative_report(), reference.cumulative_report());
-        assert_eq!(got.counters, want.counters, "{case}: the recovered stream is never-faulted");
-        assert_eq!(engine.epochs(), 1, "{case}");
+            let (report, pairs) =
+                push(&mut engine, ExecControl::infallible()).expect("clean retry");
+            assert_eq!(report.completion, Completion::Complete);
+            assert_eq!(pairs, ref_pairs, "{case}");
+            let (got, want) = (engine.cumulative_report(), reference.cumulative_report());
+            assert_eq!(
+                got.counters, want.counters,
+                "{case}: the recovered stream is never-faulted"
+            );
+            assert_eq!(engine.epochs(), 1, "{case}");
+        }
     }
 }
 
@@ -326,31 +339,43 @@ fn a_reader_query_panic_leaves_the_reader_usable() {
     }
 }
 
-/// A tick fault abandons the tick — no record, no counters, pairs cleared,
-/// tick counter unmoved — and the engine keeps ticking afterwards.
+/// A tick fault in any phase — at a phase boundary or in a worker hook —
+/// abandons the tick: no record, no counters, pairs cleared (the previous
+/// tick's too), tick counter unmoved. The engine keeps ticking afterwards, and
+/// its next tick sees the same world, and finds the same pairs, as a
+/// never-faulted engine's third tick.
 #[test]
 fn a_tick_fault_abandons_the_tick_and_the_engine_recovers() {
     silence_fault_panics();
     let config = TickConfig::default().with_epsilon(30.0);
-    let mut engine = TickEngine::new(World::random(300, 63), config);
-    let first = engine.tick();
-    assert!(first.pairs > 0, "degenerate world: no collisions in tick 1");
+    let mut reference = TickEngine::new(World::random(300, 63), config);
+    reference.run(3);
+    let seams = [Seam::Build, Seam::Assignment, Seam::AssignChunk, Seam::Join, Seam::NodeJoin];
+    for (i, seam) in seams.into_iter().enumerate() {
+        let mut engine = TickEngine::new(World::random(300, 63), config);
+        let first = engine.tick();
+        assert!(first.pairs > 0, "degenerate world: no collisions in tick 1");
+        let counters = *engine.counters();
 
-    let plan = FaultPlan::seeded(6).panic_on(Seam::NodeJoin, None, 1, "tick");
-    let err = engine
-        .try_tick(ExecControl::with_trace(&plan))
-        .expect_err("the tick panic must be contained");
-    assert!(matches!(err, JoinError::WorkerPanicked { phase: Phase::Join, .. }), "{err}");
-    assert_eq!(plan.fired(), 1);
-    assert!(engine.pairs().is_empty(), "the abandoned tick's pairs are cleared");
-    assert_eq!(
-        engine.counters().results,
-        first.pairs,
-        "the failed tick added nothing to the running counters"
-    );
+        let plan = FaultPlan::seeded(6 + i as u64).panic_on(seam, None, 1, "tick");
+        let err = engine
+            .try_tick(ExecControl::with_trace(&plan))
+            .expect_err("the tick panic must be contained");
+        match err {
+            JoinError::WorkerPanicked { phase, .. } => {
+                assert_eq!(phase, expected_phase(seam), "{seam:?}");
+            }
+            other => panic!("{seam:?}: expected WorkerPanicked, got {other}"),
+        }
+        assert_eq!(plan.fired(), 1, "{seam:?}");
+        assert!(engine.pairs().is_empty(), "{seam:?}: the abandoned tick's pairs are cleared");
+        assert_eq!(*engine.counters(), counters, "{seam:?}: the running counters moved");
+        assert_eq!(engine.ticks(), 1, "{seam:?}: the abandoned tick was counted");
 
-    let record = engine.try_tick(ExecControl::infallible()).expect("the engine keeps ticking");
-    assert_eq!(record.tick, 2, "the abandoned tick never advanced the counter");
+        let record = engine.try_tick(ExecControl::infallible()).expect("the engine keeps ticking");
+        assert_eq!(record.tick, 2, "{seam:?}: the abandoned tick never advanced the counter");
+        assert_eq!(engine.pairs(), reference.pairs(), "{seam:?}: the recovered tick diverged");
+    }
 }
 
 /// Injected delays model stalled workers, not failures: with no token armed

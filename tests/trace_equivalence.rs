@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 use touch::{
-    CollectingSink, Dataset, ExecControl, ExecTrace, Histogram, JoinQuery, RunReport,
-    SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TouchJoin, TraceSink,
+    CollectingSink, Dataset, ExecControl, ExecTrace, Histogram, JoinQuery, Phase, RunReport,
+    SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TickConfig, TickEngine, TouchJoin,
+    TraceEvent, TraceSink, World,
 };
 
 mod common;
@@ -115,6 +116,40 @@ fn traced_streams_are_epoch_split_invariant() {
         );
         let summary = trace.summary().expect("recording sink summarises");
         assert_eq!(summary.epochs, pushes, "epochs = {epochs}");
+    }
+}
+
+/// The tick loop is traced the same way: over the same ticks, a traced
+/// `TickEngine` finds the same pairs and cumulative counters as an untraced
+/// one, at one worker and at two, and every tick records one build, one
+/// assignment and one join phase span, in that order.
+#[test]
+fn traced_ticks_record_phase_spans_and_change_nothing() {
+    // Enough entities that the planner runs the self-join at the offered width.
+    const ENTITIES: usize = 16_384;
+    const TICKS: usize = 2;
+    for threads in [1, 2] {
+        let config = TickConfig::default().with_epsilon(EPS).with_threads(threads);
+        let mut plain = TickEngine::new(World::random(ENTITIES, 49), config);
+        let mut traced = TickEngine::new(World::random(ENTITIES, 49), config);
+        assert_eq!(traced.plan().threads(), threads, "the plan runs at the offered width");
+        let trace = ExecTrace::new();
+        for tick in 0..TICKS {
+            plain.tick();
+            traced.try_tick(ExecControl::with_trace(&trace)).unwrap();
+            assert_eq!(traced.pairs(), plain.pairs(), "threads = {threads}, tick {tick}");
+        }
+        assert!(!plain.pairs().is_empty(), "degenerate world: no collisions");
+        assert_eq!(traced.counters(), plain.counters(), "threads = {threads}");
+        let phases: Vec<Phase> = trace
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Phase { phase, .. } => Some(phase),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(phases, Phase::ALL.repeat(TICKS), "threads = {threads}");
     }
 }
 
