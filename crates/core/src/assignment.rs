@@ -8,18 +8,19 @@
 //! [`TouchTree::assignment_target`] and each node's list goes to
 //! [`TouchTree::local_join_node`], so pairs *and counters* do not depend on
 //! where the lists live.
+//!
+//! The store's own [`AssignmentBuffer::assign`] and [`AssignmentBuffer::join`]
+//! run uncontrolled. Cancellation, tracing and workers belong to
+//! [`crate::phases::assign_and_join`], whose one controlled loop writes
+//! through `assign` (one chunk at a time) or [`AssignmentBuffer::extend`] and
+//! joins through the same in-order loop as `join`.
 
-use crate::control::{CancelCause, CancelToken, ExecControl};
+use crate::control::ExecControl;
+use crate::phases::join_in_order;
 use crate::scratch::LocalJoinScratch;
 use crate::tree::{LocalJoinParams, TouchTree};
 use touch_geom::{ObjectId, SpatialObject};
 use touch_metrics::{vec_bytes, Counters, MemoryUsage};
-
-/// Objects between two cancellation polls in [`AssignmentBuffer::assign_ctl`]:
-/// large enough that the poll (one relaxed atomic load) vanishes next to the
-/// per-object descent, small enough that cancellation lands within
-/// microseconds on any realistic dataset.
-pub const ASSIGN_CANCEL_CHUNK: usize = 1024;
 
 /// Per-node B-side assignment over a [`TouchTree`] (see the module docs).
 /// Reusable across batches: [`AssignmentBuffer::clear`] keeps the per-node
@@ -112,27 +113,6 @@ impl AssignmentBuffer {
         }
     }
 
-    /// Cancellable [`AssignmentBuffer::assign`]: polls `cancel` once per
-    /// [`ASSIGN_CANCEL_CHUNK`]-object chunk and stops when it trips, returning
-    /// the cause (`None` = ran to completion). What was assigned before the
-    /// trip stays and is counted; an untriggered token is bit-identical to
-    /// `assign`.
-    pub fn assign_ctl(
-        &mut self,
-        tree: &TouchTree,
-        batch: &[SpatialObject],
-        counters: &mut Counters,
-        cancel: &CancelToken,
-    ) -> Option<CancelCause> {
-        for chunk in batch.chunks(ASSIGN_CANCEL_CHUNK) {
-            if let Some(cause) = cancel.triggered() {
-                return Some(cause);
-            }
-            self.assign(tree, chunk, counters);
-        }
-        None
-    }
-
     /// Stores pre-computed `(node_index, object)` assignments against `tree`,
     /// in iteration order: the write half of the multi-worker two-step
     /// assignment ([`crate::phases::assign_and_join`]), storing what
@@ -190,10 +170,11 @@ impl AssignmentBuffer {
     }
 
     /// Runs the join phase (Algorithm 4) of these assignments against `tree`,
-    /// emitting each intersecting pair `(a_id, b_id)` exactly once. `scratch`
-    /// holds the reusable join memory (grid directory, sweep buffers, work
-    /// list); `emit` returning `false` abandons the current local join and
-    /// the remaining nodes. Returns the bytes the scratch has reserved.
+    /// emitting each intersecting pair `(a_id, b_id)` exactly once, node by
+    /// node in ascending order. `scratch` holds the reusable join memory (grid
+    /// directory, sweep buffers, work list); `emit` returning `false` abandons
+    /// the current local join and the remaining nodes. Returns the bytes the
+    /// scratch has reserved.
     pub fn join(
         &self,
         tree: &TouchTree,
@@ -202,55 +183,8 @@ impl AssignmentBuffer {
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> usize {
-        self.join_ctl(tree, params, scratch, counters, emit, ExecControl::infallible(), 0).0
-    }
-
-    /// Controlled form of [`AssignmentBuffer::join`] (which is this with
-    /// [`ExecControl::infallible`]): per-node spans go to `ctl.trace` as
-    /// `worker`, and `ctl.cancel` is polled before every node — a trip
-    /// abandons the rest and its cause is returned with the scratch bytes.
-    /// Pairs already emitted and their counters stand.
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_ctl(
-        &self,
-        tree: &TouchTree,
-        params: &LocalJoinParams,
-        scratch: &mut LocalJoinScratch,
-        counters: &mut Counters,
-        emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
-        ctl: ExecControl<'_>,
-        worker: usize,
-    ) -> (usize, Option<CancelCause>) {
-        let mut work = std::mem::take(&mut scratch.work);
-        self.work_into(tree, &mut work);
-        let mut stopped = false;
-        let mut cause = None;
-        for &idx in &work {
-            if let Some(c) = ctl.cancel.triggered() {
-                cause = Some(c);
-                break;
-            }
-            let mut watched = |a: ObjectId, b: ObjectId| {
-                let go_on = emit(a, b);
-                stopped = !go_on;
-                go_on
-            };
-            tree.local_join_node(
-                idx,
-                &self.lists[idx],
-                params,
-                scratch,
-                counters,
-                &mut watched,
-                ctl.trace,
-                worker,
-            );
-            if stopped {
-                break;
-            }
-        }
-        scratch.work = work;
-        (scratch.memory_bytes(), cause)
+        let ctl = ExecControl::infallible();
+        join_in_order(tree, self, params, scratch, counters, emit, ctl).0
     }
 
     /// Refills `work` with the nodes the join phase visits — assigned objects

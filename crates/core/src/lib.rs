@@ -17,7 +17,7 @@
 //! 3. **Join** ([`TouchTree::local_join_node`], Algorithm 4): each node holding
 //!    B-objects is joined against the A-objects in its descendant leaves through a
 //!    uniform grid (with reference-point de-duplication), a plane-sweep, or an
-//!    all-pairs scan ([`LocalJoinStrategy`]).
+//!    all-pairs scan ([`LocalJoinKind`]).
 //!
 //! The crate also defines the vocabulary shared by every engine and baseline:
 //!
@@ -99,7 +99,7 @@ mod touch;
 mod traits;
 mod tree;
 
-pub use assignment::{AssignmentBuffer, ASSIGN_CANCEL_CHUNK};
+pub use assignment::AssignmentBuffer;
 pub use control::{catch_phase, panic_message, CancelCause, CancelToken, ExecControl, JoinError};
 pub use plan::{AutoEngine, ExecutionStrategy, JoinPlan, JoinPlanner, PlanEnv};
 pub use query::{IntoEngine, JoinQuery, Predicate};
@@ -109,7 +109,7 @@ pub use sink::{
     ShardedSink, SinkShard,
 };
 pub use stats::{DatasetStats, EXTENT_BUCKETS};
-pub use touch::{JoinOrder, LocalJoinStrategy, TouchConfig, TouchJoin};
+pub use touch::{JoinOrder, TouchConfig, TouchJoin};
 pub use traits::{
     collect_join, count_join, distance_join, join_contained, Shape, SpatialJoinAlgorithm,
 };

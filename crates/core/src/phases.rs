@@ -8,9 +8,17 @@
 //! loop calls both per tick. Each entry runs every phase inside
 //! [`catch_phase`], times it into the caller's [`PhaseTimer`] and, on an
 //! enabled trace, records a [`TraceEvent::Phase`] span, so every surface
-//! contains panics at its phase boundaries and reports the same spans. At one
-//! worker a phase runs in-thread; at more, over work-stealing workers
-//! ([`crate::scheduler::StealQueues`]).
+//! contains panics at its phase boundaries and reports the same spans.
+//!
+//! The assignment and the join are each one loop over independent units:
+//! probe chunks of [`JoinPlan::chunk_size`] objects, and nodes holding
+//! assigned objects. One controlled loop runs them at every width: it polls
+//! the cancel token before each unit, records a [`TraceEvent::Steal`] for a
+//! stolen unit, runs the unit and stops when the unit says so. At one worker
+//! it runs in the calling thread over the units in order; at more, one
+//! spawner runs it on scoped threads over work-stealing queues
+//! ([`crate::scheduler::StealQueues`]). So cancellation and the
+//! [`TraceEvent::AssignChunk`] spans are per chunk at every width.
 //!
 //! Every phase preserves the determinism contract: for a fixed input and
 //! [`JoinPlan`], the produced tree, assignment and local joins — and therefore
@@ -20,51 +28,14 @@
 
 use crate::scheduler::StealQueues;
 use crate::{
-    catch_phase, deliver, panic_message, AssignmentBuffer, CancelCause, ExecControl, JoinError,
-    JoinPlan, LocalJoinParams, LocalJoinScratch, PairSink, ScratchPool, Shape, ShardedSink,
-    TouchTree,
+    catch_phase, deliver, AssignmentBuffer, CancelCause, ExecControl, JoinError, JoinPlan,
+    LocalJoinParams, LocalJoinScratch, PairSink, ScratchPool, Shape, ShardedSink, TouchTree,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::convert::identity;
 use std::sync::atomic::{AtomicBool, Ordering};
-use touch_geom::SpatialObject;
+use touch_geom::{ObjectId, SpatialObject};
 use touch_index::par_str_sort;
-use touch_metrics::{Counters, Phase, PhaseTimer, TraceEvent, TraceSink};
-
-/// What one fault-contained worker thread hands back: its partial work on
-/// success (with the cancel cause it observed, if any), or the message of the
-/// panic it contained.
-type WorkerOutcome<T> = Result<(Counters, T, Option<CancelCause>), String>;
-
-/// Folds per-worker outcomes into the phase result: counters of every
-/// *successful* worker are merged into `counters` (a contained panic discards
-/// that worker's partial tallies — they may be mid-update), successful
-/// payloads are collected, and the first panicked worker (by index) becomes
-/// [`JoinError::WorkerPanicked`] for `phase`.
-fn fold_workers<T>(
-    per_worker: Vec<WorkerOutcome<T>>,
-    phase: Phase,
-    counters: &mut Counters,
-) -> Result<(Vec<T>, Option<CancelCause>), JoinError> {
-    let mut payloads = Vec::with_capacity(per_worker.len());
-    let mut cause = None;
-    let mut panicked: Option<(usize, String)> = None;
-    for (worker, outcome) in per_worker.into_iter().enumerate() {
-        match outcome {
-            Ok((local, payload, c)) => {
-                counters.merge(&local);
-                payloads.push(payload);
-                cause = cause.or(c);
-            }
-            Err(detail) => {
-                panicked.get_or_insert((worker, detail));
-            }
-        }
-    }
-    match panicked {
-        Some((worker, detail)) => Err(JoinError::WorkerPanicked { phase, worker, detail }),
-        None => Ok((payloads, cause)),
-    }
-}
+use touch_metrics::{Counters, MemoryUsage, Phase, PhaseTimer, TraceEvent, TraceSink};
 
 /// Resolves a configured worker count: an explicit value is used as-is, `0`
 /// auto-detects the machine's available parallelism (falling back to 1). The single
@@ -78,26 +49,27 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Times `f` into `timer`'s `phase` and, when `trace` is enabled, also records
-/// the phase as a [`TraceEvent::Phase`] span, so the spans line up with the
-/// reported phase times. The two entries wrap every phase in it.
-fn time_phase_traced<T>(
+/// Runs `f` as `phase`: times it into `timer` and, when `trace` is enabled,
+/// records it as a [`TraceEvent::Phase`] span, so the spans line up with the
+/// reported phase times. A panic in `f` returns [`JoinError::WorkerPanicked`]
+/// once the phase's time and span are closed, and a panic in the span's own
+/// trace hook is contained too. Every phase of the two entries runs in it.
+fn run_phase<T>(
     timer: &mut PhaseTimer,
     phase: Phase,
     trace: &dyn TraceSink,
-    f: impl FnOnce() -> T,
-) -> T {
-    if !trace.is_enabled() {
-        return timer.time(phase, f);
-    }
-    let start_us = trace.now_us();
-    let out = timer.time(phase, f);
-    trace.record(TraceEvent::Phase {
-        phase,
-        start_us,
-        duration_us: trace.now_us().saturating_sub(start_us),
-    });
-    out
+    f: impl FnOnce() -> Result<T, JoinError>,
+) -> Result<T, JoinError> {
+    catch_phase(phase, 0, || {
+        let start_us = if trace.is_enabled() { trace.now_us() } else { 0 };
+        let out = timer.time(phase, || catch_phase(phase, 0, f).and_then(identity));
+        if trace.is_enabled() {
+            let duration_us = trace.now_us().saturating_sub(start_us);
+            trace.record(TraceEvent::Phase { phase, start_us, duration_us });
+        }
+        out
+    })
+    .and_then(identity)
 }
 
 /// Phase 1 (Algorithm 2): copies `tree_side` into `items`, the caller's
@@ -106,8 +78,7 @@ fn time_phase_traced<T>(
 /// transient bytes. The tile order, and so the tree, does not depend on the
 /// width. A tick loop passes the buffer it reclaimed from last tick's tree
 /// ([`TouchTree::into_items`]); an empty `Vec` is sized exactly to the input.
-/// A panic, the phase span's included, returns [`JoinError::WorkerPanicked`]
-/// and loses the buffer.
+/// A panic returns [`JoinError::WorkerPanicked`] and loses the buffer.
 pub fn build_tree(
     tree_side: &[SpatialObject],
     mut items: Vec<SpatialObject>,
@@ -115,18 +86,16 @@ pub fn build_tree(
     timer: &mut PhaseTimer,
     trace: &dyn TraceSink,
 ) -> Result<(TouchTree, usize), JoinError> {
-    catch_phase(Phase::Build, 0, || {
-        time_phase_traced(timer, Phase::Build, trace, || {
-            items.clear();
-            items.reserve_exact(tree_side.len());
-            items.extend_from_slice(tree_side);
-            let mut sort_aux = 0;
-            if !items.is_empty() {
-                let cap = TouchTree::leaf_capacity(items.len(), plan.partitions);
-                sort_aux = par_str_sort(&mut items, cap, plan.threads(), plan.sort_threshold);
-            }
-            (TouchTree::from_tiled(items, plan.partitions, plan.fanout), sort_aux)
-        })
+    run_phase(timer, Phase::Build, trace, || {
+        items.clear();
+        items.reserve_exact(tree_side.len());
+        items.extend_from_slice(tree_side);
+        let mut sort_aux = 0;
+        if !items.is_empty() {
+            let cap = TouchTree::leaf_capacity(items.len(), plan.partitions);
+            sort_aux = par_str_sort(&mut items, cap, plan.threads(), plan.sort_threshold);
+        }
+        Ok((TouchTree::from_tiled(items, plan.partitions, plan.fanout), sort_aux))
     })
 }
 
@@ -144,11 +113,19 @@ pub fn build_tree(
 /// holds, so the caller clears it first (a streaming window keeps the epochs
 /// still in the window).
 ///
-/// * `ctl.cancel` is polled before the assignment, per assignment chunk and
-///   per join node. A trip returns `Ok` with its cause; the store and the sink
-///   then hold consistent subsets of the assignment and of the pairs.
+/// Both phases run through the one controlled loop (see the module docs), in
+/// the calling thread at one worker and on scoped workers at more:
+///
+/// * `ctl.cancel` is polled before the assignment, then before every
+///   assignment chunk and every join node, at every width. A trip returns `Ok`
+///   with its cause; the store and the sink then hold consistent subsets of
+///   the assignment and of the pairs.
+/// * With `ctl.trace` enabled, every chunk records a
+///   [`TraceEvent::AssignChunk`] span and every node a
+///   [`TraceEvent::NodeJoin`] span, attributed to the worker that ran it, and
+///   every stolen unit a [`TraceEvent::Steal`].
 /// * Each phase, its span included, runs inside [`catch_phase`], and each
-///   worker inside a containment of its own, so a panic returns
+///   spawned worker's loop inside a containment of its own, so a panic returns
 ///   [`JoinError::WorkerPanicked`] attributed to its phase and worker.
 /// * With an untriggered token and no panic, pairs and counters are the same
 ///   at every width, traced or not.
@@ -168,28 +145,139 @@ pub fn assign_and_join(
     timer: &mut PhaseTimer,
     ctl: ExecControl<'_>,
 ) -> Result<(usize, Option<CancelCause>), JoinError> {
+    // A pre-tripped token leaves the store untouched and records no span.
     if let Some(cause) = ctl.cancel.triggered() {
         return Ok((0, Some(cause)));
     }
     let threads = plan.threads();
-    let (assign_aux, cause) = catch_phase(Phase::Assignment, 0, || {
-        time_phase_traced(timer, Phase::Assignment, ctl.trace, || {
-            par_assign_ctl(tree, store, probe, plan.chunk_size, threads, counters, ctl)
-        })
-    })??;
+    let (assign_aux, cause) = run_phase(timer, Phase::Assignment, ctl.trace, || {
+        par_assign_ctl(tree, store, probe, plan.chunk_size, threads, counters, ctl)
+    })?;
     if cause.is_some() {
         return Ok((assign_aux, cause));
     }
     let (swap_pairs, self_join) = (!plan.build_on_a, shape == Shape::SelfJoin);
-    let (join_aux, cause) = catch_phase(Phase::Join, 0, || {
-        time_phase_traced(timer, Phase::Join, ctl.trace, || {
-            let params = &plan.params;
-            par_join_into_ctl(
-                tree, store, params, threads, swap_pairs, self_join, sink, pool, counters, ctl,
-            )
-        })
-    })??;
+    let (join_aux, cause) = run_phase(timer, Phase::Join, ctl.trace, || {
+        let params = &plan.params;
+        par_join_into_ctl(
+            tree, store, params, threads, swap_pairs, self_join, sink, pool, counters, ctl,
+        )
+    })?;
     Ok((assign_aux + join_aux, cause))
+}
+
+/// The one controlled loop, run by `worker`: polls `ctl.cancel`, claims the
+/// next unit, records a [`TraceEvent::Steal`] if the unit came from another
+/// worker's queue, and runs it, until `claim` runs dry, the token trips (its
+/// cause is returned) or `run` returns `false`.
+fn drain<U>(
+    ctl: ExecControl<'_>,
+    worker: usize,
+    mut claim: impl FnMut() -> Option<(U, Option<usize>)>,
+    mut run: impl FnMut(U) -> bool,
+) -> Option<CancelCause> {
+    loop {
+        if let Some(cause) = ctl.cancel.triggered() {
+            return Some(cause);
+        }
+        let (unit, stolen_from) = claim()?;
+        if let Some(victim) = stolen_from.filter(|_| ctl.trace.is_enabled()) {
+            ctl.trace.record(TraceEvent::Steal { worker, victim, at_us: ctl.trace.now_us() });
+        }
+        if !run(unit) {
+            return None;
+        }
+    }
+}
+
+/// The claim of a loop in the calling thread: `units` in order, none stolen.
+fn in_order<U>(units: impl IntoIterator<Item = U>) -> impl FnMut() -> Option<(U, Option<usize>)> {
+    let mut units = units.into_iter();
+    move || units.next().map(|unit| (unit, None))
+}
+
+/// The one spawner: runs [`drain`] over `queues` on one scoped thread per
+/// entry of `states`. Worker `w` owns `states[w]`, claims from queue `w` and
+/// tallies into counters of its own; `run` is one unit of one worker. Each
+/// worker's loop runs inside [`catch_phase`] for `phase`, and a contained
+/// panic sets a shared abort flag, so its siblings stop claiming.
+///
+/// The fold: the counters of every worker that finished are merged into
+/// `counters` (a panicked worker's are dropped, they may be mid-update). If a
+/// worker panicked, the lowest-index one becomes the error; otherwise the
+/// finished workers' states come back in worker order, with the first cancel
+/// cause any of them saw.
+fn spawn_workers<U: Send, S: Send>(
+    queues: &StealQueues<U>,
+    states: impl IntoIterator<Item = S>,
+    phase: Phase,
+    counters: &mut Counters,
+    ctl: ExecControl<'_>,
+    run: impl Fn(&mut S, &mut Counters, U, usize) -> bool + Sync,
+) -> Result<(Vec<S>, Option<CancelCause>), JoinError> {
+    let (abort, run) = (&AtomicBool::new(false), &run);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (states.into_iter().enumerate())
+            .map(|(w, mut state)| {
+                scope.spawn(move || {
+                    let mut local = Counters::new();
+                    let claim = || match abort.load(Ordering::Relaxed) {
+                        true => None,
+                        false => queues.claim_tracked(w),
+                    };
+                    let outcome = catch_phase(phase, w, || {
+                        drain(ctl, w, claim, |unit| run(&mut state, &mut local, unit, w))
+                    });
+                    if outcome.is_err() {
+                        abort.store(true, Ordering::Relaxed);
+                    }
+                    outcome.map(|cause| (local, state, cause))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            // `catch_phase` contains every unwind, so `join` cannot fail —
+            // the expect documents that invariant.
+            .map(|h| {
+                #[allow(clippy::expect_used)]
+                h.join().expect("fault-contained worker cannot panic")
+            })
+            .collect()
+    });
+    let (mut states, mut cause, mut panicked) = (Vec::new(), None, None);
+    for outcome in outcomes {
+        match outcome {
+            Ok((local, state, c)) => {
+                counters.merge(&local);
+                states.push(state);
+                cause = cause.or(c);
+            }
+            Err(e) => {
+                panicked.get_or_insert(e);
+            }
+        }
+    }
+    panicked.map_or(Ok((states, cause)), Err)
+}
+
+/// Runs `f`, the work of assignment chunk `chunk`, and records it as a
+/// [`TraceEvent::AssignChunk`] span of `worker` when `trace` is enabled.
+fn traced_chunk<T>(
+    trace: &dyn TraceSink,
+    chunk: usize,
+    worker: usize,
+    objects: usize,
+    f: impl FnOnce() -> T,
+) -> T {
+    if !trace.is_enabled() {
+        return f();
+    }
+    let start_us = trace.now_us();
+    let out = f();
+    let duration_us = trace.now_us().saturating_sub(start_us);
+    trace.record(TraceEvent::AssignChunk { chunk, worker, objects, start_us, duration_us });
+    out
 }
 
 /// One worker's claim share of the assignment phase: the chunk index and the
@@ -201,7 +289,7 @@ type ChunkBatch = (usize, Vec<(usize, SpatialObject)>);
 /// threads (read-only tree traversals over work-stealing chunk queues), then
 /// applies the batches in chunk order so the per-node B-lists match the
 /// sequential [`TouchTree::assign`] exactly. Returns the bytes of the
-/// transient batch buffers (0 on the sequential fallback).
+/// transient batch buffers (0 at one worker).
 ///
 /// # Panics
 /// Re-raises a contained worker panic with the attributed
@@ -221,25 +309,20 @@ pub fn par_assign(
     .0
 }
 
-/// The one parallel-assignment code path, into `store`. With `ctl.trace`
-/// enabled it records one [`TraceEvent::AssignChunk`] span per claimed chunk —
-/// attributed to the worker that computed it — and a [`TraceEvent::Steal`]
-/// per cross-queue claim; the sequential fallback records the whole probe
-/// batch as a single chunk on worker 0.
+/// The assignment phase, into `store`, one unit per `chunk_size` chunk of
+/// `probe`. The width is capped at the chunk count.
 ///
-/// Fault-tolerance contract (the assignment half of [`assign_and_join`]):
+/// * **One worker** — the chunks are assigned in order, straight into the
+///   store with [`AssignmentBuffer::assign`]; nothing is buffered.
+/// * **Several workers** — each worker buffers its chunks' placements. On an
+///   orderly exit, complete *or* cancelled, the batches are applied in chunk
+///   order, so B-objects land in their nodes in probe order; on a panic none
+///   is applied.
 ///
-/// * workers poll the cancel token per claimed chunk; on a trip every worker
-///   stops claiming, the chunks already computed are still applied (in chunk
-///   order) and the observed [`CancelCause`] is returned — the store holds a
-///   consistent subset of the full assignment,
-/// * each worker's drain loop runs inside `catch_unwind`: one panicked worker
-///   makes its siblings stop via a shared abort flag and surfaces as
-///   `Err(`[`JoinError::WorkerPanicked`]`)` (lowest worker index wins); no
-///   batch is applied to the store and the panicked worker's partial counters
-///   are discarded,
-/// * with no trip and no panic the assignment is bit-identical to the
-///   sequential [`AssignmentBuffer::assign`] at every worker count.
+/// Either way a cancelled store holds a consistent subset of the full
+/// assignment, and a complete one is bit-identical to the sequential
+/// [`AssignmentBuffer::assign`] at every width. Returns the bytes of the
+/// batches (0 at one worker) and the cancel cause, if any.
 fn par_assign_ctl(
     tree: &TouchTree,
     store: &mut AssignmentBuffer,
@@ -249,253 +332,51 @@ fn par_assign_ctl(
     counters: &mut Counters,
     ctl: ExecControl<'_>,
 ) -> Result<(usize, Option<CancelCause>), JoinError> {
-    if probe.is_empty() {
-        return Ok((0, None));
-    }
-    let trace = ctl.trace;
     let chunk_size = chunk_size.max(1);
     let chunk_count = probe.len().div_ceil(chunk_size);
-    // Never spawn more workers than there are chunks to claim.
+    let chunk = |c: usize| &probe[c * chunk_size..((c + 1) * chunk_size).min(probe.len())];
     let workers = workers.min(chunk_count);
     if workers <= 1 {
-        let start_us = if trace.is_enabled() { trace.now_us() } else { 0 };
-        // The chunk hook runs *inside* the catch region, mirroring the worker
-        // loop below: a panicking trace sink surfaces as `WorkerPanicked`
-        // instead of unwinding through the coordinator.
-        let cause = catch_phase(Phase::Assignment, 0, || {
-            let cause = store.assign_ctl(tree, probe, counters, ctl.cancel);
-            if trace.is_enabled() {
-                trace.record(TraceEvent::AssignChunk {
-                    chunk: 0,
-                    worker: 0,
-                    objects: probe.len(),
-                    start_us,
-                    duration_us: trace.now_us().saturating_sub(start_us),
-                });
-            }
-            cause
-        })?;
+        let cause = drain(ctl, 0, in_order(0..chunk_count), |c| {
+            let objects = chunk(c);
+            traced_chunk(ctl.trace, c, 0, objects.len(), || store.assign(tree, objects, counters));
+            true
+        });
         return Ok((0, cause));
     }
 
     let queues = StealQueues::distribute(0..chunk_count, workers);
-    let abort = AtomicBool::new(false);
-    let per_worker: Vec<WorkerOutcome<Vec<ChunkBatch>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (queues, abort) = (&queues, &abort);
-                scope.spawn(move || {
-                    let mut local = Counters::new();
-                    let mut batches = Vec::new();
-                    let mut cause = None;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        while !abort.load(Ordering::Relaxed) {
-                            if let Some(c) = ctl.cancel.triggered() {
-                                cause = Some(c);
-                                break;
-                            }
-                            let Some((chunk, stolen_from)) = queues.claim_tracked(w) else {
-                                break;
-                            };
-                            if trace.is_enabled() {
-                                if let Some(victim) = stolen_from {
-                                    trace.record(TraceEvent::Steal {
-                                        worker: w,
-                                        victim,
-                                        at_us: trace.now_us(),
-                                    });
-                                }
-                            }
-                            let start_us = if trace.is_enabled() { trace.now_us() } else { 0 };
-                            let lo = chunk * chunk_size;
-                            let hi = (lo + chunk_size).min(probe.len());
-                            let mut assigned = Vec::new();
-                            for obj in &probe[lo..hi] {
-                                match tree.assignment_target(&obj.mbr, &mut local) {
-                                    Some(node) => assigned.push((node, *obj)),
-                                    None => local.record_filtered(),
-                                }
-                            }
-                            if trace.is_enabled() {
-                                trace.record(TraceEvent::AssignChunk {
-                                    chunk,
-                                    worker: w,
-                                    objects: hi - lo,
-                                    start_us,
-                                    duration_us: trace.now_us().saturating_sub(start_us),
-                                });
-                            }
-                            batches.push((chunk, assigned));
-                        }
-                    }));
-                    match outcome {
-                        Ok(()) => Ok((local, batches, cause)),
-                        Err(payload) => {
-                            abort.store(true, Ordering::Relaxed);
-                            Err(panic_message(payload.as_ref()))
-                        }
+    let batches = (0..workers).map(|_| Vec::<ChunkBatch>::new());
+    let (per_worker, cause) = spawn_workers(
+        &queues,
+        batches,
+        Phase::Assignment,
+        counters,
+        ctl,
+        |batches, local, c, w| {
+            let objects = chunk(c);
+            let placed = traced_chunk(ctl.trace, c, w, objects.len(), || {
+                let mut placed = Vec::new();
+                for obj in objects {
+                    match tree.assignment_target(&obj.mbr, local) {
+                        Some(node) => placed.push((node, *obj)),
+                        None => local.record_filtered(),
                     }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // The worker closures contain every unwind via `catch_unwind`,
-            // so `join` cannot fail — the expect documents that invariant.
-            .map(|h| {
-                #[allow(clippy::expect_used)]
-                h.join().expect("fault-contained worker cannot panic")
-            })
-            .collect()
-    });
-
-    let (per_worker_batches, cause) = fold_workers(per_worker, Phase::Assignment, counters)?;
-    let mut all_batches = Vec::with_capacity(chunk_count);
-    for batches in per_worker_batches {
-        all_batches.extend(batches);
-    }
+                }
+                placed
+            });
+            batches.push((c, placed));
+            true
+        },
+    )?;
+    let mut batches: Vec<ChunkBatch> = per_worker.into_iter().flatten().collect();
     // Peak transient footprint of this phase: every placement buffered at once,
     // just before application.
     let batch_elem = std::mem::size_of::<(usize, SpatialObject)>();
-    let aux_bytes: usize =
-        all_batches.iter().map(|(_, assigned)| assigned.capacity() * batch_elem).sum();
-    // Apply in chunk order: B-objects land in their nodes in probe-dataset order,
-    // exactly as the sequential assignment would have placed them.
-    all_batches.sort_unstable_by_key(|(chunk, _)| *chunk);
-    store.extend(tree, all_batches.into_iter().flat_map(|(_, assigned)| assigned));
+    let aux_bytes = batches.iter().map(|(_, placed)| placed.capacity() * batch_elem).sum();
+    batches.sort_unstable_by_key(|(chunk, _)| *chunk);
+    store.extend(tree, batches.into_iter().flat_map(|(_, placed)| placed));
     Ok((aux_bytes, cause))
-}
-
-/// Phase 3, sharded: drains `work` through per-worker local joins, one worker
-/// per shard of `sharded` with its own reusable [`LocalJoinScratch`]. The nodes
-/// are ordered by descending estimated cost before distribution (round-robin
-/// seeding then spreads the heavy nodes across workers, and owner pops and
-/// steals both take the largest remaining task first — LPT); the sort happens
-/// in place, so a caller-retained `work` buffer is reused without reallocating.
-/// Pairs are pushed as `(tree_id, probe_id)`, flipped when `swap_pairs` is set,
-/// and filtered to `x < y` when `self_join` is set (see [`par_join_into_ctl`]).
-/// Workers honour the sharded sink's early-termination protocol: once a shard
-/// reports done (its share of a [`PairSink::pair_limit`] budget is spent) the
-/// worker stops claiming nodes. With `ctl.trace` enabled every node records a
-/// [`TraceEvent::NodeJoin`] span attributed to the worker that joined it, and
-/// every cross-queue claim a [`TraceEvent::Steal`]. Returns the sum over
-/// workers of each worker's reserved scratch bytes (concurrent footprints
-/// coexist, unlike the in-thread join which charges a single scratch).
-///
-/// Fault-tolerance contract: workers poll the cancel token per claimed node
-/// (pairs already pushed into the shards stay — a cancelled run's shards hold
-/// a subset of the full result); each worker's drain loop is contained by
-/// `catch_unwind`, a panicked worker trips a shared abort flag and surfaces as
-/// `Err(`[`JoinError::WorkerPanicked`]`)` with its partial counters discarded.
-///
-/// # Panics
-/// Panics if `scratches` provides fewer scratches than `sharded` has shards.
-#[allow(clippy::too_many_arguments)]
-fn par_local_join_ctl(
-    tree: &TouchTree,
-    store: &AssignmentBuffer,
-    work: &mut [usize],
-    params: &LocalJoinParams,
-    swap_pairs: bool,
-    self_join: bool,
-    sharded: &mut ShardedSink,
-    scratches: &mut [LocalJoinScratch],
-    counters: &mut Counters,
-    ctl: ExecControl<'_>,
-) -> Result<(usize, Option<CancelCause>), JoinError> {
-    assert!(
-        scratches.len() >= sharded.shard_count(),
-        "need one scratch per worker: {} shards, {} scratches",
-        sharded.shard_count(),
-        scratches.len()
-    );
-    let trace = ctl.trace;
-    work.sort_by_key(|&idx| {
-        let cost = tree.node(idx).a_count() as u64 * store.node_objects(idx).len() as u64;
-        std::cmp::Reverse(cost)
-    });
-    let queues = StealQueues::distribute(work.iter().copied(), sharded.shard_count());
-    let abort = AtomicBool::new(false);
-
-    let per_worker: Vec<WorkerOutcome<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sharded
-            .shards_mut()
-            .iter_mut()
-            .zip(scratches.iter_mut())
-            .enumerate()
-            .map(|(w, (shard, scratch))| {
-                let (queues, abort) = (&queues, &abort);
-                scope.spawn(move || {
-                    let mut local = Counters::new();
-                    let mut peak_aux = 0usize;
-                    let mut cause = None;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        while !abort.load(Ordering::Relaxed) {
-                            if let Some(c) = ctl.cancel.triggered() {
-                                cause = Some(c);
-                                break;
-                            }
-                            let Some((idx, stolen_from)) = queues.claim_tracked(w) else {
-                                break;
-                            };
-                            if trace.is_enabled() {
-                                if let Some(victim) = stolen_from {
-                                    trace.record(TraceEvent::Steal {
-                                        worker: w,
-                                        victim,
-                                        at_us: trace.now_us(),
-                                    });
-                                }
-                            }
-                            let aux = tree.local_join_node(
-                                idx,
-                                store.node_objects(idx),
-                                params,
-                                scratch,
-                                &mut local,
-                                &mut |tree_id, probe_id| {
-                                    let (x, y) = if swap_pairs {
-                                        (probe_id, tree_id)
-                                    } else {
-                                        (tree_id, probe_id)
-                                    };
-                                    if !self_join || x < y {
-                                        shard.push(x, y);
-                                    }
-                                    !shard.is_done()
-                                },
-                                trace,
-                                w,
-                            );
-                            peak_aux = peak_aux.max(aux);
-                            if shard.is_done() {
-                                break;
-                            }
-                        }
-                    }));
-                    match outcome {
-                        Ok(()) => Ok((local, peak_aux, cause)),
-                        Err(payload) => {
-                            abort.store(true, Ordering::Relaxed);
-                            Err(panic_message(payload.as_ref()))
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // The worker closures contain every unwind via `catch_unwind`,
-            // so `join` cannot fail — the expect documents that invariant.
-            .map(|h| {
-                #[allow(clippy::expect_used)]
-                h.join().expect("fault-contained worker cannot panic")
-            })
-            .collect()
-    });
-
-    let (peaks, cause) = fold_workers(per_worker, Phase::Join, counters)?;
-    Ok((peaks.into_iter().sum(), cause))
 }
 
 /// The join phase of [`assign_and_join`] on the tree's own store, untimed
@@ -526,34 +407,33 @@ pub fn par_join_into(
     .0
 }
 
-/// The one join-phase code path, over the lists of `store`, and the one
-/// place the worker-capping/sharding decision lives. Pairs reach `sink` as
-/// `(tree_id, probe_id)`, or flipped when `swap_pairs` is set (the caller
-/// built the tree on dataset B). When `self_join` is set the two sides are
-/// the same dataset (aligned ids) and only pairs whose A-oriented ids satisfy
-/// `x < y` reach the sink — identity pairs and mirrored duplicates are
+/// The join phase, over the lists of `store`, one unit per node. Pairs reach
+/// `sink` as `(tree_id, probe_id)`, or flipped when `swap_pairs` is set (the
+/// caller built the tree on dataset B). When `self_join` is set the two sides
+/// are the same dataset (aligned ids) and only pairs whose A-oriented ids
+/// satisfy `x < y` reach the sink — identity pairs and mirrored duplicates are
 /// dropped **before** the pair budget is spent, while the
 /// comparison/node-test counters stay identical to the raw two-dataset run.
 /// The pairs the sink actually received are added to `counters.results`.
 ///
-/// `pool` owns the per-worker scratches and the work-list buffer.
+/// `pool` owns the per-worker scratches and the work-list buffer. The width is
+/// capped at the node count.
 ///
-/// * **One worker** — `threads` ≤ 1, or at most one node to join: the nodes
-///   are joined in-thread, in ascending node order, through
-///   [`AssignmentBuffer::join_ctl`] on the pool's primary scratch, inside
-///   one [`catch_phase`]; no thread is spawned and no shard buffers pairs.
-///   Pairs stream straight into `sink`, so after a contained panic the sink
-///   holds what the join delivered before it.
-/// * **Several workers** — the work list is capped at the available work
-///   (never more shards than nodes) and drained by the per-worker local joins
-///   into a [`ShardedSink`] adapting the sink's mode and pair budget. On an
+/// * **One worker** — [`join_in_order`] on the pool's primary scratch: pairs
+///   stream straight into `sink`, and the loop stops after the node in which
+///   the sink refused a pair.
+/// * **Several workers** — the nodes are sorted by descending estimated cost
+///   and dealt round-robin to the workers' queues (owner pops and steals both
+///   take the largest remaining node first — LPT). Each worker joins on a
+///   scratch of its own into its shard of a [`ShardedSink`], which adapts the
+///   sink's mode and pair budget, and stops when its shard is done. On an
 ///   orderly exit — complete *or* cancelled — the shards are merged into
-///   `sink`, so a cancelled run's sink holds a consistent subset of the full
-///   result; on `Err` (a contained worker panic) the shards are discarded and
-///   the sink receives nothing from this phase.
+///   `sink`; on a panic they are discarded.
 ///
-/// Returns the auxiliary bytes charged to the join phase and the cancel cause
-/// the workers observed, if any.
+/// Either way a cancelled sink holds a consistent subset of the full result.
+/// Returns the join scratch's bytes (at several workers the sum of each
+/// worker's high-water mark, as their footprints coexist) and the cancel
+/// cause, if any.
 #[allow(clippy::too_many_arguments)]
 fn par_join_into_ctl(
     tree: &TouchTree,
@@ -568,8 +448,8 @@ fn par_join_into_ctl(
     ctl: ExecControl<'_>,
 ) -> Result<(usize, Option<CancelCause>), JoinError> {
     let mut work = pool.take_work();
-    // At one thread the work list is not needed to decide: the in-thread path
-    // builds its own.
+    // At one thread the work list is not needed to decide: the in-thread loop
+    // keeps its own on the primary scratch.
     let workers = if threads > 1 {
         store.work_into(tree, &mut work);
         threads.min(work.len())
@@ -579,39 +459,81 @@ fn par_join_into_ctl(
     if workers <= 1 {
         pool.restore_work(work);
         let mut results = 0u64;
-        let joined = catch_phase(Phase::Join, 0, || {
-            let mut emit = |tree_id, probe_id| {
-                let (x, y) = if swap_pairs { (probe_id, tree_id) } else { (tree_id, probe_id) };
-                if !self_join || x < y {
-                    deliver(sink, x, y, &mut results)
-                } else {
-                    !sink.is_done()
-                }
-            };
-            store.join_ctl(tree, params, pool.primary(), counters, &mut emit, ctl, 0)
-        });
+        let emit = |t, p| {
+            let (x, y) = if swap_pairs { (p, t) } else { (t, p) };
+            if !self_join || x < y {
+                deliver(sink, x, y, &mut results)
+            } else {
+                !sink.is_done()
+            }
+        };
+        let joined = join_in_order(tree, store, params, pool.primary(), counters, emit, ctl);
         counters.results += results;
-        return joined;
+        return Ok(joined);
     }
+
+    work.sort_by_key(|&idx| {
+        let cost = tree.node(idx).a_count() as u64 * store.node_objects(idx).len() as u64;
+        std::cmp::Reverse(cost)
+    });
+    let queues = StealQueues::distribute(work.iter().copied(), workers);
     let mut sharded = ShardedSink::for_sink(sink, workers);
-    let joined = par_local_join_ctl(
-        tree,
-        store,
-        &mut work,
-        params,
-        swap_pairs,
-        self_join,
-        &mut sharded,
-        pool.worker_scratches(workers),
-        counters,
-        ctl,
-    );
+    let shards = sharded.shards_mut().iter_mut().zip(pool.worker_scratches(workers));
+    let states = shards.map(|(shard, scratch)| (shard, scratch, 0usize));
+    let joined =
+        spawn_workers(&queues, states, Phase::Join, counters, ctl, |state, local, idx, w| {
+            let (shard, scratch, peak) = state;
+            let mut emit = |t, p| {
+                let (x, y) = if swap_pairs { (p, t) } else { (t, p) };
+                if !self_join || x < y {
+                    shard.push(x, y);
+                }
+                !shard.is_done()
+            };
+            let objs = store.node_objects(idx);
+            let aux =
+                tree.local_join_node(idx, objs, params, scratch, local, &mut emit, ctl.trace, w);
+            *peak = (*peak).max(aux);
+            !shard.is_done()
+        })
+        .map(|(states, cause)| (states.iter().map(|(_, _, peak)| peak).sum(), cause));
     pool.restore_work(work);
     let (aux_bytes, cause) = joined?;
     // Credit only the pairs the sink actually received: a sink that became done
     // without declaring a pair budget makes merge_into stop delivering early.
     counters.results += sharded.merge_into(sink);
     Ok((aux_bytes, cause))
+}
+
+/// The join at one worker, in the calling thread: the nodes holding objects
+/// of `store` in ascending order, through [`drain`], on `scratch`, which also
+/// holds the work list (so its bytes count it). `emit` returning `false`
+/// abandons the node's local join and stops the loop after it. Returns the
+/// scratch's bytes and the cancel cause, if any. [`AssignmentBuffer::join`]
+/// is this with [`ExecControl::infallible`].
+pub(crate) fn join_in_order(
+    tree: &TouchTree,
+    store: &AssignmentBuffer,
+    params: &LocalJoinParams,
+    scratch: &mut LocalJoinScratch,
+    counters: &mut Counters,
+    mut emit: impl FnMut(ObjectId, ObjectId) -> bool,
+    ctl: ExecControl<'_>,
+) -> (usize, Option<CancelCause>) {
+    let mut work = std::mem::take(&mut scratch.work);
+    store.work_into(tree, &mut work);
+    let cause = drain(ctl, 0, in_order(work.iter().copied()), |idx| {
+        let mut refused = false;
+        let mut watched = |a, b| {
+            refused = !emit(a, b);
+            !refused
+        };
+        let objs = store.node_objects(idx);
+        tree.local_join_node(idx, objs, params, scratch, counters, &mut watched, ctl.trace, 0);
+        !refused
+    });
+    scratch.work = work;
+    (scratch.memory_bytes(), cause)
 }
 
 #[cfg(test)]
@@ -826,5 +748,168 @@ mod tests {
                 assert_eq!(sink.pairs(), filtered.as_slice(), "emission order");
             }
         }
+    }
+
+    /// The workload of the unified-loop tests: a 64-object tree and 343 probe
+    /// objects, and a plan at `threads` workers with chunks of `chunk_size`.
+    fn unified_case(threads: usize, chunk_size: usize) -> (TouchTree, Dataset, JoinPlan) {
+        let a = lattice(4, 2.0, 1.0, 0.0);
+        let b = lattice(7, 1.1, 0.5, 0.3);
+        let plan = JoinPlan::from_touch_config(&TouchConfig::default(), &a, &b)
+            .with_strategy(crate::ExecutionStrategy::Parallel { threads })
+            .with_execution(chunk_size, 8);
+        assert!(plan.build_on_a);
+        (TouchTree::build(a.objects(), 8, 2), b, plan)
+    }
+
+    /// Phases 2 and 3 of `case` into a fresh store, under `ctl`.
+    fn run_unified(
+        (tree, b, plan): &(TouchTree, Dataset, JoinPlan),
+        sink: &mut dyn PairSink,
+        ctl: ExecControl<'_>,
+    ) -> (AssignmentBuffer, Counters, Option<CancelCause>) {
+        let (mut store, mut counters, mut timer) =
+            (AssignmentBuffer::new(), Counters::new(), PhaseTimer::new());
+        let mut pool = ScratchPool::new();
+        let probe = b.objects();
+        let (_, cause) = assign_and_join(
+            tree,
+            &mut store,
+            probe,
+            plan,
+            Shape::Pair,
+            sink,
+            &mut pool,
+            &mut counters,
+            &mut timer,
+            ctl,
+        )
+        .unwrap();
+        (store, counters, cause)
+    }
+
+    #[test]
+    fn assignment_records_one_span_per_chunk_at_every_width() {
+        let (n, chunk_size) = (343, 50);
+        let reference =
+            run_unified(&unified_case(1, n), &mut CollectingSink::new(), ExecControl::infallible());
+        for threads in [1, 2] {
+            let case = unified_case(threads, chunk_size);
+            assert_eq!(case.1.len(), n);
+            let trace = touch_metrics::ExecTrace::new();
+            let mut sink = CollectingSink::new();
+            let (_, counters, cause) =
+                run_unified(&case, &mut sink, ExecControl::with_trace(&trace));
+            assert!(cause.is_none());
+            assert_eq!(counters, reference.1, "threads = {threads}");
+            let mut chunks: Vec<(usize, usize)> = (trace.events().into_iter())
+                .filter_map(|e| match e {
+                    TraceEvent::AssignChunk { chunk, objects, .. } => Some((chunk, objects)),
+                    _ => None,
+                })
+                .collect();
+            chunks.sort_unstable();
+            let indices: Vec<usize> = chunks.iter().map(|&(chunk, _)| chunk).collect();
+            assert_eq!(
+                indices,
+                (0..n.div_ceil(chunk_size)).collect::<Vec<_>>(),
+                "threads = {threads}"
+            );
+            let objects: usize = chunks.iter().map(|&(_, objects)| objects).sum();
+            assert_eq!(objects, n, "threads = {threads}");
+        }
+    }
+
+    /// A recording trace sink that trips `token` on the first assignment chunk.
+    struct CancelOnChunk<'a> {
+        token: &'a crate::CancelToken,
+        events: std::sync::Mutex<Vec<TraceEvent>>,
+    }
+
+    impl touch_metrics::TraceSink for CancelOnChunk<'_> {
+        fn is_enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, event: TraceEvent) {
+            if matches!(event, TraceEvent::AssignChunk { .. }) {
+                self.token.cancel();
+            }
+            self.events.lock().unwrap().push(event);
+        }
+    }
+
+    #[test]
+    fn one_worker_cancels_between_assignment_chunks() {
+        let chunk_size = 50;
+        let case = unified_case(1, chunk_size);
+        let token = crate::CancelToken::new();
+        let trace = CancelOnChunk { token: &token, events: Default::default() };
+        let mut sink = CollectingSink::new();
+        let (store, counters, cause) =
+            run_unified(&case, &mut sink, ExecControl { cancel: &token, trace: &trace });
+        assert_eq!(cause, Some(CancelCause::Cancelled));
+
+        // The store holds exactly the first chunk's placements.
+        let (tree, b, _) = &case;
+        let (mut expected, mut first_chunk) = (AssignmentBuffer::new(), Counters::new());
+        expected.assign(tree, &b.objects()[..chunk_size], &mut first_chunk);
+        assert_eq!(store.assigned_count(), expected.assigned_count());
+        for idx in tree.node_indices() {
+            assert_eq!(store.node_objects(idx), expected.node_objects(idx), "node {idx}");
+        }
+        assert_eq!(counters, first_chunk);
+
+        // No join ran.
+        assert!(sink.pairs().is_empty());
+        let events = trace.events.into_inner().unwrap();
+        let chunks = events.iter().filter(|e| matches!(e, TraceEvent::AssignChunk { .. })).count();
+        assert_eq!(chunks, 1);
+        assert!(events.iter().all(|e| !matches!(
+            e,
+            TraceEvent::NodeJoin { .. } | TraceEvent::Phase { phase: Phase::Join, .. }
+        )));
+    }
+
+    /// A first-k sink that takes no pair: one worker joins the nodes up to the
+    /// first one with a hit and stops after it. The counters are pinned to
+    /// their values from before the one-worker join ran on the shared loop.
+    #[test]
+    fn one_worker_first_zero_join_keeps_its_counters() {
+        let a = lattice(4, 2.0, 1.0, 0.0);
+        // Probe boxes in the x-gaps between A's boxes, joined without a pair,
+        // and one box across the whole tree, which hits in the root.
+        let mut b = Dataset::new();
+        for x in 0..3 {
+            for y in 0..4 {
+                for z in 0..4 {
+                    let at = |i: i32, base: f64| base + 2.0 * f64::from(i);
+                    let min = Point3::new(at(x, 1.2), at(y, 0.2), at(z, 0.2));
+                    b.push_mbr(Aabb::new(min, min + Point3::splat(0.6)));
+                }
+            }
+        }
+        b.push_mbr(Aabb::new(Point3::splat(0.5), Point3::splat(6.5)));
+        let plan = JoinPlan::from_touch_config(&TouchConfig::default(), &a, &b);
+        let case = (TouchTree::build(a.objects(), 8, 2), b, plan.with_execution(4, 8));
+        let trace = touch_metrics::ExecTrace::new();
+        let mut sink = FirstKSink::new(0);
+        let (_, counters, cause) = run_unified(&case, &mut sink, ExecControl::with_trace(&trace));
+        assert!(cause.is_none());
+        assert_eq!(sink.count(), 0);
+        let nodes =
+            (trace.events().iter()).filter(|e| matches!(e, TraceEvent::NodeJoin { .. })).count();
+        assert_eq!(nodes, 9, "the nodes without a hit, then the first one with one");
+        let expected = Counters {
+            comparisons: 257,
+            node_tests: 226,
+            results: 0,
+            filtered: 16,
+            duplicates_suppressed: 0,
+            replicas: 26,
+            batch_lanes: 257,
+            batch_hits: 1,
+        };
+        assert_eq!(counters, expected);
     }
 }

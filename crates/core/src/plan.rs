@@ -122,7 +122,9 @@ pub struct JoinPlan {
     /// The per-node local-join parameterisation (grid kind, cells per dimension,
     /// resolved minimum cell size, all-pairs cutoff).
     pub params: LocalJoinParams,
-    /// Probe objects per parallel-assignment work unit.
+    /// Probe objects per assignment work unit, at every width: the unit a
+    /// worker claims, the cancel token is polled before and an
+    /// `AssignChunk` span covers.
     pub chunk_size: usize,
     /// Inputs of at most this many objects are STR-sorted on one thread at
     /// build; larger ones spread the sort's slabs over the workers.
@@ -275,7 +277,7 @@ pub struct JoinPlanner {
     /// engine stops at exactly the k-th pair, while parallel workers overshoot
     /// by design. Default: 1 024.
     pub early_stop_limit: u64,
-    /// Probe objects per parallel-assignment work unit. Default: 4 096.
+    /// Probe objects per assignment work unit. Default: 4 096.
     pub chunk_size: usize,
     /// Inputs of at most this many objects are STR-sorted on one thread; larger
     /// ones spread the sort's slabs over the workers. Default: 8 192.

@@ -10,39 +10,6 @@ use serde::{Deserialize, Serialize};
 use touch_geom::Dataset;
 use touch_metrics::{MemoryUsage, RunReport};
 
-/// Local-join strategy of the join phase (Section 5.2.2 and the ablation study).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LocalJoinStrategy {
-    /// The paper's Algorithm 4: per-node uniform grid with reference-point
-    /// de-duplication (default).
-    Grid,
-    /// Plane-sweep over the node's A and B objects.
-    PlaneSweep,
-    /// Exhaustive pairwise comparison.
-    AllPairs,
-}
-
-impl LocalJoinStrategy {
-    /// The tree-level join kind this strategy selects (what the join phase
-    /// passes to [`crate::TouchTree::local_join_node`]).
-    pub fn kind(self) -> LocalJoinKind {
-        match self {
-            LocalJoinStrategy::Grid => LocalJoinKind::Grid,
-            LocalJoinStrategy::PlaneSweep => LocalJoinKind::PlaneSweep,
-            LocalJoinStrategy::AllPairs => LocalJoinKind::AllPairs,
-        }
-    }
-
-    /// Stable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            LocalJoinStrategy::Grid => "grid",
-            LocalJoinStrategy::PlaneSweep => "plane-sweep",
-            LocalJoinStrategy::AllPairs => "all-pairs",
-        }
-    }
-}
-
 /// Which dataset the hierarchy is built on (Section 5.2.3, *Join Order*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JoinOrder {
@@ -74,7 +41,7 @@ pub struct TouchConfig {
     /// The local-join cell size is at least this multiple of the average object side.
     pub min_cell_factor: f64,
     /// Local-join strategy.
-    pub local_join: LocalJoinStrategy,
+    pub local_join: LocalJoinKind,
     /// Which dataset the hierarchy is built on.
     pub join_order: JoinOrder,
     /// Nodes whose subtree holds at most this many A-objects use an all-pairs scan
@@ -83,13 +50,6 @@ pub struct TouchConfig {
     /// are identical whether B is joined in one shot or streamed in epochs (see
     /// [`crate::LocalJoinParams`]).
     pub grid_allpairs_max_a: usize,
-    /// Per-node adaptive strategy selection for the grid local join. `None`
-    /// (default) keeps the single global `grid_allpairs_max_a` cutoff; the
-    /// planner fills this in from the probe dataset's statistics so each node
-    /// picks grid, all-pairs or plane-sweep from its own size and density (see
-    /// [`crate::AdaptiveParams`]). The decision uses only plan-time statistics,
-    /// never per-epoch B counts, preserving streaming decomposability.
-    pub adapt: Option<crate::AdaptiveParams>,
 }
 
 impl Default for TouchConfig {
@@ -99,10 +59,9 @@ impl Default for TouchConfig {
             fanout: 2,
             local_cells_per_dim: 500,
             min_cell_factor: 2.0,
-            local_join: LocalJoinStrategy::Grid,
+            local_join: LocalJoinKind::Grid,
             join_order: JoinOrder::SmallerAsTree,
             grid_allpairs_max_a: 8,
-            adapt: None,
         }
     }
 }
@@ -185,14 +144,16 @@ impl TouchConfig {
 
     /// The [`LocalJoinParams`](crate::LocalJoinParams) this configuration selects for
     /// the given minimum cell size — the single place the per-node join knobs are
-    /// assembled, shared by the one-shot and streaming execution paths.
+    /// assembled, shared by the one-shot and streaming execution paths. An
+    /// explicit configuration keeps the single global `grid_allpairs_max_a`
+    /// cutoff; only the planner sets [`crate::LocalJoinParams::adapt`].
     pub fn local_join_params(&self, min_cell_size: f64) -> crate::LocalJoinParams {
         crate::LocalJoinParams {
-            kind: self.local_join.kind(),
+            kind: self.local_join,
             cells_per_dim: self.local_cells_per_dim,
             min_cell_size,
             allpairs_max_a: self.grid_allpairs_max_a,
-            adapt: self.adapt,
+            adapt: None,
         }
     }
 }
@@ -391,7 +352,7 @@ mod tests {
         assert_eq!(c.partitions, 1024);
         assert_eq!(c.fanout, 2);
         assert_eq!(c.local_cells_per_dim, 500);
-        assert_eq!(c.local_join, LocalJoinStrategy::Grid);
+        assert_eq!(c.local_join, LocalJoinKind::Grid);
         assert_eq!(c.join_order, JoinOrder::SmallerAsTree);
         assert_eq!(c.grid_allpairs_max_a, 8);
         assert_eq!(TouchJoin::default().name(), "TOUCH");
@@ -425,9 +386,7 @@ mod tests {
         let a = lattice(4, 1.2, 1.0, 0.0);
         let b = lattice(5, 1.0, 0.7, 0.2);
         let expected = brute_pairs(&a, &b);
-        for strategy in
-            [LocalJoinStrategy::Grid, LocalJoinStrategy::PlaneSweep, LocalJoinStrategy::AllPairs]
-        {
+        for strategy in [LocalJoinKind::Grid, LocalJoinKind::PlaneSweep, LocalJoinKind::AllPairs] {
             let algo =
                 TouchJoin::new(TouchConfig { local_join: strategy, ..TouchConfig::default() });
             let (pairs, _) = collect_join(&algo, &a, &b);

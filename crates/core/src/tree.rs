@@ -13,14 +13,17 @@
 use crate::assignment::AssignmentBuffer;
 use crate::kernels;
 use crate::scratch::LocalJoinScratch;
+use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use touch_geom::{Aabb, ObjectId, SpatialObject};
 use touch_index::{str_sort, UniformGrid};
 use touch_metrics::{vec_bytes, Counters, MemoryUsage, TraceEvent, TraceSink};
 
 /// Strategy used by the join phase to join one node's B-objects against the
-/// A-objects of its descendant leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A-objects of its descendant leaves (Section 5.2.2 and the ablation study):
+/// what [`crate::TouchConfig::local_join`] selects and what every node's
+/// [`LocalJoinParams::effective_kind`] resolves to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LocalJoinKind {
     /// Algorithm 4 of the paper: a uniform grid over the node's extent with multiple
     /// assignment of the B-objects and reference-point de-duplication.
@@ -34,7 +37,8 @@ pub enum LocalJoinKind {
 }
 
 impl LocalJoinKind {
-    /// Stable lowercase name, used by the trace layer to label per-node spans.
+    /// Stable lowercase name, used in reports and by the trace layer to label
+    /// per-node spans.
     pub fn name(self) -> &'static str {
         match self {
             LocalJoinKind::Grid => "grid",
@@ -89,53 +93,44 @@ pub struct LocalJoinParams {
 ///
 /// The rules, in order:
 /// 1. `a_count ≤ allpairs_max_a` → all-pairs (the legacy floor, unchanged);
-/// 2. `a_count × expected_b ≤ allpairs_max_work` → all-pairs: the node is too
-///    small for any candidate pruning to beat a raw batched scan;
-/// 3. node mean side `< sweep_min_side_cells × min_cell_size` → plane-sweep:
-///    the grid would degenerate to a handful of cells, replicating heavily
-///    while pruning little — sorting once beats building it;
+/// 2. `a_count × expected_b ≤` [`AdaptiveParams::DEFAULT_ALLPAIRS_MAX_WORK`]
+///    → all-pairs: the node is too small for any candidate pruning to beat a
+///    raw batched scan;
+/// 3. node mean side `<` [`AdaptiveParams::DEFAULT_SWEEP_MIN_SIDE_CELLS`]
+///    `× min_cell_size` → plane-sweep: the grid would degenerate to a handful
+///    of cells, replicating heavily while pruning little — sorting once beats
+///    building it;
 /// 4. otherwise → grid (Algorithm 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveParams {
     /// Global density of the probe (B) dataset: objects per unit volume of its
     /// bounding MBR, from [`DatasetStats::density`](crate::DatasetStats::density).
     pub b_density: f64,
-    /// Rule 2 threshold on `a_count × expected_b`. Default:
-    /// [`AdaptiveParams::DEFAULT_ALLPAIRS_MAX_WORK`].
-    pub allpairs_max_work: f64,
-    /// Rule 3 threshold on the node's mean side, in units of the grid cell
-    /// floor. Default: [`AdaptiveParams::DEFAULT_SWEEP_MIN_SIDE_CELLS`].
-    pub sweep_min_side_cells: f64,
 }
 
 impl AdaptiveParams {
-    /// Default all-pairs work ceiling: an `a_count × expected_b` at or below
+    /// Rule 2's all-pairs work ceiling: an `a_count × expected_b` at or below
     /// this is cheaper to scan than to index (≈ one L2 of candidate tests).
     pub const DEFAULT_ALLPAIRS_MAX_WORK: f64 = 4096.0;
-    /// Default sweep threshold: a node whose mean side spans fewer than this
+    /// Rule 3's sweep threshold: a node whose mean side spans fewer than this
     /// many minimum-size cells gets a degenerate grid, so it sweeps instead.
     pub const DEFAULT_SWEEP_MIN_SIDE_CELLS: f64 = 4.0;
 
-    /// Adaptive parameters with the default thresholds for a probe dataset of
-    /// the given global density.
+    /// Adaptive parameters for a probe dataset of the given global density.
     pub fn with_density(b_density: f64) -> Self {
-        AdaptiveParams {
-            b_density,
-            allpairs_max_work: Self::DEFAULT_ALLPAIRS_MAX_WORK,
-            sweep_min_side_cells: Self::DEFAULT_SWEEP_MIN_SIDE_CELLS,
-        }
+        AdaptiveParams { b_density }
     }
 
     /// Rules 2–4 (rule 1 lives in [`LocalJoinParams::effective_kind`], which is
     /// the only caller).
     fn pick(&self, a_count: usize, node_mbr: &Aabb, min_cell_size: f64) -> LocalJoinKind {
         let expected_b = self.b_density * node_mbr.volume();
-        if (a_count as f64) * expected_b <= self.allpairs_max_work {
+        if (a_count as f64) * expected_b <= Self::DEFAULT_ALLPAIRS_MAX_WORK {
             return LocalJoinKind::AllPairs;
         }
         let extent = node_mbr.extent();
         let mean_side = (extent.x + extent.y + extent.z) / 3.0;
-        if mean_side < self.sweep_min_side_cells * min_cell_size {
+        if mean_side < Self::DEFAULT_SWEEP_MIN_SIDE_CELLS * min_cell_size {
             return LocalJoinKind::PlaneSweep;
         }
         LocalJoinKind::Grid

@@ -11,7 +11,7 @@
 //! * the **number of partitions** (leaf buckets) the hierarchy is built from.
 
 use crate::{workload, Context, ExperimentTable, Row};
-use touch_core::{CountingSink, JoinOrder, JoinQuery, LocalJoinStrategy, TouchConfig, TouchJoin};
+use touch_core::{CountingSink, JoinOrder, JoinQuery, LocalJoinKind, TouchConfig, TouchJoin};
 use touch_datagen::SyntheticDistribution;
 
 const PAPER_A: usize = 1_600_000;
@@ -35,9 +35,7 @@ pub fn run(ctx: &Context) -> ExperimentTable {
     };
 
     // Local-join strategy.
-    for strategy in
-        [LocalJoinStrategy::Grid, LocalJoinStrategy::PlaneSweep, LocalJoinStrategy::AllPairs]
-    {
+    for strategy in [LocalJoinKind::Grid, LocalJoinKind::PlaneSweep, LocalJoinKind::AllPairs] {
         run_config(
             ("local_join", strategy.name().to_string()),
             TouchConfig { local_join: strategy, ..TouchConfig::default() },

@@ -26,13 +26,7 @@ fn main() {
         };
         args.drain(pos..pos + 2);
     }
-    let ctx = match touch_experiments::Context::from_args(args.into_iter()) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let ctx = touch_experiments::Context::from_args_or_exit(args.into_iter());
     for dist in dists {
         touch_experiments::figure9_11::run(&ctx, dist).finish(&ctx);
     }

@@ -2,13 +2,7 @@
 //! `cargo run -p touch-experiments --release --bin run_all -- [--scale 0.01] [--out results]`
 
 fn main() {
-    let ctx = match touch_experiments::Context::from_args(std::env::args().skip(1)) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let ctx = touch_experiments::Context::from_args_or_exit(std::env::args().skip(1));
     let started = std::time::Instant::now();
     for table in touch_experiments::run_all(&ctx) {
         table.finish(&ctx);

@@ -3,12 +3,6 @@
 //! `cargo run -p touch-experiments --release --bin scaling -- [--scale 0.01] [--out results]`
 
 fn main() {
-    let ctx = match touch_experiments::Context::from_args(std::env::args().skip(1)) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let ctx = touch_experiments::Context::from_args_or_exit(std::env::args().skip(1));
     touch_experiments::scaling::run(&ctx).finish(&ctx);
 }

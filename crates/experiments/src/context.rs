@@ -108,6 +108,15 @@ impl Context {
         }
         Ok(ctx)
     }
+
+    /// [`Context::from_args`] for an experiment binary's `main`: on a bad
+    /// argument it prints the one-line error to stderr and exits with status 2.
+    pub fn from_args_or_exit(args: impl Iterator<Item = String>) -> Self {
+        Self::from_args(args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
 }
 
 impl Default for Context {

@@ -102,6 +102,9 @@ pub struct RunReport {
     /// Phase timing breakdown.
     pub timer: PhaseTimer,
     /// Analytic memory footprint of the algorithm's auxiliary structures, in bytes.
+    /// For a TOUCH join at width > 1 the join phase's share is the sum of each
+    /// worker's scratch high-water mark, and which worker joins which node
+    /// depends on work stealing, so this figure depends on the schedule.
     pub memory_bytes: usize,
     /// Number of worker threads the join ran with (1 for every sequential
     /// algorithm; `touch-parallel` reports its resolved thread count).

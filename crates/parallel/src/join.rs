@@ -6,7 +6,7 @@
 mod tests {
     use touch_core::phases::resolve_threads;
     use touch_core::{
-        collect_join, CountingSink, JoinOrder, JoinPlan, JoinQuery, LocalJoinStrategy,
+        collect_join, CountingSink, JoinOrder, JoinPlan, JoinQuery, LocalJoinKind,
         SpatialJoinAlgorithm, TouchConfig, TouchJoin,
     };
     use touch_geom::{Aabb, Dataset, Point3};
@@ -73,9 +73,7 @@ mod tests {
         let a = lattice(4, 1.2, 1.0, 0.0);
         let b = lattice(5, 1.0, 0.7, 0.2);
         let expected = brute_pairs(&a, &b);
-        for strategy in
-            [LocalJoinStrategy::Grid, LocalJoinStrategy::PlaneSweep, LocalJoinStrategy::AllPairs]
-        {
+        for strategy in [LocalJoinKind::Grid, LocalJoinKind::PlaneSweep, LocalJoinKind::AllPairs] {
             let config = TouchConfig { local_join: strategy, ..TouchConfig::default() };
             for threads in WIDTHS {
                 let (pairs, _) = collect_join(&busy(config, threads, &a, &b), &a, &b);

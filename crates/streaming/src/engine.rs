@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use touch_core::phases::{assign_and_join, build_tree, resolve_threads};
 use touch_core::{
-    catch_phase, DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv,
-    ScratchPool, Shape, SpatialJoinAlgorithm, TouchConfig, TouchTree,
+    DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv, ScratchPool,
+    Shape, SpatialJoinAlgorithm, TouchConfig, TouchTree,
 };
 use touch_geom::{Dataset, SpatialObject};
 use touch_metrics::{Counters, MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
@@ -33,7 +33,7 @@ pub struct StreamingConfig {
     /// the work-stealing path of the phase blocks ([`touch_core::phases`]) at that
     /// width.
     pub threads: usize,
-    /// Probe objects per parallel-assignment work unit (as in
+    /// Probe objects per assignment work unit (as in
     /// [`JoinPlan::chunk_size`]).
     pub chunk_size: usize,
     /// Inputs of at most this many objects are STR-sorted on one thread at build
@@ -125,14 +125,8 @@ impl StreamingTouchJoin {
     /// `threads > 1`, bit-identical to the sequential sort). This is the
     /// amortised cost: every epoch of every stream reuses the tree.
     pub fn build(a: &Dataset, config: StreamingConfig) -> Self {
-        let plan = JoinPlan::from_streaming_tree(
-            &config.touch,
-            a,
-            config.effective_threads(),
-            config.chunk_size,
-            config.sort_threshold,
-        );
-        Self::build_inner(a, config, plan, None)
+        Self::build_inner(a, config, config_plan(&config, a), None, &NoTrace)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds the persistent hierarchy with **statistics-driven planning**: the
@@ -157,28 +151,30 @@ impl StreamingTouchJoin {
             .plan_streaming(&tree_stats, &DatasetStats::new(), &env)
             .with_execution(config.chunk_size, config.sort_threshold)
             .with_strategy(touch_core::ExecutionStrategy::Streaming { threads });
-        let mut engine = Self::build_inner(a, config, plan, Some(planner));
+        let mut engine = Self::build_inner(a, config, plan, Some(planner), &NoTrace)
+            .unwrap_or_else(|e| panic!("{e}"));
         engine.tree_stats = tree_stats;
         engine
     }
 
+    /// The one build: [`build_tree`] over `a` at `plan`, its Build span on
+    /// `trace`. A panic in the build returns [`JoinError::WorkerPanicked`].
     fn build_inner(
         a: &Dataset,
         config: StreamingConfig,
         plan: JoinPlan,
         planner: Option<JoinPlanner>,
-    ) -> Self {
+        trace: &dyn TraceSink,
+    ) -> Result<Self, JoinError> {
         let threads = config.effective_threads();
         let mut base = RunReport::new(format!("TOUCH-S{threads}"), a.len(), 0);
         base.threads = threads;
         base.epochs = 0;
         base.plan = Some(plan.summary());
-        let (tree, sort_aux) =
-            build_tree(a.objects(), Vec::new(), &plan, &mut base.timer, &NoTrace)
-                .unwrap_or_else(|e| panic!("{e}"));
+        let (tree, sort_aux) = build_tree(a.objects(), Vec::new(), &plan, &mut base.timer, trace)?;
         base.memory_bytes = tree.memory_bytes() + sort_aux;
         let cumulative = base.clone();
-        StreamingTouchJoin {
+        Ok(StreamingTouchJoin {
             config,
             threads,
             tree,
@@ -193,7 +189,7 @@ impl StreamingTouchJoin {
             scratch: ScratchPool::new(),
             window_records: VecDeque::new(),
             window_len: Vec::new(),
-        }
+        })
     }
 
     /// Builds a persistent **distance-join** tree: dataset `a` is ε-extended once,
@@ -219,10 +215,10 @@ impl StreamingTouchJoin {
     /// previous epoch's assignments, assigns `batch` (Algorithm 3), runs the local
     /// joins (Algorithm 4) into `sink`, and returns this epoch's [`EpochReport`].
     ///
-    /// Both phases run through [`touch_core::phases::assign_and_join`], which
-    /// joins in-thread at `threads == 1` and on the work-stealing machinery
-    /// otherwise. The two paths are deterministically equivalent — same pairs,
-    /// same counters, at every width. `sink` is any [`PairSink`]; an
+    /// Both phases run through [`touch_core::phases::assign_and_join`], whose
+    /// one loop runs in the calling thread at `threads == 1` and on
+    /// work-stealing workers otherwise, with the same pairs and counters at
+    /// every width. `sink` is any [`PairSink`]; an
     /// early-terminating sink ([`PairSink::is_done`]) stops the epoch's local
     /// joins.
     ///
@@ -599,6 +595,12 @@ impl StreamingTouchJoin {
     }
 }
 
+/// The plan of an explicitly configured engine over tree dataset `a`.
+fn config_plan(config: &StreamingConfig, a: &Dataset) -> JoinPlan {
+    let (threads, chunk_size) = (config.effective_threads(), config.chunk_size);
+    JoinPlan::from_streaming_tree(&config.touch, a, threads, chunk_size, config.sort_threshold)
+}
+
 /// The streaming engine exposed as a one-shot [`SpatialJoinAlgorithm`]: builds the
 /// persistent tree over A and pushes the whole of B as a single epoch.
 ///
@@ -631,18 +633,13 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
     }
 
     fn plan_for(&self, a: &Dataset, _b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
-        Some(JoinPlan::from_streaming_tree(
-            &self.config.touch,
-            a,
-            self.config.effective_threads(),
-            self.config.chunk_size,
-            self.config.sort_threshold,
-        ))
+        Some(config_plan(&self.config, a))
     }
 
-    /// The one-shot run: build under panic containment, push the whole probe
-    /// side as a single cancellable epoch, and fold the engine's cumulative
-    /// record (and the epoch's completion) into the run report.
+    /// The one-shot run: build under `ctl` (its trace records the Build span,
+    /// and a panic in the build is contained), push the whole probe side as a
+    /// single cancellable epoch, and fold the engine's cumulative record (and
+    /// the epoch's completion) into the run report.
     fn try_join(
         &self,
         a: &Dataset,
@@ -656,8 +653,8 @@ impl SpatialJoinAlgorithm for OneShotStreaming {
             report.completion = cause.completion();
             return Ok(());
         }
-        let mut engine =
-            catch_phase(Phase::Build, 0, || StreamingTouchJoin::build(a, self.config))?;
+        let plan = config_plan(&self.config, a);
+        let mut engine = StreamingTouchJoin::build_inner(a, self.config, plan, None, ctl.trace)?;
         let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, shape, None)?;
         report.completion = epoch.completion;
         let cumulative = engine.cumulative_report();
@@ -946,6 +943,30 @@ mod tests {
             assert_eq!(report.epochs, 1);
             assert_eq!(report.threads, threads);
             assert!(report.memory_bytes > 0);
+        }
+    }
+
+    #[test]
+    fn traced_one_shot_runs_record_build_assignment_and_join() {
+        let (a, b) = workloads();
+        let (expected_pairs, expected) = collect_join(&TouchJoin::new(touch_cfg()), &a, &b);
+        for threads in [1, 3] {
+            let trace = touch_metrics::ExecTrace::new();
+            let mut sink = CollectingSink::new();
+            let report = JoinQuery::new(&a, &b)
+                .engine(OneShotStreaming::new(streaming_cfg(threads)))
+                .trace(&trace)
+                .run(&mut sink);
+            assert_eq!(sink.sorted_pairs(), expected_pairs, "threads = {threads}");
+            assert_eq!(report.counters, expected.counters, "threads = {threads}");
+            let phases: Vec<Phase> = (trace.events().into_iter())
+                .filter_map(|e| match e {
+                    TraceEvent::Phase { phase, .. } => Some(phase),
+                    _ => None,
+                })
+                .collect();
+            let expected_phases = [Phase::Build, Phase::Assignment, Phase::Join];
+            assert_eq!(phases, expected_phases, "threads = {threads}");
         }
     }
 

@@ -140,9 +140,9 @@ pub use touch_core::{
     collect_join, count_join, distance_join, AdaptiveParams, AssignmentBuffer, AutoEngine,
     CallbackSink, CancelCause, CancelToken, CollectingSink, CountingSink, DatasetStats,
     ExecControl, ExecutionStrategy, FirstKSink, IntoEngine, JoinError, JoinOrder, JoinPlan,
-    JoinPlanner, JoinQuery, LocalJoinParams, LocalJoinScratch, LocalJoinStrategy, PairSink,
-    PlanEnv, Predicate, ScratchPool, Shape, ShardedSink, SinkShard, SpatialJoinAlgorithm,
-    TouchConfig, TouchJoin, TouchTree,
+    JoinPlanner, JoinQuery, LocalJoinKind, LocalJoinParams, LocalJoinScratch, PairSink, PlanEnv,
+    Predicate, ScratchPool, Shape, ShardedSink, SinkShard, SpatialJoinAlgorithm, TouchConfig,
+    TouchJoin, TouchTree,
 };
 pub use touch_datagen::{
     MovingObjectsSpec, NeuroscienceSpec, SyntheticDistribution, SyntheticSpec, VelocityDistribution,

@@ -76,22 +76,21 @@ fn seeded_fault_matrix_returns_errors_without_aborting() {
     let mut cases = 0u64;
     for threads in [1usize, 2, 4, 8] {
         // Per engine, the seams whose hooks run inside its catch regions: the
-        // one-shot executor, at one worker or several, wraps all three phase
-        // boundaries and its worker loops; the streaming engine builds its tree
-        // untraced, and wraps its assignment and join boundaries and their
-        // worker loops.
-        let one_shot =
+        // one-shot executor and the streaming engine, at one worker or
+        // several, both run their phases through the same two entries, which
+        // wrap all three phase boundaries and the worker loops.
+        let seams =
             vec![Seam::Build, Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin];
         let combos: Vec<(&str, Box<dyn SpatialJoinAlgorithm>, Vec<Seam>)> = vec![
-            ("touch", Box::new(TouchJoin::default()), one_shot.clone()),
-            ("parallel", Box::new(TouchJoin::default().with_threads(threads)), one_shot),
+            ("touch", Box::new(TouchJoin::default()), seams.clone()),
+            ("parallel", Box::new(TouchJoin::default().with_threads(threads)), seams.clone()),
             (
                 "streaming",
                 Box::new(OneShotStreaming::new(StreamingConfig {
                     threads,
                     ..StreamingConfig::default()
                 })),
-                vec![Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin],
+                seams,
             ),
         ];
         for (name, algo, seams) in combos {

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use touch::baselines::{IndexedNestedLoopJoin, PbsmJoin, PlaneSweepJoin, RTreeSyncJoin, S3Join};
 use touch::{
-    Aabb, CollectingSink, Dataset, JoinOrder, JoinQuery, LocalJoinStrategy, NestedLoopJoin, Point3,
+    Aabb, CollectingSink, Dataset, JoinOrder, JoinQuery, LocalJoinKind, NestedLoopJoin, Point3,
     SpatialJoinAlgorithm, TouchConfig, TouchJoin,
 };
 
@@ -59,7 +59,7 @@ proptest! {
         partitions in 1usize..64,
     ) {
         let expected = ground_truth(&a, &b, eps);
-        for strategy in [LocalJoinStrategy::Grid, LocalJoinStrategy::PlaneSweep] {
+        for strategy in [LocalJoinKind::Grid, LocalJoinKind::PlaneSweep] {
             for order in [JoinOrder::SmallerAsTree, JoinOrder::TreeOnB] {
                 let config = TouchConfig {
                     partitions,

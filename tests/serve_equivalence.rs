@@ -13,7 +13,7 @@
 
 use touch::{
     collect_join, Aabb, BoundedSink, CollectingSink, Counters, Dataset, ExecControl, ExecTrace,
-    JoinOrder, JoinServer, LocalJoinStrategy, Point3, RunReport, ServeConfig, SpatialObject,
+    JoinOrder, JoinServer, LocalJoinKind, Point3, RunReport, ServeConfig, SpatialObject,
     TouchConfig, TouchJoin, TraceEvent, TraceSink,
 };
 
@@ -341,7 +341,7 @@ fn query_memory_counts_the_readers_assignment() {
     use touch::metrics::MemoryUsage;
     let a = lattice(5, 1.5, 1.0, 0.0);
     let b = lattice(5, 1.5, 1.0, 0.2);
-    let touch = TouchConfig { local_join: LocalJoinStrategy::AllPairs, ..touch_cfg() };
+    let touch = TouchConfig { local_join: LocalJoinKind::AllPairs, ..touch_cfg() };
     let server = JoinServer::new(&a, ServeConfig { touch, ..serve_cfg(None) });
     let mut reader = server.reader();
     let report = reader.query(b.objects(), &mut CollectingSink::new());
