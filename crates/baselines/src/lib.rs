@@ -44,6 +44,7 @@ pub use s3::S3Join;
 pub use seeded_tree::SeededTreeJoin;
 
 use touch_core::{SpatialJoinAlgorithm, TouchJoin};
+use touch_geom::{Aabb, Dataset};
 
 /// The full algorithm suite of the paper's small-dataset experiment (Figure 8):
 /// NL, PS, PBSM-500, PBSM-100, S3, INL, RTree and TOUCH, each in its paper
@@ -72,6 +73,15 @@ pub fn large_scale_suite() -> Vec<Box<dyn SpatialJoinAlgorithm>> {
         Box::new(RTreeSyncJoin::paper_default()),
         Box::new(TouchJoin::default()),
     ]
+}
+
+/// The extent the space-oriented baselines partition: the union of both
+/// datasets' extents, or `None` when either side is empty (nothing can join).
+pub(crate) fn join_extent(a: &Dataset, b: &Dataset) -> Option<Aabb> {
+    match (a.extent(), b.extent()) {
+        (Some(ea), Some(eb)) => Some(ea.union(&eb)),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //! magnitude more memory than everything else) and PBSM-100 (100 cells per
 //! dimension — less memory, more comparisons).
 
+use crate::join_extent;
 use touch_core::{
     deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
 };
-use touch_geom::{Aabb, Dataset};
+use touch_geom::Dataset;
 use touch_index::{MultiAssignGrid, UniformGrid};
 use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
 
@@ -24,7 +25,6 @@ use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
 pub struct PbsmJoin {
     cells_per_dim: usize,
     label: &'static str,
-    threads: usize,
 }
 
 impl PbsmJoin {
@@ -34,43 +34,29 @@ impl PbsmJoin {
     /// Panics if `cells_per_dim` is zero.
     pub fn new(cells_per_dim: usize) -> Self {
         assert!(cells_per_dim > 0, "cells_per_dim must be positive");
-        PbsmJoin { cells_per_dim, label: "PBSM", threads: 1 }
+        PbsmJoin { cells_per_dim, label: "PBSM" }
     }
 
     /// The paper's fast, memory-hungry configuration: 500 cells per dimension.
     pub fn pbsm_500() -> Self {
-        PbsmJoin { cells_per_dim: 500, label: "PBSM-500", threads: 1 }
+        PbsmJoin { cells_per_dim: 500, label: "PBSM-500" }
     }
 
     /// The paper's compact configuration: 100 cells per dimension.
     pub fn pbsm_100() -> Self {
-        PbsmJoin { cells_per_dim: 100, label: "PBSM-100", threads: 1 }
+        PbsmJoin { cells_per_dim: 100, label: "PBSM-100" }
     }
 
     /// A PBSM with an explicit resolution and report label (used by the experiment
     /// harness when scaling the paper's resolutions to smaller workloads).
     pub fn with_label(cells_per_dim: usize, label: &'static str) -> Self {
         assert!(cells_per_dim > 0, "cells_per_dim must be positive");
-        PbsmJoin { cells_per_dim, label, threads: 1 }
-    }
-
-    /// This PBSM building its two partition grids with `threads` workers
-    /// ([`MultiAssignGrid::build_parallel`]). Pairs, emission order and every
-    /// counter — including replicas — are identical at any width; only the
-    /// build and assignment phase wall-clock changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        PbsmJoin { cells_per_dim, label }
     }
 
     /// Grid resolution (cells per dimension).
     pub fn cells_per_dim(&self) -> usize {
         self.cells_per_dim
-    }
-
-    /// Partition-build worker count (1 = the sequential build).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -99,12 +85,10 @@ impl SpatialJoinAlgorithm for PbsmJoin {
 
             // Partition dataset A (build) and dataset B (assignment), replicating each
             // object into every cell it overlaps.
-            let grid_a = report.timer.time(Phase::Build, || {
-                MultiAssignGrid::build_parallel(grid, a.objects(), self.threads)
-            });
-            let grid_b = report.timer.time(Phase::Assignment, || {
-                MultiAssignGrid::build_parallel(grid, b.objects(), self.threads)
-            });
+            let grid_a =
+                report.timer.time(Phase::Build, || MultiAssignGrid::build(grid, a.objects()));
+            let grid_b =
+                report.timer.time(Phase::Assignment, || MultiAssignGrid::build(grid, b.objects()));
             counters.replicas += (grid_a.replicas() + grid_b.replicas()) as u64;
 
             // Join matching cells with a plane-sweep; suppress duplicates with the
@@ -157,19 +141,12 @@ impl SpatialJoinAlgorithm for PbsmJoin {
     }
 }
 
-fn join_extent(a: &Dataset, b: &Dataset) -> Option<Aabb> {
-    match (a.extent(), b.extent()) {
-        (Some(ea), Some(eb)) => Some(ea.union(&eb)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NestedLoopJoin;
     use touch_core::collect_join;
-    use touch_geom::Point3;
+    use touch_geom::{Aabb, Point3};
 
     fn sample(n: usize, seed: u64, spread: f64) -> Dataset {
         let mut state = seed;
@@ -215,21 +192,6 @@ mod tests {
             fine.counters.comparisons,
             coarse.counters.comparisons
         );
-    }
-
-    #[test]
-    fn threaded_partition_build_changes_nothing_observable() {
-        let a = sample(300, 7, 60.0);
-        let b = sample(250, 8, 60.0);
-        let (expected_pairs, expected) = collect_join(&PbsmJoin::new(12), &a, &b);
-        for threads in [2, 4, 8] {
-            let (pairs, report) = collect_join(&PbsmJoin::new(12).with_threads(threads), &a, &b);
-            assert_eq!(pairs, expected_pairs, "{threads} threads: pairs diverged");
-            assert_eq!(report.counters, expected.counters, "{threads} threads: counters diverged");
-            assert_eq!(report.memory_bytes, expected.memory_bytes);
-        }
-        assert_eq!(PbsmJoin::new(12).with_threads(4).threads(), 4);
-        assert_eq!(PbsmJoin::new(12).threads(), 1);
     }
 
     #[test]

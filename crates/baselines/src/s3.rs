@@ -14,10 +14,11 @@
 //! they are compared against nearly everything — the behaviour the paper's Figures
 //! 9–11 highlight and that TOUCH's data-oriented partitioning avoids.
 
+use crate::join_extent;
 use touch_core::{
     deliver, join_contained, kernels, ExecControl, JoinError, PairSink, Shape, SpatialJoinAlgorithm,
 };
-use touch_geom::{Aabb, Dataset, SpatialObject};
+use touch_geom::{Dataset, SpatialObject};
 use touch_index::{HierGridIndex, HierarchicalGrid, LevelCell};
 use touch_metrics::{vec_bytes, MemoryUsage, Phase, RunReport};
 
@@ -169,19 +170,12 @@ impl SpatialJoinAlgorithm for S3Join {
     }
 }
 
-fn join_extent(a: &Dataset, b: &Dataset) -> Option<Aabb> {
-    match (a.extent(), b.extent()) {
-        (Some(ea), Some(eb)) => Some(ea.union(&eb)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NestedLoopJoin;
     use touch_core::collect_join;
-    use touch_geom::Point3;
+    use touch_geom::{Aabb, Point3};
 
     fn sample(n: usize, seed: u64, spread: f64, max_side: f64) -> Dataset {
         let mut state = seed;

@@ -193,10 +193,7 @@ impl AssignmentBuffer {
     pub fn work_into(&self, tree: &TouchTree, work: &mut Vec<usize>) {
         work.clear();
         work.extend(
-            self.touched
-                .iter()
-                .map(|&idx| idx as usize)
-                .filter(|&idx| tree.node(idx).a_count() > 0),
+            self.touched.iter().map(|&idx| idx as usize).filter(|&idx| tree.a_count(idx) > 0),
         );
         work.sort_unstable();
     }

@@ -8,8 +8,11 @@
 //! TOUCH runs in three phases (Algorithm 1 of the paper):
 //!
 //! 1. **Tree building** ([`TouchTree::build`], Algorithm 2): dataset A is grouped
-//!    into `p` spatially coherent buckets with STR; the buckets become the leaves of
-//!    a hierarchy whose inner nodes are formed by grouping `fanout` nodes at a time.
+//!    into at most `p` spatially coherent buckets with STR, and touch-index's
+//!    [`PackedRTree`](touch_index::PackedRTree) packs them: the buckets become the
+//!    leaves, and each inner node groups `fanout` consecutive nodes of the level
+//!    below. [`TouchTree`] keeps that tree and adds each node's subtree A-range
+//!    and the assignment's B-lists.
 //! 2. **Assignment** ([`TouchTree::assign`], Algorithm 3): every object of dataset B
 //!    descends from the root and is stored at the lowest node whose MBR it overlaps
 //!    without overlapping a sibling; objects that overlap nothing are *filtered* —
@@ -113,4 +116,4 @@ pub use touch::{JoinOrder, TouchConfig, TouchJoin};
 pub use traits::{
     collect_join, count_join, distance_join, join_contained, Shape, SpatialJoinAlgorithm,
 };
-pub use tree::{AdaptiveParams, LocalJoinKind, LocalJoinParams, TouchNode, TouchTree};
+pub use tree::{AdaptiveParams, LocalJoinKind, LocalJoinParams, TouchTree};

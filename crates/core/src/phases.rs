@@ -473,7 +473,7 @@ fn par_join_into_ctl(
     }
 
     work.sort_by_key(|&idx| {
-        let cost = tree.node(idx).a_count() as u64 * store.node_objects(idx).len() as u64;
+        let cost = tree.a_count(idx) as u64 * store.node_objects(idx).len() as u64;
         std::cmp::Reverse(cost)
     });
     let queues = StealQueues::distribute(work.iter().copied(), workers);

@@ -2,13 +2,18 @@
 //! dataset B, and the per-node local joins.
 //!
 //! This module implements Algorithms 2 (tree building), 3 (assignment) and 4 (join
-//! phase) of the paper. The tree is stored as a flat arena of nodes built bottom-up:
-//! dataset A is STR-partitioned into `p` buckets which become the leaves, and each
-//! higher level groups `fanout` consecutive nodes (the leaves are already in STR tile
-//! order, so consecutive runs are spatially coherent — the in-memory analogue of the
-//! paper's per-level STR grouping). Because grouping is consecutive, the A-objects of
-//! any subtree form one contiguous range of the object array, which is what the join
-//! phase iterates.
+//! phase) of the paper. The tree is a [`PackedRTree`] over dataset A, which
+//! touch-index packs, plus what TOUCH adds to it. Dataset A is STR-sorted into
+//! buckets of ⌈n/p⌉ objects, which become the leaves: `p` partitions give
+//! ⌈n/⌈n/p⌉⌉ ≤ p leaves, for example 1,013 for 80,000 objects at 1,024 partitions.
+//! Each higher level groups `fanout` consecutive nodes (the leaves are already in
+//! STR tile order, so consecutive runs are spatially coherent — the in-memory
+//! analogue of the paper's per-level STR grouping).
+//!
+//! TOUCH adds three things: each node's subtree A-range (because grouping is
+//! consecutive, the A-objects of any subtree form one contiguous range of the object
+//! array, which is what the join phase iterates), the partition count, and the
+//! per-node B-lists of the assignment.
 
 use crate::assignment::AssignmentBuffer;
 use crate::kernels;
@@ -16,7 +21,7 @@ use crate::scratch::LocalJoinScratch;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use touch_geom::{Aabb, ObjectId, SpatialObject};
-use touch_index::{str_sort, UniformGrid};
+use touch_index::{str_sort, PackedRTree, RTreeNode, UniformGrid};
 use touch_metrics::{vec_bytes, Counters, MemoryUsage, TraceEvent, TraceSink};
 
 /// Strategy used by the join phase to join one node's B-objects against the
@@ -161,66 +166,21 @@ impl LocalJoinParams {
     }
 }
 
-/// One node of the TOUCH hierarchy.
-#[derive(Debug, Clone)]
-pub struct TouchNode {
-    /// MBR enclosing all A-objects below this node (leaf MBRs are the union of their
-    /// bucket, inner MBRs the union of their children — Algorithm 2).
-    pub mbr: Aabb,
-    /// Level of the node: 0 for leaves, increasing towards the root.
-    pub level: u32,
-    /// Child node indices (empty range for leaves).
-    children: Range<u32>,
-    /// Range into the tree's A-object array covered by this subtree.
-    a_range: Range<u32>,
-    is_leaf: bool,
-}
-
-impl TouchNode {
-    /// `true` if this node is a leaf (holds a bucket of A-objects).
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.is_leaf
-    }
-
-    /// Indices of the child nodes (empty for leaves).
-    #[inline]
-    pub fn child_indices(&self) -> Range<usize> {
-        self.children.start as usize..self.children.end as usize
-    }
-
-    /// Number of A-objects in this subtree.
-    #[inline]
-    pub fn a_count(&self) -> usize {
-        (self.a_range.end - self.a_range.start) as usize
-    }
-}
-
 /// The TOUCH support structure: a data-oriented hierarchy over dataset A whose inner
 /// (and, degenerately, leaf) nodes additionally hold the assigned objects of
 /// dataset B.
 #[derive(Debug, Clone)]
 pub struct TouchTree {
-    a_items: Vec<SpatialObject>,
-    nodes: Vec<TouchNode>,
-    /// Flat `[min; max]` cache of every node's MBR, indexed by node id. The
-    /// assignment descent tests a parent's children — contiguous ids — against the
-    /// probe object; scanning this 48-byte-stride array instead of hopping across
-    /// the much larger [`TouchNode`] structs keeps the hot loop inside one or two
-    /// cache lines per child run.
-    node_mbrs: Vec<Aabb>,
-    /// Node-index ranges per level, leaves first.
-    levels: Vec<Range<usize>>,
+    /// The STR hierarchy over A (Algorithm 2): the A-objects in tile order, one
+    /// leaf per bucket, and every node's MBR.
+    rtree: PackedRTree,
+    /// Each node's subtree A-range, indexed by node id: a leaf's own objects; an
+    /// inner node's run from its first child's start to its last child's end.
+    a_ranges: Vec<Range<u32>>,
     partitions: usize,
-    fanout: usize,
     /// The per-node B-lists of the current assignment (Algorithm 3): the same
     /// store a serving reader keeps outside a frozen tree.
     store: AssignmentBuffer,
-    /// `false` if any A-coordinate is NaN. Node MBRs drop NaN coordinates
-    /// (`f64::min`/`max` ignore them) while the grid maps NaN to cell 0, so
-    /// such a tree cannot bound its objects' cells by its nodes' cells and
-    /// [`TouchTree::probe_runs`] does not prune it.
-    nan_free: bool,
 }
 
 impl TouchTree {
@@ -239,7 +199,9 @@ impl TouchTree {
 
     /// Builds the hierarchy over dataset A (Algorithm 2).
     ///
-    /// * `partitions` — the number of STR buckets (leaves); the paper uses 1024.
+    /// * `partitions` — the number of STR buckets asked for; the paper uses 1024.
+    ///   Buckets hold [`TouchTree::leaf_capacity`] objects each, so the tree has
+    ///   ⌈n/⌈n/p⌉⌉ ≤ `partitions` leaves.
     /// * `fanout` — children per inner node; the paper uses 2.
     ///
     /// # Panics
@@ -247,10 +209,8 @@ impl TouchTree {
     pub fn build(a_objects: &[SpatialObject], partitions: usize, fanout: usize) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2"); // fail before the O(n log n) sort
         let mut a_items = a_objects.to_vec();
-        if !a_items.is_empty() {
-            let cap = Self::leaf_capacity(a_items.len(), partitions);
-            str_sort(&mut a_items, |o| o.mbr.center(), cap);
-        }
+        let cap = Self::leaf_capacity(a_items.len(), partitions);
+        str_sort(&mut a_items, |o| o.mbr.center(), cap);
         Self::from_tiled(a_items, partitions, fanout)
     }
 
@@ -262,6 +222,8 @@ impl TouchTree {
     /// the entry point for [`crate::phases::build_tree`], which runs the STR
     /// sort on one or more threads and then hands the tiled objects over;
     /// [`TouchTree::build`] is the single-threaded sort + this constructor.
+    /// [`PackedRTree::from_tiled`] packs the nodes, and this adds what TOUCH
+    /// keeps beside them.
     ///
     /// Correctness does not depend on *how good* the tiling is (any permutation
     /// yields a correct join — Theorem 1 only needs the leaves to partition A); the
@@ -270,85 +232,20 @@ impl TouchTree {
     ///
     /// # Panics
     /// Panics if `partitions` is zero or `fanout < 2`.
-    // Packing invariants, not fallible paths: every grouped range is non-empty
-    // by loop construction and `levels` is pushed before it is read.
-    #[allow(clippy::expect_used, clippy::unwrap_used)]
     pub fn from_tiled(a_items: Vec<SpatialObject>, partitions: usize, fanout: usize) -> Self {
-        assert!(partitions > 0, "partitions must be positive");
-        assert!(fanout >= 2, "fanout must be at least 2");
-        let mut nodes = Vec::new();
-        let mut levels = Vec::new();
-
-        if a_items.is_empty() {
-            return TouchTree {
-                a_items,
-                nodes,
-                node_mbrs: Vec::new(),
-                levels,
-                partitions,
-                fanout,
-                store: AssignmentBuffer::new(),
-                nan_free: true,
-            };
-        }
-
-        // Leaf level: one node per STR bucket.
         let leaf_capacity = Self::leaf_capacity(a_items.len(), partitions);
-        let mut nan_free = true;
-        let mut start = 0;
-        while start < a_items.len() {
-            let end = (start + leaf_capacity).min(a_items.len());
-            let mbr = Aabb::union_all(a_items[start..end].iter().map(|o| {
-                nan_free &= !o.mbr.has_nan();
-                o.mbr
-            }))
-            .expect("non-empty leaf bucket");
-            nodes.push(TouchNode {
-                mbr,
-                level: 0,
-                children: 0..0,
-                a_range: start as u32..end as u32,
-                is_leaf: true,
+        let rtree = PackedRTree::from_tiled(a_items, leaf_capacity, fanout);
+        // A node's children precede it, so their ranges are known when it is reached.
+        let mut a_ranges: Vec<Range<u32>> = Vec::with_capacity(rtree.node_count());
+        for node in rtree.nodes() {
+            let entries = node.range();
+            a_ranges.push(if node.is_leaf() {
+                entries.start as u32..entries.end as u32
+            } else {
+                a_ranges[entries.start].start..a_ranges[entries.end - 1].end
             });
-            start = end;
         }
-        levels.push(0..nodes.len());
-
-        // Upper levels: group `fanout` consecutive nodes of the previous level.
-        let mut level = 1u32;
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap().clone();
-            let this_start = nodes.len();
-            let mut child = prev.start;
-            while child < prev.end {
-                let child_end = (child + fanout).min(prev.end);
-                let mbr = Aabb::union_all(nodes[child..child_end].iter().map(|n| n.mbr))
-                    .expect("non-empty inner node");
-                let a_range = nodes[child].a_range.start..nodes[child_end - 1].a_range.end;
-                nodes.push(TouchNode {
-                    mbr,
-                    level,
-                    children: child as u32..child_end as u32,
-                    a_range,
-                    is_leaf: false,
-                });
-                child = child_end;
-            }
-            levels.push(this_start..nodes.len());
-            level += 1;
-        }
-
-        let node_mbrs = nodes.iter().map(|n| n.mbr).collect();
-        TouchTree {
-            a_items,
-            nodes,
-            node_mbrs,
-            levels,
-            partitions,
-            fanout,
-            store: AssignmentBuffer::new(),
-            nan_free,
-        }
+        TouchTree { rtree, a_ranges, partitions, store: AssignmentBuffer::new() }
     }
 
     /// Consumes the tree and returns its A-item buffer, capacity intact.
@@ -359,25 +256,25 @@ impl TouchTree {
     /// so the dominant tree allocation is paid once, not once per tick.
     #[inline]
     pub fn into_items(self) -> Vec<SpatialObject> {
-        self.a_items
+        self.rtree.into_items()
     }
 
     /// Number of A-objects indexed by the tree.
     #[inline]
     pub fn a_len(&self) -> usize {
-        self.a_items.len()
+        self.rtree.len()
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.rtree.node_count()
     }
 
     /// Number of levels (0 for an empty tree).
     #[inline]
     pub fn height(&self) -> usize {
-        self.levels.len()
+        self.rtree.height()
     }
 
     /// The number of partitions (leaf buckets) requested at build time.
@@ -389,13 +286,13 @@ impl TouchTree {
     /// The fanout requested at build time.
     #[inline]
     pub fn fanout(&self) -> usize {
-        self.fanout
+        self.rtree.fanout()
     }
 
     /// Index of the root node, or `None` for an empty tree.
     #[inline]
     pub fn root_index(&self) -> Option<usize> {
-        self.levels.last().map(|r| r.start)
+        self.rtree.root_index()
     }
 
     /// The node at `index`.
@@ -403,25 +300,39 @@ impl TouchTree {
     /// # Panics
     /// Panics if the index is out of range.
     #[inline]
-    pub fn node(&self, index: usize) -> &TouchNode {
-        &self.nodes[index]
+    pub fn node(&self, index: usize) -> &RTreeNode {
+        self.rtree.node(index)
     }
 
     /// Iterator over all node indices.
     pub fn node_indices(&self) -> Range<usize> {
-        0..self.nodes.len()
+        0..self.rtree.node_count()
     }
 
-    /// The A-objects of the subtree rooted at `node` (its descendant leaves' buckets).
+    /// Number of A-objects in the subtree rooted at node `index`.
+    ///
+    /// # Panics
+    /// Panics if the index is out of range.
     #[inline]
-    pub fn subtree_a_objects(&self, node: &TouchNode) -> &[SpatialObject] {
-        &self.a_items[node.a_range.start as usize..node.a_range.end as usize]
+    pub fn a_count(&self, index: usize) -> usize {
+        self.a_ranges[index].len()
+    }
+
+    /// The A-objects of the subtree rooted at node `index` (its descendant
+    /// leaves' buckets).
+    ///
+    /// # Panics
+    /// Panics if the index is out of range.
+    #[inline]
+    pub fn subtree_a_objects(&self, index: usize) -> &[SpatialObject] {
+        let range = &self.a_ranges[index];
+        &self.rtree.items()[range.start as usize..range.end as usize]
     }
 
     /// All A-objects in STR (leaf bucket) order.
     #[inline]
     pub fn a_objects(&self) -> &[SpatialObject] {
-        &self.a_items
+        self.rtree.items()
     }
 
     /// Total number of B-objects currently assigned to nodes. O(1).
@@ -473,27 +384,27 @@ impl TouchTree {
     /// one child, filtered as soon as it overlaps none, and assigned to a leaf if it
     /// reaches one.
     pub fn assignment_target(&self, mbr: &Aabb, counters: &mut Counters) -> Option<usize> {
+        let nodes = self.rtree.nodes();
         let mut current = self.root_index()?;
         // A root that is itself a leaf still filters objects outside its MBR
         // (Section 4.4: objects outside every leaf MBR cannot intersect anything).
-        if self.nodes[current].is_leaf {
+        if nodes[current].is_leaf() {
             counters.record_node_test();
-            return if self.node_mbrs[current].intersects(mbr) { Some(current) } else { None };
+            return if nodes[current].mbr.intersects(mbr) { Some(current) } else { None };
         }
         loop {
-            let node = &self.nodes[current];
-            if node.is_leaf {
+            let node = &nodes[current];
+            if node.is_leaf() {
                 return Some(current);
             }
-            // The descent scans the children's MBRs from the flat cache: child ids
-            // are contiguous, so this is a linear walk over packed `[min; max]`
-            // boxes, not a hop across full node structs.
+            // Child ids are contiguous, so the descent is a linear walk over the
+            // children's nodes.
             let mut overlapping: Option<usize> = None;
             let mut multiple = false;
-            let children = node.child_indices();
-            for (child, child_mbr) in children.clone().zip(&self.node_mbrs[children]) {
+            let children = node.range();
+            for (child, child_node) in children.clone().zip(&nodes[children]) {
                 counters.record_node_test();
-                if child_mbr.intersects(mbr) {
+                if child_node.mbr.intersects(mbr) {
                     if overlapping.is_some() {
                         multiple = true;
                         break;
@@ -588,9 +499,9 @@ impl TouchTree {
         if !trace.is_enabled() {
             return self.local_join_kernel(index, b_objs, params, scratch, counters, emit).0;
         }
-        let a_count = self.nodes[index].a_count();
+        let a_count = self.a_count(index);
         let b_count = b_objs.len();
-        let strategy = params.effective_kind(a_count, &self.nodes[index].mbr).name();
+        let strategy = params.effective_kind(a_count, &self.node(index).mbr).name();
         let comparisons_before = counters.comparisons;
         let mut pairs = 0u64;
         let start_us = trace.now_us();
@@ -626,8 +537,8 @@ impl TouchTree {
         counters: &mut Counters,
         emit: &mut impl FnMut(ObjectId, ObjectId) -> bool,
     ) -> (usize, usize) {
-        let node = &self.nodes[index];
-        let a_objs = self.subtree_a_objects(node);
+        let node = self.node(index);
+        let a_objs = self.subtree_a_objects(index);
         // The grid→all-pairs degradation for small nodes lives in
         // `LocalJoinParams::effective_kind`, shared with the trace labelling.
         // The cutoff must not consult the B count: the B side of a node may
@@ -663,8 +574,9 @@ impl TouchTree {
     ///
     /// Exact for any `reaches` that fails for every box inside one it fails for:
     /// every A-MBR lies inside its leaf's MBR, and every leaf's inside its
-    /// ancestors'. NaN breaks that containment (see `nan_free`), so a leaf,
-    /// and any node of a tree holding a NaN, yields its whole A-range.
+    /// ancestors'. NaN breaks that containment ([`PackedRTree::is_nan_free`]):
+    /// node MBRs drop NaN coordinates while the grid maps NaN to cell 0. So a
+    /// leaf, and any node of a tree holding a NaN, yields its whole A-range.
     pub(crate) fn probe_runs(
         &self,
         index: usize,
@@ -673,27 +585,29 @@ impl TouchTree {
         runs: &mut Vec<Range<u32>>,
     ) {
         runs.clear();
-        let node = &self.nodes[index];
-        if node.is_leaf || !self.nan_free {
-            runs.push(node.a_range.clone());
+        let nodes = self.rtree.nodes();
+        if nodes[index].is_leaf() || !self.rtree.is_nan_free() {
+            runs.push(self.a_ranges[index].clone());
             return;
         }
         // The node itself is not tested: its grid spans exactly its MBR.
         stack.clear();
-        stack.extend(node.children.clone().rev());
+        stack.extend(nodes[index].range().rev().map(|child| child as u32));
         while let Some(i) = stack.pop() {
-            let i = i as usize;
-            if !reaches(&self.node_mbrs[i]) {
+            let node = &nodes[i as usize];
+            if !reaches(&node.mbr) {
                 continue;
             }
-            let node = &self.nodes[i];
-            if !node.is_leaf {
-                stack.extend(node.children.clone().rev());
+            // An inner node's range holds its children, a leaf's its A-objects.
+            let entries = node.range();
+            if !node.is_leaf() {
+                stack.extend(entries.rev().map(|child| child as u32));
                 continue;
             }
+            let (start, end) = (entries.start as u32, entries.end as u32);
             match runs.last_mut() {
-                Some(run) if run.end == node.a_range.start => run.end = node.a_range.end,
-                _ => runs.push(node.a_range.clone()),
+                Some(run) if run.end == start => run.end = end,
+                _ => runs.push(start..end),
             }
         }
     }
@@ -703,11 +617,7 @@ impl MemoryUsage for TouchTree {
     /// O(1): the store counts its B-list bytes as they grow, so a streaming
     /// engine can report memory every epoch without scanning the node array.
     fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.a_items)
-            + vec_bytes(&self.nodes)
-            + vec_bytes(&self.node_mbrs)
-            + vec_bytes(&self.levels)
-            + self.store.memory_bytes()
+        self.rtree.memory_bytes() + vec_bytes(&self.a_ranges) + self.store.memory_bytes()
     }
 }
 
@@ -754,9 +664,72 @@ mod tests {
         // 8 leaves -> 4 -> 2 -> 1
         assert_eq!(tree.height(), 4);
         assert_eq!(tree.node_count(), 15);
-        let root = tree.node(tree.root_index().unwrap());
-        assert!(!root.is_leaf());
-        assert_eq!(root.a_count(), 64);
+        let root = tree.root_index().unwrap();
+        assert!(!tree.node(root).is_leaf());
+        assert_eq!(tree.a_count(root), 64);
+    }
+
+    /// Checks the packing of `tree` against its definition: leaf `k` covers
+    /// items `[k·cap, min((k+1)·cap, n))`, node `j` of each upper level groups
+    /// nodes `[j·fanout, min((j+1)·fanout, len))` of the level below, every MBR
+    /// is the union of its items' or its children's, and every subtree A-range
+    /// is the concatenation of its children's.
+    fn assert_packed(tree: &TouchTree, partitions: usize, fanout: usize, shape: &str) {
+        let items = tree.a_objects();
+        let cap = TouchTree::leaf_capacity(items.len(), partitions);
+        let mut below = 0..items.len().div_ceil(cap);
+        for (k, idx) in below.clone().enumerate() {
+            let (node, want) = (tree.node(idx), k * cap..((k + 1) * cap).min(items.len()));
+            assert!(node.is_leaf() && node.level == 0, "{shape}: leaf {k}");
+            assert_eq!(node.range(), want, "{shape}: leaf {k} items");
+            assert_eq!(tree.a_ranges[idx], want.start as u32..want.end as u32, "{shape}: leaf {k}");
+            let mbr = Aabb::union_all(items[want].iter().map(|o| o.mbr));
+            assert_eq!(Some(node.mbr), mbr, "{shape}: leaf {k} MBR");
+        }
+        let mut height = usize::from(!below.is_empty());
+        while below.len() > 1 {
+            let level = below.end..below.end + below.len().div_ceil(fanout);
+            for (j, idx) in level.clone().enumerate() {
+                let node = tree.node(idx);
+                let want =
+                    below.start + j * fanout..(below.start + (j + 1) * fanout).min(below.end);
+                assert!(!node.is_leaf() && node.level as usize == height, "{shape}: node {idx}");
+                assert_eq!(node.range(), want, "{shape}: node {idx} children");
+                let mbr = Aabb::union_all(want.clone().map(|c| tree.node(c).mbr));
+                assert_eq!(Some(node.mbr), mbr, "{shape}: node {idx} MBR");
+                let mut a_end = tree.a_ranges[idx].start;
+                for child in want {
+                    assert_eq!(tree.a_ranges[child].start, a_end, "{shape}: node {idx} A-range");
+                    a_end = tree.a_ranges[child].end;
+                }
+                assert_eq!(a_end, tree.a_ranges[idx].end, "{shape}: node {idx} A-range");
+            }
+            below = level;
+            height += 1;
+        }
+        assert_eq!(tree.node_count(), below.end, "{shape}: node count");
+        assert_eq!(tree.height(), height, "{shape}: height");
+        assert_eq!(tree.root_index(), below.last(), "{shape}: root");
+    }
+
+    #[test]
+    fn packing_groups_items_and_nodes_in_order_at_every_shape() {
+        for n in [0, 1, 2, 63, 64, 65, 1_000] {
+            let a: Vec<SpatialObject> = (0..n)
+                .map(|i| {
+                    let f = i as f64;
+                    let min = Point3::new((f * 7.3) % 50.0, (f * 3.1) % 50.0, (f * 5.7) % 50.0);
+                    SpatialObject { id: i, mbr: Aabb::new(min, min + Point3::splat(1.0 + f % 3.0)) }
+                })
+                .collect();
+            for partitions in [1, 2, 3, 7, 64, 1_024] {
+                for fanout in [2, 3, 4] {
+                    let tree = TouchTree::build(&a, partitions, fanout);
+                    let shape = format!("n = {n}, partitions = {partitions}, fanout = {fanout}");
+                    assert_packed(&tree, partitions, fanout, &shape);
+                }
+            }
+        }
     }
 
     #[test]
@@ -765,11 +738,13 @@ mod tests {
         let tree = TouchTree::build(a.objects(), 16, 3);
         for idx in tree.node_indices() {
             let node = tree.node(idx);
-            for obj in tree.subtree_a_objects(node) {
+            for obj in tree.subtree_a_objects(idx) {
                 assert!(node.mbr.contains(&obj.mbr));
             }
-            for child in node.child_indices() {
-                assert!(node.mbr.contains(&tree.node(child).mbr));
+            if !node.is_leaf() {
+                for child in node.range() {
+                    assert!(node.mbr.contains(&tree.node(child).mbr));
+                }
             }
         }
     }
@@ -780,9 +755,8 @@ mod tests {
         let tree = TouchTree::build(a.objects(), 10, 2);
         let mut seen = vec![0u32; a.len()];
         for idx in tree.node_indices() {
-            let node = tree.node(idx);
-            if node.is_leaf() {
-                for obj in tree.subtree_a_objects(node) {
+            if tree.node(idx).is_leaf() {
+                for obj in tree.subtree_a_objects(idx) {
                     seen[obj.id as usize] += 1;
                 }
             }
@@ -868,7 +842,7 @@ mod tests {
         tree.node_indices()
             .map(|idx| {
                 let n = tree.node(idx);
-                (n.mbr, n.level, n.child_indices(), n.a_count(), n.is_leaf())
+                (n.mbr, n.level, n.range(), tree.a_count(idx), n.is_leaf())
             })
             .collect()
     }
@@ -1115,7 +1089,7 @@ mod tests {
         assert_eq!(built.height(), tiled.height());
         for idx in built.node_indices() {
             assert_eq!(built.node(idx).mbr, tiled.node(idx).mbr);
-            assert_eq!(built.node(idx).a_count(), tiled.node(idx).a_count());
+            assert_eq!(built.a_count(idx), tiled.a_count(idx));
         }
     }
 
@@ -1203,7 +1177,7 @@ mod tests {
         // A leaf, and any node of a tree holding a NaN, is one whole run.
         let leaf = tree.node_indices().find(|&i| tree.node(i).is_leaf()).unwrap();
         tree.probe_runs(leaf, |_| false, &mut stack, &mut runs);
-        assert_eq!((runs.len(), runs[0].clone()), (1, 0..tree.node(leaf).a_count() as u32));
+        assert_eq!((runs.len(), runs[0].clone()), (1, 0..tree.a_count(leaf) as u32));
         let mut items = a.objects().to_vec();
         items[5].mbr.max.y = f64::NAN;
         let tree = TouchTree::from_tiled(items, 16, 2);
@@ -1222,7 +1196,7 @@ mod tests {
         let work = tree.nodes_with_assignments();
         assert!(!work.is_empty());
         for idx in tree.node_indices() {
-            let expected = !tree.assigned_b(idx).is_empty() && tree.node(idx).a_count() > 0;
+            let expected = !tree.assigned_b(idx).is_empty() && tree.a_count(idx) > 0;
             assert_eq!(work.contains(&idx), expected, "node {idx}");
         }
         // Joining exactly these nodes gives the same pairs as join_assigned.

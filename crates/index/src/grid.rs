@@ -213,65 +213,6 @@ impl MultiAssignGrid {
         MultiAssignGrid { grid, offsets: counts, entries, objects: objects.len() }
     }
 
-    /// The parallel form of [`MultiAssignGrid::build`]: the objects are split
-    /// into contiguous chunks, each chunk's cell placements are computed on a
-    /// scoped thread (the geometric traversal is the expensive part), and the
-    /// placements are then merged **in chunk order** into the CSR arrays.
-    /// Because chunks are contiguous and each preserves its internal traversal
-    /// order, the resulting `offsets`/`entries` are bit-identical to the
-    /// sequential build's — the two constructors are interchangeable anywhere,
-    /// including replica accounting.
-    pub fn build_parallel(grid: UniformGrid, objects: &[SpatialObject], threads: usize) -> Self {
-        let cells = grid.total_cells();
-        let threads = threads.clamp(1, objects.len().max(1));
-        // Placements index cells as u32; a grid that large (or one worker)
-        // takes the sequential path unchanged.
-        if threads <= 1 || cells >= u32::MAX as usize {
-            return Self::build(grid, objects);
-        }
-        let chunk = objects.len().div_ceil(threads);
-        let placements: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = objects
-                .chunks(chunk)
-                .map(|objs| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for o in objs {
-                            grid.for_each_overlapped_cell(&o.mbr, |c| out.push((c as u32, o.id)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(placed) => placed,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        let mut counts = vec![0u32; cells + 1];
-        for placed in &placements {
-            for &(c, _) in placed {
-                counts[c as usize + 1] += 1;
-            }
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let total = counts[cells] as usize;
-        let mut entries = vec![0u32; total];
-        let mut cursor = counts.clone();
-        for placed in &placements {
-            for &(c, id) in placed {
-                entries[cursor[c as usize] as usize] = id;
-                cursor[c as usize] += 1;
-            }
-        }
-        MultiAssignGrid { grid, offsets: counts, entries, objects: objects.len() }
-    }
-
     /// The grid geometry.
     #[inline]
     pub fn grid(&self) -> &UniformGrid {
@@ -428,28 +369,6 @@ mod tests {
             });
             assert_eq!(appearances, g.cells_overlapped(&o.mbr));
         }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let g = UniformGrid::new(space(), 8);
-        let mut ds = Dataset::new();
-        let mut k = 0.0;
-        for _ in 0..257 {
-            k += 2.3;
-            let min = Point3::new(k % 92.0, (k * 1.3) % 92.0, (k * 3.1) % 92.0);
-            ds.push_mbr(Aabb::new(min, min + Point3::splat(0.5 + k % 9.0)));
-        }
-        let seq = MultiAssignGrid::build(g, ds.objects());
-        for threads in [1, 2, 3, 4, 8, 300] {
-            let par = MultiAssignGrid::build_parallel(g, ds.objects(), threads);
-            assert_eq!(par.offsets, seq.offsets, "{threads} threads: offsets diverged");
-            assert_eq!(par.entries, seq.entries, "{threads} threads: entry order diverged");
-            assert_eq!(par.replicas(), seq.replicas());
-        }
-        // Degenerate inputs stay well-defined.
-        let empty = MultiAssignGrid::build_parallel(g, &[], 4);
-        assert_eq!(empty.total_assignments(), 0);
     }
 
     /// The cell formula `axis_cell` replaced, verbatim: `floor`, then clamp.

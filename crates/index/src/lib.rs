@@ -7,7 +7,9 @@
 //!   partitioner (Leutenegger et al., ICDE '97) used by TOUCH's tree-building phase
 //!   and by the packed R-tree, on one thread or with its slabs spread over several,
 //! * [`PackedRTree`] — an STR bulk-loaded R-tree with range queries and access to its
-//!   node structure (for the synchronous-traversal join baseline),
+//!   node structure: the one STR hierarchy of the workspace, which the R-tree
+//!   baselines build with [`PackedRTree::build`] and TOUCH's tree packs over its
+//!   already-sorted buckets with [`PackedRTree::from_tiled`],
 //! * [`UniformGrid`] / [`MultiAssignGrid`] — space-oriented uniform grid with
 //!   multiple assignment, used by PBSM and by TOUCH's grid local join,
 //! * [`HierarchicalGrid`] / [`HierGridIndex`] — the hierarchy of increasingly fine

@@ -1,10 +1,13 @@
-//! STR bulk-loaded (packed) R-tree.
+//! STR bulk-loaded (packed) R-tree: the one STR hierarchy of the workspace.
 //!
-//! The paper's indexed baselines use bulk-loaded R-trees: the indexed nested loop
-//! joins dataset B against an R-tree on A, and the "RTree" baseline performs a
-//! synchronous traversal of R-trees built on both datasets (Brinkhoff et al.,
-//! SIGMOD '93). Per Section 6, an STR-packed R-tree is used because it performs best
-//! on non-extreme real-world data.
+//! It has two users. The paper's indexed baselines use bulk-loaded R-trees: the
+//! indexed nested loop joins dataset B against an R-tree on A, and the "RTree"
+//! baseline performs a synchronous traversal of R-trees built on both datasets
+//! (Brinkhoff et al., SIGMOD '93). Per Section 6, an STR-packed R-tree is used
+//! because it performs best on non-extreme real-world data. And TOUCH's own
+//! hierarchy over dataset A (Algorithm 2, `touch_core::TouchTree`) is a
+//! `PackedRTree` whose leaves are TOUCH's STR buckets, packed by
+//! [`PackedRTree::from_tiled`]; touch-core keeps only what TOUCH adds beside it.
 //!
 //! The tree is stored as a flat arena: all objects live in one `Vec` in STR (tile)
 //! order, and all nodes live in one `Vec` built level by level, each node referencing
@@ -65,76 +68,79 @@ pub struct PackedRTree {
     levels: Vec<Range<usize>>,
     leaf_capacity: usize,
     fanout: usize,
+    /// `false` if some item's MBR has a NaN coordinate. Node MBRs are unions,
+    /// and unions drop NaN coordinates (`f64::min`/`max` ignore them), so such
+    /// an item is not bounded by the nodes above it.
+    nan_free: bool,
 }
 
 impl PackedRTree {
     /// Bulk-loads a tree from `objects` with the given leaf capacity and inner-node
-    /// fanout.
+    /// fanout: the STR sort, then [`PackedRTree::from_tiled`].
     ///
     /// The paper's R-tree baselines use small nodes ("a fanout of 2 and nodes of
     /// 2 KB"); [`PackedRTree::paper_default`] mirrors that configuration.
     ///
     /// # Panics
-    /// Panics if `leaf_capacity` or `fanout` is zero.
-    // Packing invariants, not fallible paths: every grouped range is non-empty
-    // by loop construction and `levels` is pushed before it is read.
-    #[allow(clippy::expect_used, clippy::unwrap_used)]
+    /// Panics if `leaf_capacity` is zero or `fanout < 2`.
     pub fn build(objects: &[SpatialObject], leaf_capacity: usize, fanout: usize) -> Self {
         assert!(leaf_capacity > 0, "leaf capacity must be positive");
-        assert!(fanout > 1, "fanout must be at least 2");
+        assert!(fanout > 1, "fanout must be at least 2"); // fail before the O(n log n) sort
         let mut items = objects.to_vec();
         str_sort(&mut items, |o| o.mbr.center(), leaf_capacity);
+        Self::from_tiled(items, leaf_capacity, fanout)
+    }
 
-        let mut nodes: Vec<RTreeNode> = Vec::new();
-        let mut levels: Vec<Range<usize>> = Vec::new();
-
-        if items.is_empty() {
-            return PackedRTree { items, nodes, levels, leaf_capacity, fanout };
-        }
-
-        // Leaf level.
-        let leaf_start = nodes.len();
-        let mut start = 0;
-        while start < items.len() {
-            let end = (start + leaf_capacity).min(items.len());
-            let mbr =
-                Aabb::union_all(items[start..end].iter().map(|o| o.mbr)).expect("non-empty leaf");
+    /// Packs a tree over `items` that are **already in STR tile order**, as
+    /// [`str_sort`] with the same `leaf_capacity` leaves them. Leaf `k` holds
+    /// items `[k·leaf_capacity, min((k+1)·leaf_capacity, n))`; node `j` of each
+    /// upper level groups nodes `[j·fanout, min((j+1)·fanout, len))` of the level
+    /// below, until one root remains. Any order packs a valid tree; the tiling
+    /// only decides how well its nodes prune.
+    ///
+    /// # Panics
+    /// Panics if `leaf_capacity` is zero or `fanout < 2`.
+    // Packing invariants, not fallible paths: every chunk and every group is
+    // non-empty by construction.
+    #[allow(clippy::expect_used)]
+    pub fn from_tiled(items: Vec<SpatialObject>, leaf_capacity: usize, fanout: usize) -> Self {
+        assert!(leaf_capacity > 0, "leaf capacity must be positive");
+        assert!(fanout > 1, "fanout must be at least 2");
+        let (mut nodes, mut nan_free) = (Vec::new(), true);
+        for (k, bucket) in items.chunks(leaf_capacity).enumerate() {
+            // The NaN check rides on the union's pass over the items.
+            let mbr = Aabb::union_all(bucket.iter().map(|o| {
+                nan_free &= !o.mbr.has_nan();
+                o.mbr
+            }));
             nodes.push(RTreeNode {
-                mbr,
+                mbr: mbr.expect("non-empty leaf"),
                 level: 0,
-                first: start as u32,
-                count: (end - start) as u32,
+                first: (k * leaf_capacity) as u32,
+                count: bucket.len() as u32,
                 is_leaf: true,
             });
-            start = end;
         }
-        levels.push(leaf_start..nodes.len());
-
-        // Upper levels: group consecutive runs of `fanout` nodes of the previous
-        // level (they are already in STR tile order).
-        let mut level = 1u32;
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap().clone();
-            let this_start = nodes.len();
-            let mut child = prev.start;
-            while child < prev.end {
-                let child_end = (child + fanout).min(prev.end);
-                let mbr = Aabb::union_all(nodes[child..child_end].iter().map(|n| n.mbr))
-                    .expect("non-empty inner node");
+        let mut levels = Vec::new();
+        if !nodes.is_empty() {
+            levels.push(0..nodes.len());
+        }
+        while let Some(below) = levels.last().filter(|level| level.len() > 1).cloned() {
+            let start = nodes.len();
+            for first in below.clone().step_by(fanout) {
+                let end = (first + fanout).min(below.end);
                 nodes.push(RTreeNode {
-                    mbr,
-                    level,
-                    first: child as u32,
-                    count: (child_end - child) as u32,
+                    mbr: Aabb::union_all(nodes[first..end].iter().map(|n| n.mbr))
+                        .expect("non-empty inner node"),
+                    level: levels.len() as u32,
+                    first: first as u32,
+                    count: (end - first) as u32,
                     is_leaf: false,
                 });
-                child = child_end;
             }
-            levels.push(this_start..nodes.len());
-            level += 1;
+            levels.push(start..nodes.len());
         }
-
-        PackedRTree { items, nodes, levels, leaf_capacity, fanout }
+        PackedRTree { items, nodes, levels, leaf_capacity, fanout, nan_free }
     }
 
     /// The paper's R-tree configuration for the baselines: fanout 2 and ~2 KB nodes
@@ -177,6 +183,13 @@ impl PackedRTree {
     #[inline]
     pub fn fanout(&self) -> usize {
         self.fanout
+    }
+
+    /// `true` unless some item's MBR has a NaN coordinate: only then does
+    /// every node's MBR bound each item below it on every axis.
+    #[inline]
+    pub fn is_nan_free(&self) -> bool {
+        self.nan_free
     }
 
     /// Index of the root node, or `None` for an empty tree.
@@ -224,6 +237,20 @@ impl PackedRTree {
     #[inline]
     pub fn items(&self) -> &[SpatialObject] {
         &self.items
+    }
+
+    /// Consumes the tree and returns its item buffer in STR order, capacity
+    /// intact, for a caller that refills it and packs again.
+    #[inline]
+    pub fn into_items(self) -> Vec<SpatialObject> {
+        self.items
+    }
+
+    /// All nodes: the leaves first, then each level up to the root. A node's
+    /// children, and so its whole subtree, precede it.
+    #[inline]
+    pub fn nodes(&self) -> &[RTreeNode] {
+        &self.nodes
     }
 
     /// Runs a range query: calls `on_hit` for every object whose MBR intersects

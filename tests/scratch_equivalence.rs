@@ -127,7 +127,7 @@ fn seed_local_join(
     emit: &mut impl FnMut(u32, u32) -> bool,
 ) -> bool {
     let node = tree.node(index);
-    let a_objs = tree.subtree_a_objects(node);
+    let a_objs = tree.subtree_a_objects(index);
     let b_objs = tree.assigned_b(index);
     match params.kind {
         LocalJoinKind::AllPairs => seed_all_pairs(a_objs, b_objs, counters, emit),
@@ -353,8 +353,10 @@ fn invalid_a_geometry_joins_like_the_full_seed_scan() {
         assert_eq!(tree.assigned_b(root).len(), b.len(), "the root must hold B");
         let top_leaf = tree
             .node_indices()
+            .find(|&i| {
+                tree.node(i).is_leaf() && tree.subtree_a_objects(i).iter().any(|o| o.id == 17)
+            })
             .map(|i| tree.node(i))
-            .find(|n| n.is_leaf() && tree.subtree_a_objects(n).iter().any(|o| o.id == 17))
             .expect("object 17 is in a leaf");
         assert!(top_leaf.mbr.min.x > 58.0, "object 17's leaf must lie above B: {top_leaf:?}");
 
