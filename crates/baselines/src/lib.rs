@@ -23,6 +23,7 @@
 //! join, §2.2.2).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod indexed_nl;

@@ -48,12 +48,13 @@
 //! them: [`TouchJoin`] executes its plan at the plan's width
 //! ([`TouchJoin::with_threads`] sets it for a configured join), the streaming
 //! engine and the tick loop call both, and a serving reader, whose tree is
-//! frozen, calls [`phases::assign_and_join`]. A phase runs in-thread at one worker and over work-stealing workers
-//! ([`scheduler::StealQueues`]) at more. The entries use the tree's per-phase
-//! building blocks — [`TouchTree::from_tiled`], [`TouchTree::assignment_target`]
-//! (read-only), [`AssignmentBuffer::extend`] (which applies pre-computed
-//! targets), [`TouchTree::with_store`] (which lends out the tree's own store)
-//! and [`TouchTree::local_join_node`] — and [`ShardedSink`], which adapts any
+//! frozen, calls [`phases::assign_and_join`]. A phase runs in-thread at one
+//! worker; at more, scoped workers claim its units from one list in order.
+//! The entries use the tree's per-phase building blocks —
+//! [`TouchTree::from_tiled`], [`TouchTree::assignment_target`] (read-only),
+//! [`AssignmentBuffer::extend`] (which applies pre-computed targets),
+//! [`TouchTree::with_store`] (which lends out the tree's own store) and
+//! [`TouchTree::local_join_node`] — and [`ShardedSink`], which adapts any
 //! [`PairSink`] into lock-free per-worker shards that merge back when the
 //! parallel section is over.
 //!
@@ -83,6 +84,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(rust_2018_idioms)]
@@ -93,8 +95,9 @@ pub mod kernels;
 pub mod phases;
 mod plan;
 mod query;
-pub mod scheduler;
 mod scratch;
+// The SIMD loads are the workspace's only `unsafe` code.
+#[allow(unsafe_code)]
 pub mod simd;
 mod sink;
 mod stats;

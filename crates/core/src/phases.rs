@@ -13,12 +13,12 @@
 //! The assignment and the join are each one loop over independent units:
 //! probe chunks of [`JoinPlan::chunk_size`] objects, and nodes holding
 //! assigned objects. One controlled loop runs them at every width: it polls
-//! the cancel token before each unit, records a [`TraceEvent::Steal`] for a
-//! stolen unit, runs the unit and stops when the unit says so. At one worker
-//! it runs in the calling thread over the units in order; at more, one
-//! spawner runs it on scoped threads over work-stealing queues
-//! ([`crate::scheduler::StealQueues`]). So cancellation and the
-//! [`TraceEvent::AssignChunk`] spans are per chunk at every width.
+//! the cancel token before each unit, runs the unit and stops when the unit
+//! says so. At one worker it runs in the calling thread over the units in
+//! order; at more, one spawner runs it on scoped threads that claim the
+//! entries of one shared list in list order, so the join's cost-sorted nodes
+//! start largest first. So cancellation and the [`TraceEvent::AssignChunk`]
+//! spans are per chunk at every width.
 //!
 //! Every phase preserves the determinism contract: for a fixed input and
 //! [`JoinPlan`], the produced tree, assignment and local joins — and therefore
@@ -26,13 +26,12 @@
 //! [`par_assign`] and [`par_join_into`] run one inner phase alone, on a tree's
 //! own store, for callers that replay the phases one at a time.
 
-use crate::scheduler::StealQueues;
 use crate::{
     catch_phase, deliver, AssignmentBuffer, CancelCause, ExecControl, JoinError, JoinPlan,
     LocalJoinParams, LocalJoinScratch, PairSink, ScratchPool, Shape, ShardedSink, TouchTree,
 };
 use std::convert::identity;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use touch_geom::{ObjectId, SpatialObject};
 use touch_index::par_str_sort;
 use touch_metrics::{Counters, MemoryUsage, Phase, PhaseTimer, TraceEvent, TraceSink};
@@ -122,8 +121,7 @@ pub fn build_tree(
 ///   the assignment and of the pairs.
 /// * With `ctl.trace` enabled, every chunk records a
 ///   [`TraceEvent::AssignChunk`] span and every node a
-///   [`TraceEvent::NodeJoin`] span, attributed to the worker that ran it, and
-///   every stolen unit a [`TraceEvent::Steal`].
+///   [`TraceEvent::NodeJoin`] span, attributed to the worker that ran it.
 /// * Each phase, its span included, runs inside [`catch_phase`], and each
 ///   spawned worker's loop inside a containment of its own, so a panic returns
 ///   [`JoinError::WorkerPanicked`] attributed to its phase and worker.
@@ -166,67 +164,57 @@ pub fn assign_and_join(
     Ok((assign_aux + join_aux, cause))
 }
 
-/// The one controlled loop, run by `worker`: polls `ctl.cancel`, claims the
-/// next unit, records a [`TraceEvent::Steal`] if the unit came from another
-/// worker's queue, and runs it, until `claim` runs dry, the token trips (its
-/// cause is returned) or `run` returns `false`.
+/// The one controlled loop: polls `ctl.cancel`, takes the next unit of
+/// `units` and runs it, until `units` runs dry, the token trips (its cause is
+/// returned) or `run` returns `false`.
 fn drain<U>(
     ctl: ExecControl<'_>,
-    worker: usize,
-    mut claim: impl FnMut() -> Option<(U, Option<usize>)>,
+    mut units: impl Iterator<Item = U>,
     mut run: impl FnMut(U) -> bool,
 ) -> Option<CancelCause> {
     loop {
         if let Some(cause) = ctl.cancel.triggered() {
             return Some(cause);
         }
-        let (unit, stolen_from) = claim()?;
-        if let Some(victim) = stolen_from.filter(|_| ctl.trace.is_enabled()) {
-            ctl.trace.record(TraceEvent::Steal { worker, victim, at_us: ctl.trace.now_us() });
-        }
-        if !run(unit) {
+        if !run(units.next()?) {
             return None;
         }
     }
 }
 
-/// The claim of a loop in the calling thread: `units` in order, none stolen.
-fn in_order<U>(units: impl IntoIterator<Item = U>) -> impl FnMut() -> Option<(U, Option<usize>)> {
-    let mut units = units.into_iter();
-    move || units.next().map(|unit| (unit, None))
-}
-
-/// The one spawner: runs [`drain`] over `queues` on one scoped thread per
-/// entry of `states`. Worker `w` owns `states[w]`, claims from queue `w` and
-/// tallies into counters of its own; `run` is one unit of one worker. Each
-/// worker's loop runs inside [`catch_phase`] for `phase`, and a contained
-/// panic sets a shared abort flag, so its siblings stop claiming.
+/// The one spawner: runs [`drain`] on one scoped thread per entry of
+/// `states`, over one claim list. Every worker claims the next unclaimed
+/// entry of `units` through a shared counter, so the entries start in list
+/// order whichever worker takes them. Worker `w` owns `states[w]` and tallies
+/// into counters of its own; `run` is one unit of one worker. Each worker's
+/// loop runs inside [`catch_phase`] for `phase`, and a contained panic sets a
+/// shared abort flag, so its siblings stop claiming.
 ///
 /// The fold: the counters of every worker that finished are merged into
 /// `counters` (a panicked worker's are dropped, they may be mid-update). If a
 /// worker panicked, the lowest-index one becomes the error; otherwise the
 /// finished workers' states come back in worker order, with the first cancel
 /// cause any of them saw.
-fn spawn_workers<U: Send, S: Send>(
-    queues: &StealQueues<U>,
+fn spawn_workers<U: Copy + Sync, S: Send>(
+    units: &[U],
     states: impl IntoIterator<Item = S>,
     phase: Phase,
     counters: &mut Counters,
     ctl: ExecControl<'_>,
     run: impl Fn(&mut S, &mut Counters, U, usize) -> bool + Sync,
 ) -> Result<(Vec<S>, Option<CancelCause>), JoinError> {
-    let (abort, run) = (&AtomicBool::new(false), &run);
+    let (next, abort, run) = (&AtomicUsize::new(0), &AtomicBool::new(false), &run);
     let outcomes: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (states.into_iter().enumerate())
             .map(|(w, mut state)| {
                 scope.spawn(move || {
                     let mut local = Counters::new();
-                    let claim = || match abort.load(Ordering::Relaxed) {
+                    let claim = std::iter::from_fn(|| match abort.load(Ordering::Relaxed) {
                         true => None,
-                        false => queues.claim_tracked(w),
-                    };
+                        false => units.get(next.fetch_add(1, Ordering::Relaxed)).copied(),
+                    });
                     let outcome = catch_phase(phase, w, || {
-                        drain(ctl, w, claim, |unit| run(&mut state, &mut local, unit, w))
+                        drain(ctl, claim, |unit| run(&mut state, &mut local, unit, w))
                     });
                     if outcome.is_err() {
                         abort.store(true, Ordering::Relaxed);
@@ -280,14 +268,14 @@ fn traced_chunk<T>(
     out
 }
 
-/// One worker's claim share of the assignment phase: the chunk index and the
+/// One chunk's share of the assignment phase: the chunk index and the
 /// `(node, object)` placements computed for it.
 type ChunkBatch = (usize, Vec<(usize, SpatialObject)>);
 
 /// The assignment phase of [`assign_and_join`] on the tree's own store,
 /// untimed and never cancelled: computes assignment targets on `workers`
-/// threads (read-only tree traversals over work-stealing chunk queues), then
-/// applies the batches in chunk order so the per-node B-lists match the
+/// threads (read-only tree traversals, the chunks claimed in index order),
+/// then applies the batches in chunk order so the per-node B-lists match the
 /// sequential [`TouchTree::assign`] exactly. Returns the bytes of the
 /// transient batch buffers (0 at one worker).
 ///
@@ -314,10 +302,11 @@ pub fn par_assign(
 ///
 /// * **One worker** — the chunks are assigned in order, straight into the
 ///   store with [`AssignmentBuffer::assign`]; nothing is buffered.
-/// * **Several workers** — each worker buffers its chunks' placements. On an
-///   orderly exit, complete *or* cancelled, the batches are applied in chunk
-///   order, so B-objects land in their nodes in probe order; on a panic none
-///   is applied.
+/// * **Several workers** — the workers claim the chunks in index order from
+///   one list, and each buffers its chunks' placements. On an orderly exit,
+///   complete *or* cancelled, the batches are applied in chunk order, so
+///   B-objects land in their nodes in probe order; on a panic none is
+///   applied.
 ///
 /// Either way a cancelled store holds a consistent subset of the full
 /// assignment, and a complete one is bit-identical to the sequential
@@ -337,7 +326,7 @@ fn par_assign_ctl(
     let chunk = |c: usize| &probe[c * chunk_size..((c + 1) * chunk_size).min(probe.len())];
     let workers = workers.min(chunk_count);
     if workers <= 1 {
-        let cause = drain(ctl, 0, in_order(0..chunk_count), |c| {
+        let cause = drain(ctl, 0..chunk_count, |c| {
             let objects = chunk(c);
             traced_chunk(ctl.trace, c, 0, objects.len(), || store.assign(tree, objects, counters));
             true
@@ -345,10 +334,10 @@ fn par_assign_ctl(
         return Ok((0, cause));
     }
 
-    let queues = StealQueues::distribute(0..chunk_count, workers);
+    let chunks: Vec<usize> = (0..chunk_count).collect();
     let batches = (0..workers).map(|_| Vec::<ChunkBatch>::new());
     let (per_worker, cause) = spawn_workers(
-        &queues,
+        &chunks,
         batches,
         Phase::Assignment,
         counters,
@@ -423,12 +412,13 @@ pub fn par_join_into(
 ///   stream straight into `sink`, and the loop stops after the node in which
 ///   the sink refused a pair.
 /// * **Several workers** — the nodes are sorted by descending estimated cost
-///   and dealt round-robin to the workers' queues (owner pops and steals both
-///   take the largest remaining node first — LPT). Each worker joins on a
-///   scratch of its own into its shard of a [`ShardedSink`], which adapts the
-///   sink's mode and pair budget, and stops when its shard is done. On an
-///   orderly exit — complete *or* cancelled — the shards are merged into
-///   `sink`; on a panic they are discarded.
+///   (subtree A-count × B-list length), and every worker claims the next
+///   node of that one list, so the largest remaining node always starts
+///   first (LPT list scheduling). Each worker joins on a scratch of its own
+///   into its shard of a [`ShardedSink`], which adapts the sink's mode and
+///   pair budget, and stops when its shard is done. On an orderly exit —
+///   complete *or* cancelled — the shards are merged into `sink`; on a panic
+///   they are discarded.
 ///
 /// Either way a cancelled sink holds a consistent subset of the full result.
 /// Returns the join scratch's bytes (at several workers the sum of each
@@ -476,12 +466,11 @@ fn par_join_into_ctl(
         let cost = tree.a_count(idx) as u64 * store.node_objects(idx).len() as u64;
         std::cmp::Reverse(cost)
     });
-    let queues = StealQueues::distribute(work.iter().copied(), workers);
     let mut sharded = ShardedSink::for_sink(sink, workers);
     let shards = sharded.shards_mut().iter_mut().zip(pool.worker_scratches(workers));
     let states = shards.map(|(shard, scratch)| (shard, scratch, 0usize));
     let joined =
-        spawn_workers(&queues, states, Phase::Join, counters, ctl, |state, local, idx, w| {
+        spawn_workers(&work, states, Phase::Join, counters, ctl, |state, local, idx, w| {
             let (shard, scratch, peak) = state;
             let mut emit = |t, p| {
                 let (x, y) = if swap_pairs { (p, t) } else { (t, p) };
@@ -522,7 +511,7 @@ pub(crate) fn join_in_order(
 ) -> (usize, Option<CancelCause>) {
     let mut work = std::mem::take(&mut scratch.work);
     store.work_into(tree, &mut work);
-    let cause = drain(ctl, 0, in_order(work.iter().copied()), |idx| {
+    let cause = drain(ctl, work.iter().copied(), |idx| {
         let mut refused = false;
         let mut watched = |a, b| {
             refused = !emit(a, b);
@@ -557,6 +546,58 @@ mod tests {
             }
         }
         ds
+    }
+
+    /// Runs `units` over `spawn_workers` at `workers` workers; each worker
+    /// records the units it ran, in the order it ran them, and counts one
+    /// comparison per unit.
+    fn spawn_recording(units: &[usize], workers: usize) -> (Vec<Vec<usize>>, Counters) {
+        let mut counters = Counters::new();
+        let states = (0..workers).map(|_| Vec::new());
+        let ctl = ExecControl::infallible();
+        let (ran, cause) =
+            spawn_workers(units, states, Phase::Join, &mut counters, ctl, |ran, local, u, _| {
+                ran.push(u);
+                local.comparisons += 1;
+                true
+            })
+            .unwrap();
+        assert!(cause.is_none());
+        (ran, counters)
+    }
+
+    #[test]
+    fn claims_every_task_exactly_once() {
+        let n = 10_000;
+        let units: Vec<usize> = (0..n).collect();
+        let (ran, counters) = spawn_recording(&units, 8);
+        let mut runs = vec![0u32; n];
+        for &u in ran.iter().flatten() {
+            runs[u] += 1;
+        }
+        assert!(runs.iter().all(|&r| r == 1), "a unit ran twice or never");
+        assert_eq!(counters.comparisons, n as u64, "every worker's counters are merged");
+    }
+
+    #[test]
+    fn concurrent_workers_partition_the_tasks() {
+        let n = 10_000;
+        let units: Vec<usize> = (0..n).collect();
+        let (ran, _) = spawn_recording(&units, 8);
+        assert_eq!(ran.len(), 8, "one state per worker, in worker order");
+        for mine in &ran {
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "a worker claims in list order");
+        }
+        let mut all: Vec<usize> = ran.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, units, "every task exactly once");
+    }
+
+    #[test]
+    fn a_single_spawned_worker_runs_the_list_in_list_order() {
+        let units = [7, 3, 9, 0, 5, 5, 2];
+        let (ran, _) = spawn_recording(&units, 1);
+        assert_eq!(ran, vec![units.to_vec()]);
     }
 
     #[test]

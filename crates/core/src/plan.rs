@@ -45,7 +45,7 @@
 //!   ([`PlanEnv::pair_limit`]) favours one worker (earliest possible
 //!   termination, no worker spin-up to waste); otherwise the plan goes parallel
 //!   whenever more than one thread is available and the input is large enough
-//!   ([`JoinPlanner::parallel_min_work`]) for the fork/join overhead to pay off.
+//!   ([`JoinPlanner::PARALLEL_MIN_WORK`]) for the fork/join overhead to pay off.
 //!   Only [`JoinPlanner::plan_streaming`] makes a streaming plan: the epoch
 //!   engine builds its tree once and amortises it over the stream.
 
@@ -62,7 +62,7 @@ use touch_metrics::{PlanSummary, RunReport};
 pub enum ExecutionStrategy {
     /// One worker: the phases run in-thread.
     Sequential,
-    /// [`TouchJoin`]'s phases over work-stealing workers at the given count.
+    /// [`TouchJoin`]'s phases over scoped workers at the given count.
     Parallel {
         /// Resolved worker count (≥ 2).
         threads: usize,
@@ -259,35 +259,36 @@ impl PlanEnv {
 }
 
 /// The statistics-driven cost model: derives a [`JoinPlan`] from two
-/// [`DatasetStats`] and a [`PlanEnv`]. All tuning constants are public fields
-/// with documented defaults, so the model is transparent and each rule is
+/// [`DatasetStats`] and a [`PlanEnv`]. All tuning constants are public
+/// associated constants, so the model is transparent and each rule is
 /// unit-testable (see the module docs for the rules themselves).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinPlanner {
-    /// Grid cells stay at least this multiple of the mean object extent
-    /// (Section 5.2.2). Default: 2.0, the paper's evaluated factor.
-    pub min_cell_factor: f64,
-    /// Target grid cells per dimension before the cell floor caps the
-    /// resolution. Default: 500, the paper's evaluated resolution.
-    pub cells_per_dim: usize,
-    /// Minimum total work (|A| + |B|) before a parallel plan pays for its
-    /// fork/join overhead. Default: 16 384 objects.
-    pub parallel_min_work: u64,
-    /// Pair budgets at or below this select a sequential plan: the sequential
-    /// engine stops at exactly the k-th pair, while parallel workers overshoot
-    /// by design. Default: 1 024.
-    pub early_stop_limit: u64,
-    /// Probe objects per assignment work unit. Default: 4 096.
-    pub chunk_size: usize,
-    /// Inputs of at most this many objects are STR-sorted on one thread; larger
-    /// ones spread the sort's slabs over the workers. Default: 8 192.
-    pub sort_threshold: usize,
-}
+///
+/// The planner has no settings; make one with `JoinPlanner::default()`.
+/// It is `#[non_exhaustive]`, so that stays the one way to make it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct JoinPlanner;
 
 impl JoinPlanner {
-    /// Default assignment chunk size (shared with `StreamingConfig`).
+    /// Grid cells stay at least this multiple of the mean object extent
+    /// (Section 5.2.2): 2.0, the paper's evaluated factor.
+    pub const MIN_CELL_FACTOR: f64 = 2.0;
+    /// Target grid cells per dimension before the cell floor caps the
+    /// resolution: 500, the paper's evaluated resolution.
+    pub const CELLS_PER_DIM: usize = 500;
+    /// Minimum total work (|A| + |B|) before a parallel plan pays for its
+    /// fork/join overhead: 16 384 objects.
+    pub const PARALLEL_MIN_WORK: u64 = 16_384;
+    /// Pair budgets at or below this select a sequential plan: the sequential
+    /// engine stops at exactly the k-th pair, while parallel workers overshoot
+    /// by design.
+    pub const EARLY_STOP_LIMIT: u64 = 1024;
+    /// Probe objects per assignment work unit (shared with
+    /// `StreamingConfig`).
     pub const DEFAULT_CHUNK_SIZE: usize = 4096;
-    /// Default sequential-sort threshold (shared with `StreamingConfig`).
+    /// Inputs of at most this many objects are STR-sorted on one thread;
+    /// larger ones spread the sort's slabs over the workers (shared with
+    /// `StreamingConfig`).
     pub const DEFAULT_SORT_THRESHOLD: usize = 8192;
 
     /// The leaf-size target for a tree over `n` objects: `√n` clamped to
@@ -390,7 +391,7 @@ impl JoinPlanner {
         let target_leaf = Self::target_leaf_size(tree_count);
         let partitions = tree_count.div_ceil(target_leaf).clamp(1, 65_536);
         let fanout = if partitions > 4096 { 4 } else { 2 };
-        let min_cell = self.min_cell_factor * a.mean_side_all_axes().max(b.mean_side_all_axes());
+        let min_cell = Self::MIN_CELL_FACTOR * a.mean_side_all_axes().max(b.mean_side_all_axes());
         let allpairs_max_a = (target_leaf / 16).clamp(8, 128);
         // Per-node adaptive strategy selection, pinned to the *probe* side's
         // global density at plan time (the side streamed against the tree).
@@ -403,9 +404,9 @@ impl JoinPlanner {
             _ => None,
         };
 
-        let strategy = if env.pair_limit.is_some_and(|k| k <= self.early_stop_limit) {
+        let strategy = if env.pair_limit.is_some_and(|k| k <= Self::EARLY_STOP_LIMIT) {
             ExecutionStrategy::Sequential
-        } else if env.threads > 1 && work >= self.parallel_min_work {
+        } else if env.threads > 1 && work >= Self::PARALLEL_MIN_WORK {
             ExecutionStrategy::Parallel { threads: env.threads }
         } else {
             ExecutionStrategy::Sequential
@@ -418,27 +419,14 @@ impl JoinPlanner {
             fanout,
             params: LocalJoinParams {
                 kind: crate::LocalJoinKind::Grid,
-                cells_per_dim: self.cells_per_dim,
+                cells_per_dim: Self::CELLS_PER_DIM,
                 min_cell_size: min_cell,
                 allpairs_max_a,
                 adapt,
             },
-            chunk_size: self.chunk_size,
-            sort_threshold: self.sort_threshold,
-            estimated_work: work,
-        }
-    }
-}
-
-impl Default for JoinPlanner {
-    fn default() -> Self {
-        JoinPlanner {
-            min_cell_factor: 2.0,
-            cells_per_dim: 500,
-            parallel_min_work: 16_384,
-            early_stop_limit: 1024,
             chunk_size: Self::DEFAULT_CHUNK_SIZE,
             sort_threshold: Self::DEFAULT_SORT_THRESHOLD,
+            estimated_work: work,
         }
     }
 }
@@ -661,7 +649,7 @@ mod tests {
         let self_plan = planner.plan_self(&a, &env);
         assert!(self_plan.build_on_a, "the hierarchy is always on the single input");
         assert_eq!(self_plan.estimated_work, 10_000, "half the naive a ⋈ a estimate");
-        // 10k entities < parallel_min_work once the estimate is halved, so the
+        // 10k entities < PARALLEL_MIN_WORK once the estimate is halved, so the
         // self-join stays sequential where the naive reading would go parallel.
         assert_eq!(self_plan.strategy, ExecutionStrategy::Sequential);
         assert_eq!(planner.plan(&a, &a, &env).strategy, ExecutionStrategy::Parallel { threads: 8 });

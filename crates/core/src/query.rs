@@ -188,8 +188,8 @@ impl<'a> JoinQuery<'a> {
         self
     }
 
-    /// Attaches an execution-trace sink: the engine reports spans (per-node
-    /// local joins, assignment chunks, steals, epochs) to it while running, and
+    /// Attaches an execution-trace sink: the engine reports spans (phases,
+    /// per-node local joins, assignment chunks, epochs) to it while running, and
     /// the returned report carries the sink's [`TraceSummary`] (node-time and
     /// candidate-count percentiles, worker utilization) in [`RunReport::trace`].
     ///

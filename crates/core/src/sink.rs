@@ -454,44 +454,18 @@ pub struct ShardedSink {
 }
 
 impl ShardedSink {
-    /// A sharded sink whose shards only count result pairs.
-    pub fn counting(shards: usize) -> Self {
-        Self::with_mode(false, shards, None)
-    }
-
-    /// A sharded sink whose shards count and materialise result pairs.
-    pub fn collecting(shards: usize) -> Self {
-        Self::with_mode(true, shards, None)
-    }
-
     /// A sharded sink matching `sink`'s collection mode and pair budget, so that
     /// [`ShardedSink::merge_into`] loses nothing the caller asked for and
     /// early-terminating sinks stop the workers.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
     pub fn for_sink(sink: &dyn PairSink, shards: usize) -> Self {
-        let budget = sink.pair_limit().map(|limit| Arc::new(AtomicU64::new(limit)));
-        Self::with_mode(sink.wants_pairs(), shards, budget)
-    }
-
-    fn with_mode(collect: bool, shards: usize, budget: Option<Arc<AtomicU64>>) -> Self {
         assert!(shards > 0, "a sharded sink needs at least one shard");
-        ShardedSink {
-            shards: vec![
-                SinkShard {
-                    collect,
-                    count: 0,
-                    pairs: Vec::new(),
-                    budget,
-                    exhausted: false
-                };
-                shards
-            ],
-        }
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        let budget = sink.pair_limit().map(|limit| Arc::new(AtomicU64::new(limit)));
+        let collect = sink.wants_pairs();
+        let shard = SinkShard { collect, count: 0, pairs: Vec::new(), budget, exhausted: false };
+        ShardedSink { shards: vec![shard; shards] }
     }
 
     /// Mutable access to the shards, for handing one to each worker thread.
@@ -599,7 +573,7 @@ mod tests {
     fn sharded_sink_merges_counts_and_pairs() {
         let mut sink = CollectingSink::new();
         let mut sharded = ShardedSink::for_sink(&sink, 3);
-        assert_eq!(sharded.shard_count(), 3);
+        assert_eq!(sharded.shards_mut().len(), 3);
         sharded.shards_mut()[0].push(1, 10);
         sharded.shards_mut()[2].push(2, 20);
         sharded.shards_mut()[2].push(3, 30);
@@ -627,7 +601,7 @@ mod tests {
     fn sharded_sink_merge_preserves_prior_sink_contents() {
         let mut sink = CollectingSink::new();
         sink.push(9, 9);
-        let mut sharded = ShardedSink::collecting(2);
+        let mut sharded = ShardedSink::for_sink(&CollectingSink::new(), 2);
         sharded.shards_mut()[1].push(5, 5);
         sharded.merge_into(&mut sink);
         assert_eq!(sink.count(), 2);
@@ -651,7 +625,7 @@ mod tests {
     #[test]
     fn merge_into_respects_a_sink_that_became_done() {
         let mut sink = FirstKSink::new(1);
-        let mut sharded = ShardedSink::collecting(2); // no budget: unbounded shards
+        let mut sharded = ShardedSink::for_sink(&CollectingSink::new(), 2); // no budget
         sharded.shards_mut()[0].push(1, 1);
         sharded.shards_mut()[1].push(2, 2);
         sharded.merge_into(&mut sink);
@@ -660,7 +634,7 @@ mod tests {
 
     #[test]
     fn shards_can_be_used_from_scoped_threads() {
-        let mut sharded = ShardedSink::collecting(4);
+        let mut sharded = ShardedSink::for_sink(&CollectingSink::new(), 4);
         std::thread::scope(|scope| {
             for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
                 scope.spawn(move || {
@@ -694,7 +668,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = ShardedSink::counting(0);
+        let _ = ShardedSink::for_sink(&CountingSink::new(), 0);
     }
 
     #[test]

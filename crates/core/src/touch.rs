@@ -217,10 +217,10 @@ fn strategy_for(threads: usize) -> ExecutionStrategy {
 /// [`crate::AutoEngine`], so no width or plan can diverge. It is the two entries
 /// of [`crate::phases`]: [`build_tree`] on the plan's tree side, then
 /// [`assign_and_join`] of the other side over the tree's own store. At one
-/// worker the phases run in-thread, at more they spread over work-stealing
-/// workers, and the tree, the assignment, the pairs and the counters are the
-/// same at every width. `ctl.trace` receives phase spans, per-chunk assignment
-/// spans, per-node join spans and steal events.
+/// worker the phases run in-thread, at more they spread over scoped workers
+/// that claim the units from one list, and the tree, the assignment, the pairs
+/// and the counters are the same at every width. `ctl.trace` receives phase
+/// spans, per-chunk assignment spans and per-node join spans.
 ///
 /// For [`Shape::SelfJoin`] the index-order filter sits inside the emit closures
 /// — identity pairs and mirrored duplicates are dropped *before* the sink sees

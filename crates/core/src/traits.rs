@@ -85,8 +85,8 @@ pub trait SpatialJoinAlgorithm {
     /// * a panic inside the engine is contained and surfaces as
     ///   `Err(`[`JoinError::WorkerPanicked`]`)` with the phase and worker
     ///   attributed,
-    /// * `ctl.trace` receives execution spans (per-node local joins, assignment
-    ///   chunks, steals, epochs) from the engines that have them; **tracing
+    /// * `ctl.trace` receives execution spans (phases, per-node local joins,
+    ///   assignment chunks, epochs) from the engines that have them; **tracing
     ///   must not influence the join** — pairs and counters are bit-identical
     ///   whatever the sink,
     /// * with a never-triggering token and no panic the run is complete.

@@ -445,8 +445,8 @@ impl TouchTree {
     }
 
     /// Indices of the nodes the join phase has to visit, ascending (see
-    /// [`AssignmentBuffer::work_into`]): the independent work units a parallel
-    /// scheduler distributes.
+    /// [`AssignmentBuffer::work_into`]): the independent work units the
+    /// parallel join's workers claim.
     pub fn nodes_with_assignments(&self) -> Vec<usize> {
         let mut work = Vec::new();
         self.store.work_into(self, &mut work);

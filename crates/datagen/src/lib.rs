@@ -23,6 +23,7 @@
 //! All generators are deterministic given a seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod moving;

@@ -35,6 +35,7 @@
 //! paper's exact workload.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod ablation;

@@ -28,6 +28,7 @@
 //!   predicate `distance(a, b) ≤ ε`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod aabb;

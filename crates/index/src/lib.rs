@@ -19,6 +19,7 @@
 //!   `OctreeJoin` baseline).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 #[cfg(test)]

@@ -35,8 +35,6 @@ pub enum Seam {
     AssignChunk,
     /// One per-node local join (per worker).
     NodeJoin,
-    /// One successful work-steal (per thief).
-    Steal,
     /// One streaming probe epoch.
     Epoch,
     /// One serving-layer generation publish.
@@ -54,7 +52,6 @@ impl Seam {
             Seam::Join => "join",
             Seam::AssignChunk => "assign-chunk",
             Seam::NodeJoin => "node-join",
-            Seam::Steal => "steal",
             Seam::Epoch => "epoch",
             Seam::Generation => "generation",
             Seam::Eviction => "eviction",
@@ -219,7 +216,6 @@ impl TraceSink for FaultPlan {
             ),
             TraceEvent::AssignChunk { worker, .. } => (Seam::AssignChunk, *worker),
             TraceEvent::NodeJoin { worker, .. } => (Seam::NodeJoin, *worker),
-            TraceEvent::Steal { worker, .. } => (Seam::Steal, *worker),
             TraceEvent::Epoch { .. } => (Seam::Epoch, 0),
             TraceEvent::Generation { .. } => (Seam::Generation, 0),
             TraceEvent::Eviction { .. } => (Seam::Eviction, 0),

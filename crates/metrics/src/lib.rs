@@ -17,8 +17,9 @@
 //! * [`RunReport`] — the complete record of one algorithm execution, the unit the
 //!   experiment harness aggregates into tables and figures,
 //! * [`TraceSink`] / [`NoTrace`] / [`ExecTrace`] — optional execution tracing
-//!   (per-node spans, steal events, epoch spans) with [`Histogram`]-based skew
-//!   summaries ([`TraceSummary`]) and Chrome-trace / text-profile exporters,
+//!   (phase, assignment-chunk, per-node and epoch spans) with
+//!   [`Histogram`]-based skew summaries ([`TraceSummary`]) and Chrome-trace /
+//!   text-profile exporters,
 //! * [`Completion`] — how a run ended (complete / cancelled / deadline), stamped
 //!   on [`RunReport`] by the fallible execution paths,
 //! * [`FaultPlan`] — a deterministic fault-injection [`TraceSink`] that panics or
@@ -26,6 +27,7 @@
 //!   suites.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod counters;

@@ -103,8 +103,8 @@ pub struct RunReport {
     pub timer: PhaseTimer,
     /// Analytic memory footprint of the algorithm's auxiliary structures, in bytes.
     /// For a TOUCH join at width > 1 the join phase's share is the sum of each
-    /// worker's scratch high-water mark, and which worker joins which node
-    /// depends on work stealing, so this figure depends on the schedule.
+    /// worker's scratch high-water mark, and which worker claims which node
+    /// depends on the schedule, so this figure does too.
     pub memory_bytes: usize,
     /// Number of worker threads the join ran with (1 for every sequential
     /// algorithm; `touch-parallel` reports its resolved thread count).
@@ -516,7 +516,6 @@ mod tests {
             pairs_per_node: crate::Histogram::new(),
             workers: vec![],
             epochs: 0,
-            steals: 0,
             generations: 0,
             evictions: 0,
         });

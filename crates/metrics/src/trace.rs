@@ -73,15 +73,6 @@ pub enum TraceEvent {
         /// Span length, µs.
         duration_us: u64,
     },
-    /// A successful work-steal in `touch-parallel`'s scheduler.
-    Steal {
-        /// The thief.
-        worker: usize,
-        /// The queue the task was taken from.
-        victim: usize,
-        /// Instant offset from the trace origin, µs.
-        at_us: u64,
-    },
     /// One streaming probe epoch (`push_batch`).
     Epoch {
         /// Zero-based epoch index within the trace.
@@ -207,7 +198,8 @@ impl ExecTrace {
 
     /// Renders the trace in Chrome `trace_events` JSON (the format
     /// `chrome://tracing` and Perfetto load). Spans become `"X"` complete
-    /// events with the worker id as `tid`; steals become `"i"` instant events.
+    /// events with the worker id as `tid`; evictions become `"i"` instant
+    /// events.
     pub fn to_chrome_json(&self) -> String {
         let events = self.lock_events();
         let mut out = String::with_capacity(64 + events.len() * 96);
@@ -251,13 +243,6 @@ impl ExecTrace {
                         worker, start_us, duration_us, node, a_count, a_probed, b_count, strategy, candidates, pairs
                     );
                 }
-                TraceEvent::Steal { worker, victim, at_us } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"steal\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"victim\":{}}}}}",
-                        worker, at_us, victim
-                    );
-                }
                 TraceEvent::Epoch { epoch, batch_size, start_us, duration_us } => {
                     let _ = write!(
                         out,
@@ -294,12 +279,11 @@ impl ExecTrace {
         let _ = writeln!(out, "== execution trace profile ==");
         let _ = writeln!(
             out,
-            "events: {} total, {} node joins, {} workers, {} epochs, {} steals",
+            "events: {} total, {} node joins, {} workers, {} epochs",
             events.len(),
             s.node_time_us.count,
             s.workers.len(),
-            s.epochs,
-            s.steals
+            s.epochs
         );
         let (mut a_count, mut a_probed) = (0usize, 0usize);
         for ev in events.iter() {
@@ -338,10 +322,9 @@ impl ExecTrace {
                 h.mean()
             );
         }
-        let _ = writeln!(out, "{:>6} {:>8} {:>12} {:>7}", "worker", "nodes", "busy (µs)", "steals");
+        let _ = writeln!(out, "{:>6} {:>8} {:>12}", "worker", "nodes", "busy (µs)");
         for w in &s.workers {
-            let _ =
-                writeln!(out, "{:>6} {:>8} {:>12} {:>7}", w.worker, w.nodes, w.busy_us, w.steals);
+            let _ = writeln!(out, "{:>6} {:>8} {:>12}", w.worker, w.nodes, w.busy_us);
         }
         out
     }
@@ -353,7 +336,6 @@ impl ExecTrace {
         let mut pairs_per_node = Histogram::new();
         let mut workers: BTreeMap<usize, WorkerStats> = BTreeMap::new();
         let mut epochs = 0usize;
-        let mut steals = 0u64;
         let mut generations = 0usize;
         let mut evictions = 0u64;
         for ev in events.iter() {
@@ -366,7 +348,6 @@ impl ExecTrace {
                         worker: *worker,
                         nodes: 0,
                         busy_us: 0,
-                        steals: 0,
                     });
                     w.nodes += 1;
                     w.busy_us += duration_us;
@@ -376,16 +357,8 @@ impl ExecTrace {
                         worker: *worker,
                         nodes: 0,
                         busy_us: 0,
-                        steals: 0,
                     });
                     w.busy_us += duration_us;
-                }
-                TraceEvent::Steal { worker, .. } => {
-                    steals += 1;
-                    workers
-                        .entry(*worker)
-                        .or_insert(WorkerStats { worker: *worker, nodes: 0, busy_us: 0, steals: 0 })
-                        .steals += 1;
                 }
                 TraceEvent::Epoch { .. } => epochs += 1,
                 TraceEvent::Generation { .. } => generations += 1,
@@ -399,7 +372,6 @@ impl ExecTrace {
             pairs_per_node,
             workers: workers.into_values().collect(),
             epochs,
-            steals,
             generations,
             evictions,
         }
@@ -433,8 +405,6 @@ pub struct WorkerStats {
     pub nodes: u64,
     /// Microseconds spent in node joins and assignment chunks.
     pub busy_us: u64,
-    /// Tasks this worker stole from other queues.
-    pub steals: u64,
 }
 
 /// Aggregated skew summary of one traced run, attachable to a
@@ -453,8 +423,6 @@ pub struct TraceSummary {
     pub workers: Vec<WorkerStats>,
     /// Streaming epochs observed (0 for one-shot runs).
     pub epochs: usize,
-    /// Total successful work-steals.
-    pub steals: u64,
     /// Serving generations published (0 outside the serving layer).
     pub generations: usize,
     /// Sliding-window epochs evicted (0 outside windowed runs).
@@ -483,19 +451,18 @@ impl TraceSummary {
             }
             let _ = write!(
                 workers,
-                "{{\"worker\":{},\"nodes\":{},\"busy_us\":{},\"steals\":{}}}",
-                w.worker, w.nodes, w.busy_us, w.steals
+                "{{\"worker\":{},\"nodes\":{},\"busy_us\":{}}}",
+                w.worker, w.nodes, w.busy_us
             );
         }
         workers.push(']');
         format!(
-            "{{\"node_time_us\":{},\"candidates\":{},\"pairs_per_node\":{},\"workers\":{},\"epochs\":{},\"steals\":{},\"generations\":{},\"evictions\":{}}}",
+            "{{\"node_time_us\":{},\"candidates\":{},\"pairs_per_node\":{},\"workers\":{},\"epochs\":{},\"generations\":{},\"evictions\":{}}}",
             hist_json(&self.node_time_us),
             hist_json(&self.candidates),
             hist_json(&self.pairs_per_node),
             workers,
             self.epochs,
-            self.steals,
             self.generations,
             self.evictions
         )
@@ -540,7 +507,6 @@ mod tests {
             start_us: 130,
             duration_us: 8,
         });
-        t.record(TraceEvent::Steal { worker: 1, victim: 0, at_us: 129 });
         t.record(TraceEvent::Epoch { epoch: 0, batch_size: 35, start_us: 100, duration_us: 90 });
         t.record(TraceEvent::Generation {
             generation: 2,
@@ -562,14 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_aggregates_nodes_workers_steals_epochs() {
+    fn summary_aggregates_nodes_workers_epochs() {
         let t = sample_trace();
         let s = TraceSink::summary(&t).unwrap();
         assert_eq!(s.node_time_us.count, 2);
         assert_eq!(s.candidates.sum, 105);
         assert_eq!(s.pairs_per_node.sum, 5);
         assert_eq!(s.epochs, 1);
-        assert_eq!(s.steals, 1);
         assert_eq!(s.generations, 1);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.workers.len(), 2);
@@ -577,7 +542,6 @@ mod tests {
         assert_eq!(s.workers[0].nodes, 1);
         assert_eq!(s.workers[0].busy_us, 50);
         assert_eq!(s.workers[1].busy_us, 18, "assign chunk counts as busy");
-        assert_eq!(s.workers[1].steals, 1);
     }
 
     #[test]
@@ -589,7 +553,6 @@ mod tests {
             "\"build\"",
             "\"assign-chunk\"",
             "\"node-join\"",
-            "\"steal\"",
             "\"epoch\"",
             "\"generation\"",
             "\"eviction\"",
@@ -634,7 +597,6 @@ mod tests {
             "pairs_per_node",
             "workers",
             "epochs",
-            "steals",
             "generations",
             "evictions",
         ] {
@@ -657,9 +619,9 @@ mod tests {
         assert!(joined.is_err(), "worker must have panicked");
         assert!(t.events.is_poisoned(), "panic under the lock poisons the mutex");
 
-        t.record(TraceEvent::Steal { worker: 3, victim: 1, at_us: 999 });
+        t.record(TraceEvent::Eviction { epoch: 3, objects: 1, at_us: 999 });
         assert_eq!(t.len(), before + 1, "record still works after poisoning");
-        assert!(t.to_chrome_json().contains("\"steal\""));
+        assert!(t.to_chrome_json().contains("\"epoch\":3"));
         assert!(TraceSink::summary(&*t).is_some());
         assert!(!t.text_profile().is_empty());
         let mut owned = std::sync::Arc::try_unwrap(t).expect("sole owner");

@@ -12,7 +12,7 @@ mod tests {
     use touch_geom::{Aabb, Dataset, Point3};
 
     /// The widths the tests run at: in-thread, and over two, three and eight
-    /// work-stealing workers.
+    /// workers.
     const WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
     fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {

@@ -8,9 +8,11 @@
 //! * **tree building** — the STR sort dominates; after its x-pass the slabs are
 //!   independent, so they recurse on separate workers ([`sort::par_str_sort`]),
 //! * **assignment** — each probe object descends the tree independently and
-//!   read-only, so the probe dataset is processed in work-stealing chunks,
-//! * **local joins** — each assigned node is an independent task, distributed over
-//!   work-stealing deques ([`scheduler::StealQueues`]) in descending cost order.
+//!   read-only, so the probe dataset is processed in chunks the workers claim
+//!   in index order,
+//! * **local joins** — each assigned node is an independent task; the workers
+//!   claim the nodes from one list sorted by descending cost, so the largest
+//!   remaining node always starts first.
 //!
 //! The phase blocks that do this live in touch-core, behind the two entries
 //! every TOUCH surface calls ([`phases::build_tree`] and
@@ -21,10 +23,11 @@
 //! more workers: for every thread count it builds a bit-identical tree, performs
 //! the identical assignment and local joins, and reports the same sorted result
 //! set *and the same counters*; only pair arrival order and wall-clock times
-//! vary. This crate re-exports the blocks under their old paths: [`phases`],
-//! [`scheduler`] and [`sort`].
+//! vary. This crate re-exports the blocks under their old paths: [`phases`]
+//! and [`sort`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod sort;
@@ -32,4 +35,4 @@ pub mod sort;
 #[cfg(test)]
 mod join;
 
-pub use touch_core::{phases, scheduler};
+pub use touch_core::phases;

@@ -12,9 +12,9 @@
 //!   order) for small deltas, by full STR rebuild past a planner-decided
 //!   threshold — and swaps it in atomically.
 //! * [`SnapshotReader`]s run planned joins against whatever generation is
-//!   current when each query starts. The read path takes **no locks**: a
-//!   hazard-pointer [`GenCell`] hands out `Arc` snapshots with a handful of
-//!   atomic operations, and all per-query state (assignment lists, join
+//!   current when each query starts. A query clones the generation's `Arc`
+//!   under a read lock that a publish holds only for the swap, so it never
+//!   waits on a build, and all per-query state (assignment lists, join
 //!   scratch) is reader-owned ([`touch_core::AssignmentBuffer`]).
 //! * [`BoundedSink`] caps per-query result memory with a spill-or-truncate
 //!   [`OverflowPolicy`] — long-running servers must not let one pathological
@@ -65,14 +65,11 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod bounded;
 mod server;
-mod snapshot;
 
 pub use bounded::{BoundedSink, OverflowPolicy};
 pub use server::{Generation, JoinServer, ServeConfig, SnapshotReader};
-pub use snapshot::GenCell;

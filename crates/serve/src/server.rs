@@ -1,13 +1,14 @@
 //! The serving layer: a mutable A-side behind immutable, queryable snapshots.
 //!
 //! A [`JoinServer`] owns the A dataset of a TOUCH join as a sequence of
-//! **generations** — frozen [`TouchTree`]s published through the lock-free
-//! [`GenCell`]. Mutations ([`JoinServer::insert`], [`JoinServer::remove`])
-//! buffer into a delta; [`JoinServer::publish`] folds the delta into the next
-//! generation and swaps it in atomically. Reader threads hold
-//! [`SnapshotReader`]s and run planned joins against whichever generation was
-//! current when their query started — never blocking on the writer, never
-//! observing a half-built tree.
+//! **generations** — frozen [`TouchTree`]s, the current one held as an
+//! `Arc<Generation>` behind an [`RwLock`]. Mutations ([`JoinServer::insert`],
+//! [`JoinServer::remove`]) buffer into a delta; [`JoinServer::publish`] builds
+//! the next generation off the lock and then swaps the `Arc` in. Reader
+//! threads hold [`SnapshotReader`]s and run planned joins against whichever
+//! generation was current when their query started: a query holds the read
+//! lock only to clone the `Arc`, so it never waits on a build, and it never
+//! observes a half-built tree.
 //!
 //! ## The equivalence contract
 //!
@@ -24,9 +25,8 @@
 //! [`ServeConfig::delta_limit`] when the distinction matters.
 
 use crate::bounded::{BoundedSink, OverflowPolicy};
-use crate::snapshot::GenCell;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use touch_core::phases::assign_and_join;
 use touch_core::{
     catch_phase, AssignmentBuffer, ExecControl, ExecutionStrategy, JoinError, JoinPlan,
@@ -36,7 +36,7 @@ use touch_geom::{Aabb, ObjectId, SpatialObject};
 use touch_metrics::{MemoryUsage, Phase, RunReport, TraceEvent};
 
 /// Configuration of a [`JoinServer`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
     /// The algorithmic knobs every generation is built and queried with. The
     /// hierarchy is always on the served (A) side, so `join_order` is ignored.
@@ -47,16 +47,6 @@ pub struct ServeConfig {
     /// ([`JoinPlanner::delta_rebuild_limit`]); `Some(0)` forces a full rebuild
     /// on every publish — the setting the bit-identity equivalence suite pins.
     pub delta_limit: Option<usize>,
-    /// Hazard slots of the generation cell — the number of readers that can be
-    /// *mid-snapshot-acquisition* at once, not a reader-count limit (see
-    /// [`GenCell`]).
-    pub hazard_slots: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig { touch: TouchConfig::default(), delta_limit: None, hazard_slots: 64 }
-    }
 }
 
 /// One frozen, immutable generation of the served A-side: the tree plus the
@@ -116,13 +106,24 @@ struct WriterState {
     version: u64,
 }
 
+/// The served generation, shared by a server and its readers. The lock
+/// guards a single `Arc`, which a panicking holder cannot leave half-written,
+/// so a poisoned lock is recovered.
+type Current = Arc<RwLock<Arc<Generation>>>;
+
+/// A snapshot of the generation in `current`: the read lock is held only to
+/// clone the `Arc`.
+fn load(current: &RwLock<Arc<Generation>>) -> Arc<Generation> {
+    Arc::clone(&current.read().unwrap_or_else(PoisonError::into_inner))
+}
+
 /// The concurrent serving layer over a mutable A-side: buffered mutations
 /// ([`JoinServer::insert`] / [`JoinServer::remove`]), explicit generation
-/// publishes ([`JoinServer::publish`]), lock-free snapshot readers
+/// publishes ([`JoinServer::publish`]), snapshot readers
 /// ([`JoinServer::reader`]).
 #[derive(Debug)]
 pub struct JoinServer {
-    cell: Arc<GenCell<Generation>>,
+    current: Current,
     state: Mutex<WriterState>,
     config: ServeConfig,
 }
@@ -134,7 +135,7 @@ impl JoinServer {
         let next_id = live.iter().map(|o| o.id + 1).max().unwrap_or(0);
         let generation = Self::full_rebuild(&live, &config, 0, 0);
         JoinServer {
-            cell: Arc::new(GenCell::new(Arc::new(generation), config.hazard_slots)),
+            current: Arc::new(RwLock::new(Arc::new(generation))),
             state: Mutex::new(WriterState {
                 live_ids: live.iter().map(|o| o.id).collect(),
                 live,
@@ -157,7 +158,7 @@ impl JoinServer {
     /// reusable assignment and join scratch).
     pub fn reader(&self) -> SnapshotReader {
         SnapshotReader {
-            cell: Arc::clone(&self.cell),
+            current: Arc::clone(&self.current),
             config: self.config.touch,
             buffer: AssignmentBuffer::new(),
             pool: ScratchPool::new(),
@@ -166,12 +167,12 @@ impl JoinServer {
 
     /// The currently served generation (what a query starting now would see).
     pub fn snapshot(&self) -> Arc<Generation> {
-        self.cell.load()
+        load(&self.current)
     }
 
     /// The currently served generation number.
     pub fn generation(&self) -> u64 {
-        self.cell.load().version()
+        self.snapshot().version()
     }
 
     /// Buffers the insertion of one A-object and returns its id. Invisible to
@@ -227,7 +228,9 @@ impl JoinServer {
     /// the new tree reuses the previous generation's STR tiling — removals
     /// filtered out, inserts appended ([`TouchTree::from_tiled`]); past it the
     /// tiling is rebuilt from scratch over the canonical live order. Readers
-    /// keep querying the old generation throughout and switch atomically.
+    /// keep querying the old generation throughout: the write lock is taken
+    /// only to swap the new generation's `Arc` in, and the old one is dropped
+    /// after it is released.
     ///
     /// * A pre-tripped `ctl.cancel` returns [`JoinError::Cancelled`] /
     ///   [`JoinError::DeadlineExceeded`] with the delta still buffered — a
@@ -270,7 +273,7 @@ impl JoinServer {
                 // the inserts appended — any permutation is a correct tiling,
                 // and this one keeps the surviving objects' spatial coherence
                 // for free.
-                let previous = self.cell.load();
+                let previous = self.snapshot();
                 let tiled: Vec<SpatialObject> = previous
                     .tree
                     .a_objects()
@@ -306,15 +309,23 @@ impl JoinServer {
             }
         };
 
-        // Commit: canonical state and the published cell advance together,
-        // under the writer lock, after the only fallible region succeeded.
+        // Commit: canonical state and the served generation advance together,
+        // under the writer-state mutex (which also serialises publishers),
+        // after the only fallible region succeeded.
         state.live = next_live;
         for id in &removes {
             state.live_ids.remove(id);
         }
         state.live_ids.extend(inserts.iter().map(|o| o.id));
         state.version = version;
-        self.cell.publish(Arc::new(generation));
+        let next = Arc::new(generation);
+        let replaced = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(PoisonError::into_inner),
+            next,
+        );
+        // The write lock is released: a reader never waits on the old tree's
+        // drop, which runs here unless a held snapshot still owns it.
+        drop(replaced);
         Ok(version)
     }
 
@@ -343,15 +354,15 @@ impl JoinServer {
 
 /// A per-thread query handle over a [`JoinServer`]'s generations.
 ///
-/// Each query snapshots the current generation ([`GenCell::load`] — lock-free)
-/// and runs the assignment + local-join phases against it
+/// Each query snapshots the current generation (an `Arc` clone under the
+/// read lock) and runs the assignment + local-join phases against it
 /// ([`assign_and_join`]) with reader-owned memory ([`AssignmentBuffer`],
-/// [`ScratchPool`]), so any number of readers proceed fully independently, at
-/// full speed, while the server rebuilds. The reader reuses its buffers across
+/// [`ScratchPool`]), so any number of readers proceed independently while
+/// the server rebuilds. The reader reuses its buffers across
 /// queries: a warmed-up reader allocates nothing on the query path.
 #[derive(Debug)]
 pub struct SnapshotReader {
-    cell: Arc<GenCell<Generation>>,
+    current: Current,
     config: TouchConfig,
     buffer: AssignmentBuffer,
     pool: ScratchPool,
@@ -390,7 +401,7 @@ impl SnapshotReader {
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
     ) -> Result<RunReport, JoinError> {
-        let snapshot = self.cell.load();
+        let snapshot = load(&self.current);
         let mut report = RunReport::new("TOUCH-SERVE".to_string(), snapshot.live(), batch.len());
         report.threads = 1;
         report.generation = Some(snapshot.version());
@@ -450,9 +461,49 @@ impl SnapshotReader {
         }
         Ok(report)
     }
+}
 
-    /// The generation a query starting now would run against.
-    pub fn current_generation(&self) -> u64 {
-        self.cell.load().version()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Weak;
+    use touch_core::CountingSink;
+    use touch_geom::{Dataset, Point3};
+
+    fn unit_box(x: f64) -> Aabb {
+        Aabb::new(Point3::new(x, 0.0, 0.0), Point3::new(x + 1.0, 1.0, 1.0))
+    }
+
+    #[test]
+    fn a_held_snapshot_outlives_the_publishes_that_replace_it() {
+        let a = Dataset::from_mbrs((0..8).map(|i| unit_box(2.0 * f64::from(i))));
+        let server = JoinServer::new(&a, ServeConfig::default());
+        let held = server.snapshot();
+        let held_objects = held.tree().a_objects().to_vec();
+
+        let mut middle = Weak::new();
+        for version in 1..=2 {
+            server.insert(unit_box(100.0 + 2.0 * version as f64));
+            assert_eq!(server.publish(), version);
+            if version == 1 {
+                middle = Arc::downgrade(&server.snapshot());
+            }
+        }
+        assert!(middle.upgrade().is_none(), "an unheld generation is freed at the next publish");
+
+        // The held snapshot keeps its version and its tree...
+        assert_eq!(held.version(), 0);
+        assert_eq!(held.tree().a_objects(), held_objects.as_slice());
+        // ...while the server serves the newest generation.
+        let newest = server.snapshot();
+        assert_eq!((newest.version(), newest.live()), (2, 10));
+        assert_eq!(server.generation(), 2);
+        let report = server.reader().query(&[], &mut CountingSink::new());
+        assert_eq!(report.generation, Some(2));
+
+        // The replaced generation dies with its last snapshot.
+        let replaced = Arc::downgrade(&held);
+        drop(held);
+        assert!(replaced.upgrade().is_none());
     }
 }

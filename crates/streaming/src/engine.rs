@@ -30,7 +30,7 @@ pub struct StreamingConfig {
     pub touch: TouchConfig,
     /// Worker threads: `1` (the default) runs the strictly sequential path, `0`
     /// auto-detects ([`std::thread::available_parallelism`]), anything else runs
-    /// the work-stealing path of the phase blocks ([`touch_core::phases`]) at that
+    /// the multi-worker path of the phase blocks ([`touch_core::phases`]) at that
     /// width.
     pub threads: usize,
     /// Probe objects per assignment work unit (as in
@@ -216,9 +216,9 @@ impl StreamingTouchJoin {
     /// joins (Algorithm 4) into `sink`, and returns this epoch's [`EpochReport`].
     ///
     /// Both phases run through [`touch_core::phases::assign_and_join`], whose
-    /// one loop runs in the calling thread at `threads == 1` and on
-    /// work-stealing workers otherwise, with the same pairs and counters at
-    /// every width. `sink` is any [`PairSink`]; an
+    /// one loop runs in the calling thread at `threads == 1` and on scoped
+    /// workers sharing one claim list otherwise, with the same pairs and
+    /// counters at every width. `sink` is any [`PairSink`]; an
     /// early-terminating sink ([`PairSink::is_done`]) stops the epoch's local
     /// joins.
     ///
@@ -251,8 +251,7 @@ impl StreamingTouchJoin {
     /// aborting the process. With `ctl.trace` enabled the whole epoch is
     /// wrapped in a [`TraceEvent::Epoch`] span, inside which the assignment
     /// and join record one [`TraceEvent::Phase`] span each plus their
-    /// per-chunk / per-node spans (and steals) — tracing never changes pairs
-    /// or counters.
+    /// per-chunk / per-node spans — tracing never changes pairs or counters.
     ///
     /// * A token that trips **before** the epoch starts leaves the engine
     ///   completely untouched — no assignments cleared, no statistics merged,

@@ -18,15 +18,15 @@
 //!   [`DatasetStats`], the [`JoinPlanner`] cost model, the [`JoinPlan`] every
 //!   engine executes and the [`AutoEngine`] that plans for [`TouchJoin`],
 //! * [`parallel`] — the multi-threaded phase blocks under their old paths
-//!   (`phases`, `scheduler`, `sort`),
+//!   (`phases`, `sort`),
 //! * [`streaming`] — the batched/streaming engine ([`StreamingTouchJoin`]): one
 //!   persistent tree over A serving epoch after epoch of B, any epoch split exactly
 //!   reproducing the one-shot join — including sliding-window epochs that *evict*
 //!   the oldest batches instead of resetting,
 //! * [`serve`] — the concurrent serving layer ([`JoinServer`]): a mutable A-side
-//!   behind lock-free generation snapshots, queried by any number of
+//!   behind immutable generation snapshots, queried by any number of
 //!   [`SnapshotReader`] threads while the writer buffers mutations and publishes
-//!   the next generation atomically,
+//!   the next generation with one `Arc` swap,
 //! * [`sim`] — the tick-loop simulation layer ([`TickEngine`]): a moving-object
 //!   [`World`] re-joined with itself (a planned ε self-join) every tick, with
 //!   plan, tree memory and scratch reused across ticks — optionally republished
@@ -114,6 +114,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 mod engine;
@@ -155,7 +156,7 @@ pub use touch_metrics::{
     PlanSummary, RunReport, Seam, TickSummary, TraceEvent, TraceSink, TraceSummary, WorkerStats,
 };
 pub use touch_serve::{
-    BoundedSink, GenCell, Generation, JoinServer, OverflowPolicy, ServeConfig, SnapshotReader,
+    BoundedSink, Generation, JoinServer, OverflowPolicy, ServeConfig, SnapshotReader,
 };
 pub use touch_sim::{ServeTickLoop, TickConfig, TickEngine, TickRecord, TickReport, World};
 pub use touch_streaming::{

@@ -51,7 +51,7 @@ pub fn dense(count: usize, seed: u64) -> Dataset {
 }
 
 pub fn serve_cfg() -> ServeConfig {
-    ServeConfig { touch: TouchConfig::default(), delta_limit: None, hazard_slots: 8 }
+    ServeConfig { touch: TouchConfig::default(), delta_limit: None }
 }
 
 /// TOUCH on one worker and at a given worker budget, and the streaming

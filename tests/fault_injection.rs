@@ -163,12 +163,12 @@ fn auto_engine_contains_node_join_faults() {
 /// the error attributes the panic to it — at every parallel width.
 ///
 /// The per-node joins of a small workload are microseconds, so an unaided
-/// pinned trigger would race thread spawn: worker 0 can drain every queue
-/// before its siblings start. The same plan therefore stalls every *other*
-/// worker's first node join; the work queues are seeded round-robin, so the
-/// target worker always claims from its own non-empty queue long before any
-/// stalled sibling could finish a node and steal it — the pinned trigger
-/// fires deterministically.
+/// pinned trigger would race thread spawn: worker 0 can claim every node of
+/// the list before its siblings start. The same plan therefore stalls every
+/// *other* worker for 25 ms on its first node join, so none of them claims a
+/// second node in that time; the pinned worker, spawned last, claims the next
+/// list entry as soon as it starts, well within the stall, and the pinned
+/// trigger fires deterministically.
 #[test]
 fn worker_restricted_triggers_attribute_the_panic() {
     silence_fault_panics();

@@ -45,7 +45,7 @@ fn run(
 /// strategies. Pairs and every counter must match bit-for-bit.
 #[test]
 fn auto_matches_the_engine_it_resolves_to_at_every_thread_count() {
-    // Workload 1 is large enough (|A| + |B| ≥ the planner's parallel_min_work)
+    // Workload 1 is large enough (|A| + |B| ≥ the planner's PARALLEL_MIN_WORK)
     // to resolve to the parallel engine whenever threads are available;
     // workload 2 stays below the bar and must resolve sequential regardless.
     let workloads =

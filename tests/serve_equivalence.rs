@@ -22,7 +22,7 @@ fn touch_cfg() -> TouchConfig {
 }
 
 fn serve_cfg(delta_limit: Option<usize>) -> ServeConfig {
-    ServeConfig { touch: touch_cfg(), delta_limit, hazard_slots: 8 }
+    ServeConfig { touch: touch_cfg(), delta_limit }
 }
 
 fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {
