@@ -474,34 +474,51 @@ mod tests {
         Aabb::new(Point3::new(x, 0.0, 0.0), Point3::new(x + 1.0, 1.0, 1.0))
     }
 
-    #[test]
-    fn a_held_snapshot_outlives_the_publishes_that_replace_it() {
+    fn server_of_eight() -> JoinServer {
         let a = Dataset::from_mbrs((0..8).map(|i| unit_box(2.0 * f64::from(i))));
-        let server = JoinServer::new(&a, ServeConfig::default());
-        let held = server.snapshot();
-        let held_objects = held.tree().a_objects().to_vec();
+        JoinServer::new(&a, ServeConfig::default())
+    }
+
+    #[test]
+    fn load_returns_the_published_generation() {
+        let server = server_of_eight();
+        assert_eq!((server.snapshot().version(), server.snapshot().live()), (0, 8));
 
         let mut middle = Weak::new();
         for version in 1..=2 {
             server.insert(unit_box(100.0 + 2.0 * version as f64));
             assert_eq!(server.publish(), version);
+            assert_eq!(server.snapshot().version(), version);
             if version == 1 {
                 middle = Arc::downgrade(&server.snapshot());
             }
         }
         assert!(middle.upgrade().is_none(), "an unheld generation is freed at the next publish");
 
-        // The held snapshot keeps its version and its tree...
-        assert_eq!(held.version(), 0);
-        assert_eq!(held.tree().a_objects(), held_objects.as_slice());
-        // ...while the server serves the newest generation.
         let newest = server.snapshot();
         assert_eq!((newest.version(), newest.live()), (2, 10));
         assert_eq!(server.generation(), 2);
         let report = server.reader().query(&[], &mut CountingSink::new());
         assert_eq!(report.generation, Some(2));
+    }
 
-        // The replaced generation dies with its last snapshot.
+    #[test]
+    fn snapshots_outlive_the_publish_that_replaces_them() {
+        let server = server_of_eight();
+        let held = server.snapshot();
+        let held_objects = held.tree().a_objects().to_vec();
+
+        for version in 1..=2 {
+            server.insert(unit_box(100.0 + 2.0 * version as f64));
+            assert_eq!(server.publish(), version);
+        }
+
+        // The held snapshot keeps its version and its tree...
+        assert_eq!(held.version(), 0);
+        assert_eq!(held.tree().a_objects(), held_objects.as_slice());
+        assert_eq!(server.snapshot().version(), 2);
+
+        // ...and the replaced generation dies with its last snapshot.
         let replaced = Arc::downgrade(&held);
         drop(held);
         assert!(replaced.upgrade().is_none());
