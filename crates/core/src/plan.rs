@@ -46,8 +46,9 @@
 //!   termination, no worker spin-up to waste); otherwise the plan goes parallel
 //!   whenever more than one thread is available and the input is large enough
 //!   ([`JoinPlanner::PARALLEL_MIN_WORK`]) for the fork/join overhead to pay off.
-//!   Only [`JoinPlanner::plan_streaming`] makes a streaming plan: the epoch
-//!   engine builds its tree once and amortises it over the stream.
+//!   The planner never makes a streaming plan: the epoch engine runs
+//!   [`JoinPlan::from_streaming_tree`] of its explicit configuration, pinned
+//!   when it builds the tree it amortises over every stream.
 
 use crate::control::{ExecControl, JoinError};
 use crate::stats::DatasetStats;
@@ -67,9 +68,10 @@ pub enum ExecutionStrategy {
         /// Resolved worker count (≥ 2).
         threads: usize,
     },
-    /// The plan of a persistent-tree `StreamingTouchJoin`. Run one-shot
-    /// ([`TouchJoin::from_plan`]), it is the one-shot executor at this width, on
-    /// the plan's tree side.
+    /// The plan of a persistent-tree `StreamingTouchJoin`, made by
+    /// [`JoinPlan::from_streaming_tree`]; reports label it `streaming(n)`. Run
+    /// one-shot ([`TouchJoin::from_plan`]), it is the one-shot executor at this
+    /// width, on the plan's tree side.
     Streaming {
         /// Resolved worker count per epoch (1 = sequential epochs).
         threads: usize,
@@ -359,26 +361,6 @@ impl JoinPlanner {
         (plan, stats_time)
     }
 
-    /// Plans a streaming join whose hierarchy is pinned to the tree dataset
-    /// (`tree`), probing a stream summarised by `probe` — which may be
-    /// [`DatasetStats::new`] (empty) before the first stream, in which case the
-    /// cell floor comes from the tree side alone, exactly like the explicit
-    /// streaming configuration.
-    pub fn plan_streaming(
-        &self,
-        tree: &DatasetStats,
-        probe: &DatasetStats,
-        env: &PlanEnv,
-    ) -> JoinPlan {
-        let work = (tree.count() + probe.count()) as u64;
-        let plan = self.plan_with_tree_side(tree, probe, env, true, tree.count(), work);
-        let threads = match plan.strategy {
-            ExecutionStrategy::Sequential => 1,
-            s => s.threads(),
-        };
-        plan.with_strategy(ExecutionStrategy::Streaming { threads })
-    }
-
     fn plan_with_tree_side(
         &self,
         a: &DatasetStats,
@@ -395,9 +377,9 @@ impl JoinPlanner {
         let allpairs_max_a = (target_leaf / 16).clamp(8, 128);
         // Per-node adaptive strategy selection, pinned to the *probe* side's
         // global density at plan time (the side streamed against the tree).
-        // An empty or volume-less probe summary — notably a streaming plan made
-        // before the first epoch — yields no density and falls back to the
-        // global cutoff, so such plans stay exactly the historical decisions.
+        // An empty or volume-less probe summary yields no density and falls
+        // back to the global cutoff, so such plans stay exactly the historical
+        // decisions.
         let probe = if build_on_a { b } else { a };
         let adapt = match probe.density() {
             d if d > 0.0 => Some(crate::AdaptiveParams::with_density(d)),
@@ -670,15 +652,16 @@ mod tests {
 
     #[test]
     fn streaming_plans_pin_the_tree_side() {
-        let planner = JoinPlanner::default();
-        let tree = stats(50_000, 1, 1.0);
-        // Even a much smaller (or empty) probe summary never flips the tree side.
-        let plan = planner.plan_streaming(&tree, &DatasetStats::new(), &PlanEnv::sequential());
+        // The hierarchy is always on the tree dataset; no probe side is seen.
+        let tree = cloud(5_000, 1, 1.0);
+        let cfg = TouchConfig::default();
+        let plan = JoinPlan::from_streaming_tree(&cfg, &tree, 3, 64, 128);
         assert!(plan.build_on_a);
-        assert!(matches!(plan.strategy, ExecutionStrategy::Streaming { .. }));
-        // With an empty probe summary the cell floor comes from the tree alone.
-        let expected = 2.0 * tree.mean_side_all_axes();
-        assert!((plan.params.min_cell_size - expected).abs() < 1e-12);
+        assert_eq!(plan.strategy, ExecutionStrategy::Streaming { threads: 3 });
+        assert_eq!((plan.chunk_size, plan.sort_threshold), (64, 128));
+        // The cell floor comes from the tree dataset alone.
+        assert_eq!(plan.params, cfg.local_join_params(cfg.min_local_cell_size_of(&tree)));
+        assert!(plan.summary().compact().starts_with("streaming(3):p"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The unified query layer: [`JoinQuery`], [`Predicate`] and [`IntoEngine`].
 //!
-//! Every join in the workspace — TOUCH at any width, the streaming engine's
-//! one-shot adapter, and all eight baselines — runs through the same builder:
+//! Every one-shot join in the workspace — TOUCH at any width and all eight
+//! baselines — runs through the same builder:
 //!
 //! ```
 //! use touch_core::{CollectingSink, JoinQuery, Predicate, TouchConfig};

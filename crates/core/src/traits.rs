@@ -34,9 +34,9 @@ pub enum Shape {
 
 /// A two-way spatial intersection join over MBR datasets.
 ///
-/// Implemented by [`crate::TouchJoin`], the parallel and streaming engines, and by
-/// every baseline in `touch-baselines` (nested loop, plane-sweep, PBSM, S3, indexed
-/// nested loop, synchronous R-tree traversal, octree, seeded tree). An
+/// Implemented by [`crate::TouchJoin`] (at any width), by [`crate::AutoEngine`]
+/// and by every baseline in `touch-baselines` (nested loop, plane-sweep, PBSM,
+/// S3, indexed nested loop, synchronous R-tree traversal, octree, seeded tree). An
 /// implementation must report **every** pair `(a, b)` with
 /// `a.mbr.intersects(b.mbr)` **exactly once** into the sink — the paper's
 /// completeness, soundness and no-duplication guarantees (Theorem 1, Lemma 3) —

@@ -157,7 +157,16 @@ pub struct TickEngine {
 impl TickEngine {
     /// Builds a tick engine over `world`, planning the self-join from the
     /// world's initial statistics.
+    ///
+    /// # Panics
+    /// Panics if `config.epsilon` is negative, NaN or infinite (the ε that
+    /// [`JoinQuery::try_run`](touch_core::JoinQuery::try_run) rejects).
     pub fn new(world: World, config: TickConfig) -> Self {
+        let eps = config.epsilon;
+        assert!(
+            eps.is_finite() && eps >= 0.0,
+            "distance-join ε must be finite and non-negative, got {eps}"
+        );
         let mut dataset = Dataset::new();
         world.fill_dataset(&mut dataset);
         let mut extended = Dataset::new();
@@ -487,5 +496,17 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with(TickSummary::csv_header()));
         assert_eq!(csv.lines().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_negative_epsilon_is_rejected() {
+        let _ = TickEngine::new(World::random(10, 1), TickConfig::default().with_epsilon(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_nan_epsilon_is_rejected() {
+        let _ = TickEngine::new(World::random(10, 1), TickConfig::default().with_epsilon(f64::NAN));
     }
 }

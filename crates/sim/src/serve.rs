@@ -49,7 +49,16 @@ impl ServeTickLoop {
     /// (ε-extended) boxes. `config.threads` and `config.collect_pairs` are
     /// ignored — the serving layer plans its own rebuilds, and a snapshot read
     /// always materialises its pairs.
+    ///
+    /// # Panics
+    /// Panics if `config.epsilon` is negative, NaN or infinite, as
+    /// [`TickEngine::new`](crate::TickEngine::new) does.
     pub fn new(world: World, config: TickConfig) -> Self {
+        let eps = config.epsilon;
+        assert!(
+            eps.is_finite() && eps >= 0.0,
+            "distance-join ε must be finite and non-negative, got {eps}"
+        );
         let mut dataset = Dataset::new();
         world.fill_dataset(&mut dataset);
         let mut extended = Dataset::new();
@@ -188,5 +197,18 @@ mod tests {
         serve.tick();
         let g2 = serve.generation();
         assert!(g0 < g1 && g1 < g2);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_negative_epsilon_is_rejected() {
+        let _ = ServeTickLoop::new(World::random(10, 1), TickConfig::default().with_epsilon(-1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_nan_epsilon_is_rejected() {
+        let config = TickConfig::default().with_epsilon(f64::NAN);
+        let _ = ServeTickLoop::new(World::random(10, 1), config);
     }
 }

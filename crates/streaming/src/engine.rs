@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use touch_core::phases::{assign_and_join, build_tree, resolve_threads};
 use touch_core::{
-    DatasetStats, ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, PlanEnv, ScratchPool,
-    Shape, SpatialJoinAlgorithm, TouchConfig, TouchTree,
+    ExecControl, JoinError, JoinPlan, JoinPlanner, PairSink, ScratchPool, Shape, TouchConfig,
+    TouchTree,
 };
 use touch_geom::{Dataset, SpatialObject};
 use touch_metrics::{Counters, MemoryUsage, NoTrace, Phase, RunReport, TraceEvent, TraceSink};
@@ -81,22 +81,10 @@ impl StreamingConfig {
 #[derive(Debug, Clone)]
 pub struct StreamingTouchJoin {
     config: StreamingConfig,
-    threads: usize,
     tree: TouchTree,
-    /// The resolved plan the current stream executes: partitioning pinned at
-    /// build, local-join parameters pinned per stream (never mid-stream, so
-    /// epoch splits stay equivalence-exact).
+    /// The resolved plan every epoch of every stream executes, pinned at build
+    /// so that epoch splits stay equivalence-exact.
     plan: JoinPlan,
-    /// `Some` when the engine was built through the planning layer
-    /// ([`StreamingTouchJoin::build_planned`]): [`StreamingTouchJoin::reset`]
-    /// then re-plans the next stream's local-join parameters from the statistics
-    /// accumulated over the previous stream's epochs.
-    planner: Option<JoinPlanner>,
-    /// Statistics of the tree dataset, collected once at build.
-    tree_stats: DatasetStats,
-    /// Statistics of the current stream's probe side, accumulated batch by batch
-    /// ([`DatasetStats::merge`] — exact, see `touch-core`'s stats module).
-    stream_stats: DatasetStats,
     /// Snapshot of the cumulative report right after the build: what `reset`
     /// rewinds to.
     base: RunReport,
@@ -124,64 +112,30 @@ impl StreamingTouchJoin {
     /// [`touch_core::phases::build_tree`]: the parallel stable STR sort at
     /// `threads > 1`, bit-identical to the sequential sort). This is the
     /// amortised cost: every epoch of every stream reuses the tree.
-    pub fn build(a: &Dataset, config: StreamingConfig) -> Self {
-        Self::build_inner(a, config, config_plan(&config, a), None, &NoTrace)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the persistent hierarchy with **statistics-driven planning**: the
-    /// tree knobs (partitions, fanout, grid sizing, all-pairs cutoff) come from
-    /// `planner` over the tree dataset's statistics, and every
-    /// [`reset`](StreamingTouchJoin::reset) **re-plans the next stream** from the
-    /// probe statistics accumulated over the finished stream's epochs — a stream
-    /// of tiny objects shrinks the next stream's grid cells, a stream of large
-    /// ones grows them. Within a stream the parameters never change, so the
-    /// epoch-split equivalence guarantee is untouched.
     ///
-    /// `config.touch` is ignored except as the source of execution knobs
-    /// (threads, chunk size, sort threshold); the algorithmic knobs are planned.
-    pub fn build_planned(a: &Dataset, config: StreamingConfig, planner: JoinPlanner) -> Self {
-        let tree_stats = DatasetStats::from_dataset(a);
+    /// The plan is [`JoinPlan::from_streaming_tree`] of `config` over `a`, at
+    /// the configured width; [`plan`](StreamingTouchJoin::plan) returns it.
+    ///
+    /// # Panics
+    /// Panics if the build panics.
+    pub fn build(a: &Dataset, config: StreamingConfig) -> Self {
         let threads = config.effective_threads();
-        let env = PlanEnv::sequential().with_threads(threads);
-        // The configured worker count is an execution knob the caller owns, not
-        // a planning decision: pin the recorded strategy to it so the plan on
-        // every report matches the workers that actually run the epochs.
-        let plan = planner
-            .plan_streaming(&tree_stats, &DatasetStats::new(), &env)
-            .with_execution(config.chunk_size, config.sort_threshold)
-            .with_strategy(touch_core::ExecutionStrategy::Streaming { threads });
-        let mut engine = Self::build_inner(a, config, plan, Some(planner), &NoTrace)
-            .unwrap_or_else(|e| panic!("{e}"));
-        engine.tree_stats = tree_stats;
-        engine
-    }
-
-    /// The one build: [`build_tree`] over `a` at `plan`, its Build span on
-    /// `trace`. A panic in the build returns [`JoinError::WorkerPanicked`].
-    fn build_inner(
-        a: &Dataset,
-        config: StreamingConfig,
-        plan: JoinPlan,
-        planner: Option<JoinPlanner>,
-        trace: &dyn TraceSink,
-    ) -> Result<Self, JoinError> {
-        let threads = config.effective_threads();
+        let (chunk_size, sort_threshold) = (config.chunk_size, config.sort_threshold);
+        let plan =
+            JoinPlan::from_streaming_tree(&config.touch, a, threads, chunk_size, sort_threshold);
         let mut base = RunReport::new(format!("TOUCH-S{threads}"), a.len(), 0);
         base.threads = threads;
         base.epochs = 0;
         base.plan = Some(plan.summary());
-        let (tree, sort_aux) = build_tree(a.objects(), Vec::new(), &plan, &mut base.timer, trace)?;
+        let (tree, sort_aux) =
+            build_tree(a.objects(), Vec::new(), &plan, &mut base.timer, &NoTrace)
+                .unwrap_or_else(|e| panic!("{e}"));
         base.memory_bytes = tree.memory_bytes() + sort_aux;
         let cumulative = base.clone();
-        Ok(StreamingTouchJoin {
+        StreamingTouchJoin {
             config,
-            threads,
             tree,
             plan,
-            planner,
-            tree_stats: DatasetStats::new(),
-            stream_stats: DatasetStats::new(),
             base,
             cumulative,
             epochs: 0,
@@ -189,7 +143,7 @@ impl StreamingTouchJoin {
             scratch: ScratchPool::new(),
             window_records: VecDeque::new(),
             window_len: Vec::new(),
-        })
+        }
     }
 
     /// Builds a persistent **distance-join** tree: dataset `a` is ε-extended once,
@@ -202,8 +156,17 @@ impl StreamingTouchJoin {
     /// epoch runs, so every partial [`cumulative_report`] — including one taken
     /// mid-stream — already carries the threshold.
     ///
+    /// # Panics
+    /// Panics if `eps` is negative, NaN or infinite (the ε that
+    /// [`JoinQuery::try_run`](touch_core::JoinQuery::try_run) rejects), or if
+    /// the build panics.
+    ///
     /// [`cumulative_report`]: StreamingTouchJoin::cumulative_report
     pub fn build_extended(a: &Dataset, eps: f64, config: StreamingConfig) -> Self {
+        assert!(
+            eps.is_finite() && eps >= 0.0,
+            "distance-join ε must be finite and non-negative, got {eps}"
+        );
         let extended = a.extended(eps);
         let mut engine = Self::build(&extended, config);
         engine.base.epsilon = eps;
@@ -229,22 +192,6 @@ impl StreamingTouchJoin {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`StreamingTouchJoin::push_batch`] for **self-joins**: the pushed batch is
-    /// (an ε-extension of) the very dataset the tree was built over, with the
-    /// object ids aligned, and the local joins keep only pairs with
-    /// `tree_id < probe_id` — each unordered pair exactly once, identities never.
-    /// The filter sits inside the kernels, so an early-terminating sink's budget
-    /// is spent on real self-join pairs only; comparison/node-test counters stay
-    /// pre-filter, exactly as in the one-shot engines' self-join paths.
-    pub fn push_batch_self(
-        &mut self,
-        batch: &[SpatialObject],
-        sink: &mut dyn PairSink,
-    ) -> EpochReport {
-        self.try_push_batch_self(batch, sink, ExecControl::infallible())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Fallible [`StreamingTouchJoin::push_batch`]: the epoch polls
     /// `ctl.cancel` at chunk (assignment) and node (join) granularity and
     /// contains panics at the phase boundaries and in the workers instead of
@@ -254,8 +201,8 @@ impl StreamingTouchJoin {
     /// per-chunk / per-node spans — tracing never changes pairs or counters.
     ///
     /// * A token that trips **before** the epoch starts leaves the engine
-    ///   completely untouched — no assignments cleared, no statistics merged,
-    ///   no epoch counted — so the same batch can simply be pushed again.
+    ///   completely untouched — no assignments cleared, nothing merged, no
+    ///   epoch counted — so the same batch can simply be pushed again.
     /// * A token that trips **mid-epoch** returns `Ok` with a *partial*
     ///   [`EpochReport`] whose [`completion`](EpochReport::completion) says
     ///   why; the pairs already delivered to `sink` and the partial counters
@@ -271,19 +218,7 @@ impl StreamingTouchJoin {
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
-        self.push_epoch_ctl(batch, sink, ctl, Shape::Pair, None)
-    }
-
-    /// Fallible [`StreamingTouchJoin::push_batch_self`] — the self-join form
-    /// of [`try_push_batch`](StreamingTouchJoin::try_push_batch), with the
-    /// same cancellation and containment contract.
-    pub fn try_push_batch_self(
-        &mut self,
-        batch: &[SpatialObject],
-        sink: &mut dyn PairSink,
-        ctl: ExecControl<'_>,
-    ) -> Result<EpochReport, JoinError> {
-        self.push_epoch_ctl(batch, sink, ctl, Shape::SelfJoin, None)
+        self.push_epoch_ctl(batch, sink, ctl, None)
     }
 
     /// Joins `batch` as the newest epoch of a **sliding window** holding the
@@ -342,7 +277,7 @@ impl StreamingTouchJoin {
         ctl: ExecControl<'_>,
     ) -> Result<EpochReport, JoinError> {
         assert!(window >= 1, "a sliding window holds at least one epoch");
-        self.push_epoch_ctl(batch, sink, ctl, Shape::Pair, Some(window))
+        self.push_epoch_ctl(batch, sink, ctl, Some(window))
     }
 
     /// The one epoch code path: `window` selects sliding-window mode (evict
@@ -353,7 +288,6 @@ impl StreamingTouchJoin {
         batch: &[SpatialObject],
         sink: &mut dyn PairSink,
         ctl: ExecControl<'_>,
-        shape: Shape,
         window: Option<usize>,
     ) -> Result<EpochReport, JoinError> {
         let mut report = EpochReport {
@@ -363,7 +297,7 @@ impl StreamingTouchJoin {
             counters: Counters::new(),
             timer: touch_metrics::PhaseTimer::new(),
             memory_bytes: 0,
-            threads: self.threads,
+            threads: self.plan.threads(),
             completion: touch_metrics::Completion::Complete,
         };
         // A pre-tripped token leaves the engine untouched — nothing cleared,
@@ -384,13 +318,12 @@ impl StreamingTouchJoin {
             }
             Some(window) => self.evict_to(window, trace),
         }
-        self.stream_stats.merge(&DatasetStats::from_objects(batch));
 
         // The streaming tree is always on A, so the plan never swaps pairs.
         let (plan, pool) = (&self.plan, &mut self.scratch);
         let (counters, timer) = (&mut report.counters, &mut report.timer);
         let epoch = self.tree.with_store(|store, tree| {
-            assign_and_join(tree, store, batch, plan, shape, sink, pool, counters, timer, ctl)
+            assign_and_join(tree, store, batch, plan, Shape::Pair, sink, pool, counters, timer, ctl)
         });
         // A panicked phase fails the whole epoch (and drops any window); the
         // cumulative record never sees the failed epoch.
@@ -505,33 +438,14 @@ impl StreamingTouchJoin {
 
     /// Starts a new B stream over the same tree: clears the current assignments and
     /// rewinds the epoch counter and cumulative report to their post-build state.
-    /// The tree itself — and therefore the amortised build investment — is kept.
-    ///
-    /// A [planned](StreamingTouchJoin::build_planned) engine additionally
-    /// **re-plans the next stream** here: the local-join parameters (grid cell
-    /// floor, all-pairs cutoff) are re-derived from the tree statistics plus the
-    /// probe statistics accumulated over the finished stream. The tree structure
-    /// (partitions, fanout) stays as built. Explicitly configured engines keep
-    /// their pinned parameters forever, exactly as before the planning layer.
+    /// The tree itself — and therefore the amortised build investment — is kept,
+    /// and so is the plan.
     pub fn reset(&mut self) {
         self.clear_window();
         self.tree.clear_assignment();
-        if let Some(planner) = self.planner {
-            if !self.stream_stats.is_empty() {
-                let env = PlanEnv::sequential().with_threads(self.threads);
-                let replanned = planner
-                    .plan_streaming(&self.tree_stats, &self.stream_stats, &env)
-                    .with_execution(self.plan.chunk_size, self.plan.sort_threshold);
-                // Only the per-stream knobs may move: the hierarchy is built and
-                // its partitioning is no longer negotiable.
-                self.plan.params = replanned.params;
-                self.base.plan = Some(self.plan.summary());
-            }
-        }
         self.cumulative = self.base.clone();
         self.epochs = 0;
         self.streams += 1;
-        self.stream_stats = DatasetStats::new();
     }
 
     /// Number of epochs pushed in the current stream.
@@ -548,7 +462,7 @@ impl StreamingTouchJoin {
 
     /// The resolved worker count every epoch runs with.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.plan.threads()
     }
 
     /// The configuration the engine was built with.
@@ -561,24 +475,9 @@ impl StreamingTouchJoin {
         &self.tree
     }
 
-    /// The minimum local-join grid cell size of the current stream's plan. For an
-    /// explicitly configured engine this is derived from the tree dataset at
-    /// build time and never changes (see [`StreamingConfig`]); a
-    /// [planned](StreamingTouchJoin::build_planned) engine may refine it per
-    /// stream at [`reset`](StreamingTouchJoin::reset).
-    pub fn min_cell(&self) -> f64 {
-        self.plan.params.min_cell_size
-    }
-
-    /// The resolved plan the current stream executes.
+    /// The resolved plan every epoch executes.
     pub fn plan(&self) -> &JoinPlan {
         &self.plan
-    }
-
-    /// The probe statistics accumulated over the current stream's epochs
-    /// ([`DatasetStats::merge`] of every pushed batch).
-    pub fn stream_stats(&self) -> &DatasetStats {
-        &self.stream_stats
     }
 
     /// Wall-clock cost of building the tree — the investment the stream amortises.
@@ -594,83 +493,10 @@ impl StreamingTouchJoin {
     }
 }
 
-/// The plan of an explicitly configured engine over tree dataset `a`.
-fn config_plan(config: &StreamingConfig, a: &Dataset) -> JoinPlan {
-    let (threads, chunk_size) = (config.effective_threads(), config.chunk_size);
-    JoinPlan::from_streaming_tree(&config.touch, a, threads, chunk_size, config.sort_threshold)
-}
-
-/// The streaming engine exposed as a one-shot [`SpatialJoinAlgorithm`]: builds the
-/// persistent tree over A and pushes the whole of B as a single epoch.
-///
-/// This is the adapter that lets the streaming engine's epoch path participate
-/// in the unified [`touch_core::JoinQuery`] facade (and in every cross-engine
-/// equivalence suite) alongside `TouchJoin`. A resolved [`JoinPlan`], streaming
-/// or not, runs one-shot through `TouchJoin::from_plan`. For actual serving
-/// workloads use [`StreamingTouchJoin`] directly — the whole point of the engine
-/// is *not* to rebuild the tree per query.
-#[derive(Debug, Clone, Default)]
-pub struct OneShotStreaming {
-    config: StreamingConfig,
-}
-
-impl OneShotStreaming {
-    /// Wraps `config` as a one-shot algorithm.
-    pub fn new(config: StreamingConfig) -> Self {
-        OneShotStreaming { config }
-    }
-
-    /// The streaming configuration every run builds with.
-    pub fn config(&self) -> &StreamingConfig {
-        &self.config
-    }
-}
-
-impl SpatialJoinAlgorithm for OneShotStreaming {
-    fn name(&self) -> String {
-        format!("TOUCH-S{}", self.config.effective_threads())
-    }
-
-    fn plan_for(&self, a: &Dataset, _b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
-        Some(config_plan(&self.config, a))
-    }
-
-    /// The one-shot run: build under `ctl` (its trace records the Build span,
-    /// and a panic in the build is contained), push the whole probe side as a
-    /// single cancellable epoch, and fold the engine's cumulative record (and
-    /// the epoch's completion) into the run report.
-    fn try_join(
-        &self,
-        a: &Dataset,
-        b: &Dataset,
-        shape: Shape,
-        sink: &mut dyn PairSink,
-        report: &mut RunReport,
-        ctl: ExecControl<'_>,
-    ) -> Result<(), JoinError> {
-        if let Some(cause) = ctl.cancel.triggered() {
-            report.completion = cause.completion();
-            return Ok(());
-        }
-        let plan = config_plan(&self.config, a);
-        let mut engine = StreamingTouchJoin::build_inner(a, self.config, plan, None, ctl.trace)?;
-        let epoch = engine.push_epoch_ctl(b.objects(), sink, ctl, shape, None)?;
-        report.completion = epoch.completion;
-        let cumulative = engine.cumulative_report();
-        report.threads = cumulative.threads;
-        report.epochs = cumulative.epochs;
-        report.plan = cumulative.plan.clone();
-        report.counters.merge(&cumulative.counters);
-        report.timer.merge(&cumulative.timer);
-        report.memory_bytes = report.memory_bytes.max(cumulative.memory_bytes);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use touch_core::{collect_join, CollectingSink, CountingSink, JoinOrder, JoinQuery, TouchJoin};
+    use touch_core::{collect_join, CollectingSink, CountingSink, JoinOrder, TouchJoin};
     use touch_geom::{Aabb, Point3};
 
     fn lattice(side: usize, spacing: f64, box_side: f64, offset: f64) -> Dataset {
@@ -929,78 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_adapter_matches_the_sequential_join() {
-        let (a, b) = workloads();
-        let (expected_pairs, expected) = collect_join(&TouchJoin::new(touch_cfg()), &a, &b);
-        for threads in [1, 3] {
-            let adapter = OneShotStreaming::new(streaming_cfg(threads));
-            assert_eq!(adapter.name(), format!("TOUCH-S{threads}"));
-            assert_eq!(adapter.config().threads, threads);
-            let (pairs, report) = collect_join(&adapter, &a, &b);
-            assert_eq!(pairs, expected_pairs, "threads = {threads}");
-            assert_eq!(report.counters, expected.counters, "threads = {threads}");
-            assert_eq!(report.epochs, 1);
-            assert_eq!(report.threads, threads);
-            assert!(report.memory_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn traced_one_shot_runs_record_build_assignment_and_join() {
-        let (a, b) = workloads();
-        let (expected_pairs, expected) = collect_join(&TouchJoin::new(touch_cfg()), &a, &b);
-        for threads in [1, 3] {
-            let trace = touch_metrics::ExecTrace::new();
-            let mut sink = CollectingSink::new();
-            let report = JoinQuery::new(&a, &b)
-                .engine(OneShotStreaming::new(streaming_cfg(threads)))
-                .trace(&trace)
-                .run(&mut sink);
-            assert_eq!(sink.sorted_pairs(), expected_pairs, "threads = {threads}");
-            assert_eq!(report.counters, expected.counters, "threads = {threads}");
-            let phases: Vec<Phase> = (trace.events().into_iter())
-                .filter_map(|e| match e {
-                    TraceEvent::Phase { phase, .. } => Some(phase),
-                    _ => None,
-                })
-                .collect();
-            let expected_phases = [Phase::Build, Phase::Assignment, Phase::Join];
-            assert_eq!(phases, expected_phases, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn self_join_epochs_keep_each_unordered_pair_once() {
-        let a = lattice(5, 1.2, 1.5, 0.0); // side > spacing: every neighbour pair overlaps
-        let mut brute = Vec::new();
-        for oa in a.iter() {
-            for ob in a.iter() {
-                if oa.id < ob.id && oa.mbr.intersects(&ob.mbr) {
-                    brute.push((oa.id, ob.id));
-                }
-            }
-        }
-        brute.sort_unstable();
-        assert!(!brute.is_empty());
-
-        for threads in [1, 4] {
-            // Direct epoch push against a tree over the same dataset...
-            let mut engine = StreamingTouchJoin::build(&a, streaming_cfg(threads));
-            let mut sink = CollectingSink::new();
-            let report = engine.push_batch_self(a.objects(), &mut sink);
-            assert_eq!(sink.sorted_pairs(), brute, "threads = {threads}");
-            assert_eq!(report.results(), brute.len() as u64);
-
-            // ...and the one-shot adapter through the trait's self-join entry.
-            let adapter = OneShotStreaming::new(streaming_cfg(threads));
-            let mut adapter_sink = CollectingSink::new();
-            let adapter_report = JoinQuery::self_join(&a).engine(adapter).run(&mut adapter_sink);
-            assert_eq!(adapter_sink.sorted_pairs(), brute, "threads = {threads}");
-            assert_eq!(adapter_report.result_pairs(), brute.len() as u64);
-        }
-    }
-
-    #[test]
     fn push_batch_honours_early_terminating_sinks() {
         let (a, b) = workloads();
         let mut engine = StreamingTouchJoin::build(&a, streaming_cfg(1));
@@ -1011,74 +765,15 @@ mod tests {
     }
 
     #[test]
-    fn planned_engine_replans_per_stream_from_accumulated_stats() {
-        let a = lattice(5, 1.5, 1.0, 0.0);
-        let mut engine =
-            StreamingTouchJoin::build_planned(&a, streaming_cfg(1), JoinPlanner::default());
-        let initial_cell = engine.min_cell();
-        // Before any probe data, the cell floor comes from the tree alone:
-        // 2 × the mean side of the unit boxes.
-        assert!((initial_cell - 2.0).abs() < 1e-9, "got {initial_cell}");
-        assert!(engine.plan().partitions >= 1);
-
-        // Stream 1: large probe objects (side 4) in two epochs.
-        let big = lattice(4, 3.0, 4.0, 0.2);
-        let mut sink = CountingSink::new();
-        for batch in big.objects().chunks(big.len() / 2) {
-            let _ = engine.push_batch(batch, &mut sink);
-        }
-        assert_eq!(engine.stream_stats().count(), big.len());
-        assert_eq!(engine.min_cell(), initial_cell, "parameters never move mid-stream");
-
-        // The reset re-plans: the accumulated large-object stats raise the floor.
-        engine.reset();
-        assert!(
-            engine.min_cell() > initial_cell,
-            "large probe objects must raise the next stream's cell floor \
-             ({} vs {initial_cell})",
-            engine.min_cell()
-        );
-        assert_eq!(engine.stream_stats().count(), 0, "stream stats rewind at reset");
-
-        // The re-planned stream still produces exactly the right answer.
-        let mut pairs = CollectingSink::new();
-        let _ = engine.push_batch(big.objects(), &mut pairs);
-        let mut brute = Vec::new();
-        for oa in a.iter() {
-            for ob in big.iter() {
-                if oa.mbr.intersects(&ob.mbr) {
-                    brute.push((oa.id, ob.id));
-                }
-            }
-        }
-        brute.sort_unstable();
-        assert_eq!(pairs.sorted_pairs(), brute);
-    }
-
-    #[test]
-    fn planned_engine_records_the_workers_that_actually_run() {
-        // A tree far below the planner's parallel-work bar, but an explicit
-        // 4-worker execution budget: the recorded plan must carry the workers
-        // that really run the epochs, not a planning-side down-rating.
-        let a = lattice(3, 2.0, 1.0, 0.0); // 27 objects
-        let engine =
-            StreamingTouchJoin::build_planned(&a, streaming_cfg(4), JoinPlanner::default());
-        assert_eq!(engine.threads(), 4);
-        assert_eq!(engine.plan().threads(), 4, "plan and execution must agree on workers");
-        let recorded = engine.cumulative_report().plan.expect("planned builds record a plan");
-        assert_eq!(recorded.threads, 4);
-        assert_eq!(recorded.strategy, "streaming(4)");
-    }
-
-    #[test]
     fn explicitly_configured_engines_never_replan() {
         let (a, b) = workloads();
         let mut engine = StreamingTouchJoin::build(&a, streaming_cfg(1));
-        let cell = engine.min_cell();
+        let plan = *engine.plan();
         let mut sink = CountingSink::new();
         let _ = engine.push_batch(b.objects(), &mut sink);
         engine.reset();
-        assert_eq!(engine.min_cell(), cell, "explicit configs stay pinned across streams");
+        assert_eq!(*engine.plan(), plan, "the plan stays pinned across streams");
+        assert_eq!(engine.cumulative_report().plan, Some(plan.summary()));
     }
 
     #[test]
@@ -1092,10 +787,28 @@ mod tests {
         let (a, _) = workloads();
         let engine = StreamingTouchJoin::build(&a, streaming_cfg(3));
         assert_eq!(engine.threads(), 3);
+        // The plan and its record carry the workers that actually run the epochs.
+        assert_eq!(engine.plan().threads(), 3);
+        let recorded = engine.cumulative_report().plan.expect("every build records its plan");
+        assert_eq!((recorded.threads, recorded.strategy.as_str()), (3, "streaming(3)"));
         assert_eq!(engine.config().touch.partitions, 16);
         assert_eq!(engine.streams(), 1);
-        assert!(engine.min_cell() > 0.0);
+        assert!(engine.plan().params.min_cell_size > 0.0);
         assert_eq!(engine.tree().a_len(), a.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn build_extended_rejects_a_negative_epsilon() {
+        let (a, _) = workloads();
+        let _ = StreamingTouchJoin::build_extended(&a, -1.0, streaming_cfg(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn build_extended_rejects_a_nan_epsilon() {
+        let (a, _) = workloads();
+        let _ = StreamingTouchJoin::build_extended(&a, f64::NAN, streaming_cfg(1));
     }
 
     /// Splits `b` into `n` equal-ish batches.

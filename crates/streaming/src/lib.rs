@@ -38,10 +38,12 @@
 //!    ([`touch_core::TouchConfig::min_local_cell_size_of`]), not from the unknown-at-build B
 //!    stream.
 //!
-//! For cross-engine comparisons the crate also ships [`OneShotStreaming`], which
-//! wraps the engine as a regular [`touch_core::SpatialJoinAlgorithm`] (build +
-//! one epoch) so it can run through the unified [`touch_core::JoinQuery`] facade
-//! like every other engine.
+//! The engine has one path: [`StreamingTouchJoin::build`] (or
+//! [`StreamingTouchJoin::build_extended`] for a distance join) pins the plan
+//! for the tree's whole life, and every epoch, plain or windowed, runs it
+//! through the same entry. One-shot joins go through
+//! [`touch_core::JoinQuery`] and [`touch_core::TouchJoin`], which run the same
+//! phase entries.
 //!
 //! ## Quick example
 //!
@@ -79,5 +81,5 @@
 mod engine;
 mod report;
 
-pub use engine::{OneShotStreaming, StreamingConfig, StreamingTouchJoin};
+pub use engine::{StreamingConfig, StreamingTouchJoin};
 pub use report::{EpochReport, EpochSummary};

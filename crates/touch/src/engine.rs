@@ -1,11 +1,13 @@
 //! Engine selection for [`JoinQuery`](touch_core::JoinQuery): the [`Engine`] and
 //! [`Baseline`] enums.
 //!
-//! `touch-core` cannot name the streaming engine or the baselines (they live in
-//! downstream crates), so the facade provides the closed selector that spans the
-//! whole workspace. `Engine` itself implements
-//! [`SpatialJoinAlgorithm`] by delegating to the selected engine, which means it
-//! plugs into `JoinQuery::engine(...)` through the blanket
+//! `touch-core` cannot name the baselines (they live in a downstream crate), so
+//! the facade provides the closed selector that spans every one-shot join of
+//! the workspace. The streaming engine is not among them: its point is a tree
+//! that outlives one query, so it is driven directly as
+//! [`StreamingTouchJoin`](touch_streaming::StreamingTouchJoin). `Engine` itself
+//! implements [`SpatialJoinAlgorithm`] by delegating to the selected engine,
+//! which means it plugs into `JoinQuery::engine(...)` through the blanket
 //! [`touch_core::IntoEngine`] impl — and doubles as a serialisable-ish "engine
 //! id" for per-query engine selection in services.
 
@@ -19,7 +21,6 @@ use touch_core::{
 };
 use touch_geom::Dataset;
 use touch_metrics::RunReport;
-use touch_streaming::{OneShotStreaming, StreamingConfig};
 
 /// One of the paper's competitor algorithms, in its evaluated configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +77,7 @@ impl Baseline {
 }
 
 /// The engine a [`JoinQuery`](touch_core::JoinQuery) executes on: the single
-/// selector spanning every join implementation of the workspace.
+/// selector spanning every one-shot join implementation of the workspace.
 ///
 /// ```
 /// use touch::{CountingSink, Engine, JoinQuery, Predicate, TouchJoin};
@@ -129,9 +130,6 @@ pub enum Engine {
     /// The TOUCH join ([`TouchJoin`]) on one worker; for more, pass
     /// `TouchJoin::new(cfg).with_threads(n)` to the query instead.
     Touch(TouchConfig),
-    /// The streaming engine run one-shot: build the tree, push B as one epoch
-    /// ([`OneShotStreaming`]).
-    Streaming(StreamingConfig),
     /// One of the paper's competitor algorithms.
     Baseline(Baseline),
 }
@@ -148,7 +146,6 @@ impl Engine {
             Engine::Auto => Box::new(AutoEngine::new()),
             Engine::Planned(plan) => Box::new(TouchJoin::from_plan(plan)),
             Engine::Touch(cfg) => Box::new(TouchJoin::new(cfg)),
-            Engine::Streaming(cfg) => Box::new(OneShotStreaming::new(cfg)),
             Engine::Baseline(baseline) => baseline.build(),
         }
     }
@@ -204,7 +201,6 @@ mod tests {
             Engine::Planned(
                 TouchJoin::default().with_threads(2).plan_for(&a, &b, Shape::Pair).unwrap(),
             ),
-            Engine::Streaming(StreamingConfig::default()),
             Engine::Baseline(Baseline::RTree),
         ];
         for engine in engines {

@@ -35,8 +35,9 @@
 //! * [`metrics`] — counters, timers and [`RunReport`]s.
 //!
 //! On top of the re-exports the facade defines [`Engine`] and [`Baseline`] — the
-//! closed selector enums that let one [`JoinQuery`] dispatch over every engine and
-//! baseline in the workspace. [`Engine::Auto`] (the default) is [`AutoEngine`]
+//! closed selector enums that let one [`JoinQuery`] dispatch over every one-shot
+//! engine and baseline in the workspace (the streaming engine is driven
+//! directly, epoch by epoch). [`Engine::Auto`] (the default) is [`AutoEngine`]
 //! planning for the machine's parallelism: statistics in, plan out, run on
 //! [`TouchJoin`].
 //!
@@ -159,6 +160,4 @@ pub use touch_serve::{
     BoundedSink, Generation, JoinServer, OverflowPolicy, ServeConfig, SnapshotReader,
 };
 pub use touch_sim::{ServeTickLoop, TickConfig, TickEngine, TickRecord, TickReport, World};
-pub use touch_streaming::{
-    EpochReport, EpochSummary, OneShotStreaming, StreamingConfig, StreamingTouchJoin,
-};
+pub use touch_streaming::{EpochReport, EpochSummary, StreamingConfig, StreamingTouchJoin};

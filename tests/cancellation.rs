@@ -11,9 +11,8 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 use touch::{
     Aabb, CancelToken, CollectingSink, Completion, Dataset, ExecControl, FaultPlan, FirstKSink,
-    JoinError, JoinQuery, JoinServer, ObjectId, OneShotStreaming, PairSink, Point3, Seam,
-    SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin, TickConfig, TickEngine, TouchJoin,
-    World,
+    JoinError, JoinQuery, JoinServer, ObjectId, PairSink, Point3, Seam, StreamingConfig,
+    StreamingTouchJoin, TickConfig, TickEngine, TouchJoin, World,
 };
 
 mod common;
@@ -104,48 +103,42 @@ fn pre_cancelled_queries_return_stamped_empty_reports() {
 }
 
 /// A token tripped mid-run (here: by the sink itself after the first pair)
-/// stops the sequential engines early: the emitted pairs are a strict subset
-/// of the full result and the partial counters match what was emitted.
+/// stops the sequential engine early: the emitted pairs are a strict subset of
+/// the full result and the partial counters match what was emitted.
 #[test]
 fn mid_run_cancellation_emits_a_consistent_subset() {
     let a = synthetic(700, 15);
     let b = synthetic(900, 16);
-    let touch_engine = TouchJoin::default();
-    let streaming =
-        OneShotStreaming::new(StreamingConfig { threads: 1, ..StreamingConfig::default() });
-    let engines: Vec<(&str, &dyn SpatialJoinAlgorithm)> =
-        vec![("touch", &touch_engine), ("streaming", &streaming)];
-    for (name, algo) in engines {
-        let mut full = CollectingSink::new();
-        let full_report = JoinQuery::new(&a, &b).within_distance(EPS).engine(algo).run(&mut full);
-        let full_pairs: HashSet<(ObjectId, ObjectId)> = full.pairs().iter().copied().collect();
-        assert!(full_pairs.len() > 8, "{name}: workload too sparse to test cancellation");
+    let algo = TouchJoin::default();
+    let mut full = CollectingSink::new();
+    let full_report = JoinQuery::new(&a, &b).within_distance(EPS).engine(&algo).run(&mut full);
+    let full_pairs: HashSet<(ObjectId, ObjectId)> = full.pairs().iter().copied().collect();
+    assert!(full_pairs.len() > 8, "workload too sparse to test cancellation");
 
-        let token = CancelToken::new();
-        let mut sink = TripwireSink::new(1, &token);
-        let report = JoinQuery::new(&a, &b)
-            .within_distance(EPS)
-            .engine(algo)
-            .cancel(&token)
-            .try_run(&mut sink)
-            .expect("cancellation is not an error");
-        assert_eq!(report.completion, Completion::Cancelled, "{name}");
-        assert!(!sink.pairs.is_empty(), "{name}: the tripping pair itself was emitted");
-        assert!(sink.pairs.len() < full_pairs.len(), "{name}: the run must have stopped early");
-        assert!(
-            sink.pairs.iter().all(|p| full_pairs.contains(p)),
-            "{name}: emitted a pair the full join does not contain"
-        );
-        assert_eq!(
-            report.result_pairs(),
-            sink.pairs.len() as u64,
-            "{name}: the partial counters must match the emitted pairs"
-        );
-        assert!(
-            report.counters.comparisons <= full_report.counters.comparisons,
-            "{name}: a cancelled run cannot have done more work than the full one"
-        );
-    }
+    let token = CancelToken::new();
+    let mut sink = TripwireSink::new(1, &token);
+    let report = JoinQuery::new(&a, &b)
+        .within_distance(EPS)
+        .engine(&algo)
+        .cancel(&token)
+        .try_run(&mut sink)
+        .expect("cancellation is not an error");
+    assert_eq!(report.completion, Completion::Cancelled);
+    assert!(!sink.pairs.is_empty(), "the tripping pair itself was emitted");
+    assert!(sink.pairs.len() < full_pairs.len(), "the run must have stopped early");
+    assert!(
+        sink.pairs.iter().all(|p| full_pairs.contains(p)),
+        "emitted a pair the full join does not contain"
+    );
+    assert_eq!(
+        report.result_pairs(),
+        sink.pairs.len() as u64,
+        "the partial counters must match the emitted pairs"
+    );
+    assert!(
+        report.counters.comparisons <= full_report.counters.comparisons,
+        "a cancelled run cannot have done more work than the full one"
+    );
 }
 
 /// Deadline budget + slack: a stalled node join (injected delay) blows a small
@@ -241,11 +234,13 @@ fn first_k_composes_with_cancellation() {
 /// leaves the engine completely untouched — the epoch is not counted, nothing
 /// merges, no assignment or window epoch moves — so retrying the same batch is
 /// indistinguishable from a first push, for plain and sliding-window epochs.
+/// The retry runs under a live token, which changes neither pairs nor counters.
 #[test]
 fn streaming_pre_trip_leaves_the_engine_untouched_and_retryable() {
     let (a, b, warmup) = (synthetic(400, 23), synthetic(500, 24), synthetic(200, 29));
     let tripped = CancelToken::new();
     tripped.cancel();
+    let live = CancelToken::with_deadline(Duration::from_secs(3600));
     for window in [None, Some(2)] {
         let push = |engine: &mut StreamingTouchJoin, batch: &Dataset, ctl| {
             let mut sink = CollectingSink::new();
@@ -271,7 +266,8 @@ fn streaming_pre_trip_leaves_the_engine_untouched_and_retryable() {
         let after = (engine.tree().assigned_b_count(), engine.window_epochs());
         assert_eq!(after, before, "window = {window:?}: nothing moved");
 
-        let (report, pairs) = push(&mut engine, &b, ExecControl::infallible()).expect("retry");
+        let (report, pairs) =
+            push(&mut engine, &b, ExecControl::with_cancel(&live)).expect("retry");
         assert_eq!(report.completion, Completion::Complete);
         assert_eq!(pairs, ref_pairs, "retry must equal a first push");
         assert_eq!(engine.cumulative_report().counters, reference.cumulative_report().counters);

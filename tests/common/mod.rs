@@ -6,8 +6,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use touch::core::simd::{self, Backend};
 use touch::{
-    Dataset, ExecutionStrategy, JoinQuery, OneShotStreaming, ServeConfig, SpatialJoinAlgorithm,
-    StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
+    Dataset, ExecutionStrategy, JoinQuery, ServeConfig, SpatialJoinAlgorithm,
+    SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
 
 /// `simd::force_backend` is process-global state; every test that forces a
@@ -54,14 +54,11 @@ pub fn serve_cfg() -> ServeConfig {
     ServeConfig { touch: TouchConfig::default(), delta_limit: None }
 }
 
-/// TOUCH on one worker and at a given worker budget, and the streaming
-/// engine's epoch path at that budget.
+/// TOUCH on one worker and at a given worker budget.
 pub fn engines(threads: usize) -> Vec<(&'static str, Box<dyn SpatialJoinAlgorithm>)> {
-    let streaming = StreamingConfig { threads, ..StreamingConfig::default() };
     vec![
         ("touch", Box::new(TouchJoin::default()) as Box<dyn SpatialJoinAlgorithm>),
         ("parallel", Box::new(TouchJoin::default().with_threads(threads))),
-        ("streaming", Box::new(OneShotStreaming::new(streaming))),
     ]
 }
 

@@ -15,8 +15,8 @@ use std::sync::Once;
 use std::time::Duration;
 use touch::{
     BoundedSink, CollectingSink, Completion, Engine, ExecControl, FaultPlan, JoinError, JoinQuery,
-    JoinServer, ObjectId, OneShotStreaming, Phase, Seam, SpatialJoinAlgorithm, StreamingConfig,
-    StreamingTouchJoin, TickConfig, TickEngine, TouchJoin, World,
+    JoinServer, ObjectId, Phase, Seam, SpatialJoinAlgorithm, StreamingConfig, StreamingTouchJoin,
+    TickConfig, TickEngine, TouchJoin, World,
 };
 
 mod common;
@@ -75,25 +75,15 @@ fn seeded_fault_matrix_returns_errors_without_aborting() {
 
     let mut cases = 0u64;
     for threads in [1usize, 2, 4, 8] {
-        // Per engine, the seams whose hooks run inside its catch regions: the
-        // one-shot executor and the streaming engine, at one worker or
-        // several, both run their phases through the same two entries, which
-        // wrap all three phase boundaries and the worker loops.
-        let seams =
-            vec![Seam::Build, Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin];
-        let combos: Vec<(&str, Box<dyn SpatialJoinAlgorithm>, Vec<Seam>)> = vec![
-            ("touch", Box::new(TouchJoin::default()), seams.clone()),
-            ("parallel", Box::new(TouchJoin::default().with_threads(threads)), seams.clone()),
-            (
-                "streaming",
-                Box::new(OneShotStreaming::new(StreamingConfig {
-                    threads,
-                    ..StreamingConfig::default()
-                })),
-                seams,
-            ),
+        // The seams whose hooks run inside the executor's catch regions: at one
+        // worker or several it runs its phases through the same two entries,
+        // which wrap all three phase boundaries and the worker loops.
+        let seams = [Seam::Build, Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin];
+        let combos: Vec<(&str, Box<dyn SpatialJoinAlgorithm>)> = vec![
+            ("touch", Box::new(TouchJoin::default())),
+            ("parallel", Box::new(TouchJoin::default().with_threads(threads))),
         ];
-        for (name, algo, seams) in combos {
+        for (name, algo) in combos {
             for seam in seams {
                 cases += 1;
                 let plan = FaultPlan::seeded(cases).panic_on(seam, None, 1, "matrix");
@@ -204,17 +194,17 @@ fn worker_restricted_triggers_attribute_the_panic() {
     }
 }
 
-/// A panic in an epoch's phase boundary or in a node join fails that epoch
-/// only: it is not counted, nothing merges into the cumulative record, its
-/// assignments (and in window mode the window) are dropped, and the same batch
-/// pushed cleanly afterwards reproduces a never-faulted stream — at 1 and 4
-/// threads, plain and windowed.
+/// A panic in an epoch's phase boundary, an assignment chunk or a node join
+/// fails that epoch only: it is not counted, nothing merges into the cumulative
+/// record, its assignments (and in window mode the window) are dropped, and the
+/// same batch pushed cleanly afterwards reproduces a never-faulted stream — at
+/// 1 and 4 threads, plain and windowed.
 #[test]
 fn streaming_fault_drops_the_epoch_and_keeps_the_stream_usable() {
     silence_fault_panics();
     let a = synthetic(400, 57);
     let b = synthetic(500, 58);
-    for seam in [Seam::Assignment, Seam::Join, Seam::NodeJoin] {
+    for seam in [Seam::Assignment, Seam::Join, Seam::AssignChunk, Seam::NodeJoin] {
         for (threads, window) in [(1usize, None), (4, None), (1, Some(2)), (4, Some(2))] {
             let case = format!("{seam:?}, threads = {threads}, window = {window:?}");
             let config = StreamingConfig { threads, ..StreamingConfig::default() };

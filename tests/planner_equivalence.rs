@@ -1,15 +1,15 @@
 //! Planner determinism and equivalence: `Engine::Auto` must be a pure
 //! *planner* — the plan it derives produces **bit-identical pairs and
 //! counters** to explicitly running `TouchJoin` on the same plan, at every
-//! thread count, under every strategy and for every epoch split. And the
-//! statistics the planner runs on must accumulate exactly: merging per-epoch
-//! [`DatasetStats`] equals collecting them in one shot.
+//! thread count and under every strategy. And the statistics the planner runs
+//! on must accumulate exactly: merging per-batch [`DatasetStats`] equals
+//! collecting them in one shot.
 
 use proptest::prelude::*;
 use touch::{
     AutoEngine, CollectingSink, Counters, Dataset, DatasetStats, Engine, ExecutionStrategy,
     FirstKSink, JoinPlanner, JoinQuery, PlanEnv, RunReport, Shape, SpatialJoinAlgorithm,
-    StreamingTouchJoin, SyntheticDistribution, SyntheticSpec,
+    SyntheticDistribution, SyntheticSpec,
 };
 
 fn synthetic(count: usize, seed: u64) -> Dataset {
@@ -137,46 +137,6 @@ fn zero_config_query_is_correct_for_distance_joins() {
     }
 }
 
-/// A planned streaming engine is epoch-split invariant: any batching of the
-/// probe side reproduces the single-push run exactly — pairs and counters —
-/// because the plan's parameters are pinned for the whole stream.
-#[test]
-fn planned_streaming_is_epoch_split_invariant() {
-    let a = synthetic(600, 9);
-    let b = synthetic(900, 10);
-    let build = || {
-        StreamingTouchJoin::build_planned(
-            &a,
-            touch::StreamingConfig::default(),
-            JoinPlanner::default(),
-        )
-    };
-
-    let mut reference = build();
-    let mut ref_sink = CollectingSink::new();
-    let _ = reference.push_batch(b.objects(), &mut ref_sink);
-    let ref_pairs = ref_sink.sorted_pairs();
-    let ref_counters = reference.cumulative_report().counters;
-
-    for epochs in [2, 3, 7, 16] {
-        let mut engine = build();
-        let mut sink = CollectingSink::new();
-        let chunk = b.len().div_ceil(epochs).max(1);
-        for batch in b.objects().chunks(chunk) {
-            let _ = engine.push_batch(batch, &mut sink);
-        }
-        assert_eq!(sink.sorted_pairs(), ref_pairs, "epochs = {epochs}: pairs diverged");
-        assert_eq!(
-            engine.cumulative_report().counters,
-            ref_counters,
-            "epochs = {epochs}: counters must add up exactly"
-        );
-        // The stream statistics the next re-plan would use are split-invariant too.
-        assert_eq!(engine.stream_stats().count(), b.len());
-        assert_eq!(engine.stream_stats().mbr(), reference.stream_stats().mbr());
-    }
-}
-
 /// Planning twice over the same inputs yields the same plan, and the planner's
 /// knob derivation is independent of the thread budget (only the strategy moves).
 #[test]
@@ -212,8 +172,8 @@ fn small_pair_budgets_resolve_to_sequential_early_termination() {
     );
 }
 
-// `DatasetStats` accumulation over real epoch pushes equals one-shot stats —
-// the foundation the per-stream re-planning rests on.
+// `DatasetStats` accumulated batch by batch equals one-shot stats, and plans
+// made from either agree.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -245,8 +205,8 @@ proptest! {
 
     /// Plans derived from merged stats equal plans derived from one-shot stats:
     /// the f64 sum tolerance never reaches the planner's decisions for these
-    /// workloads, so a streaming engine that re-plans from accumulated epochs
-    /// decides exactly like one that saw the stream whole.
+    /// workloads, so statistics accumulated batch by batch plan exactly like
+    /// statistics collected over the whole dataset.
     #[test]
     fn plans_from_merged_stats_match_one_shot_plans(
         n in 64usize..600,
@@ -264,8 +224,9 @@ proptest! {
         }
         let planner = JoinPlanner::default();
         let env = PlanEnv::sequential().with_threads(4);
-        let plan_one_shot = planner.plan_streaming(&sa, &one_shot, &env);
-        let plan_merged = planner.plan_streaming(&sa, &merged, &env);
+        let plan_one_shot = planner.plan(&sa, &one_shot, &env);
+        let plan_merged = planner.plan(&sa, &merged, &env);
+        prop_assert_eq!(plan_one_shot.build_on_a, plan_merged.build_on_a);
         prop_assert_eq!(plan_one_shot.partitions, plan_merged.partitions);
         prop_assert_eq!(plan_one_shot.fanout, plan_merged.fanout);
         prop_assert_eq!(plan_one_shot.params.allpairs_max_a, plan_merged.params.allpairs_max_a);

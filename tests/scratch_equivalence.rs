@@ -6,7 +6,7 @@
 //! ways:
 //!
 //! 1. against a test-local re-implementation of the seed's local joins,
-//! 2. across all three engines at 1/2/4/8 worker threads,
+//! 2. across the one-shot executor at 1/2/4/8 worker threads,
 //! 3. across streaming epoch splits (property-tested), with the engine's shared
 //!    [`ScratchPool`] serving every epoch and stream.
 //!
@@ -487,18 +487,9 @@ fn all_engines_and_thread_counts_agree_on_pairs_and_counters() {
         let reference_report =
             JoinQuery::new(&a, &b).within_distance(eps).engine(&reference_algo).run(&mut reference);
 
-        let mut engines: Vec<Box<dyn SpatialJoinAlgorithm>> = Vec::new();
         for threads in [1, 2, 4, 8] {
             let query = JoinQuery::new(&a, &b).within_distance(eps).engine(&reference_algo);
-            engines.push(Box::new(busy(query, threads)));
-            engines.push(Box::new(touch::OneShotStreaming::new(StreamingConfig {
-                touch: cfg(),
-                threads,
-                chunk_size: 64,
-                sort_threshold: 128,
-            })));
-        }
-        for engine in engines {
+            let engine = busy(query, threads);
             let mut sink = CollectingSink::new();
             let report = JoinQuery::new(&a, &b).within_distance(eps).engine(&engine).run(&mut sink);
             assert_eq!(

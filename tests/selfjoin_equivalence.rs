@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use touch::{
     Baseline, CollectingSink, Dataset, Engine, FirstKSink, IntoEngine, JoinQuery, ObjectId,
-    Predicate, RunReport, StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchJoin, World,
+    Predicate, RunReport, SyntheticDistribution, SyntheticSpec, TouchJoin, World,
 };
 
 fn synthetic(count: usize, seed: u64) -> Dataset {
@@ -50,9 +50,8 @@ fn run_self<'a>(
     (sink.sorted_pairs(), report)
 }
 
-/// The three engines × thread counts 1/2/4/8: identical pairs, and identical
-/// counters wherever the determinism contract promises them (sequential vs
-/// parallel at every width; streaming at every width against itself).
+/// TOUCH at thread counts 1/2/4/8: identical pairs, and counters identical to
+/// the sequential run at every width.
 #[test]
 fn every_engine_and_thread_count_matches_brute_force() {
     let a = synthetic(600, 42);
@@ -68,15 +67,6 @@ fn every_engine_and_thread_count_matches_brute_force() {
         let (pairs, report) = run_self(&a, eps, TouchJoin::default().with_threads(threads));
         assert_eq!(pairs, expected, "parallel, {threads} threads");
         assert_eq!(report.counters, seq_report.counters, "parallel counters, {threads} threads");
-
-        let config = StreamingConfig { threads, ..Default::default() };
-        let (pairs, report) = run_self(&a, eps, Engine::Streaming(config));
-        assert_eq!(pairs, expected, "streaming, {threads} threads");
-        assert_eq!(
-            report.result_pairs() as usize,
-            expected.len(),
-            "streaming results counter, {threads} threads"
-        );
     }
 
     // The automatic planner must dispatch to one of the above.
@@ -126,8 +116,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random moving-object worlds of random sizes: the dataset a tick derives
-    /// from the world self-joins identically on all three engines, and equal to
-    /// brute force.
+    /// from the world self-joins identically on one and four workers, and equal
+    /// to brute force.
     #[test]
     fn random_worlds_self_join_identically(
         count in 20usize..150,
@@ -145,8 +135,5 @@ proptest! {
             run_self(&a, eps, TouchJoin::default().with_threads(4));
         prop_assert_eq!(&par, &expected);
         prop_assert_eq!(par_report.counters, seq_report.counters);
-        let (stream, _) =
-            run_self(&a, eps, Engine::Streaming(StreamingConfig { threads: 2, ..Default::default() }));
-        prop_assert_eq!(&stream, &expected);
     }
 }

@@ -13,9 +13,8 @@ use proptest::prelude::*;
 use std::sync::PoisonError;
 use touch::core::simd::Backend;
 use touch::{
-    collect_join, CollectingSink, Dataset, ExecTrace, JoinOrder, JoinQuery, OneShotStreaming,
-    SpatialJoinAlgorithm, StreamingConfig, SyntheticDistribution, SyntheticSpec, TouchConfig,
-    TouchJoin, TraceEvent,
+    collect_join, CollectingSink, Dataset, ExecTrace, JoinOrder, JoinQuery, SpatialJoinAlgorithm,
+    SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin, TraceEvent,
 };
 
 fn uniform(count: usize, seed: u64, side: f64) -> Dataset {
@@ -40,9 +39,8 @@ fn cfg() -> TouchConfig {
     TouchConfig { partitions: 24, join_order: JoinOrder::TreeOnA, ..TouchConfig::default() }
 }
 
-/// TOUCH on one worker and at a given worker budget, and the streaming
-/// engine's epoch path at that budget, pinned to one config so every run
-/// performs the same plan for `query`.
+/// TOUCH on one worker and at a given worker budget, pinned to one config so
+/// every run performs the same plan for `query`.
 fn engines(
     query: JoinQuery<'_>,
     threads: usize,
@@ -50,20 +48,11 @@ fn engines(
     vec![
         ("touch", Box::new(TouchJoin::new(cfg())) as Box<dyn SpatialJoinAlgorithm>),
         ("parallel", Box::new(busy(query.engine(TouchJoin::new(cfg())), threads))),
-        (
-            "streaming",
-            Box::new(OneShotStreaming::new(StreamingConfig {
-                touch: cfg(),
-                threads,
-                chunk_size: 64,
-                sort_threshold: 128,
-            })),
-        ),
     ]
 }
 
 /// The tentpole obligation: every supported backend vs. the forced
-/// scalar-unrolled fallback — three engines × 1/2/4/8 threads, pairs AND
+/// scalar-unrolled fallback — both engines × 1/2/4/8 threads, pairs AND
 /// counters (including the batch counters) bit-identical. The sequential
 /// engine is additionally compared in raw emission order.
 #[test]

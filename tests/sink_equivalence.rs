@@ -7,22 +7,20 @@
 use proptest::prelude::*;
 use touch::{
     Baseline, CallbackSink, CollectingSink, CountingSink, Dataset, Engine, ExecControl, FirstKSink,
-    JoinQuery, NestedLoopJoin, PbsmJoin, RunReport, Shape, SpatialJoinAlgorithm, StreamingConfig,
+    JoinQuery, NestedLoopJoin, PbsmJoin, RunReport, Shape, SpatialJoinAlgorithm,
     SyntheticDistribution, SyntheticSpec, TouchConfig, TouchJoin,
 };
 
-/// Every engine variant of the workspace: TOUCH on one worker (through the
-/// facade's `Engine` selector) and at two wider widths, the streaming engine
-/// one-shot, and every baseline. PBSM runs at resolutions scaled to the ~100-unit test space
-/// (the paper's 500/100 cells per dimension would allocate a 1.25e8-cell grid for
-/// a toy workload), like the other integration suites do.
+/// Every one-shot engine of the workspace: TOUCH on one worker (through the
+/// facade's `Engine` selector) and at two wider widths, and every baseline.
+/// PBSM runs at resolutions scaled to the ~100-unit test space (the paper's
+/// 500/100 cells per dimension would allocate a 1.25e8-cell grid for a toy
+/// workload), like the other integration suites do.
 fn all_engines() -> Vec<Box<dyn SpatialJoinAlgorithm>> {
     vec![
         Engine::Touch(TouchConfig::default()).build(),
         Box::new(TouchJoin::default().with_threads(2)),
         Box::new(TouchJoin::default().with_threads(4)),
-        Engine::Streaming(StreamingConfig::default()).build(),
-        Engine::Streaming(StreamingConfig::with_threads(3)).build(),
         Engine::Baseline(Baseline::NestedLoop).build(),
         Engine::Baseline(Baseline::PlaneSweep).build(),
         Box::new(PbsmJoin::with_label(50, "PBSM-fine")),

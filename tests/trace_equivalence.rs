@@ -32,8 +32,8 @@ fn run(
     (sink.sorted_pairs(), report)
 }
 
-/// The tentpole obligation: `NoTrace` vs. a recording `ExecTrace`, three
-/// engines × 1/2/4/8 threads — pairs AND counters bit-identical.
+/// `NoTrace` vs. a recording `ExecTrace`, both engines × 1/2/4/8 threads —
+/// pairs AND counters bit-identical.
 #[test]
 fn tracing_changes_nothing_for_every_engine_and_thread_count() {
     let a = synthetic(700, 41);
