@@ -777,6 +777,20 @@ mod tests {
     }
 
     #[test]
+    fn planned_engine_records_the_workers_that_actually_run() {
+        // A tree far below the planner's parallel-work bar, but an explicit
+        // 4-worker execution budget: the recorded plan must carry the workers
+        // that really run the epochs, not a planning-side down-rating.
+        let a = lattice(3, 2.0, 1.0, 0.0); // 27 objects
+        let engine = StreamingTouchJoin::build(&a, streaming_cfg(4));
+        assert_eq!(engine.threads(), 4);
+        assert_eq!(engine.plan().threads(), 4, "plan and execution must agree on workers");
+        let recorded = engine.cumulative_report().plan.expect("every build records its plan");
+        assert_eq!(recorded.threads, 4);
+        assert_eq!(recorded.strategy, "streaming(4)");
+    }
+
+    #[test]
     fn config_resolution_and_accessors() {
         let cfg = StreamingConfig::default();
         assert_eq!(cfg.threads, 1, "streaming defaults to the sequential path");
@@ -787,10 +801,6 @@ mod tests {
         let (a, _) = workloads();
         let engine = StreamingTouchJoin::build(&a, streaming_cfg(3));
         assert_eq!(engine.threads(), 3);
-        // The plan and its record carry the workers that actually run the epochs.
-        assert_eq!(engine.plan().threads(), 3);
-        let recorded = engine.cumulative_report().plan.expect("every build records its plan");
-        assert_eq!((recorded.threads, recorded.strategy.as_str()), (3, "streaming(3)"));
         assert_eq!(engine.config().touch.partitions, 16);
         assert_eq!(engine.streams(), 1);
         assert!(engine.plan().params.min_cell_size > 0.0);
