@@ -107,7 +107,7 @@ mod tree;
 
 pub use assignment::AssignmentBuffer;
 pub use control::{catch_phase, panic_message, CancelCause, CancelToken, ExecControl, JoinError};
-pub use plan::{AutoEngine, ExecutionStrategy, JoinPlan, JoinPlanner, PlanEnv};
+pub use plan::{AutoEngine, CellModel, ExecutionStrategy, JoinPlan, JoinPlanner, PlanEnv};
 pub use query::{IntoEngine, JoinQuery, Predicate};
 pub use scratch::{LocalJoinScratch, ScratchPool};
 pub use sink::{

@@ -35,10 +35,17 @@
 //! * **Fanout** — 2 (the paper's default, maximising single-assignment
 //!   filtering) until the hierarchy grows past 4 096 partitions, then 4 to cap
 //!   the assignment descent depth.
-//! * **Minimum grid cell size** — `2 ×` the larger of the two datasets' mean
-//!   object extents (Section 5.2.2: cells must stay "considerably larger than
-//!   the average object"). For a distance join the planner sees the ε-extended
-//!   A, so ε inflates the floor automatically.
+//! * **Minimum grid cell size** — the side that minimises [`CellModel`]'s
+//!   estimated cost of the grid local joins: cell visits, candidate tests,
+//!   replicas and duplicate hits, each in closed form from the two sides' mean
+//!   extents and counts and the probe side's density, weighted by unit costs
+//!   traced on touchbench, with visits priced higher below the cell at which
+//!   the largest grid needs the sparse directory. The search spans ×¼ to ×4
+//!   around twice the larger mean extent (Section 5.2.2: cells "considerably
+//!   larger than the average object"). For a distance join the tree side is
+//!   the ε-extended A; a self-join's probe side is the input itself,
+//!   [`PlanEnv::epsilon`] narrower. The plan keeps the estimate at the chosen
+//!   cell ([`JoinPlan::estimate`]) for the report.
 //! * **All-pairs cutoff** — `leaf/16` (clamped to `[8, 128]`): nodes whose
 //!   subtree holds fewer A-objects than this do not repay building a grid.
 //! * **Strategy** — a sink that stops after a handful of pairs
@@ -56,7 +63,7 @@ use crate::{LocalJoinParams, PairSink, Shape, SpatialJoinAlgorithm, TouchConfig,
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use touch_geom::Dataset;
-use touch_metrics::{PlanSummary, RunReport};
+use touch_metrics::{PlanEstimate, PlanSummary, RunReport};
 
 /// The execution strategy a [`JoinPlan`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -134,6 +141,11 @@ pub struct JoinPlan {
     /// The planner's work proxy (|A| + |B|); recorded for transparency, not used
     /// by the engines.
     pub estimated_work: u64,
+    /// What the planner expects the grid local joins to do at the cell it
+    /// chose for `params.min_cell_size` ([`CellModel::estimate`]); `None` for
+    /// plans translated from an explicit configuration. Recorded for the
+    /// report, not used by the engines.
+    pub estimate: Option<PlanEstimate>,
 }
 
 impl JoinPlan {
@@ -152,6 +164,7 @@ impl JoinPlan {
             chunk_size: JoinPlanner::DEFAULT_CHUNK_SIZE,
             sort_threshold: JoinPlanner::DEFAULT_SORT_THRESHOLD,
             estimated_work: (a.len() + b.len()) as u64,
+            estimate: None,
         }
     }
 
@@ -176,6 +189,7 @@ impl JoinPlan {
             chunk_size,
             sort_threshold,
             estimated_work: tree_ds.len() as u64,
+            estimate: None,
         }
     }
 
@@ -211,6 +225,7 @@ impl JoinPlan {
             allpairs_max_a: self.params.allpairs_max_a,
             threads: self.threads(),
             stats_time: std::time::Duration::ZERO,
+            estimate: self.estimate,
         }
     }
 }
@@ -226,9 +241,10 @@ pub struct PlanEnv {
     /// The sink's pair budget ([`PairSink::pair_limit`]), if any: small budgets
     /// favour early-terminating sequential plans.
     pub pair_limit: Option<u64>,
-    /// The ε of the distance predicate (0 for a plain intersection join). The
-    /// planner usually sees the ε-extended dataset A already, so this is
-    /// informational.
+    /// The ε of the distance predicate (0 for a plain intersection join). A
+    /// pair plan already sees the ε-extended dataset A in its statistics; a
+    /// self-join plan ([`JoinPlanner::plan_self`]) sees only the extended view
+    /// and reads ε to size its probe side, the input without the extension.
     pub epsilon: f64,
 }
 
@@ -272,12 +288,30 @@ impl PlanEnv {
 pub struct JoinPlanner;
 
 impl JoinPlanner {
-    /// Grid cells stay at least this multiple of the mean object extent
-    /// (Section 5.2.2): 2.0, the paper's evaluated factor.
-    pub const MIN_CELL_FACTOR: f64 = 2.0;
     /// Target grid cells per dimension before the cell floor caps the
     /// resolution: 500, the paper's evaluated resolution.
     pub const CELLS_PER_DIM: usize = 500;
+    /// [`CellModel`]'s price of one cell visit in a dense directory, in ns:
+    /// the traced join time per cell lookup of the two lookup-bound
+    /// touchbench workloads together, `uniform_stream`'s epoch and
+    /// `clustered_paper`'s join (40 ms over 797k lookups).
+    pub const NS_PER_VISIT: f64 = 50.0;
+    /// [`CellModel`]'s price of one cell visit in a sparse directory, in ns:
+    /// a binary search over the occupied cells on top of a dense visit,
+    /// priced at twice it.
+    pub const NS_PER_SPARSE_VISIT: f64 = 100.0;
+    /// [`CellModel`]'s price of one candidate test, in ns: the traced join
+    /// time per comparison of `neuro_synapse`, the comparison-bound
+    /// touchbench workload.
+    pub const NS_PER_CANDIDATE: f64 = 4.7;
+    /// [`CellModel`]'s price of one replica, in ns: one more cell in the
+    /// directory's count and fill passes. Halving or doubling it moves no
+    /// pick of the planner's cell sweep by more than 1%.
+    pub const NS_PER_REPLICA: f64 = 10.0;
+    /// [`CellModel`]'s price of one duplicate hit, in ns: the scalar
+    /// confirmation and reference-point test of a lane the filter kept.
+    /// Halving or doubling it moves no pick of the cell sweep by more than 1%.
+    pub const NS_PER_DUPLICATE: f64 = 5.0;
     /// Minimum total work (|A| + |B|) before a parallel plan pays for its
     /// fork/join overhead: 16 384 objects.
     pub const PARALLEL_MIN_WORK: u64 = 16_384;
@@ -319,12 +353,16 @@ impl JoinPlanner {
     ///
     /// `a` must be the statistics of the dataset the engine will actually see —
     /// for a distance join, the ε-extended A (which is what
-    /// [`crate::JoinQuery`] hands every engine).
+    /// [`crate::JoinQuery`] hands every engine). Equal statistics on both
+    /// sides are taken for one dataset joined with itself
+    /// ([`CellModel::pair`]).
     pub fn plan(&self, a: &DatasetStats, b: &DatasetStats, env: &PlanEnv) -> JoinPlan {
         let build_on_a = a.count() <= b.count();
         let tree_count = if build_on_a { a.count() } else { b.count() };
         let work = (a.count() + b.count()) as u64;
-        self.plan_with_tree_side(a, b, env, build_on_a, tree_count, work)
+        let probe = if build_on_a { b } else { a };
+        let model = CellModel::pair(a, b, build_on_a);
+        self.plan_with_tree_side(probe, env, build_on_a, tree_count, work, model)
     }
 
     /// Plans a **self-join** of one dataset: the hierarchy is always on the
@@ -333,9 +371,12 @@ impl JoinPlanner {
     /// self-join enumerates each unordered pair once, not both orientations.
     ///
     /// `a` must be the statistics of the dataset the engine will actually see —
-    /// for a distance self-join, the ε-extended view.
+    /// for a distance self-join, the ε-extended view, whose boxes visit the
+    /// grid cells. The probe side is the dataset itself, `env.epsilon`
+    /// narrower on every side ([`CellModel::self_join`]).
     pub fn plan_self(&self, a: &DatasetStats, env: &PlanEnv) -> JoinPlan {
-        self.plan_with_tree_side(a, a, env, true, a.count(), a.count() as u64)
+        let model = CellModel::self_join(a, env.epsilon);
+        self.plan_with_tree_side(a, env, true, a.count(), a.count() as u64, model)
     }
 
     /// Collects the statistics a join of `shape` is costed on — both datasets
@@ -363,24 +404,23 @@ impl JoinPlanner {
 
     fn plan_with_tree_side(
         &self,
-        a: &DatasetStats,
-        b: &DatasetStats,
+        probe: &DatasetStats,
         env: &PlanEnv,
         build_on_a: bool,
         tree_count: usize,
         work: u64,
+        model: CellModel,
     ) -> JoinPlan {
         let target_leaf = Self::target_leaf_size(tree_count);
         let partitions = tree_count.div_ceil(target_leaf).clamp(1, 65_536);
         let fanout = if partitions > 4096 { 4 } else { 2 };
-        let min_cell = Self::MIN_CELL_FACTOR * a.mean_side_all_axes().max(b.mean_side_all_axes());
+        let min_cell = model.best_cell();
         let allpairs_max_a = (target_leaf / 16).clamp(8, 128);
         // Per-node adaptive strategy selection, pinned to the *probe* side's
         // global density at plan time (the side streamed against the tree).
         // An empty or volume-less probe summary yields no density and falls
         // back to the global cutoff, so such plans stay exactly the historical
         // decisions.
-        let probe = if build_on_a { b } else { a };
         let adapt = match probe.density() {
             d if d > 0.0 => Some(crate::AdaptiveParams::with_density(d)),
             _ => None,
@@ -409,8 +449,238 @@ impl JoinPlanner {
             chunk_size: Self::DEFAULT_CHUNK_SIZE,
             sort_threshold: Self::DEFAULT_SORT_THRESHOLD,
             estimated_work: work,
+            estimate: (min_cell > 0.0)
+                .then(|| model.estimate(min_cell))
+                .filter(|e| [e.candidates, e.replicas, e.duplicates].iter().all(|v| v.is_finite())),
         }
     }
+}
+
+/// The planner's estimate of what the grid local joins cost at a given
+/// minimum cell side, and the side that minimises it.
+///
+/// A grid local join copies each object of the **probe side** (the dataset
+/// assigned to the tree's nodes) into every cell it overlaps, and each object
+/// of the **tree side** (for a distance join, the ε-extended side) visits the
+/// cells it overlaps and tests every candidate it finds there. An object of
+/// mean side `s` overlaps `(s/c + 1)³` cells of side `c` on average, and a
+/// cell meets `ρ_P (p + c)³` probe objects. With the tree side's mean side
+/// `t` and count `n_T`, and the probe side's mean side `p`, count `n_P` and
+/// density `ρ_P` ([`DatasetStats::density`]), a cell side `c` costs:
+///
+/// * **cell visits** `n_T (t/c + 1)³`;
+/// * **candidate tests** `n_T ρ_P (t + c)³ (p + c)³ / c³`;
+/// * **replicas** `n_P ((p/c + 1)³ − 1)`;
+/// * **duplicate hits** `pairs · ((min(t, p)/c + 1)³ − 1)`, where the
+///   expected pairs are `n_T ρ_P (t + p)³`: a pair is found in every cell
+///   its intersection overlaps and reported from one.
+///
+/// When both sides are one dataset every object also meets itself: one more
+/// pair per object, tested in every cell the smaller box overlaps.
+///
+/// A node's grid with more than 2²¹ cells falls back to a binary-searched
+/// sparse directory. The largest node spans the tree side's extent, so below
+/// the cell side at which the grid over that extent crosses 2²¹ cells, visits
+/// are priced at the sparse rate.
+///
+/// The figures are weighted by the unit costs `JoinPlanner::NS_PER_*`. Each
+/// term is a sum of powers of `c` with positive weights, so the cost is
+/// convex in `ln c` on either side of the directory limit; the planner finds
+/// each side's minimum from the sign of the derivative and keeps the
+/// lower. The result is a pure function of the statistics, continuous in
+/// them wherever the two sides' minima do not cost the same.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellModel {
+    tree_side: f64,
+    tree_count: f64,
+    /// Per-axis extent of the tree side: the extent of the largest node grid.
+    tree_extent: [f64; 3],
+    probe_side: f64,
+    probe_count: f64,
+    probe_density: f64,
+    /// Every tree object also meets itself on the probe side.
+    self_meets: bool,
+}
+
+impl CellModel {
+    /// The model of a pair join with its tree on `a` (`build_on_a`) or `b`.
+    /// Equal statistics on both sides are taken for one dataset joined with
+    /// itself, so every object also meets itself.
+    pub fn pair(a: &DatasetStats, b: &DatasetStats, build_on_a: bool) -> Self {
+        let (tree, probe) = if build_on_a { (a, b) } else { (b, a) };
+        CellModel {
+            probe_side: probe.mean_side_all_axes(),
+            probe_count: probe.count() as f64,
+            probe_density: probe.density(),
+            self_meets: a == b,
+            ..Self::tree(tree)
+        }
+    }
+
+    /// The model of a self-join whose tree side `a` is the input extended by
+    /// `epsilon`: the probe side is the same objects, `epsilon` narrower on
+    /// every side, so their mean side is `t − 2ε` and their extent `2ε`
+    /// narrower on every axis.
+    pub fn self_join(a: &DatasetStats, epsilon: f64) -> Self {
+        let narrow = |side: f64| (side - 2.0 * epsilon).max(0.0);
+        let model = Self::tree(a);
+        let volume: f64 = model.tree_extent.iter().map(|&side| narrow(side)).product();
+        CellModel {
+            probe_side: narrow(model.tree_side),
+            probe_count: model.tree_count,
+            probe_density: if volume > 0.0 { model.tree_count / volume } else { 0.0 },
+            self_meets: true,
+            ..model
+        }
+    }
+
+    /// The tree-side half of a model; the probe side is left empty.
+    fn tree(tree: &DatasetStats) -> Self {
+        let extent = tree.mbr().map_or([0.0; 3], |m| [m.side(0), m.side(1), m.side(2)]);
+        CellModel {
+            tree_side: tree.mean_side_all_axes(),
+            tree_count: tree.count() as f64,
+            tree_extent: extent,
+            probe_side: 0.0,
+            probe_count: 0.0,
+            probe_density: 0.0,
+            self_meets: false,
+        }
+    }
+
+    /// Twice the larger mean side (Section 5.2.2: cells "considerably larger
+    /// than the average object"): the centre of the range the planner
+    /// searches, ×¼ to ×4 around it.
+    pub fn reference_cell(&self) -> f64 {
+        2.0 * self.tree_side.max(self.probe_side)
+    }
+
+    /// The expected work of the grid local joins at minimum cell side `cell`
+    /// (`cell > 0`).
+    pub fn estimate(&self, cell: f64) -> PlanEstimate {
+        let t = self.terms(cell);
+        PlanEstimate {
+            candidates: t.candidates.0,
+            replicas: t.replicas.0,
+            duplicates: t.duplicates.0,
+        }
+    }
+
+    /// The estimated cost of the grid local joins at `cell`, in nanoseconds.
+    fn cost_ns(&self, cell: f64) -> f64 {
+        self.priced(&self.terms(cell), cell < self.dense_from(), |(value, _)| value)
+    }
+
+    /// The planner's pick: the cell side in `[¼, 4] ×`
+    /// [`CellModel::reference_cell`] with the lowest [`CellModel::cost_ns`].
+    /// Inputs with nothing to weigh — an empty side, or objects without
+    /// extent — get the reference cell itself, and a non-finite mean side
+    /// gets 0 (no floor), so the result is always finite and non-negative.
+    fn best_cell(&self) -> f64 {
+        let reference = self.reference_cell();
+        if !reference.is_finite() {
+            return 0.0;
+        }
+        if reference <= 0.0 || self.tree_count == 0.0 || self.probe_count == 0.0 {
+            return reference;
+        }
+        let (lo, hi) = ((reference / 4.0).ln(), (reference * 4.0).ln());
+        // Below `split` the largest grid is sparse, from it on dense.
+        let split = self.dense_from().ln().clamp(lo, hi);
+        let sparse = (lo < split).then(|| self.convex_min(lo, split, true));
+        let dense = (split < hi).then(|| self.convex_min(split, hi, false));
+        match (sparse, dense) {
+            (Some(s), Some(d)) if self.cost_ns(s) < self.cost_ns(d) => s,
+            (_, Some(d)) => d,
+            (s, None) => s.unwrap_or(reference),
+        }
+    }
+
+    /// The smallest cell side at which the grid over the tree side's extent
+    /// fits the dense directory, sized as `UniformGrid::with_min_cell_size`
+    /// sizes a node's grid (at most `JoinPlanner::CELLS_PER_DIM` per axis).
+    fn dense_from(&self) -> f64 {
+        let limit = crate::scratch::DENSE_DIRECTORY_MAX_CELLS as f64;
+        let cap = JoinPlanner::CELLS_PER_DIM as f64;
+        let cells = |cell: f64| -> f64 {
+            self.tree_extent.iter().map(|&side| (side / cell).floor().clamp(1.0, cap)).product()
+        };
+        let longest = self.tree_extent.iter().fold(0.0f64, |m, &side| m.max(side));
+        if !(longest.is_finite() && cells(f64::MIN_POSITIVE) > limit) {
+            return 0.0;
+        }
+        // The cell count only falls as the cell grows: bisect on it.
+        bisect(f64::MIN_POSITIVE.ln(), longest.ln(), |x| cells(x.exp()) <= limit).exp()
+    }
+
+    /// The cell side minimising the cost over `[from, to]` (in ln c), with
+    /// visits at the sparse or the dense rate. The cost is convex in ln c, so
+    /// this is where its derivative changes sign.
+    fn convex_min(&self, from: f64, to: f64, sparse: bool) -> f64 {
+        let rising = |x: f64| self.priced(&self.terms(x.exp()), sparse, |(_, slope)| slope) >= 0.0;
+        bisect(from, to, rising).exp()
+    }
+
+    /// The cost of the figures or of their derivatives (`pick`), at the
+    /// sparse or the dense visit rate.
+    fn priced(&self, t: &Terms, sparse: bool, pick: fn((f64, f64)) -> f64) -> f64 {
+        let visit =
+            if sparse { JoinPlanner::NS_PER_SPARSE_VISIT } else { JoinPlanner::NS_PER_VISIT };
+        visit * pick(t.visits)
+            + JoinPlanner::NS_PER_CANDIDATE * pick(t.candidates)
+            + JoinPlanner::NS_PER_REPLICA * pick(t.replicas)
+            + JoinPlanner::NS_PER_DUPLICATE * pick(t.duplicates)
+    }
+
+    /// The four figures at `cell`, each with its derivative in ln c.
+    fn terms(&self, c: f64) -> Terms {
+        let (t, p) = (self.tree_side, self.probe_side);
+        // The cells a box of side `s` overlaps, (s/c + 1)³, and its derivative.
+        let cover = |s: f64| ((s / c + 1.0).powi(3), -3.0 * (s / c) * (s / c + 1.0).powi(2));
+        let met = self.tree_count * self.probe_density;
+        let shared = met * (t + c).powi(3) * (p + c).powi(3) / c.powi(3);
+        let d_shared = 3.0 * shared * (c / (t + c) + c / (p + c) - 1.0);
+        let selves = if self.self_meets { self.tree_count } else { 0.0 };
+        let pairs = met * (t + p).powi(3) + selves;
+        let (tree, probe, pair) = (cover(t), cover(p), cover(t.min(p)));
+        Terms {
+            visits: (self.tree_count * tree.0, self.tree_count * tree.1),
+            candidates: (shared + selves * pair.0, d_shared + selves * pair.1),
+            replicas: (self.probe_count * (probe.0 - 1.0), self.probe_count * probe.1),
+            duplicates: (pairs * (pair.0 - 1.0), pairs * pair.1),
+        }
+    }
+}
+
+/// The point where `up` turns true on `[lo, hi]`, for an `up` that is false
+/// and then true: `lo` if it is true throughout, `hi` if it never is.
+fn bisect(mut lo: f64, mut hi: f64, up: impl Fn(f64) -> bool) -> f64 {
+    if up(lo) {
+        return lo;
+    }
+    if !up(hi) {
+        return hi;
+    }
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            return hi;
+        }
+        if up(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+}
+
+/// [`CellModel`]'s figures at one cell side, each as `(value, derivative
+/// in ln c)`.
+struct Terms {
+    visits: (f64, f64),
+    candidates: (f64, f64),
+    replicas: (f64, f64),
+    duplicates: (f64, f64),
 }
 
 /// The auto-planned TOUCH engine: collects [`DatasetStats`] for the inputs, runs
@@ -459,8 +729,9 @@ impl SpatialJoinAlgorithm for AutoEngine {
         "TOUCH-AUTO".to_string()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        Some(JoinPlanner::default().plan_datasets(a, b, shape, &self.env).0)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape, epsilon: f64) -> Option<JoinPlan> {
+        let env = PlanEnv { epsilon, ..self.env };
+        Some(JoinPlanner::default().plan_datasets(a, b, shape, &env).0)
     }
 
     fn try_join(
@@ -501,15 +772,25 @@ mod tests {
     use touch_geom::{Aabb, Point3};
 
     fn cloud(n: usize, seed: u64, side: f64) -> Dataset {
+        spread(n, seed, side, 50.0)
+    }
+
+    /// `n` cubes of side `side` placed uniformly in `[0, space]³`.
+    fn spread(n: usize, seed: u64, side: f64, space: f64) -> Dataset {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64) / (u32::MAX as f64)
         };
         Dataset::from_mbrs((0..n).map(|_| {
-            let min = Point3::new(next() * 50.0, next() * 50.0, next() * 50.0);
+            let min = Point3::new(next() * space, next() * space, next() * space);
             Aabb::new(min, min + Point3::splat(side))
         }))
+    }
+
+    /// The rule the cost model replaced: twice the larger mean side.
+    fn old_floor(a: &DatasetStats, b: &DatasetStats) -> f64 {
+        2.0 * a.mean_side_all_axes().max(b.mean_side_all_axes())
     }
 
     fn stats(n: usize, seed: u64, side: f64) -> DatasetStats {
@@ -547,17 +828,94 @@ mod tests {
     }
 
     #[test]
-    fn min_cell_tracks_the_larger_mean_extent() {
+    fn dense_probe_distance_joins_get_a_cell_below_the_old_floor() {
+        // Extended tree boxes against a probe side dense enough that each tree
+        // box meets hundreds of candidates at the old floor.
+        let tree = DatasetStats::from_dataset(&cloud(2_000, 1, 1.0).extended(5.0));
+        let probe = stats(40_000, 2, 1.0);
+        let mut env = PlanEnv::sequential();
+        env.epsilon = 5.0;
+        let plan = JoinPlanner::default().plan(&tree, &probe, &env);
+        assert!(plan.build_on_a);
+        let (cell, floor) = (plan.params.min_cell_size, old_floor(&tree, &probe));
+        assert!(cell < 0.75 * floor, "cell {cell} vs the old floor {floor}");
+        // The plan keeps the model's estimate at the chosen cell.
+        let model = CellModel::pair(&tree, &probe, true);
+        assert_eq!(plan.estimate, Some(model.estimate(cell)));
+        assert_eq!(plan.summary().estimate, plan.estimate);
+        assert!(model.cost_ns(cell) < model.cost_ns(floor));
+    }
+
+    #[test]
+    fn sparse_tick_like_self_joins_keep_at_least_the_old_floor() {
+        // A sparse world of small boxes, self-joined within ε = 3: each
+        // extended box meets a handful of others, and smaller cells would
+        // only add visits.
+        let eps = 3.0;
+        let extended = DatasetStats::from_dataset(&spread(20_000, 3, 0.75, 1000.0).extended(eps));
+        let mut env = PlanEnv::sequential().with_threads(2);
+        env.epsilon = eps;
+        let plan = JoinPlanner::default().plan_self(&extended, &env);
+        let (cell, floor) = (plan.params.min_cell_size, old_floor(&extended, &extended));
+        assert!(cell >= floor, "cell {cell} vs the old floor {floor}");
+        assert!(cell <= 4.0 * floor, "the search stays within ×4 of the reference");
+        // The probe side is the raw boxes: every one meets itself.
+        let estimate = plan.estimate.expect("planned cells carry their estimate");
+        assert!(estimate.candidates >= 20_000.0, "{estimate:?}");
+    }
+
+    #[test]
+    fn degenerate_stats_plan_a_finite_non_negative_cell() {
+        let points = Dataset::from_mbrs((0..50).map(|i| {
+            let p = Point3::new(i as f64, 2.0 * i as f64, 0.5);
+            Aabb::new(p, p)
+        }));
+        let flat = Dataset::from_mbrs((0..50).map(|i| {
+            let min = Point3::new(i as f64, 0.0, 0.0);
+            Aabb::new(min, min + Point3::new(1.0, 1.0, 0.0))
+        }));
+        let cases = [
+            DatasetStats::new(),
+            stats(1, 4, 1.0),
+            DatasetStats::from_dataset(&points),
+            DatasetStats::from_dataset(&flat),
+            stats(300, 5, 0.0),
+            stats(300, 6, 2.0),
+            // Extents whose cubes overflow: the estimate is dropped, not NaN.
+            DatasetStats::from_dataset(&spread(40, 7, 1e120, 1e120)),
+        ];
         let planner = JoinPlanner::default();
-        let env = PlanEnv::sequential();
-        let small_objs = stats(500, 1, 0.5);
-        let large_objs = stats(500, 2, 3.0);
-        let plan = planner.plan(&small_objs, &large_objs, &env);
-        assert!((plan.params.min_cell_size - 6.0).abs() < 0.2, "2 × the larger mean side");
-        // ε-extension inflates A's extents, which inflates the floor.
-        let extended = DatasetStats::from_dataset(&cloud(500, 1, 0.5).extended(1.0));
-        let eps_plan = planner.plan(&extended, &large_objs, &env);
-        assert!(eps_plan.params.min_cell_size >= plan.params.min_cell_size);
+        for eps in [0.0, 2.0] {
+            let mut env = PlanEnv::sequential();
+            env.epsilon = eps;
+            for a in &cases {
+                let mut plans = vec![planner.plan_self(a, &env)];
+                plans.extend(cases.iter().map(|b| planner.plan(a, b, &env)));
+                for plan in plans {
+                    let cell = plan.params.min_cell_size;
+                    assert!(cell.is_finite() && cell >= 0.0, "cell {cell} for {a:?}");
+                    if let Some(e) = plan.estimate {
+                        let figures = [e.candidates, e.replicas, e.duplicates];
+                        assert!(figures.iter().all(|v| v.is_finite() && *v >= 0.0), "{e:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_planned_cell_minimises_the_estimated_cost() {
+        let tree = DatasetStats::from_dataset(&cloud(3_000, 7, 1.5).extended(2.0));
+        for probe in [stats(30_000, 8, 0.5), stats(300, 9, 0.5)] {
+            let model = CellModel::pair(&tree, &probe, true);
+            let best = model.best_cell();
+            let reference = model.reference_cell();
+            assert!((reference / 4.0..=reference * 4.0).contains(&best));
+            for step in [0.9, 0.99, 1.01, 1.1] {
+                let near = (best * step).clamp(reference / 4.0, reference * 4.0);
+                assert!(model.cost_ns(best) <= model.cost_ns(near) * (1.0 + 1e-12));
+            }
+        }
     }
 
     #[test]

@@ -245,7 +245,8 @@ impl<'a> JoinQuery<'a> {
     /// `None` for engines without a TOUCH plan (the baselines).
     ///
     /// For a distance query the plan is computed over the ε-extended dataset A —
-    /// exactly what the engine will see — reusing the query's extension scratch.
+    /// exactly what the engine will see — reusing the query's extension
+    /// scratch, with the query's ε, which the run plans with too.
     /// The plan is recomputed per call (planning is a cheap linear pass); note
     /// that an auto engine may still refine the *strategy* at run time from
     /// sink hints ([`PairSink::pair_limit`]) the query cannot know here.
@@ -258,7 +259,7 @@ impl<'a> JoinQuery<'a> {
         } else {
             self.a
         };
-        self.engine.plan_for(a_run, self.b, self.shape)
+        self.engine.plan_for(a_run, self.b, self.shape, eps)
     }
 
     /// The name of the configured engine (the label runs will carry).
@@ -525,6 +526,30 @@ mod tests {
         let plan = query.plan().expect("the auto engine plans self-joins");
         assert!(plan.build_on_a);
         assert_eq!(plan.estimated_work, 32, "half the naive a ⋈ a estimate");
+    }
+
+    #[test]
+    fn plan_reports_the_plan_the_run_uses() {
+        // Rows 3 apart with gaps of 2: a distance of 2.5 reaches the
+        // neighbours, so both the pair join and the self-join find pairs.
+        let a = row(40, 0.0);
+        let b = row(40, 1.5);
+        for threads in [1, 4] {
+            for eps in [0.0, 2.5] {
+                for self_join in [false, true] {
+                    let query =
+                        if self_join { JoinQuery::self_join(&a) } else { JoinQuery::new(&a, &b) };
+                    let mut query =
+                        query.within_distance(eps).engine(AutoEngine::with_threads(threads));
+                    let planned = query.plan().expect("the auto engine plans").summary();
+                    let report = query.run(&mut CountingSink::new());
+                    let mut executed = report.plan.expect("auto runs record their plan");
+                    executed.stats_time = std::time::Duration::ZERO;
+                    assert_eq!(planned, executed, "eps {eps}, self-join {self_join}");
+                    assert!(planned.estimate.is_some(), "the planner records its estimate");
+                }
+            }
+        }
     }
 
     #[test]

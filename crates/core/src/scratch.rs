@@ -59,7 +59,7 @@ use touch_metrics::{vec_bytes, Counters, MemoryUsage};
 /// only under extreme `cells_per_dim`/`min_cell_size` configurations — fall back to
 /// a sorted sparse directory whose footprint scales with the *occupied* cells, like
 /// the seed's `HashMap` did, instead of the geometric cell count.
-const DENSE_DIRECTORY_MAX_CELLS: usize = 1 << 21;
+pub(crate) const DENSE_DIRECTORY_MAX_CELLS: usize = 1 << 21;
 
 /// Reusable per-worker scratch for [`TouchTree::local_join_node`] and everything
 /// above it.

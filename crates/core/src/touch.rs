@@ -293,7 +293,7 @@ impl SpatialJoinAlgorithm for TouchJoin {
         }
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset, _shape: Shape) -> Option<JoinPlan> {
+    fn plan_for(&self, a: &Dataset, b: &Dataset, _shape: Shape, _epsilon: f64) -> Option<JoinPlan> {
         Some(self.resolve_plan(a, b))
     }
 

@@ -53,14 +53,16 @@ pub trait SpatialJoinAlgorithm {
     fn name(&self) -> String;
 
     /// The [`JoinPlan`] this engine would execute for `a` and `b` joined in
-    /// `shape`, if it is a planned engine: the TOUCH engines return the
-    /// faithful translation of their configuration (or the pinned plan they
-    /// were built from), the auto engine returns the planner's output (a
-    /// self-join is costed on one dataset's statistics, its pair estimate
-    /// halved). Baselines — which have no TOUCH plan — return `None` (the
-    /// default).
-    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        let _ = (a, b, shape);
+    /// `shape` under a predicate of distance `epsilon` (0 for a plain
+    /// intersection join; `a` is already extended by it), if it is a planned
+    /// engine: the TOUCH engines return the faithful translation of their
+    /// configuration (or the pinned plan they were built from), the auto
+    /// engine returns the planner's output (a self-join is costed on one
+    /// dataset's statistics, its pair estimate halved, its probe side
+    /// `epsilon` narrower than `a`). Baselines — which have no TOUCH plan —
+    /// return `None` (the default).
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape, epsilon: f64) -> Option<JoinPlan> {
+        let _ = (a, b, shape, epsilon);
         None
     }
 
@@ -140,8 +142,8 @@ impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for &T {
         (**self).name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        (**self).plan_for(a, b, shape)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape, epsilon: f64) -> Option<JoinPlan> {
+        (**self).plan_for(a, b, shape, epsilon)
     }
 
     fn try_join(
@@ -162,8 +164,8 @@ impl<T: SpatialJoinAlgorithm + ?Sized> SpatialJoinAlgorithm for Box<T> {
         (**self).name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        (**self).plan_for(a, b, shape)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape, epsilon: f64) -> Option<JoinPlan> {
+        (**self).plan_for(a, b, shape, epsilon)
     }
 
     fn try_join(

@@ -44,7 +44,8 @@ pub use fault::{FaultAction, FaultPlan, Seam};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use memory::{vec_bytes, MemoryUsage};
 pub use report::{
-    csv_field, format_count, format_duration, json_str, Completion, PlanSummary, RunReport,
+    csv_field, format_count, format_duration, json_str, Completion, PlanEstimate, PlanSummary,
+    RunReport,
 };
 pub use ticks::TickSummary;
 pub use timer::{Phase, PhaseTimer};

@@ -33,6 +33,23 @@ pub struct PlanSummary {
     /// Wall-clock time spent collecting `DatasetStats` for this plan (zero when
     /// the plan was translated from an explicit configuration).
     pub stats_time: Duration,
+    /// What the planner expected the grid local joins to do at the chosen
+    /// cell. `None` for plans translated from an explicit configuration.
+    pub estimate: Option<PlanEstimate>,
+}
+
+/// The planner's estimate of the grid local joins' work at the cell it chose,
+/// made from the dataset statistics alone. Each figure has a measured
+/// counterpart in [`Counters`], so a report can hold the two side by side.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct PlanEstimate {
+    /// Candidate tests ([`Counters::comparisons`]).
+    pub candidates: f64,
+    /// Probe-side copies beyond each object's first cell ([`Counters::replicas`]).
+    pub replicas: f64,
+    /// Pairs found again in a further cell and dropped by the reference-point
+    /// test ([`Counters::duplicates_suppressed`]).
+    pub duplicates: f64,
 }
 
 impl PlanSummary {
@@ -237,6 +254,53 @@ impl RunReport {
         "algorithm,a,b,epsilon,threads,epochs,comparisons,node_tests,results,filtered,duplicates_suppressed,memory_bytes,build_s,assignment_s,join_s,total_s,plan,planning_s"
     }
 
+    /// A few lines for a person: the run's identity, its plan and counters,
+    /// with the planner's estimates beside the measured counters when the
+    /// plan carries them, and the phase times.
+    pub fn to_text(&self) -> String {
+        let mut out = format!(
+            "{}: |A| = {}, |B| = {}, ε = {}, {} thread(s)\n",
+            self.algorithm,
+            format_count(self.dataset_a as u64),
+            format_count(self.dataset_b as u64),
+            self.epsilon,
+            self.threads
+        );
+        if let Some(p) = &self.plan {
+            let _ = writeln!(out, "plan: {}, min cell {:.3}", p.compact(), p.min_cell_size);
+        }
+        let c = &self.counters;
+        let estimate = self.plan.as_ref().and_then(|p| p.estimate);
+        let est = |pick: fn(&PlanEstimate) -> f64| {
+            estimate.map_or_else(|| "-".to_string(), |e| format_count(pick(&e).round() as u64))
+        };
+        let _ = writeln!(out, "{:<12} {:>14} {:>14}", "", "measured", "estimated");
+        for (name, measured, estimated) in [
+            ("candidates", c.comparisons, est(|e| e.candidates)),
+            ("replicas", c.replicas, est(|e| e.replicas)),
+            ("duplicates", c.duplicates_suppressed, est(|e| e.duplicates)),
+        ] {
+            let _ = writeln!(out, "{name:<12} {:>14} {estimated:>14}", format_count(measured));
+        }
+        let _ = writeln!(
+            out,
+            "results {}, node tests {}, filtered {}, memory {} B",
+            format_count(c.results),
+            format_count(c.node_tests),
+            format_count(c.filtered),
+            format_count(self.memory_bytes as u64)
+        );
+        let _ = writeln!(
+            out,
+            "time: build {}, assignment {}, join {}, total {}",
+            format_duration(self.timer.get(Phase::Build)),
+            format_duration(self.timer.get(Phase::Assignment)),
+            format_duration(self.timer.get(Phase::Join)),
+            format_duration(self.total_time())
+        );
+        out
+    }
+
     /// Hand-rolled JSON rendering of the whole report (the vendored serde is
     /// a no-op stub). Used by the trace exporters and the bench harness; the
     /// layout is flat and additive-safe for key-lookup parsers.
@@ -279,6 +343,13 @@ impl RunReport {
                     json_str(&p.compact()),
                     p.stats_time.as_secs_f64()
                 );
+                if let Some(e) = &p.estimate {
+                    let _ = write!(
+                        out,
+                        ",\"estimate\":{{\"min_cell_size\":{},\"candidates\":{:.0},\"replicas\":{:.0},\"duplicates\":{:.0}}}",
+                        p.min_cell_size, e.candidates, e.replicas, e.duplicates
+                    );
+                }
             }
             None => out.push_str(",\"plan\":null,\"planning_s\":0.000000"),
         }
@@ -444,6 +515,7 @@ mod tests {
             allpairs_max_a: 8,
             threads: 4,
             stats_time: Duration::from_millis(3),
+            estimate: None,
         });
         let row = r.to_csv_row();
         assert!(row.contains("parallel(4):p1024:f2:c500:ap8"));
@@ -509,6 +581,7 @@ mod tests {
             allpairs_max_a: 8,
             threads: 1,
             stats_time: Duration::from_millis(2),
+            estimate: None,
         });
         r.trace = Some(TraceSummary {
             node_time_us: crate::Histogram::new(),
@@ -523,6 +596,49 @@ mod tests {
         assert!(json.contains("\"plan\":\"sequential:p64:f2:c500:ap8\""));
         assert!(json.contains("\"planning_s\":0.002000"));
         assert!(json.contains("\"trace\":{\"node_time_us\":"));
+    }
+
+    #[test]
+    fn plan_estimates_sit_beside_the_measured_counters() {
+        let mut r = RunReport::new("TOUCH-AUTO → TOUCH", 10, 20);
+        r.counters.comparisons = 1_234;
+        r.counters.replicas = 56;
+        r.counters.duplicates_suppressed = 7;
+        let mut plan = PlanSummary {
+            strategy: "sequential".into(),
+            build_on_a: true,
+            partitions: 4,
+            fanout: 2,
+            cells_per_dim: 500,
+            min_cell_size: 2.5,
+            allpairs_max_a: 8,
+            threads: 1,
+            stats_time: Duration::ZERO,
+            estimate: None,
+        };
+        r.plan = Some(plan.clone());
+        // The text's row for `name`: measured, then estimated.
+        let row = |text: &str, name: &str| -> Vec<String> {
+            let line = text.lines().find(|l| l.starts_with(name)).unwrap_or_default();
+            line.split_whitespace().skip(1).map(str::to_string).collect()
+        };
+        assert!(!r.to_json().contains("\"estimate\""), "explicit plans carry no estimate");
+        assert_eq!(row(&r.to_text(), "candidates"), ["1,234", "-"]);
+
+        plan.estimate = Some(PlanEstimate { candidates: 1_000.4, replicas: 60.0, duplicates: 9.0 });
+        r.plan = Some(plan.clone());
+        let json = r.to_json();
+        assert!(json.contains(
+            "\"estimate\":{\"min_cell_size\":2.5,\"candidates\":1000,\"replicas\":60,\"duplicates\":9}"
+        ));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let text = r.to_text();
+        assert_eq!(row(&text, "candidates"), ["1,234", "1,000"], "{text}");
+        assert_eq!(row(&text, "replicas"), ["56", "60"], "{text}");
+        assert_eq!(row(&text, "duplicates"), ["7", "9"], "{text}");
+        // The compact form and the CSV columns do not change.
+        assert_eq!(plan.compact(), "sequential:p4:f2:c500:ap8");
+        assert_eq!(RunReport::csv_header().split(',').count(), r.to_csv_row().split(',').count());
     }
 
     #[test]

@@ -426,6 +426,7 @@ impl SnapshotReader {
             chunk_size: JoinPlanner::DEFAULT_CHUNK_SIZE,
             sort_threshold: JoinPlanner::DEFAULT_SORT_THRESHOLD,
             estimated_work: (snapshot.live() + batch.len()) as u64,
+            estimate: None,
         };
 
         self.buffer.clear();

@@ -156,8 +156,8 @@ impl SpatialJoinAlgorithm for Engine {
         self.build().name()
     }
 
-    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape) -> Option<JoinPlan> {
-        self.build().plan_for(a, b, shape)
+    fn plan_for(&self, a: &Dataset, b: &Dataset, shape: Shape, epsilon: f64) -> Option<JoinPlan> {
+        self.build().plan_for(a, b, shape, epsilon)
     }
 
     fn try_join(
@@ -199,7 +199,7 @@ mod tests {
         let engines = [
             Engine::touch(),
             Engine::Planned(
-                TouchJoin::default().with_threads(2).plan_for(&a, &b, Shape::Pair).unwrap(),
+                TouchJoin::default().with_threads(2).plan_for(&a, &b, Shape::Pair, 0.0).unwrap(),
             ),
             Engine::Baseline(Baseline::RTree),
         ];

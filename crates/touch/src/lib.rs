@@ -140,7 +140,7 @@ pub use touch_baselines::{
 };
 pub use touch_core::{
     collect_join, count_join, distance_join, AdaptiveParams, AssignmentBuffer, AutoEngine,
-    CallbackSink, CancelCause, CancelToken, CollectingSink, CountingSink, DatasetStats,
+    CallbackSink, CancelCause, CancelToken, CellModel, CollectingSink, CountingSink, DatasetStats,
     ExecControl, ExecutionStrategy, FirstKSink, IntoEngine, JoinError, JoinOrder, JoinPlan,
     JoinPlanner, JoinQuery, LocalJoinKind, LocalJoinParams, LocalJoinScratch, PairSink, PlanEnv,
     Predicate, ScratchPool, Shape, ShardedSink, SinkShard, SpatialJoinAlgorithm, TouchConfig,
@@ -154,7 +154,8 @@ pub use touch_geom::{
 };
 pub use touch_metrics::{
     Completion, Counters, ExecTrace, FaultAction, FaultPlan, Histogram, NoTrace, Phase,
-    PlanSummary, RunReport, Seam, TickSummary, TraceEvent, TraceSink, TraceSummary, WorkerStats,
+    PlanEstimate, PlanSummary, RunReport, Seam, TickSummary, TraceEvent, TraceSink, TraceSummary,
+    WorkerStats,
 };
 pub use touch_serve::{
     BoundedSink, Generation, JoinServer, OverflowPolicy, ServeConfig, SnapshotReader,

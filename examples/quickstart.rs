@@ -62,5 +62,7 @@ fn main() {
         plan.min_cell_size,
         plan.stats_time.as_secs_f64() * 1e3,
     );
+    // The planner's estimates of the grid joins' work, beside what they did.
+    print!("{}", auto_report.to_text());
     assert_eq!(auto_sink.sorted_pairs(), sink.sorted_pairs(), "planning never changes the answer");
 }

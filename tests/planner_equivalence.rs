@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use touch::{
     AutoEngine, CollectingSink, Counters, Dataset, DatasetStats, Engine, ExecutionStrategy,
-    FirstKSink, JoinPlanner, JoinQuery, PlanEnv, RunReport, Shape, SpatialJoinAlgorithm,
-    SyntheticDistribution, SyntheticSpec,
+    FirstKSink, JoinPlanner, JoinQuery, NeuroscienceSpec, PlanEnv, RunReport, Shape,
+    SpatialJoinAlgorithm, SyntheticDistribution, SyntheticSpec,
 };
 
 fn synthetic(count: usize, seed: u64) -> Dataset {
@@ -53,7 +53,7 @@ fn auto_matches_the_engine_it_resolves_to_at_every_thread_count() {
     for (wl, (a, b)) in workloads.iter().enumerate() {
         for threads in [1, 2, 4, 8] {
             let auto = AutoEngine::with_threads(threads);
-            let plan = auto.plan_for(a, b, Shape::Pair).expect("auto engines always plan");
+            let plan = auto.plan_for(a, b, Shape::Pair, 0.0).expect("auto engines always plan");
             if wl == 0 && threads > 1 {
                 assert_eq!(
                     plan.strategy,
@@ -90,7 +90,7 @@ fn one_plan_is_bit_identical_on_every_engine() {
     let inputs = [(synthetic(800, 5), synthetic(1000, 6)), (synthetic(1000, 5), synthetic(800, 6))];
     let mut sides = Vec::new();
     for (a, b) in &inputs {
-        let plan = AutoEngine::with_threads(1).plan_for(a, b, Shape::Pair).unwrap();
+        let plan = AutoEngine::with_threads(1).plan_for(a, b, Shape::Pair, 0.0).unwrap();
         sides.push(plan.build_on_a);
         let side = if plan.build_on_a { "tree on A" } else { "tree on B" };
         let (seq_pairs, seq_report) =
@@ -235,13 +235,47 @@ proptest! {
     }
 }
 
+/// On the paper's neuroscience join, the cost-picked cell does less work than
+/// the old floor (twice the larger mean side) for the same pairs.
+#[test]
+fn the_cost_picked_cell_beats_the_old_floor_on_the_neuroscience_join() {
+    let data = NeuroscienceSpec::scaled(0.002).generate(42);
+    let (axons, dendrites) = (&data.axons, &data.dendrites);
+    let eps = 5.0;
+    let mut query = JoinQuery::new(axons, dendrites).within_distance(eps);
+    let plan = query.plan().expect("the default engine plans");
+    let mut auto_sink = CollectingSink::new();
+    let auto = query.run(&mut auto_sink);
+
+    let extended = DatasetStats::from_dataset(&axons.extended(eps));
+    let probe = DatasetStats::from_dataset(dendrites);
+    let old_floor = 2.0 * extended.mean_side_all_axes().max(probe.mean_side_all_axes());
+    let mut at_old_floor = plan;
+    at_old_floor.params.min_cell_size = old_floor;
+    let mut old_sink = CollectingSink::new();
+    let old = JoinQuery::new(axons, dendrites)
+        .within_distance(eps)
+        .engine(Engine::Planned(at_old_floor))
+        .run(&mut old_sink);
+
+    assert!(plan.params.min_cell_size < old_floor);
+    assert_eq!(auto_sink.sorted_pairs(), old_sink.sorted_pairs());
+    assert!(
+        auto.counters.comparisons < old.counters.comparisons,
+        "{} comparisons at cell {} against {} at the old floor {old_floor}",
+        auto.counters.comparisons,
+        plan.params.min_cell_size,
+        old.counters.comparisons
+    );
+}
+
 /// Sanity anchor: the counters equality above is meaningful — a *different*
 /// plan really does produce different counters on these workloads.
 #[test]
 fn different_plans_are_observably_different() {
     let a = synthetic(900, 1);
     let b = synthetic(1200, 2);
-    let plan = AutoEngine::with_threads(1).plan_for(&a, &b, Shape::Pair).unwrap();
+    let plan = AutoEngine::with_threads(1).plan_for(&a, &b, Shape::Pair, 0.0).unwrap();
     let (_, planned) = run(Engine::Planned(plan), &a, &b);
     let (_, paper) = run(Engine::touch(), &a, &b);
     assert_eq!(planned.result_pairs(), paper.result_pairs(), "answers agree…");
